@@ -35,7 +35,7 @@ class Diagram:
     unknots: int = 0
 
     def __init__(self, crossings: Iterable[Sequence[int]] = (), unknots: int = 0):
-        entries = tuple(tuple(int(x) for x in entry) for entry in crossings)
+        entries = tuple([tuple([int(x) for x in entry]) for entry in crossings])
         for entry in entries:
             if len(entry) != 4:
                 raise DiagramError(f"crossing entry needs 4 arcs, got {entry}")
@@ -261,7 +261,7 @@ def analyze(d: Diagram) -> DiagramStructure:
     circles = tuple(_cycles_of(smooth))
     circle_of = {arc: ci for ci, cyc in enumerate(circles) for arc in cyc}
     passages = tuple(
-        tuple(step_crossing[arc] for arc in cyc if arc in step_crossing) for cyc in circles
+        tuple([step_crossing[arc] for arc in cyc if arc in step_crossing]) for cyc in circles
     )
 
     edges = []
@@ -584,7 +584,7 @@ def _renumber(entries: list[tuple], succ: dict, unknots: int = 0) -> Diagram:
             rename[x] = next_label
             next_label += 1
             x = succ[x]
-    out = [tuple(rename[t] for t in entry) for entry in entries]
+    out = [tuple([rename[t] for t in entry]) for entry in entries]
     return Diagram(out, unknots)
 
 
@@ -625,7 +625,7 @@ def closure_diagram(w: ArtinWord) -> Diagram:
         return alias.get(tok, tok)
 
     final_succ = {resolve(src): resolve(dst) for src, dst in succ.items()}
-    final_entries = [tuple(resolve(t) for t in entry) for entry in entries]
+    final_entries = [tuple([resolve(t) for t in entry]) for entry in entries]
     return _renumber(final_entries, final_succ, unknots)
 
 
@@ -664,7 +664,7 @@ def subdiagram(d: Diagram, crossing_ids: Iterable[int], keep_free_circles: bool 
             succ[uf.find(b)] = uf.find(dd)
         else:
             succ[uf.find(dd)] = uf.find(b)
-    entries = [tuple(uf.find(x) for x in d.crossings[idx]) for idx in keep]
+    entries = [tuple([uf.find(x) for x in d.crossings[idx]]) for idx in keep]
 
     kept_circles = {st.circle_of[arc] for idx in keep for arc in d.crossings[idx]}
     extra = len(st.circles) - len(kept_circles) if keep_free_circles else 0

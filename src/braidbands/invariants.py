@@ -12,117 +12,302 @@ leading coefficient), which quotients out the unit ambiguity.  For links of
 more than one component both routes produce the one-variable polynomial
 that carries the extra ``t - 1`` factor, so they agree on links as well as
 knots.  Split links give 0.
+
+Engine
+------
+Both routes end in the determinant of a square matrix of integer
+polynomials in t.  It is computed in plain Python ints by evaluation and
+interpolation; a ``Laurent`` is built only for the final polynomial.
+
+* Degree.  The determinant has degree at most D, the smaller of the sum of
+  the row degrees and the sum of the column degrees.  The matrix is
+  evaluated at the D + 1 points 0, 1, ..., D.
+* Elimination.  Each evaluated matrix is eliminated sparsely modulo a
+  prime p.  The pivot order is chosen once, from the sparsity pattern: at
+  each step the entry whose row and column have the fewest other entries
+  (Markowitz, *The elimination form of the inverse*, 1957), with the fill
+  it causes added to the pattern.  Where that pivot vanishes at a point,
+  another row with a nonzero entry in its column takes its place, and the
+  sign is that of the row-to-column permutation actually used.  A pattern
+  with no row-to-column matching has determinant 0 and is not evaluated.
+* Interpolation.  The D + 1 values are interpolated in Newton form and each
+  coefficient is lifted from [0, p) to the symmetric range.
+* Bound.  Expanding the determinant over permutations, the absolute values
+  of all its coefficients sum to at most the product over the rows of the
+  row's 1-norm (the sum of |c| over every coefficient of every entry in the
+  row).  p is the first Mersenne prime 2^q - 1, q in 61, 89, 107, 127, 521,
+  607, 1279, ..., above twice that product, so the symmetric lift of every
+  coefficient is exact (von zur Gathen and Gerhard, *Modern Computer
+  Algebra*, ch. 5).  One prime above the bound decides every coefficient,
+  so no Chinese remaindering over several primes is needed, and the
+  exponents in the table are those of known Mersenne primes, so no
+  primality test runs either.
+
+On the Fox side the Wirtinger minor is a pencil A + tB with at most three
+nonzeros per row, so D is at most its size and the elimination stays
+sparse.  On the Burau side the running product is kept as dense Laurent
+coefficient lists: a generator changes one column of the product, which is
+rebuilt from at most three neighbouring columns.  Each row and then each
+column of B - I is divided by the lowest power of t it holds, so every
+entry is a polynomial; the determinant then differs from det(B - I) by a
+power of t, which normalization removes after the exact division by
+1 + t + ... + t^(n-1).
 """
 
 from __future__ import annotations
 
-from .diagrams import Diagram, DiagramError, analyze
+from .diagrams import Diagram, DiagramError, _UnionFind, analyze
 from .laurent import Laurent
 from .words import ArtinWord, Word, bkl_to_artin
 
 Matrix = list[list[Laurent]]
 
+# A dense Laurent entry: (exponent of the first coefficient, coefficients).
+# Entries are never mutated once built, so the zero entry is shared.
+_ZERO = (0, ())
 
-def _identity(n: int) -> Matrix:
-    return [[Laurent.one() if i == j else Laurent.zero() for j in range(n)] for i in range(n)]
+# Exponents q of the Mersenne primes 2^q - 1, from the first one above 2^32.
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
+    9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
+)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    m = len(b[0]) if b else 0
-    k = len(b)
-    out = [[Laurent.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = Laurent.zero()
-            for x in range(k):
-                if a[i][x].is_zero() or b[x][j].is_zero():
-                    continue
-                acc = acc + a[i][x] * b[x][j]
-            out[i][j] = acc
+# ---------------------------------------------------------------------------
+# Determinants of polynomial matrices
+# ---------------------------------------------------------------------------
+
+def _prime_above(bound: int) -> int:
+    for q in _MERSENNE_EXPONENTS:
+        p = (1 << q) - 1
+        if p > bound:
+            return p
+    raise ValueError("determinant coefficients exceed the Mersenne prime table")
+
+
+def _pivot_order(pattern: list[set[int]]) -> list[tuple[int, int]]:
+    """Markowitz pivots (row, column) for a square sparsity pattern.
+
+    Fill is added to the pattern as the elimination proceeds.  The list is
+    shorter than the pattern exactly when the rows cannot be matched to
+    distinct columns, in which case the determinant is identically zero.
+    """
+    rows = [set(r) for r in pattern]
+    cols: list[set[int]] = [set() for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    active = set(range(len(rows)))
+    order = []
+    while active:
+        best = None
+        for i in active:
+            weight = len(rows[i]) - 1
+            for j in rows[i]:
+                key = (weight * (len(cols[j]) - 1), i, j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        _cost, r, c = best
+        order.append((r, c))
+        active.remove(r)
+        for j in rows[r]:
+            cols[j].discard(r)
+        fill = rows[r] - {c}
+        for i in cols[c]:
+            rows[i].discard(c)
+            rows[i] |= fill
+            for j in fill:
+                cols[j].add(i)
+        cols[c] = set()
+    return order
+
+
+def _det_mod(rows: list[dict[int, int]], order: list[tuple[int, int]], p: int) -> int:
+    """Determinant mod p of a square matrix given as sparse rows of residues.
+
+    Columns are eliminated in ``order``; its row is the pivot when its entry
+    is nonzero, otherwise the lowest-numbered remaining row that has one.
+    The rows are consumed.
+    """
+    col_rows: list[set[int]] = [set() for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
+    det = 1
+    col_of = [0] * len(rows)
+    for r, c in order:
+        candidates = col_rows[c]
+        if r not in candidates:
+            if not candidates:
+                return 0
+            r = min(candidates)
+        candidates.discard(r)
+        pivot = rows[r]
+        for j in pivot:
+            if j != c:
+                col_rows[j].discard(r)
+        col_of[r] = c
+        pv = pivot.pop(c)
+        det = det * pv % p
+        inv = pow(pv, -1, p)
+        for i in candidates:
+            row = rows[i]
+            f = row.pop(c) * inv % p
+            for j, v in pivot.items():
+                nv = (row.get(j, 0) - f * v) % p
+                if nv:
+                    if j not in row:
+                        col_rows[j].add(i)
+                    row[j] = nv
+                elif j in row:
+                    del row[j]
+                    col_rows[j].discard(i)
+        col_rows[c] = set()
+    # Sign of the row -> column permutation, from its cycle lengths.
+    seen = [False] * len(rows)
+    for start in range(len(rows)):
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = col_of[k]
+            length += 1
+        if length and not length % 2:
+            det = -det
+    return det % p
+
+
+def _interpolate(values: list[int], p: int) -> list[int]:
+    """Coefficients mod p of the polynomial taking ``values[k]`` at k = 0, 1, ..."""
+    d = list(values)
+    n = len(d)
+    for j in range(1, n):  # Newton divided differences; x_i - x_(i-j) = j
+        inv = pow(j, -1, p)
+        for i in range(n - 1, j - 1, -1):
+            d[i] = (d[i] - d[i - 1]) * inv % p
+    coeffs = [d[-1]]
+    for k in range(n - 2, -1, -1):  # coeffs <- coeffs * (t - k) + d[k]
+        nxt = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            nxt[i] = (nxt[i] - k * c) % p
+        nxt[0] = (nxt[0] + d[k]) % p
+        coeffs = nxt
+    return coeffs
+
+
+def _evaluate(rows: list[dict[int, tuple]], x: int, p: int) -> list[dict[int, int]]:
+    out = []
+    for row in rows:
+        vals = {}
+        for j, (shift, coeffs) in row.items():
+            v = 0
+            for a in reversed(coeffs):
+                v = v * x + a
+            v = v * x**shift % p
+            if v:
+                vals[j] = v
+        out.append(vals)
     return out
 
 
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _poly_det(rows: list[dict[int, tuple]]) -> list[int]:
+    """Integer coefficients, lowest first, of the determinant of a polynomial matrix.
 
-
-def determinant(m: Matrix) -> Laurent:
-    """Fraction-free (Bareiss) determinant over Laurent polynomials.
-
-    Every division in the elimination is exact, so the computation stays in
-    integer Laurent polynomials throughout.
+    Row i maps column j to ``(shift, coeffs)``, the entry
+    ``t**shift * sum(coeffs[k] * t**k)``; absent entries are zero.  The zero
+    polynomial is the empty list.
     """
-    n = len(m)
-    if n == 0:
-        return Laurent.one()
-    a = [row[:] for row in m]
-    sign = 1
-    prev = Laurent.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if pivot_row is None:
-                return Laurent.zero()
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).divide_exact(prev)
-            a[i][k] = Laurent.zero()
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    if not rows:
+        return [1]
+    order = _pivot_order([set(row) for row in rows])
+    if len(order) < len(rows):
+        return []
+    row_deg = 0
+    col_deg = [0] * len(rows)
+    bound = 1
+    for row in rows:
+        top = 0
+        norm = 0
+        for j, (shift, coeffs) in row.items():
+            deg = shift + len(coeffs) - 1
+            top = max(top, deg)
+            col_deg[j] = max(col_deg[j], deg)
+            norm += sum(abs(a) for a in coeffs)
+        row_deg += top
+        bound *= norm
+    p = _prime_above(2 * bound)
+    values = [
+        _det_mod(_evaluate(rows, x, p), order, p)
+        for x in range(min(row_deg, sum(col_deg)) + 1)
+    ]
+    half = p >> 1
+    coeffs = [a - p if a > half else a for a in _interpolate(values, p)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
 # Reduced Burau representation
 # ---------------------------------------------------------------------------
 
-def _burau_generator(n: int, i: int, sign: int) -> Matrix:
-    """Reduced Burau matrix of the i-th Artin generator of B_n, size (n-1)."""
-    m = _identity(n - 1)
-    t = Laurent.t()
-    tinv = Laurent.t(-1)
-    one = Laurent.one()
-    if n == 2:
-        m[0][0] = Laurent.t(1, -1) if sign > 0 else Laurent.t(-1, -1)
-        return m
-    if sign > 0:
-        if i == 1:
-            m[0][0] = -t
-            m[1][0] = one
-        elif i == n - 1:
-            m[n - 3][n - 2] = t
-            m[n - 2][n - 2] = -t
+def _combine(terms) -> tuple:
+    """Sum of ``sign * t**shift * entry`` over (sign, shift, entry) as a dense entry."""
+    live = [(sign, shift + off, coeffs) for sign, shift, (off, coeffs) in terms if coeffs]
+    if not live:
+        return _ZERO
+    lo = min(off for _sign, off, _c in live)
+    out = [0] * (max(off + len(c) for _sign, off, c in live) - lo)
+    for sign, off, coeffs in live:
+        if sign > 0:
+            for k, a in enumerate(coeffs, off - lo):
+                out[k] += a
         else:
-            k = i - 1
-            m[k - 1][k] = t
-            m[k][k] = -t
-            m[k + 1][k] = one
-    else:
-        if i == 1:
-            m[0][0] = -tinv
-            m[1][0] = tinv
-        elif i == n - 1:
-            m[n - 3][n - 2] = one
-            m[n - 2][n - 2] = -tinv
-        else:
-            k = i - 1
-            m[k - 1][k] = one
-            m[k][k] = -tinv
-            m[k + 1][k] = tinv
-    return m
+            for k, a in enumerate(coeffs, off - lo):
+                out[k] -= a
+    start, end = 0, len(out)
+    while start < end and not out[start]:
+        start += 1
+    while end > start and not out[end - 1]:
+        end -= 1
+    return (lo + start, out[start:end]) if start < end else _ZERO
+
+
+def _burau_columns(word: ArtinWord) -> list[list[tuple]]:
+    """Columns of the reduced Burau matrix of an Artin word, as dense entries.
+
+    Right multiplication by the i-th generator (column k = i - 1) rebuilds
+    column k only: ``t*c[k-1] - t*c[k] + c[k+1]`` for a positive letter and
+    ``c[k-1] - c[k]/t + c[k+1]/t`` for a negative one, where columns outside
+    the matrix are zero.
+    """
+    size = word.strands - 1
+    cols = [[(0, (1,)) if r == k else _ZERO for r in range(size)] for k in range(size)]
+    for i, e in word.letters:
+        k = i - 1
+        left = cols[k - 1] if k > 0 else None
+        right = cols[k + 1] if k + 1 < size else None
+        mid = cols[k]
+        up, low = (1, 0) if e > 0 else (0, -1)
+        new = []
+        for r in range(size):
+            terms = [(-1, up + low, mid[r])]
+            if left is not None:
+                terms.append((1, up, left[r]))
+            if right is not None:
+                terms.append((1, low, right[r]))
+            new.append(_combine(terms))
+        cols[k] = new
+    return cols
 
 
 def burau_reduced(w: Word) -> Matrix:
     """Product of reduced Burau matrices in word order; identity for the empty word."""
     word = w if isinstance(w, ArtinWord) else bkl_to_artin(w)
-    n = word.strands
-    out = _identity(n - 1)
-    for i, e in word.letters:
-        out = _mat_mul(out, _burau_generator(n, i, e))
-    return out
+    cols = _burau_columns(word)
+    return [[Laurent.from_list(col[r][1], col[r][0]) for col in cols] for r in range(len(cols))]
 
 
 def alexander_from_braid(w: Word) -> Laurent:
@@ -131,26 +316,97 @@ def alexander_from_braid(w: Word) -> Laurent:
     n = word.strands
     if n == 1:
         return Laurent.one()
-    m = _mat_sub(burau_reduced(word), _identity(n - 1))
-    det = determinant(m)
-    if det.is_zero():
+    cols = _burau_columns(word)
+    size = n - 1
+    one = (0, (1,))
+    rows = [
+        [_combine(((1, 0, cols[j][i]), (-1, 0, one))) if i == j else cols[j][i] for j in range(size)]
+        for i in range(size)
+    ]
+    # Divide each row, then each column, by its lowest power of t.
+    row_lo = []
+    for row in rows:
+        offsets = [off for off, coeffs in row if coeffs]
+        if not offsets:
+            return Laurent.zero()
+        row_lo.append(min(offsets))
+    col_lo = [
+        min((rows[i][j][0] - row_lo[i] for i in range(size) if rows[i][j][1]), default=0)
+        for j in range(size)
+    ]
+    det = _poly_det(
+        [
+            {j: (off - row_lo[i] - col_lo[j], coeffs) for j, (off, coeffs) in enumerate(row) if coeffs}
+            for i, row in enumerate(rows)
+        ]
+    )
+    if not det:
         return Laurent.zero()
     divisor = Laurent.from_list([1] * n)  # 1 + t + ... + t^(n-1)
-    return det.divide_exact(divisor).normalized()
+    return Laurent.from_list(det).divide_exact(divisor).normalized()
 
 
 # ---------------------------------------------------------------------------
 # Fox calculus on the Wirtinger presentation
 # ---------------------------------------------------------------------------
 
+def _wirtinger_rows(d: Diagram) -> list[dict[int, tuple[int, int]]] | None:
+    """Fox Jacobian of the Wirtinger presentation, abelianized to t.
+
+    Arcs between under-passes form the generators (columns) and each
+    crossing contributes one relation (row).  Entry ``(a, b)`` is a + b*t.
+    None when there are more arcs than crossings: some component never
+    passes under, so the link splits.
+    """
+    st = analyze(d)
+    uf = _UnionFind(st.succ)
+    for _a, b, _c, dd in d.crossings:
+        uf.union(b, dd)
+    gens = sorted({uf.find(x) for x in st.succ})
+    if len(gens) != len(d.crossings):
+        return None
+    column = {g: k for k, g in enumerate(gens)}
+    rows = []
+    for (a, b, c, _dd), sign in zip(d.crossings, st.signs):
+        if sign > 0:
+            # relation x_c = x_b x_a x_b^{-1}
+            terms = ((b, 1, -1), (a, 0, 1), (c, -1, 0))
+        else:
+            # relation x_c = x_b^{-1} x_a x_b; row scaled by t
+            terms = ((b, -1, 1), (a, 1, 0), (c, 0, -1))
+        row: dict[int, tuple[int, int]] = {}
+        for arc, const, lin in terms:
+            j = column[uf.find(arc)]
+            c0, c1 = row.get(j, (0, 0))
+            row[j] = (c0 + const, c1 + lin)
+        rows.append(row)
+    return rows
+
+
+def _fox_minor(rows: list[dict[int, tuple[int, int]]], drop_row: int, drop_col: int) -> Laurent:
+    minor = []
+    for i, row in enumerate(rows):
+        if i == drop_row:
+            continue
+        entries = {}
+        for j, (const, lin) in row.items():
+            if j == drop_col or not (const or lin):
+                continue
+            if not const:
+                entries[j - (j > drop_col)] = (1, (lin,))
+            else:
+                entries[j - (j > drop_col)] = (0, (const, lin) if lin else (const,))
+        minor.append(entries)
+    return Laurent.from_list(_poly_det(minor)).normalized()
+
+
 def alexander_from_diagram(d: Diagram) -> Laurent:
     """Normalized Alexander polynomial of a diagram's link via Fox derivatives.
 
-    Arcs between under-passes form the Wirtinger generators; each crossing
-    contributes one relation.  All generators abelianize to t.  Deleting one
-    relation and one generator leaves a square matrix whose determinant is
-    the polynomial up to units.  Split configurations (free unknots next to
-    crossings, or components that never pass under) give 0.
+    Deleting the first relation and the first generator of the Wirtinger
+    presentation leaves a square matrix whose determinant is the polynomial
+    up to units.  Split configurations (free unknots next to crossings, or
+    components that never pass under) give 0.
     """
     if not d.crossings:
         if d.unknots == 1:
@@ -158,79 +414,20 @@ def alexander_from_diagram(d: Diagram) -> Laurent:
         return Laurent.zero()
     if d.unknots:
         return Laurent.zero()
-    st = analyze(d)
-
-    # Wirtinger generators: merge the over pair at each crossing.
-    from .diagrams import _UnionFind  # shared helper
-
-    uf = _UnionFind(st.succ)
-    for idx, (a, b, c, dd) in enumerate(d.crossings):
-        uf.union(b, dd)
-    gens = sorted({uf.find(x) for x in st.succ})
-    gen_index = {g: k for k, g in enumerate(gens)}
-    c = len(d.crossings)
-    if len(gens) != c:
-        # More arcs than crossings: some component never passes under, so the
-        # link splits and the polynomial vanishes.
+    rows = _wirtinger_rows(d)
+    if rows is None:
         return Laurent.zero()
-
-    t = Laurent.t()
-    one = Laurent.one()
-    rows: list[list[Laurent]] = []
-    for idx, (a, b, cc, dd) in enumerate(d.crossings):
-        over = uf.find(b)
-        src = uf.find(a)
-        dst = uf.find(cc)
-        row = [Laurent.zero() for _ in range(c)]
-        if st.signs[idx] > 0:
-            # relation x_dst = x_over x_src x_over^{-1}
-            row[gen_index[over]] = row[gen_index[over]] + (one - t)
-            row[gen_index[src]] = row[gen_index[src]] + t
-            row[gen_index[dst]] = row[gen_index[dst]] - one
-        else:
-            # relation x_dst = x_over^{-1} x_src x_over; row scaled by t
-            row[gen_index[over]] = row[gen_index[over]] + (t - one)
-            row[gen_index[src]] = row[gen_index[src]] + one
-            row[gen_index[dst]] = row[gen_index[dst]] - t
-        rows.append(row)
-
-    minor = [row[1:] for row in rows[1:]]
-    return determinant(minor).normalized()
+    return _fox_minor(rows, 0, 0)
 
 
 def alexander_from_diagram_minor(d: Diagram, drop_row: int, drop_col: int) -> Laurent:
     """Same as :func:`alexander_from_diagram` with an explicit deleted row/column."""
     if not d.crossings:
         raise DiagramError("empty diagram has no Wirtinger matrix")
-    st = analyze(d)
-    from .diagrams import _UnionFind
-
-    uf = _UnionFind(st.succ)
-    for idx, (a, b, c, dd) in enumerate(d.crossings):
-        uf.union(b, dd)
-    gens = sorted({uf.find(x) for x in st.succ})
-    gen_index = {g: k for k, g in enumerate(gens)}
     c = len(d.crossings)
-    if len(gens) != c:
+    if not (0 <= drop_row < c and 0 <= drop_col < c):
+        raise DiagramError(f"minor ({drop_row}, {drop_col}) outside a {c}x{c} Wirtinger matrix")
+    rows = _wirtinger_rows(d)
+    if rows is None:
         return Laurent.zero()
-    t = Laurent.t()
-    one = Laurent.one()
-    rows = []
-    for idx, (a, b, cc, dd) in enumerate(d.crossings):
-        over, src, dst = uf.find(b), uf.find(a), uf.find(cc)
-        row = [Laurent.zero() for _ in range(c)]
-        if st.signs[idx] > 0:
-            row[gen_index[over]] = row[gen_index[over]] + (one - t)
-            row[gen_index[src]] = row[gen_index[src]] + t
-            row[gen_index[dst]] = row[gen_index[dst]] - one
-        else:
-            row[gen_index[over]] = row[gen_index[over]] + (t - one)
-            row[gen_index[src]] = row[gen_index[src]] + one
-            row[gen_index[dst]] = row[gen_index[dst]] - t
-        rows.append(row)
-    minor = [
-        [entry for j, entry in enumerate(row) if j != drop_col]
-        for i, row in enumerate(rows)
-        if i != drop_row
-    ]
-    return determinant(minor).normalized()
+    return _fox_minor(rows, drop_row, drop_col)

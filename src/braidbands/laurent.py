@@ -114,19 +114,6 @@ class Laurent:
         """The polynomial with t replaced by 1/t."""
         return Laurent({-k: c for k, c in self.coeffs})
 
-    def evaluate(self, value: int) -> int:
-        """Evaluate at a nonzero integer (negative exponents must divide exactly)."""
-        total = 0
-        for k, c in self.coeffs:
-            if k >= 0:
-                total += c * value**k
-            else:
-                q, r = divmod(c, value ** (-k))
-                if r:
-                    raise ValueError("evaluation not integral")
-                total += q
-        return total
-
     def divide_exact(self, divisor: "Laurent") -> "Laurent":
         """Exact division; raises ValueError when the division leaves a remainder."""
         if divisor.is_zero():

@@ -31,11 +31,14 @@ from .diagrams import (
     blocks,
     is_homogeneous_diagram,
     is_primitive_flat,
+    link_components,
     subdiagram,
 )
+from .invariants import alexander_from_braid, alexander_from_diagram
+from .laurent import Laurent
 from .plumbing import plumb
 from .surfaces import word_twirl
-from .words import BKLWord
+from .words import BKLWord, closure_components
 
 
 class PipelineError(ValueError):
@@ -76,12 +79,12 @@ class Fatgraph:
 
 
 def fatgraph_of_word(w: BKLWord) -> Fatgraph:
-    edges = tuple((l - 1, r - 1, e) for l, r, e in w.letters)
+    edges = tuple([(l - 1, r - 1, e) for l, r, e in w.letters])
     orders: list[list[tuple[int, int]]] = [[] for _ in range(w.strands)]
     for eid, (l, r, _e) in enumerate(w.letters):
         orders[l - 1].append((eid, 0))
         orders[r - 1].append((eid, 1))
-    return Fatgraph(w.strands, edges, tuple(tuple(o) for o in orders))
+    return Fatgraph(w.strands, edges, tuple([tuple(o) for o in orders]))
 
 
 def fatgraph_of_diagram(d: Diagram) -> Fatgraph:
@@ -104,7 +107,7 @@ def fatgraph_of_diagram(d: Diagram) -> Fatgraph:
         end_at[(cid, v)] = (eid, 1)
     orders = []
     for ci, passage in enumerate(st.passages):
-        orders.append(tuple(end_at[(cid, ci)] for cid in passage))
+        orders.append(tuple([end_at[(cid, ci)] for cid in passage]))
     return Fatgraph(len(st.circles), tuple(edges), tuple(orders))
 
 
@@ -292,7 +295,10 @@ def realizations(fat: Fatgraph, start_vertex: int = 0, limit: int = 4096):
                 for a, b in extra:
                     adj[a].remove(b)
 
-    yield from search(0)
+    try:
+        yield from search(0)
+    finally:
+        del search  # the closure refers to itself; break the cycle
 
 
 def realize_word(fat: Fatgraph, start_vertex: int = 0) -> tuple[BKLWord, dict[int, int]]:
@@ -371,7 +377,7 @@ def flat_diagram(fat: Fatgraph) -> Diagram:
         st = analyze(d)
     except DiagramError as exc:
         raise PipelineError(f"fatgraph has no flat diagram: {exc}") from exc
-    if st.signs != tuple(s for _u, _v, s in fat.edges):
+    if st.signs != tuple([s for _u, _v, s in fat.edges]):
         raise PipelineError("emitted diagram has wrong crossing signs")
     return d
 
@@ -424,14 +430,14 @@ class PlumbJoint:
 PlumbTree = Union[PlumbLeaf, PlumbJoint]
 
 
-def _closure_matches(word: BKLWord, d: Diagram) -> bool:
-    from .invariants import alexander_from_braid, alexander_from_diagram
-    from .diagrams import link_components
-    from .words import closure_components
+def _link_invariants(d: Diagram) -> tuple[int, Laurent]:
+    """Component count and Alexander polynomial of a diagram's link."""
+    return link_components(d), alexander_from_diagram(d)
 
-    if closure_components(word) != link_components(d):
-        return False
-    return alexander_from_braid(word) == alexander_from_diagram(d)
+
+def _closure_matches(word: BKLWord, target: tuple[int, Laurent]) -> bool:
+    components, poly = target
+    return closure_components(word) == components and alexander_from_braid(word) == poly
 
 
 def braided_realization(d: Diagram, start_circle: int = 0):
@@ -444,11 +450,12 @@ def braided_realization(d: Diagram, start_circle: int = 0):
     """
     fat = fatgraph_of_diagram(d)
     crossing_ids = [cid for (_u, _v, _s, cid) in analyze(d).graph.edges]
+    target = _link_invariants(d)
     tried = 0
     for word, pos, topo in realizations(fat, start_vertex=start_circle):
         tried += 1
-        if _closure_matches(word, d):
-            return word, pos, tuple(crossing_ids[e] for e in topo)
+        if _closure_matches(word, target):
+            return word, pos, tuple([crossing_ids[e] for e in topo])
     raise PipelineError(
         f"no braided realization matches the diagram's invariants ({tried} candidates)"
     )
@@ -588,7 +595,9 @@ def homogenize(d: Diagram, verify_steps: bool = True) -> BKLWord:
                 continue
             disc_of[orig] = piece_pos[cmap[orig]] + n1 - 1
         placed.update(leaf.crossings)
-        if verify_steps and not _closure_matches(word, subdiagram(d, placed, keep_free_circles=False)):
+        if verify_steps and not _closure_matches(
+            word, _link_invariants(subdiagram(d, placed, keep_free_circles=False))
+        ):
             raise PipelineError("plumbing step drifted from the diagram's link")
     return word
 

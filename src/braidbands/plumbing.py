@@ -27,7 +27,7 @@ class ShufflePattern:
     marks: tuple[int, ...]
 
     def __init__(self, marks: Iterable[int]):
-        marks = tuple(int(m) for m in marks)
+        marks = tuple([int(m) for m in marks])
         if any(m not in (1, 2) for m in marks):
             raise PlumbingError("pattern marks must be 1 or 2")
         object.__setattr__(self, "marks", marks)
@@ -52,7 +52,7 @@ def relabel_second(w2: BKLWord, n1: int) -> BKLWord:
     if n1 < 1:
         raise PlumbingError("first strand count must be >= 1")
     off = n1 - 1
-    return BKLWord(w2.strands + off, tuple((r + off, s + off, e) for r, s, e in w2.letters))
+    return BKLWord(w2.strands + off, tuple([(r + off, s + off, e) for r, s, e in w2.letters]))
 
 
 def plumb(w1: BKLWord, w2: BKLWord, pattern: ShufflePattern | Sequence[int] | None = None) -> BKLWord:

@@ -39,7 +39,7 @@ class BraidedSurface:
     bands: tuple[tuple[int, int, int], ...]
 
     def __init__(self, discs: int, bands: Iterable[tuple[int, int, int]] = ()):
-        bands = tuple((int(l), int(r), int(e)) for l, r, e in bands)
+        bands = tuple([(int(l), int(r), int(e)) for l, r, e in bands])
         if discs < 1:
             raise ValueError("a braided surface needs at least one disc")
         for l, r, e in bands:

@@ -39,7 +39,7 @@ class ArtinWord:
     def __init__(self, strands: int, letters: Iterable[tuple[int, int]] = ()):
         if strands < 1:
             raise WordError(f"strand count must be >= 1, got {strands}")
-        letters = tuple((int(i), int(e)) for i, e in letters)
+        letters = tuple([(int(i), int(e)) for i, e in letters])
         for i, e in letters:
             _check_sign(e)
             if not 1 <= i <= strands - 1:
@@ -51,7 +51,7 @@ class ArtinWord:
         return len(self.letters)
 
     def inverse(self) -> "ArtinWord":
-        return ArtinWord(self.strands, tuple((i, -e) for i, e in reversed(self.letters)))
+        return ArtinWord(self.strands, tuple([(i, -e) for i, e in reversed(self.letters)]))
 
     def concat(self, other: "ArtinWord") -> "ArtinWord":
         if other.strands != self.strands:
@@ -72,7 +72,7 @@ class BKLWord:
     def __init__(self, strands: int, letters: Iterable[tuple[int, int, int]] = ()):
         if strands < 1:
             raise WordError(f"strand count must be >= 1, got {strands}")
-        letters = tuple((int(r), int(s), int(e)) for r, s, e in letters)
+        letters = tuple([(int(r), int(s), int(e)) for r, s, e in letters])
         for r, s, e in letters:
             _check_sign(e)
             if not 1 <= r < s <= strands:
@@ -86,7 +86,7 @@ class BKLWord:
         return len(self.letters)
 
     def inverse(self) -> "BKLWord":
-        return BKLWord(self.strands, tuple((r, s, -e) for r, s, e in reversed(self.letters)))
+        return BKLWord(self.strands, tuple([(r, s, -e) for r, s, e in reversed(self.letters)]))
 
     def concat(self, other: "BKLWord") -> "BKLWord":
         if other.strands != self.strands:
@@ -145,7 +145,7 @@ class Permutation:
 
 def artin_to_bkl(w: ArtinWord) -> BKLWord:
     """Embed letter for letter: the i-th Artin generator is the band (i, i+1)."""
-    return BKLWord(w.strands, tuple((i, i + 1, e) for i, e in w.letters))
+    return BKLWord(w.strands, tuple([(i, i + 1, e) for i, e in w.letters]))
 
 
 def bkl_to_artin(w: BKLWord) -> ArtinWord:

@@ -1,0 +1,169 @@
+"""Reference Alexander oracles over ``Laurent`` values, for differential tests.
+
+These are the straightforward forms of the library's oracles: full reduced
+Burau matrices multiplied letter by letter, a dense Wirtinger matrix, and a
+fraction-free (Bareiss) determinant over Laurent polynomials.  They are slow
+but share no arithmetic with the library's evaluation engine.
+"""
+
+from __future__ import annotations
+
+from braidbands.diagrams import Diagram, _UnionFind, analyze
+from braidbands.laurent import Laurent
+from braidbands.words import ArtinWord, Word, bkl_to_artin
+
+Matrix = list[list[Laurent]]
+
+
+def _identity(n: int) -> Matrix:
+    return [[Laurent.one() if i == j else Laurent.zero() for j in range(n)] for i in range(n)]
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    n = len(a)
+    m = len(b[0]) if b else 0
+    k = len(b)
+    out = [[Laurent.zero() for _ in range(m)] for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            acc = Laurent.zero()
+            for x in range(k):
+                if a[i][x].is_zero() or b[x][j].is_zero():
+                    continue
+                acc = acc + a[i][x] * b[x][j]
+            out[i][j] = acc
+    return out
+
+
+def determinant(m: Matrix) -> Laurent:
+    """Fraction-free (Bareiss) determinant over Laurent polynomials.
+
+    Every division in the elimination is exact, so the computation stays in
+    integer Laurent polynomials throughout.
+    """
+    n = len(m)
+    if n == 0:
+        return Laurent.one()
+    a = [row[:] for row in m]
+    sign = 1
+    prev = Laurent.one()
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if pivot_row is None:
+                return Laurent.zero()
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).divide_exact(prev)
+            a[i][k] = Laurent.zero()
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def _burau_generator(n: int, i: int, sign: int) -> Matrix:
+    """Reduced Burau matrix of the i-th Artin generator of B_n, size (n-1)."""
+    m = _identity(n - 1)
+    t = Laurent.t()
+    tinv = Laurent.t(-1)
+    one = Laurent.one()
+    if n == 2:
+        m[0][0] = Laurent.t(1, -1) if sign > 0 else Laurent.t(-1, -1)
+        return m
+    if sign > 0:
+        if i == 1:
+            m[0][0] = -t
+            m[1][0] = one
+        elif i == n - 1:
+            m[n - 3][n - 2] = t
+            m[n - 2][n - 2] = -t
+        else:
+            k = i - 1
+            m[k - 1][k] = t
+            m[k][k] = -t
+            m[k + 1][k] = one
+    else:
+        if i == 1:
+            m[0][0] = -tinv
+            m[1][0] = tinv
+        elif i == n - 1:
+            m[n - 3][n - 2] = one
+            m[n - 2][n - 2] = -tinv
+        else:
+            k = i - 1
+            m[k - 1][k] = one
+            m[k][k] = -tinv
+            m[k + 1][k] = tinv
+    return m
+
+
+def burau_reduced(w: Word) -> Matrix:
+    """Product of full reduced Burau generator matrices in word order."""
+    word = w if isinstance(w, ArtinWord) else bkl_to_artin(w)
+    out = _identity(word.strands - 1)
+    for i, e in word.letters:
+        out = _mat_mul(out, _burau_generator(word.strands, i, e))
+    return out
+
+
+def alexander_from_braid(w: Word) -> Laurent:
+    word = w if isinstance(w, ArtinWord) else bkl_to_artin(w)
+    n = word.strands
+    if n == 1:
+        return Laurent.one()
+    b = burau_reduced(word)
+    m = [[x - y for x, y in zip(rb, ri)] for rb, ri in zip(b, _identity(n - 1))]
+    det = determinant(m)
+    if det.is_zero():
+        return Laurent.zero()
+    return det.divide_exact(Laurent.from_list([1] * n)).normalized()
+
+
+def wirtinger_matrix(d: Diagram) -> Matrix | None:
+    """Dense Wirtinger Fox matrix over Laurent values; None for more arcs than crossings."""
+    st = analyze(d)
+    uf = _UnionFind(st.succ)
+    for _a, b, _c, dd in d.crossings:
+        uf.union(b, dd)
+    gens = sorted({uf.find(x) for x in st.succ})
+    gen_index = {g: k for k, g in enumerate(gens)}
+    c = len(d.crossings)
+    if len(gens) != c:
+        return None
+    t, one = Laurent.t(), Laurent.one()
+    rows = []
+    for idx, (a, b, cc, _dd) in enumerate(d.crossings):
+        over, src, dst = gen_index[uf.find(b)], gen_index[uf.find(a)], gen_index[uf.find(cc)]
+        row = [Laurent.zero() for _ in range(c)]
+        if st.signs[idx] > 0:
+            row[over] = row[over] + (one - t)
+            row[src] = row[src] + t
+            row[dst] = row[dst] - one
+        else:
+            row[over] = row[over] + (t - one)
+            row[src] = row[src] + one
+            row[dst] = row[dst] - t
+        rows.append(row)
+    return rows
+
+
+def alexander_from_diagram_minor(d: Diagram, drop_row: int, drop_col: int) -> Laurent:
+    rows = wirtinger_matrix(d)
+    if rows is None:
+        return Laurent.zero()
+    minor = [
+        [entry for j, entry in enumerate(row) if j != drop_col]
+        for i, row in enumerate(rows)
+        if i != drop_row
+    ]
+    return determinant(minor).normalized()
+
+
+def alexander_from_diagram(d: Diagram) -> Laurent:
+    if not d.crossings:
+        return Laurent.one() if d.unknots == 1 else Laurent.zero()
+    if d.unknots:
+        return Laurent.zero()
+    return alexander_from_diagram_minor(d, 0, 0)

@@ -9,12 +9,14 @@ from braidbands.invariants import (
     alexander_from_diagram,
     alexander_from_diagram_minor,
     burau_reduced,
-    determinant,
 )
 from braidbands.words import ArtinWord, parse_word
-from braidbands.diagrams import closure_diagram
+from braidbands.diagrams import Diagram, closure_diagram
+from braidbands.invariants import _poly_det
 
-from corpus import FIG8, K5_2, TREFOIL, random_artin_word
+import reference
+from corpus import FIG8, K5_2, K9_43, TREFOIL, random_artin_word, random_bkl_word
+from reference import determinant
 
 
 def test_laurent_arithmetic():
@@ -171,3 +173,92 @@ def test_mirror_inverts_variable():
         a = alexander_from_braid(w)
         m = alexander_from_braid(to_word(mirror(from_word(w))))
         assert m == a.substitute_inverse().normalized()
+
+
+def _random_closure_word(rng: random.Random, max_strands: int, max_len: int) -> ArtinWord:
+    n = rng.randint(1, max_strands)
+    if n == 1:
+        return ArtinWord(1)
+    # Leaving a generator out splits the closure; strands it isolates become free unknots.
+    gens = [i for i in range(1, n) if rng.random() < 0.9] or [1]
+    length = rng.randint(0, max_len)
+    return ArtinWord(n, [(rng.choice(gens), rng.choice((1, -1))) for _ in range(length)])
+
+
+def test_engines_match_reference_on_random_closures():
+    """Both oracles equal the Laurent-Bareiss Burau reference, up to 60 crossings."""
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(200):
+        w = _random_closure_word(rng, max_strands=6, max_len=60)
+        expected = reference.alexander_from_braid(w)
+        d = closure_diagram(w)
+        kinds.add((w.strands == 1, not w.letters, expected.is_zero(), d.unknots > 0))
+        assert alexander_from_braid(w) == expected
+        assert alexander_from_diagram(d) == expected
+    # n = 1, empty words, split links and free unknots all occurred.
+    assert any(k[0] for k in kinds) and any(k[1] for k in kinds)
+    assert any(k[2] for k in kinds) and any(k[3] for k in kinds)
+
+
+def test_fox_engine_matches_reference_wirtinger_determinant():
+    rng = random.Random(22)
+    diagrams = [TREFOIL, FIG8, K5_2, K9_43, Diagram((), unknots=1), Diagram((), unknots=3)]
+    diagrams += [closure_diagram(_random_closure_word(rng, 5, 16)) for _ in range(40)]
+    for d in diagrams:
+        assert alexander_from_diagram(d) == reference.alexander_from_diagram(d)
+
+
+def test_every_minor_matches_reference():
+    rng = random.Random(23)
+    diagrams = [TREFOIL, FIG8, K5_2, K9_43]
+    diagrams += [closure_diagram(_random_closure_word(rng, 4, 8)) for _ in range(20)]
+    for d in diagrams:
+        c = d.crossing_count
+        for row in range(c):
+            for col in range(c):
+                assert alexander_from_diagram_minor(d, row, col) == reference.alexander_from_diagram_minor(
+                    d, row, col
+                )
+    with pytest.raises(ValueError):
+        alexander_from_diagram_minor(TREFOIL, 3, 0)
+
+
+def test_burau_matches_reference_up_to_8_strands():
+    rng = random.Random(24)
+    for k in range(80):
+        if k % 2:
+            w = random_bkl_word(rng, max_strands=8, max_len=8)
+        else:
+            w = random_artin_word(rng, max_strands=8, max_len=24)
+        assert burau_reduced(w) == reference.burau_reduced(w)
+        assert alexander_from_braid(w) == reference.alexander_from_braid(w)
+
+
+def test_poly_det_matches_bareiss():
+    """The evaluation engine on random sparse polynomial matrices, singular ones included.
+
+    Entries such as t - 2 vanish at an evaluation point, so planned pivots
+    vanish and rows are swapped.
+    """
+    rng = random.Random(25)
+    for _ in range(150):
+        size = rng.randint(1, 6)
+        rows = []
+        for _i in range(size):
+            row = {}
+            for j in range(size):
+                if rng.random() < 0.5:
+                    coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]
+                    if any(coeffs):
+                        row[j] = (rng.randint(0, 2), tuple(coeffs))
+            rows.append(row)
+        if size > 1 and rng.random() < 0.2:
+            rows[-1] = dict(rows[0])  # duplicate row: determinant 0
+        dense = [
+            [Laurent.from_list(row[j][1], row[j][0]) if j in row else Laurent.zero() for j in range(size)]
+            for row in rows
+        ]
+        expected = determinant(dense)
+        got = Laurent.from_list(_poly_det(rows))
+        assert got == expected

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -171,6 +172,17 @@ def test_homogenize_random_pseudoalternating():
         assert len(w.letters) == d.crossing_count
         assert alexander_from_braid(w) == alexander_from_diagram(d)
         assert closure_components(w) == link_components(d)
+
+
+def test_homogenize_leaves_no_cyclic_garbage():
+    homogenize(K9_43)
+    gc.collect()
+    gc.disable()
+    try:
+        homogenize(K9_43)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_braided_realization_rejects_unmatchable():
