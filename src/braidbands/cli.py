@@ -22,11 +22,6 @@ from . import diagrams, invariants, pipeline, plumbing, stars, surfaces, words
 OK, FALSE, INVALID, INTERNAL = 0, 1, 2, 3
 
 
-class _CheckFailed(Exception):
-    def __init__(self, payload):
-        self.payload = payload
-
-
 def _load_diagram(path: str) -> diagrams.Diagram:
     with open(path) as fh:
         return diagrams.Diagram.from_json(fh.read())
@@ -177,18 +172,15 @@ def _surface_genus(args):
 
 def _star_reduce(args):
     s = _load_surface(args.surface)
-    star = stars.Star.from_json(open(args.star).read())
+    with open(args.star) as fh:
+        star = stars.Star.from_json(fh.read())
     stars.check_star(s, star)
     trace = []
-    star_m = stars.minimize(s, star)
-    trace.append({"word": words.format_word(surfaces.to_word(s)), "delta_b": stars.delta_b(star_m)})
-    while stars.delta_b(star_m):
-        s, star_m = stars.reduce_step(s, star_m)
-        star_m = stars.minimize(s, star_m)
-        trace.append({"word": words.format_word(surfaces.to_word(s)), "delta_b": stars.delta_b(star_m)})
+    for s, star in stars.reductions(s, star):
+        trace.append({"word": words.format_word(surfaces.to_word(s)), "delta_b": stars.delta_b(star)})
     payload = {
         "surface": json.loads(s.to_json()),
-        "star": json.loads(star_m.to_json()),
+        "star": json.loads(star.to_json()),
         "trace": trace if args.trace else trace[-1:],
     }
     if args.trace and not args.json:
@@ -230,7 +222,11 @@ def _homogenize(args):
     word = pipeline.homogenize(d)
     payload = {"word": words.format_word(word), "strands": word.strands}
     if args.tree:
-        payload["tree"] = pipeline.decompose_generalized_flat(d).to_obj()
+        steps = pipeline.decompose_generalized_flat(d)
+        tree = steps[0][0].to_obj()
+        for leaf, circle in steps[1:]:
+            tree = {"joint": {"circle": circle, "left": tree, "right": leaf.to_obj()}}
+        payload["tree"] = tree
     _emit(args, payload, words.format_word(word))
     return OK
 

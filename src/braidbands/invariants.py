@@ -427,6 +427,8 @@ def alexander_from_diagram_minor(d: Diagram, drop_row: int, drop_col: int) -> La
     c = len(d.crossings)
     if not (0 <= drop_row < c and 0 <= drop_col < c):
         raise DiagramError(f"minor ({drop_row}, {drop_col}) outside a {c}x{c} Wirtinger matrix")
+    if d.unknots:
+        return Laurent.zero()
     rows = _wirtinger_rows(d)
     if rows is None:
         return Laurent.zero()

@@ -13,15 +13,17 @@ Realizing a fatgraph as a word chooses a disc order and band heights whose
 per-vertex orders reproduce the cyclic data; the converse emitter writes a
 flat PD diagram for a planar fatgraph.  The pipeline splits a homogeneous
 diagram into single-sign pieces at the cut circles of its Seifert graph,
-realizes each piece, and reassembles with braided plumbing.  Soundness is
+one per block, and orders them as a list of plumbing steps: each piece
+with the circle it shares with the pieces before it.  It realizes each
+piece and plumbs them together in that order.  Soundness is
 not assumed: callers compare Alexander polynomials and component counts of
 both sides, and the test suite gates every construction on that agreement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .diagrams import (
     Diagram,
@@ -109,68 +111,6 @@ def fatgraph_of_diagram(d: Diagram) -> Fatgraph:
     for ci, passage in enumerate(st.passages):
         orders.append(tuple([end_at[(cid, ci)] for cid in passage]))
     return Fatgraph(len(st.circles), tuple(edges), tuple(orders))
-
-
-def fatgraphs_isomorphic(f: Fatgraph, g: Fatgraph) -> bool:
-    """Isomorphism preserving signs and cyclic orders (up to rotation).
-
-    Edge ends may swap: an edge (u, v) can match an edge stored as (v', u').
-    """
-    if f.vertex_count != g.vertex_count or len(f.edges) != len(g.edges):
-        return False
-    if sorted(len(o) for o in f.orders) != sorted(len(o) for o in g.orders):
-        return False
-
-    def try_assignment(vmap: dict[int, int], rotations: dict[int, int]) -> bool:
-        emap: dict[int, int] = {}
-        rmap: dict[int, int] = {}
-        for v in range(f.vertex_count):
-            fo = f.orders[v]
-            go = g.orders[vmap[v]]
-            if len(fo) != len(go):
-                return False
-            rot = rotations[v]
-            for k, (eid, end) in enumerate(fo):
-                geid, gend = go[(k + rot) % len(go)] if go else (None, None)
-                fu, fv_, fs = f.edges[eid]
-                gu, gv, gs = g.edges[geid]
-                if fs != gs:
-                    return False
-                fpair = (vmap[(fu, fv_)[end]], vmap[(fu, fv_)[1 - end]])
-                gpair = ((gu, gv)[gend], (gu, gv)[1 - gend])
-                if fpair != gpair:
-                    return False
-                if emap.setdefault(eid, geid) != geid or rmap.setdefault(geid, eid) != eid:
-                    return False
-        return len(emap) == len(f.edges)
-
-    def search_rot(v: int, vmap: dict[int, int], rotations: dict[int, int]) -> bool:
-        if v == f.vertex_count:
-            return try_assignment(vmap, rotations)
-        for rot in range(max(1, len(f.orders[v]))):
-            rotations[v] = rot
-            if search_rot(v + 1, vmap, rotations):
-                return True
-        return False
-
-    used: set[int] = set()
-    vmap: dict[int, int] = {}
-
-    def extend(v: int) -> bool:
-        if v == f.vertex_count:
-            return search_rot(0, vmap, {})
-        for w in range(g.vertex_count):
-            if w in used or g.degree(w) != f.degree(v):
-                continue
-            vmap[v] = w
-            used.add(w)
-            if extend(v + 1):
-                return True
-            del vmap[v]
-            used.discard(w)
-        return False
-
-    return extend(0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +241,6 @@ def realizations(fat: Fatgraph, start_vertex: int = 0, limit: int = 4096):
         del search  # the closure refers to itself; break the cycle
 
 
-def realize_word(fat: Fatgraph, start_vertex: int = 0) -> tuple[BKLWord, dict[int, int]]:
-    """First height-consistent realization of the fatgraph (no link gate)."""
-    for word, pos, _topo in realizations(fat, start_vertex):
-        return word, pos
-    raise PipelineError("fatgraph admits no consistent band heights")
-
-
 # ---------------------------------------------------------------------------
 # Emission: planar fatgraph -> flat diagram
 # ---------------------------------------------------------------------------
@@ -391,9 +324,8 @@ class PlumbLeaf:
     diagram: Diagram
     crossings: tuple[int, ...]  # crossing ids in the source diagram
     circles: tuple[int, ...]  # circle ids in the source diagram
-
-    def leaves(self):
-        return [self]
+    # source circle id -> circle id in ``diagram``; derived from the fields above
+    circle_map: dict[int, int] = field(compare=False)
 
     def to_obj(self):
         return {
@@ -406,28 +338,6 @@ class PlumbLeaf:
                 },
             }
         }
-
-
-@dataclass(frozen=True)
-class PlumbJoint:
-    left: "PlumbTree"
-    right: "PlumbTree"
-    circle: int  # shared circle id in the source diagram
-
-    def leaves(self):
-        return self.left.leaves() + self.right.leaves()
-
-    def to_obj(self):
-        return {
-            "joint": {
-                "circle": self.circle,
-                "left": self.left.to_obj(),
-                "right": self.right.to_obj(),
-            }
-        }
-
-
-PlumbTree = Union[PlumbLeaf, PlumbJoint]
 
 
 def _link_invariants(d: Diagram) -> tuple[int, Laurent]:
@@ -446,16 +356,16 @@ def braided_realization(d: Diagram, start_circle: int = 0):
     Candidate height assignments for the fatgraph are enumerated and the
     first one whose closure matches the diagram's component count and
     Alexander polynomial wins; band heights alone do not pin down the
-    embedding, so the gate is what makes the construction sound.
+    embedding, so the gate is what makes the construction sound.  Fatgraph
+    edge ``k`` is crossing ``k``, so the edge order is the crossing order.
     """
     fat = fatgraph_of_diagram(d)
-    crossing_ids = [cid for (_u, _v, _s, cid) in analyze(d).graph.edges]
     target = _link_invariants(d)
     tried = 0
     for word, pos, topo in realizations(fat, start_vertex=start_circle):
         tried += 1
         if _closure_matches(word, target):
-            return word, pos, tuple([crossing_ids[e] for e in topo])
+            return word, pos, topo
     raise PipelineError(
         f"no braided realization matches the diagram's invariants ({tried} candidates)"
     )
@@ -492,12 +402,14 @@ def _piece(d: Diagram, st: DiagramStructure, crossing_ids: Iterable[int]):
     return piece, circle_map
 
 
-def decompose_generalized_flat(d: Diagram) -> PlumbTree:
+def decompose_generalized_flat(d: Diagram) -> list[tuple[PlumbLeaf, int]]:
     """Split a homogeneous diagram into primitive flat pieces at cut circles.
 
-    The result is a left-nested binary tree of plumbing joints.  Each block
-    of the Seifert graph becomes one leaf; a leaf that stays nested for
-    every outer-region choice of its own diagram is unsupported.
+    Each block of the Seifert graph becomes one leaf.  The result is the
+    sequence of plumbing steps: each leaf paired with the one source circle
+    it shares with the leaves before it, ``-1`` for the first leaf.  A leaf
+    that stays nested for every outer-region choice of its own diagram is
+    unsupported.
     """
     report = is_homogeneous_diagram(d)
     if not report.homogeneous:
@@ -505,49 +417,37 @@ def decompose_generalized_flat(d: Diagram) -> PlumbTree:
     st = analyze(d)
     if len(set(st.circle_component)) > 1:
         raise PipelineError("decomposition requires a connected diagram")
-    dec = report.decomposition
 
     leaves: list[PlumbLeaf] = []
-    for block in dec.blocks:
+    for block in report.decomposition.blocks:
         ids = tuple(sorted(cid for (_u, _v, _s, cid) in block))
         verts = tuple(sorted({x for (u, v, _s, _c) in block for x in (u, v)}))
-        piece, _cmap = _piece(d, st, ids)
+        piece, cmap = _piece(d, st, ids)
         if not is_primitive_flat(piece):
             raise PipelineError("unsupported nesting pattern inside a block")
-        leaves.append(PlumbLeaf(piece, ids, verts))
-
-    order, _attach = _fold_order(leaves)
-    tree: PlumbTree = order[0][0]
-    for leaf, shared in order[1:]:
-        tree = PlumbJoint(tree, leaf, shared)
-    return tree
-
-
-def _fold_order(leaves: list[PlumbLeaf]) -> tuple[list[tuple[PlumbLeaf, int]], dict]:
-    """Arrange leaves so each one after the first attaches at a reached circle."""
+        leaves.append(PlumbLeaf(piece, ids, verts, cmap))
     if not leaves:
         raise PipelineError("no blocks to fold")
-    remaining = list(range(len(leaves)))
-    first = remaining.pop(0)
-    reached = set(leaves[first].circles)
-    out: list[tuple[PlumbLeaf, int]] = [(leaves[first], -1)]
-    while remaining:
-        for k in list(remaining):
-            shared = [v for v in leaves[k].circles if v in reached]
+
+    # Each later leaf attaches at a circle the steps before it reached.
+    steps = [(leaves.pop(0), -1)]
+    reached = set(steps[0][0].circles)
+    while leaves:
+        for k, leaf in enumerate(leaves):
+            shared = [v for v in leaf.circles if v in reached]
             if shared:
                 if len(shared) > 1:
                     raise PipelineError("blocks share more than one circle")
-                out.append((leaves[k], shared[0]))
-                reached.update(leaves[k].circles)
-                remaining.remove(k)
+                steps.append((leaves.pop(k), shared[0]))
+                reached.update(leaf.circles)
                 break
         else:
             raise PipelineError("block structure is disconnected")
-    return out, {}
+    return steps
 
 
-def homogenize(d: Diagram, verify_steps: bool = True) -> BKLWord:
-    """Band word of a homogeneous diagram: fold its plumbing tree.
+def homogenize(d: Diagram) -> BKLWord:
+    """Band word of a homogeneous diagram: plumb its leaves in order.
 
     Each leaf is realized with the shared circle as its first disc, turned
     until its letters at the shared circle line up with the diagram's
@@ -556,17 +456,15 @@ def homogenize(d: Diagram, verify_steps: bool = True) -> BKLWord:
     partial diagram's oracles, so a construction that drifts from the
     diagram's link fails loudly instead of returning a wrong word.
     """
-    tree = decompose_generalized_flat(d)
+    steps = decompose_generalized_flat(d)
     st = analyze(d)
-    order = _linear_joints(tree)
 
-    first_leaf = order[0][0]
-    cmap = _leaf_circle_map(d, st, first_leaf)
-    word, pos, letter_cids = _realized_leaf(d, st, first_leaf, cmap, first_leaf.circles[0])
-    disc_of = {orig: pos[cmap[orig]] for orig in first_leaf.circles}
+    first_leaf = steps[0][0]
+    word, pos, letter_cids = _realized_leaf(first_leaf, first_leaf.circles[0])
+    disc_of = {orig: pos[first_leaf.circle_map[orig]] for orig in first_leaf.circles}
     placed = set(first_leaf.crossings)
 
-    for leaf, shared in order[1:]:
+    for leaf, shared in steps[1:]:
         # Rotate the running surface until the shared circle is rightmost.
         twirls = disc_of[shared] % word.strands
         for _ in range(twirls):
@@ -575,8 +473,7 @@ def homogenize(d: Diagram, verify_steps: bool = True) -> BKLWord:
             n = word.strands
             disc_of = {c: (p - twirls - 1) % n + 1 for c, p in disc_of.items()}
 
-        cmap = _leaf_circle_map(d, st, leaf)
-        piece_word, piece_pos, piece_cids = _realized_leaf(d, st, leaf, cmap, shared)
+        piece_word, piece_pos, piece_cids = _realized_leaf(leaf, shared)
 
         # Schedule the shared circle's letters in the diagram's cyclic order.
         sigma = list(st.passages[shared])
@@ -593,22 +490,21 @@ def homogenize(d: Diagram, verify_steps: bool = True) -> BKLWord:
         for orig in leaf.circles:
             if orig == shared:
                 continue
-            disc_of[orig] = piece_pos[cmap[orig]] + n1 - 1
+            disc_of[orig] = piece_pos[leaf.circle_map[orig]] + n1 - 1
         placed.update(leaf.crossings)
-        if verify_steps and not _closure_matches(
+        if not _closure_matches(
             word, _link_invariants(subdiagram(d, placed, keep_free_circles=False))
         ):
             raise PipelineError("plumbing step drifted from the diagram's link")
     return word
 
 
-def _realized_leaf(d, st, leaf: PlumbLeaf, cmap: dict[int, int], start_circle_orig: int):
+def _realized_leaf(leaf: PlumbLeaf, start_circle_orig: int):
     """Realize one leaf; letters are tagged with source-diagram crossing ids."""
-    piece_ids = sorted(leaf.crossings)
     word, pos, piece_order = braided_realization(
-        leaf.diagram, start_circle=cmap[start_circle_orig]
+        leaf.diagram, start_circle=leaf.circle_map[start_circle_orig]
     )
-    letter_cids = [piece_ids[k] for k in piece_order]
+    letter_cids = [leaf.crossings[k] for k in piece_order]
     return word, pos, letter_cids
 
 
@@ -669,26 +565,3 @@ def _merge_lists(a: list[int], b: list[int], pattern) -> list[int]:
             out.append(b[j])
             j += 1
     return out
-
-
-def _linear_joints(tree: PlumbTree) -> list[tuple[PlumbLeaf, int]]:
-    if isinstance(tree, PlumbLeaf):
-        return [(tree, -1)]
-    left = _linear_joints(tree.left)
-    right = _linear_joints(tree.right)
-    if len(right) != 1:
-        raise PipelineError("plumbing tree is not left-nested")
-    return left + [(right[0][0], tree.circle)]
-
-
-def _leaf_circle_map(d: Diagram, st: DiagramStructure, leaf: PlumbLeaf) -> dict[int, int]:
-    pst = analyze(leaf.diagram)
-    cmap: dict[int, int] = {}
-    for k, cid in enumerate(sorted(leaf.crossings)):
-        a = d.crossings[cid][0]
-        pa = leaf.diagram.crossings[k][0]
-        cmap[st.circle_of[a]] = pst.circle_of[pa]
-        c = d.crossings[cid][2]
-        pc = leaf.diagram.crossings[k][2]
-        cmap[st.circle_of[c]] = pst.circle_of[pc]
-    return cmap

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import json
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .surfaces import BraidedSurface
 from .words import BKLWord, is_homogeneous
@@ -284,16 +284,22 @@ class RayClass:
     loose: bool
 
 
-def _ray_slack(ray: _Ray) -> bool:
-    for bid, enter, exit_ in ray.steps:
+def _slack_step(ray: _Ray) -> Optional[tuple[int, int, list]]:
+    """First slack arc of a ray as (start, stop, replacement steps), or None.
+
+    A step entering and leaving its band through the same end is dropped;
+    two consecutive steps through one band, the second entering where the
+    first left, merge into one.
+    """
+    for k, (_bid, enter, exit_) in enumerate(ray.steps):
         if enter == exit_:
-            return True
+            return k, k + 1, []
     for k in range(len(ray.steps) - 1):
-        b1, _e1, x1 = ray.steps[k]
-        b2, e2, _x2 = ray.steps[k + 1]
+        b1, e1, x1 = ray.steps[k]
+        b2, e2, x2 = ray.steps[k + 1]
         if b1 == b2 and x1 == e2:
-            return True
-    return False
+            return k, k + 2, [[b1, e1, x2]]
+    return None
 
 
 def _tail_sides(state: _State, ray: _Ray):
@@ -327,20 +333,15 @@ def _ray_loose_removable(state: _State, ray: _Ray) -> bool:
     center sits on the same disc, the center fan occupies that side and the
     pull is blocked; such rays are reduced by the inflation step instead.
     """
-    if not ray.steps:
-        return False
-    between, outside = _tail_sides(state, ray)
-    if between and outside:
-        return False
-    if not between:
-        return True
-    return state.center != ray.tip_disc
+    return _ray_loose(state, ray) and (
+        state.center != ray.tip_disc or not _tail_sides(state, ray)[0]
+    )
 
 
 def classify_ray(surface: BraidedSurface, star: Star, ray_index: int) -> RayClass:
     state = _materialize(surface, star)
     ray = state.rays[ray_index]
-    return RayClass(bool(ray.steps), _ray_slack(ray), _ray_loose(state, ray))
+    return RayClass(bool(ray.steps), _slack_step(ray) is not None, _ray_loose(state, ray))
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +350,11 @@ def classify_ray(surface: BraidedSurface, star: Star, ray_index: int) -> RayClas
 
 def _remove_slack_once(state: _State) -> bool:
     for ray in state.rays:
-        for k, (bid, enter, exit_) in enumerate(ray.steps):
-            if enter == exit_:
-                del ray.steps[k]
-                return True
-        for k in range(len(ray.steps) - 1):
-            b1, e1, x1 = ray.steps[k]
-            b2, e2, x2 = ray.steps[k + 1]
-            if b1 == b2 and x1 == e2:
-                ray.steps[k : k + 2] = [[b1, e1, x2]]
-                return True
+        slack = _slack_step(ray)
+        if slack is not None:
+            start, stop, replacement = slack
+            ray.steps[start:stop] = replacement
+            return True
     return False
 
 
@@ -441,11 +437,7 @@ def _minimize_state(state: _State) -> None:
         if _remove_slack_once(state):
             continue
         loose = next(
-            (
-                k
-                for k, ray in enumerate(state.rays)
-                if ray.steps and _ray_loose_removable(state, ray)
-            ),
+            (k for k, ray in enumerate(state.rays) if _ray_loose_removable(state, ray)),
             None,
         )
         if loose is None:
@@ -592,8 +584,8 @@ def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, St
     if delta_b(star) == 0:
         raise StarError("star already lies in the discs")
     state = _materialize(surface, star)
-    if _remove_slack_once(state) or any(
-        ray.steps and _ray_loose_removable(state, ray) for ray in state.rays
+    if any(
+        _slack_step(ray) is not None or _ray_loose_removable(state, ray) for ray in state.rays
     ):
         raise StarError("star is not minimal")
     before = delta_b(star)
@@ -707,13 +699,27 @@ def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, St
     return new_surface, new_star
 
 
-def reduce_to_disc(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, Star]:
-    """Minimize and reduce until the star misses all bands."""
+def reductions(surface: BraidedSurface, star: Star) -> Iterator[tuple[BraidedSurface, Star]]:
+    """Yield the minimized star, then each reduced and minimized (surface, star).
+
+    Stops once the star misses all bands.  Every step removes at least one
+    crossing, so more steps than the first minimized star has crossings
+    raise StarError.
+    """
     star = minimize(surface, star)
     budget = delta_b(star)
-    for _round in range(budget + 1):
-        if delta_b(star) == 0:
-            return surface, star
+    yield surface, star
+    while delta_b(star):
+        if budget == 0:
+            raise StarError("reduction exceeded its crossing budget")
+        budget -= 1
         surface, star = reduce_step(surface, star)
         star = minimize(surface, star)
-    raise StarError("reduction exceeded its crossing budget")
+        yield surface, star
+
+
+def reduce_to_disc(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, Star]:
+    """Minimize and reduce until the star misses all bands."""
+    for surface, star in reductions(surface, star):
+        pass
+    return surface, star

@@ -204,21 +204,14 @@ def permutation_of(w: Word) -> Permutation:
     The image sends the strand entering at top position ``k`` to its bottom
     position; letter signs are irrelevant.
     """
-    pos = list(range(w.strands + 1))  # pos[k] = current position of strand k
+    at = list(range(w.strands + 1))  # at[p] = strand now at position p
+    artin = isinstance(w, ArtinWord)
     for letter in w.letters:
-        if isinstance(w, ArtinWord):
-            i, _ = letter
-            a, b = i, i + 1
-        else:
-            a, b, _ = letter
-        for k in range(1, w.strands + 1):
-            if pos[k] == a:
-                pos[k] = b
-            elif pos[k] == b:
-                pos[k] = a
+        a, b = (letter[0], letter[0] + 1) if artin else letter[:2]
+        at[a], at[b] = at[b], at[a]
     image = [0] * w.strands
-    for k in range(1, w.strands + 1):
-        image[k - 1] = pos[k]
+    for p in range(1, w.strands + 1):
+        image[at[p] - 1] = p
     return Permutation(tuple(image))
 
 

@@ -1,16 +1,17 @@
-"""Reference Alexander oracles over ``Laurent`` values, for differential tests.
+"""Reference oracles for differential tests.
 
 These are the straightforward forms of the library's oracles: full reduced
 Burau matrices multiplied letter by letter, a dense Wirtinger matrix, and a
 fraction-free (Bareiss) determinant over Laurent polynomials.  They are slow
-but share no arithmetic with the library's evaluation engine.
+but share no arithmetic with the library's evaluation engine.  The braid
+permutation is kept in its O(L * n) form, rescanning every strand per letter.
 """
 
 from __future__ import annotations
 
 from braidbands.diagrams import Diagram, _UnionFind, analyze
 from braidbands.laurent import Laurent
-from braidbands.words import ArtinWord, Word, bkl_to_artin
+from braidbands.words import ArtinWord, Permutation, Word, bkl_to_artin
 
 Matrix = list[list[Laurent]]
 
@@ -150,6 +151,8 @@ def wirtinger_matrix(d: Diagram) -> Matrix | None:
 
 
 def alexander_from_diagram_minor(d: Diagram, drop_row: int, drop_col: int) -> Laurent:
+    if d.unknots:
+        return Laurent.zero()
     rows = wirtinger_matrix(d)
     if rows is None:
         return Laurent.zero()
@@ -164,6 +167,20 @@ def alexander_from_diagram_minor(d: Diagram, drop_row: int, drop_col: int) -> La
 def alexander_from_diagram(d: Diagram) -> Laurent:
     if not d.crossings:
         return Laurent.one() if d.unknots == 1 else Laurent.zero()
-    if d.unknots:
-        return Laurent.zero()
     return alexander_from_diagram_minor(d, 0, 0)
+
+
+def permutation_of(w: Word) -> Permutation:
+    pos = list(range(w.strands + 1))  # pos[k] = current position of strand k
+    for letter in w.letters:
+        if isinstance(w, ArtinWord):
+            i, _ = letter
+            a, b = i, i + 1
+        else:
+            a, b, _ = letter
+        for k in range(1, w.strands + 1):
+            if pos[k] == a:
+                pos[k] = b
+            elif pos[k] == b:
+                pos[k] = a
+    return Permutation(tuple(pos[1:]))

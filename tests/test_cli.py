@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from braidbands.cli import run
 
-from corpus import FIG8, TREFOIL
+from corpus import FIG8, K5_2, K9_43, TREFOIL
 
 
 @pytest.fixture
@@ -103,11 +104,26 @@ def test_star_reduce_command(tmp_path, capsys):
     assert "delta_b=  0" in out
 
 
-def test_homogenize_command(capsys, trefoil_file):
+# sha1 of the full ``homogenize --tree --json`` output of the golden knots.
+HOMOGENIZE_TREE_SHA1 = {
+    "trefoil": "5f4f903416033eddfc0e61e6babe1bd80eb5fd2f",
+    "fig8": "5fe617bd47adfa01fa876f64fa0e6ca4d6acc2a5",
+    "5_2": "8b25300d4304cd737bbb2a7d784d11cc678de7ce",
+    "9_43": "3074d58b6439c3adbbea2b4da1196c30c264c15b",
+}
+
+
+def test_homogenize_command(tmp_path, capsys, trefoil_file):
     assert run(["homogenize", trefoil_file, "--tree", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["word"] == "b(1,2) b(1,2) b(1,2)"
     assert "leaf" in data["tree"]
+    for name, d in (("trefoil", TREFOIL), ("fig8", FIG8), ("5_2", K5_2), ("9_43", K9_43)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(d.to_json())
+        assert run(["homogenize", str(path), "--tree", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha1(out.encode()).hexdigest() == HOMOGENIZE_TREE_SHA1[name]
 
 
 def test_invariant_commands(capsys, trefoil_file):

@@ -136,7 +136,8 @@ def test_cross_oracle_on_random_closures():
 
 
 def test_minor_choice_does_not_matter():
-    for d in (TREFOIL, FIG8, K5_2):
+    split = (Diagram(TREFOIL.crossings, unknots=1), Diagram(FIG8.crossings, unknots=2))
+    for d in (TREFOIL, FIG8, K5_2) + split:
         base = alexander_from_diagram(d)
         c = d.crossing_count
         for row in range(c):
@@ -211,7 +212,7 @@ def test_fox_engine_matches_reference_wirtinger_determinant():
 
 def test_every_minor_matches_reference():
     rng = random.Random(23)
-    diagrams = [TREFOIL, FIG8, K5_2, K9_43]
+    diagrams = [TREFOIL, FIG8, K5_2, K9_43, Diagram(TREFOIL.crossings, unknots=1)]
     diagrams += [closure_diagram(_random_closure_word(rng, 4, 8)) for _ in range(20)]
     for d in diagrams:
         c = d.crossing_count

@@ -1,27 +1,32 @@
 import gc
+import hashlib
+import json
 import random
 
 import pytest
 
-from braidbands.diagrams import Diagram, analyze, link_components, validate
+from braidbands.cli import run
+from braidbands.diagrams import (
+    Diagram,
+    analyze,
+    closure_diagram,
+    is_primitive_flat,
+    link_components,
+    validate,
+)
 from braidbands.invariants import alexander_from_braid, alexander_from_diagram
 from braidbands.pipeline import (
     Fatgraph,
     PipelineError,
-    PlumbJoint,
-    PlumbLeaf,
-    braided_realization,
     decompose_generalized_flat,
     fatgraph_of_diagram,
     fatgraph_of_word,
-    fatgraphs_isomorphic,
     flat_diagram,
     homogenize,
     primitive_flat_to_bkl,
     realizations,
-    realize_word,
 )
-from braidbands.words import closure_components, is_homogeneous, parse_word
+from braidbands.words import BKLWord, closure_components, format_word, is_homogeneous, parse_word
 
 from corpus import (
     FIG8,
@@ -32,6 +37,76 @@ from corpus import (
     pseudoalternating_diagrams,
     random_bkl_word,
 )
+
+
+def fatgraphs_isomorphic(f: Fatgraph, g: Fatgraph) -> bool:
+    """Isomorphism preserving signs and cyclic orders (up to rotation).
+
+    Edge ends may swap: an edge (u, v) can match an edge stored as (v', u').
+    Plain backtracking over vertex maps and rotations, for small test graphs.
+    """
+    if f.vertex_count != g.vertex_count or len(f.edges) != len(g.edges):
+        return False
+    if sorted(len(o) for o in f.orders) != sorted(len(o) for o in g.orders):
+        return False
+
+    def try_assignment(vmap: dict[int, int], rotations: dict[int, int]) -> bool:
+        emap: dict[int, int] = {}
+        rmap: dict[int, int] = {}
+        for v in range(f.vertex_count):
+            fo = f.orders[v]
+            go = g.orders[vmap[v]]
+            if len(fo) != len(go):
+                return False
+            rot = rotations[v]
+            for k, (eid, end) in enumerate(fo):
+                geid, gend = go[(k + rot) % len(go)] if go else (None, None)
+                fu, fv_, fs = f.edges[eid]
+                gu, gv, gs = g.edges[geid]
+                if fs != gs:
+                    return False
+                fpair = (vmap[(fu, fv_)[end]], vmap[(fu, fv_)[1 - end]])
+                gpair = ((gu, gv)[gend], (gu, gv)[1 - gend])
+                if fpair != gpair:
+                    return False
+                if emap.setdefault(eid, geid) != geid or rmap.setdefault(geid, eid) != eid:
+                    return False
+        return len(emap) == len(f.edges)
+
+    def search_rot(v: int, vmap: dict[int, int], rotations: dict[int, int]) -> bool:
+        if v == f.vertex_count:
+            return try_assignment(vmap, rotations)
+        for rot in range(max(1, len(f.orders[v]))):
+            rotations[v] = rot
+            if search_rot(v + 1, vmap, rotations):
+                return True
+        return False
+
+    used: set[int] = set()
+    vmap: dict[int, int] = {}
+
+    def extend(v: int) -> bool:
+        if v == f.vertex_count:
+            return search_rot(0, vmap, {})
+        for w in range(g.vertex_count):
+            if w in used or g.degree(w) != f.degree(v):
+                continue
+            vmap[v] = w
+            used.add(w)
+            if extend(v + 1):
+                return True
+            del vmap[v]
+            used.discard(w)
+        return False
+
+    return extend(0)
+
+
+def realize_word(fat: Fatgraph, start_vertex: int = 0) -> tuple[BKLWord, dict[int, int]]:
+    """First height-consistent realization of the fatgraph (no link gate)."""
+    for word, pos, _topo in realizations(fat, start_vertex):
+        return word, pos
+    raise PipelineError("fatgraph admits no consistent band heights")
 
 
 def test_fatgraph_of_word_shape():
@@ -128,29 +203,28 @@ def test_primitive_flat_to_bkl_5_2():
 
 
 def test_decompose_trees():
-    tree = decompose_generalized_flat(FIG8)
-    leaves = tree.leaves()
-    assert len(leaves) == 2
-    assert isinstance(tree, PlumbJoint)
-    for leaf in leaves:
+    steps = decompose_generalized_flat(FIG8)
+    assert len(steps) == 2
+    (first, none), (second, shared) = steps
+    assert none == -1
+    assert shared in first.circles and shared in second.circles
+    for leaf, _shared in steps:
         assert leaf.diagram.crossing_count == 2
-        from braidbands.diagrams import is_primitive_flat
-
         assert is_primitive_flat(leaf.diagram)
+        # every source circle of the leaf maps to its own circle of the piece
+        assert sorted(leaf.circle_map) == list(leaf.circles)
+        assert sorted(leaf.circle_map.values()) == list(range(len(analyze(leaf.diagram).circles)))
     single = decompose_generalized_flat(K5_2)
-    assert isinstance(single, PlumbLeaf)
-    from braidbands.diagrams import closure_diagram
+    assert len(single) == 1 and single[0][1] == -1
 
     granny = closure_diagram(parse_word("s1^3 s2^3", strands=3))
-    gtree = decompose_generalized_flat(granny)
-    assert len(gtree.leaves()) == 2 and isinstance(gtree, PlumbJoint)
+    gsteps = decompose_generalized_flat(granny)
+    assert len(gsteps) == 2 and gsteps[1][1] in gsteps[0][0].circles
     with pytest.raises(PipelineError):
         decompose_generalized_flat(closure_diagram(parse_word("s1 s1^-1 s1", strands=2)))
 
 
 def test_homogenize_counts_and_oracles():
-    from braidbands.diagrams import closure_diagram
-
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43,
              closure_diagram(parse_word("s1^3 s2^-3", strands=3))]
     for d in cases:
@@ -191,8 +265,28 @@ def test_braided_realization_rejects_unmatchable():
         fatgraph_of_diagram(Diagram())
 
 
-def test_tree_to_obj_shape():
-    tree = decompose_generalized_flat(FIG8)
-    obj = tree.to_obj()
+def test_tree_to_obj_shape(tmp_path, capsys):
+    steps = decompose_generalized_flat(FIG8)
+    path = tmp_path / "fig8.json"
+    path.write_text(FIG8.to_json())
+    assert run(["homogenize", str(path), "--tree", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)["tree"]
     assert "joint" in obj
     assert "leaf" in obj["joint"]["left"]
+    assert obj["joint"] == {
+        "circle": steps[1][1],
+        "left": steps[0][0].to_obj(),
+        "right": steps[1][0].to_obj(),
+    }
+
+
+# sha256 over "<word>/<strands>" lines of homogenize on the golden knots and
+# pseudoalternating_diagrams(seed=4242, count=25), in that order.
+PINNED_WORDS_SHA256 = "5ff622be55d3a999d9761ca05c5c08dbb23d6d03a389d0a6de054b402ab73be6"
+
+
+def test_homogenize_words_pinned():
+    cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
+    cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
+    lines = [f"{format_word(w)}/{w.strands}" for w in map(homogenize, cases)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_WORDS_SHA256

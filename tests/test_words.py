@@ -23,6 +23,7 @@ from braidbands.words import (
     permutation_of,
 )
 
+import reference
 from corpus import WORD_948_ARTIN, WORD_948_BKL, random_artin_word, random_bkl_word
 
 
@@ -157,6 +158,16 @@ def test_translation_invariants_random():
         a = bkl_to_artin(w)
         assert exponent_sum(a) == exponent_sum(w)
         assert permutation_of(a) == permutation_of(w)
+
+
+def test_permutation_matches_reference():
+    rng = random.Random(31)
+    for k in range(300):
+        if k % 2:
+            w = random_bkl_word(rng, max_strands=10, max_len=40)
+        else:
+            w = random_artin_word(rng, max_strands=10, max_len=60)
+        assert permutation_of(w) == reference.permutation_of(w)
 
 
 def test_permutation_type():
