@@ -138,16 +138,16 @@ def _surface_from_word(args):
 def _parse_move(text: str) -> surfaces.MoveSpec:
     parts = text.split(",")
     kind = parts[0].replace("-", "_")
-    if kind in ("twirl", "turn", "flip_vertical", "mirror"):
+    if kind in ("twirl", "turn", "flip_vertical", "mirror") and len(parts) == 1:
         return surfaces.MoveSpec(kind)
-    if kind in ("slip", "slide_up", "slide_down", "deflate"):
+    if kind in ("slip", "slide_up", "slide_down", "deflate") and len(parts) == 2:
         return surfaces.MoveSpec(kind, position=int(parts[1]))
-    if kind == "inflate":
+    if kind == "inflate" and len(parts) in (3, 4):
         strand = int(parts[1])
         sign = 1 if parts[2] in ("+", "+1", "1") else -1
         height = int(parts[3]) if len(parts) > 3 else 0
         return surfaces.MoveSpec(kind, strand=strand, sign=sign, height=height)
-    raise ValueError(f"unknown move {text!r}")
+    raise ValueError(f"unknown move or wrong parameter count: {text!r}")
 
 
 def _surface_apply(args):
@@ -344,9 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     inv = sub.add_parser("invariant").add_subparsers(dest="sub", required=True)
     for name, fn in (("alexander", _invariant_alexander), ("components", _invariant_components)):
         i = inv.add_parser(name, parents=[common])
-        i.add_argument("--word")
+        source = i.add_mutually_exclusive_group(required=True)
+        source.add_argument("--word")
+        source.add_argument("--diagram")
         i.add_argument("--strands", type=int)
-        i.add_argument("--diagram")
         i.set_defaults(func=fn)
 
     return p

@@ -12,12 +12,17 @@ faces, the regions of the smoothed picture, and a containment (nesting)
 structure for the circles.  PD codes determine an embedding on the sphere
 only, so containment is always computed relative to a choice of outer
 region; the predicates below quantify over that choice.
+
+All of this is one ``DiagramStructure`` per diagram: ``analyze`` computes
+it on the first call and keeps it on the ``Diagram``, and every function
+here and in the other modules reads that shared copy.  Callers must not
+mutate its dicts.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .words import ArtinWord
@@ -33,6 +38,7 @@ class Diagram:
 
     crossings: tuple[tuple[int, int, int, int], ...]
     unknots: int = 0
+    _structure: DiagramStructure | None = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, crossings: Iterable[Sequence[int]] = (), unknots: int = 0):
         entries = tuple([tuple([int(x) for x in entry]) for entry in crossings])
@@ -56,7 +62,12 @@ class Diagram:
     @staticmethod
     def from_json(text: str) -> "Diagram":
         data = json.loads(text)
-        return Diagram(data.get("crossings", []), data.get("unknots", 0))
+        if not isinstance(data, dict):
+            raise DiagramError("a diagram must be a JSON object")
+        try:
+            return Diagram(data.get("crossings", []), data.get("unknots", 0))
+        except (TypeError, ValueError) as exc:
+            raise DiagramError(f"malformed diagram: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -69,32 +80,12 @@ class Diagnostics:
 
 
 def validate(d: Diagram) -> Diagnostics:
-    """Check the PD invariants, reporting the first violated rule per category."""
-    problems: list[str] = []
-    if not d.crossings:
-        return Diagnostics(True)
-    counts: dict[int, int] = {}
-    for entry in d.crossings:
-        for arc in entry:
-            counts[arc] = counts.get(arc, 0) + 1
-    labels = sorted(counts)
-    expected = list(range(1, 2 * len(d.crossings) + 1))
-    bad = [a for a, k in counts.items() if k != 2]
-    if bad:
-        problems.append(f"arc multiplicity: arc {min(bad)} occurs {counts[min(bad)]} time(s)")
-    elif labels != expected:
-        problems.append("arc labels must be exactly 1..2c")
-    if not problems:
-        try:
-            _build_successors(d)
-        except DiagramError as exc:
-            problems.append(str(exc))
-    if not problems:
-        try:
-            analyze(d)
-        except DiagramError as exc:
-            problems.append(str(exc))
-    return Diagnostics(not problems, tuple(problems))
+    """Check the PD invariants, reporting the first violated rule."""
+    try:
+        analyze(d)
+    except DiagramError as exc:
+        return Diagnostics(False, (str(exc),))
+    return Diagnostics(True)
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +200,10 @@ class SeifertGraph:
     edges: tuple[tuple[int, int, int, int], ...]  # (u, v, sign, crossing id)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiagramStructure:
     """Derived combinatorial data of a valid diagram."""
 
-    diagram: Diagram
     succ: dict[int, int]
     signs: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]  # arc cycles along the link
@@ -228,17 +218,28 @@ class DiagramStructure:
 
 
 def analyze(d: Diagram) -> DiagramStructure:
-    """Compute the full derived structure; raises DiagramError when invalid."""
-    if not d.crossings:
-        return DiagramStructure(d, {}, (), (), (), {}, (), SeifertGraph(0, ()), 0, (), (), ())
-    counts: dict[int, int] = {}
-    for entry in d.crossings:
-        for arc in entry:
-            counts[arc] = counts.get(arc, 0) + 1
-    if any(k != 2 for k in counts.values()) or sorted(counts) != list(
-        range(1, 2 * len(d.crossings) + 1)
-    ):
-        raise DiagramError("invalid arc labels")
+    """The derived structure of ``d``; raises DiagramError when invalid.
+
+    It is computed on the first call and kept on ``d``, so every caller of
+    the same diagram shares one structure.  Callers must not mutate its
+    dicts.
+    """
+    if d._structure is None:
+        object.__setattr__(d, "_structure", _structure_of(d))
+    return d._structure
+
+
+def _structure_of(d: Diagram) -> DiagramStructure:
+    # Occurrences of each arc among crossing slots.
+    occ: dict[int, list[tuple[int, int]]] = {}
+    for idx, entry in enumerate(d.crossings):
+        for slot, arc in enumerate(entry):
+            occ.setdefault(arc, []).append((idx, slot))
+    bad = [a for a, places in occ.items() if len(places) != 2]
+    if bad:
+        raise DiagramError(f"arc multiplicity: arc {min(bad)} occurs {len(occ[min(bad)])} time(s)")
+    if sorted(occ) != list(range(1, 2 * len(d.crossings) + 1)):
+        raise DiagramError("arc labels must be exactly 1..2c")
 
     succ, over_dir = _build_successors(d)
     components = tuple(_cycles_of(succ))
@@ -272,12 +273,6 @@ def analyze(d: Diagram) -> DiagramStructure:
             raise DiagramError(f"crossing {idx} joins a Seifert circle to itself")
         edges.append((u, v, signs[idx], idx))
     graph = SeifertGraph(len(circles), tuple(edges))
-
-    # Occurrences of each arc among crossing slots.
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for idx, entry in enumerate(d.crossings):
-        for slot, arc in enumerate(entry):
-            occ.setdefault(arc, []).append((idx, slot))
 
     def other_occurrence(idx: int, slot: int) -> tuple[int, int]:
         arc = d.crossings[idx][slot]
@@ -361,7 +356,6 @@ def analyze(d: Diagram) -> DiagramStructure:
         circle_right.append(rights.pop())
 
     return DiagramStructure(
-        d,
         succ,
         signs,
         components,
@@ -378,8 +372,6 @@ def analyze(d: Diagram) -> DiagramStructure:
 
 def link_components(d: Diagram) -> int:
     """Number of link components, free unknots included."""
-    if not d.crossings:
-        return d.unknots
     return len(analyze(d).components) + d.unknots
 
 
@@ -524,15 +516,13 @@ def nesting_forest(d: Diagram) -> NestingForest:
     outer region is chosen to minimize nesting depth (then total, then id).
     """
     st = analyze(d)
-    if not d.crossings:
-        return NestingForest((), (), ())
     tree = _region_tree(st)
     # Group regions by diagram component (via any adjacent circle).
     region_component: dict[int, int] = {}
     for ci in range(len(st.circles)):
         region_component[st.circle_left[ci]] = st.circle_component[ci]
         region_component[st.circle_right[ci]] = st.circle_component[ci]
-    n_comp = max(st.circle_component) + 1
+    n_comp = max(st.circle_component, default=-1) + 1
     parent = [-1] * len(st.circles)
     depth = [0] * len(st.circles)
     roots = []
@@ -558,10 +548,7 @@ def nesting_forest(d: Diagram) -> NestingForest:
 
 def is_primitive_flat(d: Diagram) -> bool:
     """Single-sign diagram whose circles can all sit unnested in the plane."""
-    if not d.crossings:
-        return True
-    st = analyze(d)
-    if len(set(st.signs)) > 1:
+    if len(set(analyze(d).signs)) > 1:
         return False
     return nesting_forest(d).max_depth == 0
 
@@ -572,8 +559,6 @@ def is_primitive_flat(d: Diagram) -> bool:
 
 def _renumber(entries: list[tuple], succ: dict, unknots: int = 0) -> Diagram:
     """Renumber arbitrary arc tokens to 1..2c, consecutive along each component."""
-    if not entries:
-        return Diagram((), unknots)
     rename: dict = {}
     next_label = 1
     for token in list(succ):

@@ -22,13 +22,14 @@ both sides, and the test suite gates every construction on that agreement.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .diagrams import (
     Diagram,
     DiagramError,
-    DiagramStructure,
+    _renumber,
     analyze,
     blocks,
     is_homogeneous_diagram,
@@ -38,8 +39,8 @@ from .diagrams import (
 )
 from .invariants import alexander_from_braid, alexander_from_diagram
 from .laurent import Laurent
-from .plumbing import plumb
-from .surfaces import word_twirl
+from .plumbing import ShufflePattern, plumb
+from .surfaces import word_turn, word_twirl
 from .words import BKLWord, closure_components
 
 
@@ -97,8 +98,6 @@ def fatgraph_of_diagram(d: Diagram) -> Fatgraph:
     this reading match the braided-surface convention at every circle.
     """
     st = analyze(d)
-    if not d.crossings:
-        raise PipelineError("empty diagram has no fatgraph")
     if len(set(st.circle_component)) != 1:
         raise PipelineError("fatgraph requires a connected diagram")
     edges = []
@@ -189,8 +188,6 @@ def realizations(fat: Fatgraph, start_vertex: int = 0, limit: int = 4096):
         return [(lin[k], lin[k + 1]) for k in range(len(lin) - 1)]
 
     def topo_word():
-        import heapq
-
         indeg = [0] * m
         for a in range(m):
             for b in adj[a]:
@@ -303,8 +300,6 @@ def flat_diagram(fat: Fatgraph) -> Diagram:
         succ[a_u] = o_v
         succ[a_v] = o_u
 
-    from .diagrams import _renumber
-
     d = _renumber(entries, succ)
     try:
         st = analyze(d)
@@ -378,19 +373,17 @@ def primitive_flat_to_bkl(d: Diagram, start_circle: int = 0) -> BKLWord:
     carries the diagram's sign everywhere and its closure is verified
     against the diagram's oracles.
     """
-    if not d.crossings:
-        raise PipelineError("empty diagram: nothing to braid")
     if not is_primitive_flat(d):
         raise PipelineError("diagram is not primitive flat")
     word, _pos, _order = braided_realization(d, start_circle)
     return word
 
 
-def _piece(d: Diagram, st: DiagramStructure, crossing_ids: Iterable[int]):
+def _piece(d: Diagram, crossing_ids: Iterable[int]):
     """Extract a sub-diagram and the map from source circles to its circles."""
     keep = sorted(set(crossing_ids))
     piece = subdiagram(d, keep, keep_free_circles=False)
-    pst = analyze(piece)
+    st, pst = analyze(d), analyze(piece)
     circle_map: dict[int, int] = {}
     for k, cid in enumerate(keep):
         a = d.crossings[cid][0]
@@ -422,7 +415,7 @@ def decompose_generalized_flat(d: Diagram) -> list[tuple[PlumbLeaf, int]]:
     for block in report.decomposition.blocks:
         ids = tuple(sorted(cid for (_u, _v, _s, cid) in block))
         verts = tuple(sorted({x for (u, v, _s, _c) in block for x in (u, v)}))
-        piece, cmap = _piece(d, st, ids)
+        piece, cmap = _piece(d, ids)
         if not is_primitive_flat(piece):
             raise PipelineError("unsupported nesting pattern inside a block")
         leaves.append(PlumbLeaf(piece, ids, verts, cmap))
@@ -521,8 +514,6 @@ def _cut_at(sigma: list[int], mine: list[int], theirs: set) -> list[int]:
 
 
 def _turn_until(word: BKLWord, cids: list[int], at_shared: set, want: list[int]):
-    from .surfaces import word_turn
-
     for _ in range(max(1, len(word.letters))):
         if [c for c in cids if c in at_shared] == want:
             return word, cids
@@ -549,8 +540,6 @@ def _merge_pattern(mine_cids, piece_cids, schedule, mine_set, theirs_set):
                     break
     marks.extend([1] * (len(mine_cids) - i))
     marks.extend([2] * (len(piece_cids) - j))
-    from .plumbing import ShufflePattern
-
     return ShufflePattern(marks)
 
 

@@ -86,15 +86,20 @@ class Star:
     @staticmethod
     def from_json(text: str) -> "Star":
         data = json.loads(text)
-        rays = [
-            Ray(
-                tuple((int(b), e, x) for b, e, x in r.get("steps", [])),
-                int(r["tip"]["disc"]),
-                int(r["tip"]["gap"]),
-            )
-            for r in data.get("rays", [])
-        ]
-        return Star(int(data["center"]), rays)
+        if not isinstance(data, dict):
+            raise StarError("a star must be a JSON object")
+        try:
+            rays = [
+                Ray(
+                    tuple((int(b), e, x) for b, e, x in r.get("steps", [])),
+                    int(r["tip"]["disc"]),
+                    int(r["tip"]["gap"]),
+                )
+                for r in data.get("rays", [])
+            ]
+            return Star(int(data["center"]), rays)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise StarError(f"malformed star: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,14 @@ class BraidedSurface:
     @staticmethod
     def from_json(text: str) -> "BraidedSurface":
         data = json.loads(text)
-        return BraidedSurface(
-            data["discs"], [(b["l"], b["r"], b["e"]) for b in data.get("bands", [])]
-        )
+        if not isinstance(data, dict):
+            raise MoveError("from_json", "surface", "not a JSON object")
+        try:
+            return BraidedSurface(
+                data["discs"], [(b["l"], b["r"], b["e"]) for b in data.get("bands", [])]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MoveError("from_json", "surface", f"malformed: {exc!r}") from exc
 
 
 def from_word(w: BKLWord) -> BraidedSurface:

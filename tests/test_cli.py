@@ -137,3 +137,34 @@ def test_invariant_commands(capsys, trefoil_file):
 
 def test_invalid_word_is_exit_2():
     assert run(["braid", "exponent-sum", "nonsense"]) == 2
+
+
+# JSON input files for the malformed-input cases, by name.
+CLI_FILES = {
+    "list": [1, 2],
+    "surface": {"discs": 3, "bands": [{"l": 1, "r": 2, "e": 1}, {"l": 1, "r": 3, "e": 1}]},
+    "star_without_tip": {"center": 3, "rays": [{"steps": [[1, "R", "L"]]}]},
+    "surface_bad_discs": {"discs": "x"},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagram", "seifert", "{list}"],
+    ["star", "reduce", "{surface}", "{star_without_tip}"],
+    ["surface", "apply", "{surface}", "--move", "slip"],
+    ["surface", "apply", "{surface}", "--move", "inflate,1"],
+    ["surface", "genus", "{surface_bad_discs}"],
+    ["invariant", "alexander"],
+    ["invariant", "components"],
+])
+def test_malformed_input_is_exit_2(tmp_path, argv):
+    paths = {}
+    for name, obj in CLI_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    argv = [arg.format(**paths) for arg in argv]
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects the command line itself
+        code = exc.code
+    assert code == 2

@@ -42,6 +42,7 @@ def test_trefoil_structure():
     assert {frozenset((u, v)) for (u, v, _s, _c) in bands} == {frozenset((0, 1))}
     st = analyze(TREFOIL)
     assert len(st.components) == 1
+    assert analyze(TREFOIL) is st  # derived once, then shared
 
 
 def test_fig8_structure():

@@ -5,13 +5,18 @@ import random
 
 import pytest
 
+from braidbands import diagrams
 from braidbands.cli import run
 from braidbands.diagrams import (
     Diagram,
     analyze,
     closure_diagram,
+    is_homogeneous_diagram,
     is_primitive_flat,
     link_components,
+    nesting_forest,
+    seifert_decompose,
+    subdiagram,
     validate,
 )
 from braidbands.invariants import alexander_from_braid, alexander_from_diagram
@@ -26,7 +31,14 @@ from braidbands.pipeline import (
     primitive_flat_to_bkl,
     realizations,
 )
-from braidbands.words import BKLWord, closure_components, format_word, is_homogeneous, parse_word
+from braidbands.words import (
+    ArtinWord,
+    BKLWord,
+    closure_components,
+    format_word,
+    is_homogeneous,
+    parse_word,
+)
 
 from corpus import (
     FIG8,
@@ -35,6 +47,7 @@ from corpus import (
     TREFOIL,
     TREFOIL_NEG,
     pseudoalternating_diagrams,
+    random_artin_word,
     random_bkl_word,
 )
 
@@ -290,3 +303,52 @@ def test_homogenize_words_pinned():
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
     lines = [f"{format_word(w)}/{w.strands}" for w in map(homogenize, cases)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_WORDS_SHA256
+
+
+def test_homogenize_derives_each_structure_once(monkeypatch):
+    # A fresh diagram with k leaves needs 2k structures: the diagram itself,
+    # its k pieces and the k - 1 partial diagrams the plumbing gate checks.
+    cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
+    cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
+    built = []
+    structure_of = diagrams._structure_of
+    monkeypatch.setattr(diagrams, "_structure_of", lambda d: built.append(d) or structure_of(d))
+    for d in cases:
+        k = len(decompose_generalized_flat(d))
+        built.clear()
+        homogenize(Diagram(d.crossings, d.unknots))
+        assert len(built) == 2 * k
+
+
+def _seeded_closures(seed: int, count: int):
+    rng = random.Random(seed)
+    for k in range(count):
+        w = random_artin_word(rng, max_strands=5, max_len=14)
+        if k % 2:  # every other word homogeneous, so that homogenize gets past its refusals
+            signs = {i: rng.choice((1, -1)) for i in range(1, w.strands)}
+            w = ArtinWord(w.strands, [(i, signs[i]) for i, _e in w.letters])
+        yield closure_diagram(w)
+
+
+def _everything_about(d: Diagram) -> list:
+    try:
+        word = homogenize(d)
+    except PipelineError as exc:
+        word = str(exc)
+    return [
+        seifert_decompose(d),
+        is_homogeneous_diagram(d),
+        nesting_forest(d),
+        is_primitive_flat(d),
+        link_components(d),
+        alexander_from_diagram(d),
+        subdiagram(d, range(0, d.crossing_count, 2)),
+        word,
+    ]
+
+
+def test_shared_structure_is_read_only():
+    # Every function reads the one structure of a diagram; none may change it.
+    for d in [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43, *_seeded_closures(seed=77, count=50)]:
+        _everything_about(d)
+        assert _everything_about(d) == _everything_about(Diagram(d.crossings, d.unknots))
