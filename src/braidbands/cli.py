@@ -135,6 +135,9 @@ def _surface_from_word(args):
     return OK
 
 
+_INFLATE_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+
+
 def _parse_move(text: str) -> surfaces.MoveSpec:
     parts = text.split(",")
     kind = parts[0].replace("-", "_")
@@ -144,7 +147,9 @@ def _parse_move(text: str) -> surfaces.MoveSpec:
         return surfaces.MoveSpec(kind, position=int(parts[1]))
     if kind == "inflate" and len(parts) in (3, 4):
         strand = int(parts[1])
-        sign = 1 if parts[2] in ("+", "+1", "1") else -1
+        sign = _INFLATE_SIGNS.get(parts[2])
+        if sign is None:
+            raise ValueError(f"inflate sign must be +, +1, 1, -, or -1, got {parts[2]!r}")
         height = int(parts[3]) if len(parts) > 3 else 0
         return surfaces.MoveSpec(kind, strand=strand, sign=sign, height=height)
     raise ValueError(f"unknown move or wrong parameter count: {text!r}")

@@ -35,13 +35,12 @@ interpolation; a ``Laurent`` is built only for the final polynomial.
 * Bound.  Expanding the determinant over permutations, the absolute values
   of all its coefficients sum to at most the product over the rows of the
   row's 1-norm (the sum of |c| over every coefficient of every entry in the
-  row).  p is the first Mersenne prime 2^q - 1, q in 61, 89, 107, 127, 521,
-  607, 1279, ..., above twice that product, so the symmetric lift of every
-  coefficient is exact (von zur Gathen and Gerhard, *Modern Computer
-  Algebra*, ch. 5).  One prime above the bound decides every coefficient,
-  so no Chinese remaindering over several primes is needed, and the
-  exponents in the table are those of known Mersenne primes, so no
-  primality test runs either.
+  row).  p is the first prime of a fixed table above twice that product, so
+  the symmetric lift of every coefficient is exact (von zur Gathen and
+  Gerhard, *Modern Computer Algebra*, ch. 5).  One prime above the bound
+  decides every coefficient, so no Chinese remaindering over several primes
+  is needed, and the table holds known primes, so no primality test runs
+  either.
 
 On the Fox side the Wirtinger minor is a pencil A + tB with at most three
 nonzeros per row, so D is at most its size and the elimination stays
@@ -66,10 +65,17 @@ Matrix = list[list[Laurent]]
 # Entries are never mutated once built, so the zero entry is shared.
 _ZERO = (0, ())
 
-# Exponents q of the Mersenne primes 2^q - 1, from the first one above 2^32.
-_MERSENNE_EXPONENTS = (
-    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
-    9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
+# Known primes for the elimination, increasing: the Mersenne primes 2^q - 1
+# from the first above 2^32 to 2^4423 - 1, and between 2^127 - 1 and
+# 2^521 - 1, where no Mersenne prime lies, 2^192 - 2^64 - 1 (NIST P-192) and
+# 2^255 - 19 (Curve25519).  A bound past the last entry means a Fox matrix of
+# more than 2000 crossings or a Burau word of thousands of letters, whose
+# elimination would take many minutes; the table stops where a Miller-Rabin
+# check of every entry still takes about a second.
+_PRIMES = (
+    2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**192 - 2**64 - 1, 2**255 - 19,
+    2**521 - 1, 2**607 - 1, 2**1279 - 1, 2**2203 - 1, 2**2281 - 1, 2**3217 - 1,
+    2**4253 - 1, 2**4423 - 1,
 )
 
 
@@ -78,11 +84,10 @@ _MERSENNE_EXPONENTS = (
 # ---------------------------------------------------------------------------
 
 def _prime_above(bound: int) -> int:
-    for q in _MERSENNE_EXPONENTS:
-        p = (1 << q) - 1
+    for p in _PRIMES:
         if p > bound:
             return p
-    raise ValueError("determinant coefficients exceed the Mersenne prime table")
+    raise ValueError("determinant coefficients exceed the prime table")
 
 
 def _pivot_order(pattern: list[set[int]]) -> list[tuple[int, int]]:

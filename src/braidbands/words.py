@@ -8,8 +8,16 @@ positions address individual crossings.  Two presentations coexist:
 * Band letters ``(r, s, sign)`` with ``1 <= r < s <= n``, where strands
   ``r`` and ``s`` cross in front of all intermediate strands.
 
+Letters are immutable tuples of ints and are shared, not copied: the word
+constructors keep a letter that already is such a tuple, ``parse_word``
+makes one tuple per distinct letter, and handle reduction reuses the
+letters of its input.
+
 Equality of braid elements is decided by handle reduction, a terminating
-rewriting procedure on Artin words.
+rewriting procedure on Artin words.  Each step rewrites one handle and
+free-reduces only where the rewrite meets the rest of the word; the search
+for the next handle resumes at the lowest position the step changed,
+since no handle can close before it.
 """
 
 from __future__ import annotations
@@ -29,6 +37,16 @@ def _check_sign(sign: int) -> int:
     return sign
 
 
+def _artin_letter(letter) -> tuple[int, int]:
+    i, e = letter
+    return (int(i), int(e))
+
+
+def _band_letter(letter) -> tuple[int, int, int]:
+    r, s, e = letter
+    return (int(r), int(s), int(e))
+
+
 @dataclass(frozen=True)
 class ArtinWord:
     """A word in the Artin generators of the braid group on ``strands`` strands."""
@@ -39,7 +57,11 @@ class ArtinWord:
     def __init__(self, strands: int, letters: Iterable[tuple[int, int]] = ()):
         if strands < 1:
             raise WordError(f"strand count must be >= 1, got {strands}")
-        letters = tuple([(int(i), int(e)) for i, e in letters])
+        letters = tuple([
+            x if type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
+            else _artin_letter(x)
+            for x in letters
+        ])
         for i, e in letters:
             _check_sign(e)
             if not 1 <= i <= strands - 1:
@@ -72,7 +94,13 @@ class BKLWord:
     def __init__(self, strands: int, letters: Iterable[tuple[int, int, int]] = ()):
         if strands < 1:
             raise WordError(f"strand count must be >= 1, got {strands}")
-        letters = tuple([(int(r), int(s), int(e)) for r, s, e in letters])
+        letters = tuple([
+            x
+            if type(x) is tuple and len(x) == 3 and type(x[0]) is int and type(x[1]) is int
+            and type(x[2]) is int
+            else _band_letter(x)
+            for x in letters
+        ])
         for r, s, e in letters:
             _check_sign(e)
             if not 1 <= r < s <= strands:
@@ -107,7 +135,7 @@ class Permutation:
     image: tuple[int, ...]
 
     def __init__(self, image: Sequence[int]):
-        image = tuple(int(x) for x in image)
+        image = tuple([int(x) for x in image])
         if sorted(image) != list(range(1, len(image) + 1)):
             raise WordError(f"not a permutation of 1..{len(image)}: {image}")
         object.__setattr__(self, "image", image)
@@ -234,23 +262,14 @@ def exponent_sum(w: Word) -> int:
 # Handle reduction
 # ---------------------------------------------------------------------------
 
-def _free_reduce(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for i, e in letters:
-        if out and out[-1][0] == i and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((i, e))
-    return out
-
-
-def _find_handle(letters: list[tuple[int, int]]):
-    # The first handle in scanning order: for each closing position q, look
-    # back for the nearest letter of index <= i; a handle needs that letter
-    # to be the same generator with opposite sign.  The handle found this way
-    # has minimal closing position, hence contains no nested handle and is
-    # safe to reduce.
-    for q, (i, e) in enumerate(letters):
+def _find_handle(letters: list[tuple[int, int]], start: int):
+    # The first handle closing at or after ``start``: for each closing
+    # position q, look back for the nearest letter of index <= i; a handle
+    # needs that letter to be the same generator with opposite sign.  The
+    # handle found this way has minimal closing position, hence contains no
+    # nested handle and is safe to reduce.
+    for q in range(start, len(letters)):
+        i, e = letters[q]
         for p in range(q - 1, -1, -1):
             j, d = letters[p]
             if j > i:
@@ -261,25 +280,70 @@ def _find_handle(letters: list[tuple[int, int]]):
     return None
 
 
-def _reduce_handle(letters: list[tuple[int, int]], p: int, q: int) -> list[tuple[int, int]]:
-    i, e = letters[p]
-    middle: list[tuple[int, int]] = []
-    for j, d in letters[p + 1 : q]:
-        if j == i + 1:
-            middle.extend([(i + 1, -e), (i, d), (i + 1, e)])
+def _reduce_handle(letters: list[tuple[int, int]], p: int, q: int) -> int:
+    """Reduce the handle ``letters[p..q]`` in place and free-reduce at its seams.
+
+    ``letters`` is freely reduced on entry and on exit.  The prefix before
+    ``p`` is the bottom of a stack; the rewritten middle is pushed onto it,
+    cancelling as it goes, and the suffix after ``q`` cancels against the
+    top until its first letter that does not, after which it is appended as
+    one slice.  Returns ``low``, the lowest stack length reached: letters
+    before ``low`` are those of the word before the step.
+    """
+    first, last = letters[p], letters[q]
+    i, e = first
+    up, down = (i + 1, -e), (i + 1, e)
+    middle = letters[p + 1 : q]
+    tail = letters[q + 1 :]
+    del letters[p:]
+    low = p
+    # Letters are pushed with cancellation.  Signs are +-1, so two letters
+    # cancel iff they have the same index and different signs.
+    for letter in middle:
+        if letter[0] == i + 1:
+            pushed = (up, first if letter[1] == e else last, down)
         else:
-            middle.append((j, d))
-    return letters[:p] + middle + letters[q + 1 :]
+            pushed = (letter,)
+        for x in pushed:
+            if letters and letters[-1][0] == x[0] and letters[-1][1] != x[1]:
+                letters.pop()
+                low = min(low, len(letters))
+            else:
+                letters.append(x)
+    k = 0
+    while k < len(tail) and letters and letters[-1][0] == tail[k][0] and letters[-1][1] != tail[k][1]:
+        letters.pop()
+        k += 1
+    low = min(low, len(letters))
+    letters.extend(tail[k:])
+    return low
 
 
 def handle_reduce(w: ArtinWord) -> ArtinWord:
-    """Reduce ``w`` to a handle-free word representing the same braid."""
-    letters = _free_reduce(list(w.letters))
+    """Reduce ``w`` to a handle-free word representing the same braid.
+
+    Each step reduces the first handle, the one with the smallest closing
+    position, and frees the result of cancelling pairs (Dehornoy, *A fast
+    method for comparing braids*, 1997).  A step changes the word only from
+    the position ``low`` that :func:`_reduce_handle` returns, and whether a
+    handle closes at position q depends only on the letters up to q, so no
+    handle closes before ``low`` and the next search starts there.  Since
+    the freely reduced form of a word is unique, every intermediate word is
+    the one a rescan from position 0 with a full free reduction would give,
+    at a cost of the handle's length instead of the word's per step.
+    """
+    letters: list[tuple[int, int]] = []
+    for letter in w.letters:
+        if letters and letters[-1][0] == letter[0] and letters[-1][1] != letter[1]:
+            letters.pop()
+        else:
+            letters.append(letter)
+    start = 0
     while True:
-        found = _find_handle(letters)
+        found = _find_handle(letters, start)
         if found is None:
             return ArtinWord(w.strands, tuple(letters))
-        letters = _free_reduce(_reduce_handle(letters, *found))
+        start = _reduce_handle(letters, *found)
 
 
 def is_trivial_braid(w: ArtinWord) -> bool:
@@ -311,6 +375,22 @@ _ARTIN_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
 _BKL_TOKEN = re.compile(r"^b\((\d+),(\d+)\)(?:\^(-?\d+))?$")
 
 
+def _parse_token(token: str, shared: dict) -> tuple[bool, tuple, int]:
+    """(band?, unit letter, count) of one token; equal letters come from ``shared``."""
+    m = _ARTIN_TOKEN.match(token)
+    band = m is None
+    if band:
+        m = _BKL_TOKEN.match(token)
+        if m is None:
+            raise WordError(f"cannot parse token {token!r}")
+    *indices, power = m.groups()
+    k = int(power) if power else 1
+    if k == 0:
+        raise WordError(f"zero exponent in token {token!r}")
+    letter = tuple([int(x) for x in indices] + [1 if k > 0 else -1])
+    return band, shared.setdefault(letter, letter), abs(k)
+
+
 def parse_word(text: str, strands: int | None = None, kind: str | None = None) -> Word:
     """Parse the token grammar: ``s<i>``, ``b(<r>,<s>)``, optional ``^<k>``, ``e``.
 
@@ -321,32 +401,19 @@ def parse_word(text: str, strands: int | None = None, kind: str | None = None) -
     """
     artin: list[tuple[int, int]] = []
     bkl: list[tuple[int, int, int]] = []
-    saw_artin = saw_bkl = False
+    tokens: dict[str, tuple[bool, tuple, int]] = {}  # token -> (band?, letter, count)
+    shared: dict[tuple, tuple] = {}  # one tuple object per distinct letter
     for token in text.split():
         if token == "e":
             continue
-        m = _ARTIN_TOKEN.match(token)
-        if m:
-            saw_artin = True
-            i = int(m.group(1))
-            k = int(m.group(2)) if m.group(2) else 1
-            if k == 0:
-                raise WordError(f"zero exponent in token {token!r}")
-            artin.extend([(i, 1 if k > 0 else -1)] * abs(k))
-            continue
-        m = _BKL_TOKEN.match(token)
-        if m:
-            saw_bkl = True
-            r, s = int(m.group(1)), int(m.group(2))
-            k = int(m.group(3)) if m.group(3) else 1
-            if k == 0:
-                raise WordError(f"zero exponent in token {token!r}")
-            bkl.extend([(r, s, 1 if k > 0 else -1)] * abs(k))
-            continue
-        raise WordError(f"cannot parse token {token!r}")
-    if saw_artin and saw_bkl:
+        parsed = tokens.get(token)
+        if parsed is None:
+            parsed = tokens[token] = _parse_token(token, shared)
+        band, letter, count = parsed
+        (bkl if band else artin).extend([letter] * count)
+    if artin and bkl:
         raise WordError("word mixes Artin and band tokens")
-    if saw_bkl or kind == "bkl":
+    if bkl or kind == "bkl":
         n = strands if strands is not None else max((s for _, s, _ in bkl), default=1)
         return BKLWord(n, tuple(bkl))
     n = strands if strands is not None else (max((i for i, _ in artin), default=0) + 1)

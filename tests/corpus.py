@@ -8,7 +8,7 @@ from braidbands.diagrams import Diagram, closure_diagram
 from braidbands.pipeline import fatgraph_of_word, flat_diagram
 from braidbands.stars import Ray, Star, StarError, check_star
 from braidbands.surfaces import BraidedSurface
-from braidbands.words import ArtinWord, BKLWord, parse_word
+from braidbands.words import ArtinWord, BKLWord, bkl_to_artin, parse_word
 
 # The inequivalent-presentations example: a 4-strand braid whose closure is
 # the knot 9_48, inhomogeneous as an Artin word but homogeneous in band
@@ -194,3 +194,64 @@ def pseudoalternating_diagrams(seed: int, count: int):
             continue
         produced += 1
         yield d, word
+
+
+def scrambled(rng: random.Random, strands: int, letters, moves: int) -> list:
+    """Artin letters rewritten ``moves`` times without changing the braid.
+
+    Each move inserts a cancelling pair, swaps two far-apart neighbours or
+    applies the braid relation s_i s_j s_i = s_j s_i s_j (|i - j| = 1, equal
+    signs) at the first place after a random start where it fits.
+    """
+    w = list(letters)
+    for _ in range(moves):
+        roll = rng.random()
+        if roll < 0.2 or len(w) < 3:
+            i, e = rng.randint(1, strands - 1), rng.choice((1, -1))
+            p = rng.randint(0, len(w))
+            w[p:p] = [(i, e), (i, -e)]
+            continue
+        for p in range(rng.randrange(len(w) - 2), len(w) - 2):
+            (a, x), (b, y), (c, z) = w[p : p + 3]
+            if roll < 0.6 and abs(a - b) >= 2:
+                w[p], w[p + 1] = w[p + 1], w[p]
+                break
+            if roll >= 0.6 and a == c and abs(a - b) == 1 and x == y == z:
+                w[p : p + 3] = [(b, x), (a, x), (b, x)]
+                break
+    return w
+
+
+def handle_reduction_words(seed: int, count: int):
+    """Yield (word, trivial) pairs: seeded Artin words on 2 to 10 strands.
+
+    The kinds take turns: a random word of up to 200 letters (``trivial`` is
+    None, not known); ``u v^-1`` with v a scramble of u, in Artin letters or
+    expanded from band letters (trivial); and the same with the commutator
+    [x^2, y^2] of two generators sharing a strand inserted into v first
+    (nontrivial, with the permutation and exponent sum of a trivial word).
+    """
+    rng = random.Random(seed)
+    for k in range(count):
+        kind = k % 5
+        n = rng.randint(2 if kind < 3 else 3, 10)
+        if kind == 0:
+            yield random_artin_word(rng, max_strands=n, max_len=200), None
+            continue
+        length = rng.randint(1, 80)
+        if kind % 2:
+            u = [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)]
+        else:
+            bands = []
+            while sum(2 * (s - r) - 1 for r, s, _ in bands) < length:
+                r = rng.randint(1, n - 1)
+                bands.append((r, rng.randint(r + 1, n), rng.choice((1, -1))))
+            u = list(bkl_to_artin(BKLWord(n, bands)).letters)
+        v = list(u)
+        if kind >= 3:
+            i = rng.randint(1, n - 2)
+            x, y = (i, 1), (i + 1, 1)
+            p = rng.randint(0, len(v))
+            v[p:p] = [x, x, y, y, (i, -1), (i, -1), (i + 1, -1), (i + 1, -1)]
+        v = scrambled(rng, n, v, length // 2)
+        yield ArtinWord(n, u).concat(ArtinWord(n, v).inverse()), kind < 3

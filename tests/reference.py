@@ -4,7 +4,9 @@ These are the straightforward forms of the library's oracles: full reduced
 Burau matrices multiplied letter by letter, a dense Wirtinger matrix, and a
 fraction-free (Bareiss) determinant over Laurent polynomials.  They are slow
 but share no arithmetic with the library's evaluation engine.  The braid
-permutation is kept in its O(L * n) form, rescanning every strand per letter.
+permutation is kept in its O(L * n) form, rescanning every strand per letter,
+and handle reduction in its O(L) per step form, rescanning the whole word for
+the first handle and free-reducing all of it after every step.
 """
 
 from __future__ import annotations
@@ -184,3 +186,46 @@ def permutation_of(w: Word) -> Permutation:
             elif pos[k] == b:
                 pos[k] = a
     return Permutation(tuple(pos[1:]))
+
+
+def _free_reduce(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    out: list[tuple[int, int]] = []
+    for i, e in letters:
+        if out and out[-1][0] == i and out[-1][1] == -e:
+            out.pop()
+        else:
+            out.append((i, e))
+    return out
+
+
+def _find_handle(letters: list[tuple[int, int]]):
+    for q, (i, e) in enumerate(letters):
+        for p in range(q - 1, -1, -1):
+            j, d = letters[p]
+            if j > i:
+                continue
+            if j == i and d == -e:
+                return p, q
+            break
+    return None
+
+
+def _reduce_handle(letters: list[tuple[int, int]], p: int, q: int) -> list[tuple[int, int]]:
+    i, e = letters[p]
+    middle: list[tuple[int, int]] = []
+    for j, d in letters[p + 1 : q]:
+        if j == i + 1:
+            middle.extend([(i + 1, -e), (i, d), (i + 1, e)])
+        else:
+            middle.append((j, d))
+    return letters[:p] + middle + letters[q + 1 :]
+
+
+def handle_reduce(w: ArtinWord) -> ArtinWord:
+    """Dehornoy handle reduction: reduce the first handle, free-reduce, repeat."""
+    letters = _free_reduce(list(w.letters))
+    while True:
+        found = _find_handle(letters)
+        if found is None:
+            return ArtinWord(w.strands, tuple(letters))
+        letters = _free_reduce(_reduce_handle(letters, *found))

@@ -88,6 +88,10 @@ def test_surface_commands(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["genus"] == 0
     assert run(["surface", "apply", str(path), "--move", "slip,0"]) == 2  # linked pair
+    for sign, band_sign in (("+", 1), ("+1", 1), ("1", 1), ("-", -1), ("-1", -1)):
+        assert run(["surface", "apply", str(path), "--move", f"inflate,1,{sign}", "--json"]) == 0
+        bands = json.loads(capsys.readouterr().out)["bands"]
+        assert sum(b["e"] for b in bands) == 2 + band_sign  # two positive bands plus the new one
 
 
 def test_star_reduce_command(tmp_path, capsys):
@@ -153,6 +157,7 @@ CLI_FILES = {
     ["star", "reduce", "{surface}", "{star_without_tip}"],
     ["surface", "apply", "{surface}", "--move", "slip"],
     ["surface", "apply", "{surface}", "--move", "inflate,1"],
+    ["surface", "apply", "{surface}", "--move", "inflate,1,x"],
     ["surface", "genus", "{surface_bad_discs}"],
     ["invariant", "alexander"],
     ["invariant", "components"],

@@ -12,7 +12,7 @@ from braidbands.invariants import (
 )
 from braidbands.words import ArtinWord, parse_word
 from braidbands.diagrams import Diagram, closure_diagram
-from braidbands.invariants import _poly_det
+from braidbands.invariants import _PRIMES, _poly_det, _prime_above
 
 import reference
 from corpus import FIG8, K5_2, K9_43, TREFOIL, random_artin_word, random_bkl_word
@@ -234,6 +234,51 @@ def test_burau_matches_reference_up_to_8_strands():
             w = random_artin_word(rng, max_strands=8, max_len=24)
         assert burau_reduced(w) == reference.burau_reduced(w)
         assert alexander_from_braid(w) == reference.alexander_from_braid(w)
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_prime_table():
+    assert list(_PRIMES) == sorted(set(_PRIMES)) and _PRIMES[0] > 2**32
+    for p in _PRIMES:
+        assert all(_strong_probable_prime(p, a) for a in (3, 5, 7)), p
+    assert not _strong_probable_prime(2**255 - 21, 3)  # the check rejects composites
+    # The gap between the Mersenne primes 2^127 - 1 and 2^521 - 1 is filled.
+    assert _prime_above(2**150) == 2**192 - 2**64 - 1
+    assert _prime_above(2**200) == 2**255 - 19
+    assert _prime_above(2**255) == 2**521 - 1
+    with pytest.raises(ValueError):
+        _prime_above(_PRIMES[-1])
+
+
+def test_burau_on_single_sign_16_strand_words_matches_reference(monkeypatch):
+    # Their coefficient bounds of 150 to 185 bits select the two gap primes.
+    import braidbands.invariants as invariants
+
+    chosen = []
+
+    def spy(bound):
+        chosen.append(_prime_above(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(invariants, "_prime_above", spy)
+    rng = random.Random(3)
+    for sign in (1, -1):
+        w = ArtinWord(16, [(rng.randint(1, 15), sign) for _ in range(160)])
+        assert alexander_from_braid(w) == reference.alexander_from_braid(w)
+    assert chosen == [2**192 - 2**64 - 1, 2**255 - 19]
 
 
 def test_poly_det_matches_bareiss():

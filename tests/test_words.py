@@ -24,7 +24,13 @@ from braidbands.words import (
 )
 
 import reference
-from corpus import WORD_948_ARTIN, WORD_948_BKL, random_artin_word, random_bkl_word
+from corpus import (
+    WORD_948_ARTIN,
+    WORD_948_BKL,
+    handle_reduction_words,
+    random_artin_word,
+    random_bkl_word,
+)
 
 
 def test_word_validation():
@@ -34,6 +40,12 @@ def test_word_validation():
         BKLWord(3, [(2, 2, 1)])
     with pytest.raises(WordError):
         BKLWord(3, [(1, 2, 0)])
+    for bad in ([(0, 1)], [(1, 2)], [[1, 0]], [(1.0, -2)]):
+        with pytest.raises(WordError):
+            ArtinWord(3, bad)
+    for bad in ([(0, 2, 1)], [(1, 4, 1)], [(2, 1, 1)], [(1, 2, -2)], [[1, 2, False]]):
+        with pytest.raises(WordError):
+            BKLWord(3, bad)
     assert len(ArtinWord(1)) == 0
 
 
@@ -102,6 +114,20 @@ def test_handle_reduction_is_terminating_and_sound():
         assert is_trivial_braid(conj)
 
 
+def test_handle_reduce_matches_reference():
+    # Every step of the local reduction must give the word the rescanning
+    # reduction gives, so the reducts agree letter for letter.
+    seen = set()
+    for w, trivial in handle_reduction_words(seed=2024, count=1200):
+        reduced = handle_reduce(w)
+        assert reduced == reference.handle_reduce(w), format_word(w)
+        if trivial is not None:
+            assert (len(reduced) == 0) == trivial, format_word(w)
+        seen.add((w.strands, trivial))
+    assert {n for n, _ in seen} == set(range(2, 11))
+    assert {t for _, t in seen} == {None, True, False}
+
+
 def test_bkl_first_relation():
     # Commuting band generators: strand pairs that do not separate each other.
     n = 5
@@ -168,6 +194,56 @@ def test_permutation_matches_reference():
         else:
             w = random_artin_word(rng, max_strands=10, max_len=60)
         assert permutation_of(w) == reference.permutation_of(w)
+
+
+def test_parsed_letters_are_shared():
+    for text in (
+        "s1 s1 s1^2 s1^1 s2^-1 s2^-3 s1^-1 s3",
+        "b(1,3) b(1,3)^2 b(1,3)^1 b(2,4)^-1 b(2,4)^-2 b(1,3)^-1",
+        " ".join(format_word(random_artin_word(random.Random(k), 8, 40)) for k in range(20)),
+    ):
+        w = parse_word(text)
+        assert len({id(x) for x in w.letters}) <= len(set(w.letters))
+    w = parse_word("s1^3 s2 s1")
+    assert ArtinWord(w.strands, w.letters).letters[0] is w.letters[0]
+    assert handle_reduce(w).letters[0] is w.letters[0]
+
+
+def test_constructors_coerce_letters():
+    a = ArtinWord(3, [[1, True], (2.0, -1), (1, 1)])
+    assert a.letters == ((1, 1), (2, -1), (1, 1))
+    b = BKLWord(4, [[1, 3, True], (2, 4.0, -1), (1, 2, 1)])
+    assert b.letters == ((1, 3, 1), (2, 4, -1), (1, 2, 1))
+    for letter in a.letters + b.letters:
+        assert type(letter) is tuple and all(type(v) is int for v in letter)
+    assert ArtinWord(3, iter([(1, 1)])).letters == ((1, 1),)
+    with pytest.raises(ValueError):
+        ArtinWord(3, [(1, 1, 1)])
+    with pytest.raises(ValueError):
+        BKLWord(3, [(1, 2)])
+
+
+def test_grammar_round_trip_random():
+    rng = random.Random(17)
+    for k in range(200):
+        if k % 2:
+            w = random_bkl_word(rng, max_strands=8, max_len=30)
+        else:
+            w = random_artin_word(rng, max_strands=8, max_len=30)
+        kind = "bkl" if isinstance(w, BKLWord) else None
+        text = format_word(w)
+        assert parse_word(text, strands=w.strands, kind=kind) == w
+        # Runs of equal letters written with one exponent give the same word.
+        runs: list[list] = []
+        for token in text.split():
+            if runs and runs[-1][0] == token:
+                runs[-1][1] += 1
+            else:
+                runs.append([token, 1])
+        grouped = " ".join(
+            t if m == 1 else f"{t.partition('^')[0]}^{-m if '^' in t else m}" for t, m in runs
+        )
+        assert parse_word(grouped, strands=w.strands, kind=kind) == w
 
 
 def test_permutation_type():
