@@ -224,10 +224,11 @@ def _deplumb(args):
 
 def _homogenize(args):
     d = _load_diagram(args.file)
-    word = pipeline.homogenize(d)
+    word, steps = pipeline._homogenize(d)
     payload = {"word": words.format_word(word), "strands": word.strands}
     if args.tree:
-        steps = pipeline.decompose_generalized_flat(d)
+        if steps is None:
+            raise pipeline.PipelineError("--tree needs a connected diagram with no free unknots")
         tree = steps[0][0].to_obj()
         for leaf, circle in steps[1:]:
             tree = {"joint": {"circle": circle, "left": tree, "right": leaf.to_obj()}}

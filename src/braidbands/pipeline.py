@@ -15,9 +15,10 @@ flat PD diagram for a planar fatgraph.  The pipeline splits a homogeneous
 diagram into single-sign pieces at the cut circles of its Seifert graph,
 one per block, and orders them as a list of plumbing steps: each piece
 with the circle it shares with the pieces before it.  It realizes each
-piece and plumbs them together in that order.  Soundness is
-not assumed: callers compare Alexander polynomials and component counts of
-both sides, and the test suite gates every construction on that agreement.
+piece and plumbs them together in that order.  Soundness is not assumed:
+each leaf's realization is chosen by comparing component counts and
+Alexander polynomials with the leaf's diagram, and the finished word is
+compared the same way with the input diagram.
 """
 
 from __future__ import annotations
@@ -445,17 +446,37 @@ def homogenize(d: Diagram) -> BKLWord:
     Each leaf is realized with the shared circle as its first disc, turned
     until its letters at the shared circle line up with the diagram's
     cyclic order there, and plumbed in with the shuffle pattern that
-    reproduces that order.  Every intermediate word is checked against the
-    partial diagram's oracles, so a construction that drifts from the
-    diagram's link fails loudly instead of returning a wrong word.
+    reproduces that order.  Each leaf is gated while its realization is
+    chosen and the finished word is gated against ``d``, so a construction
+    that drifts from the diagram's link fails loudly.  A split diagram gives
+    the direct sum of its parts' words, and a free unknot a bare disc.
     """
-    steps = decompose_generalized_flat(d)
-    st = analyze(d)
+    return _homogenize(d)[0]
 
+
+def _homogenize(d: Diagram):
+    """``homogenize``'s word and plumbing steps, ``None`` if split or with free unknots."""
+    st = analyze(d)
+    parts = sorted(set(st.circle_component))
+    if d.unknots or len(parts) > 1:
+        # A split link is the closure of the direct sum of its parts' words;
+        # a free unknot is the closure of a disc with no bands.
+        if d.unknots:
+            pieces = [Diagram(d.crossings)] if d.crossings else []
+        else:
+            part_of = [st.circle_component[u] for u, _v, _s, _c in st.graph.edges]
+            pieces = [subdiagram(d, [c for c, p in enumerate(part_of) if p == part],
+                                 keep_free_circles=False) for part in parts]
+        strands, letters = 0, []
+        for w in map(homogenize, pieces):
+            letters += [(r + strands, s + strands, e) for r, s, e in w.letters]
+            strands += w.strands
+        return BKLWord(strands + d.unknots, letters), None
+
+    steps = decompose_generalized_flat(d)
     first_leaf = steps[0][0]
     word, pos, letter_cids = _realized_leaf(first_leaf, first_leaf.circles[0])
     disc_of = {orig: pos[first_leaf.circle_map[orig]] for orig in first_leaf.circles}
-    placed = set(first_leaf.crossings)
 
     for leaf, shared in steps[1:]:
         # Rotate the running surface until the shared circle is rightmost.
@@ -469,14 +490,16 @@ def homogenize(d: Diagram) -> BKLWord:
         piece_word, piece_pos, piece_cids = _realized_leaf(leaf, shared)
 
         # Schedule the shared circle's letters in the diagram's cyclic order.
-        sigma = list(st.passages[shared])
-        mine = [cid for cid in letter_cids if cid in set(sigma) and cid in placed]
-        theirs_set = set(leaf.crossings) & set(sigma)
-        schedule = _cut_at(sigma, mine, theirs_set)
+        sigma = st.passages[shared]
+        sigma_set = set(sigma)
+        mine = [cid for cid in letter_cids if cid in sigma_set]
+        mine_set = set(mine)
+        theirs_set = set(leaf.crossings) & sigma_set
+        schedule = _cut_at(sigma, mine, mine_set, theirs_set)
         want_piece = [cid for cid in schedule if cid in theirs_set]
         piece_word, piece_cids = _turn_until(piece_word, piece_cids, theirs_set, want_piece)
 
-        pattern = _merge_pattern(letter_cids, piece_cids, schedule, set(mine), theirs_set)
+        pattern = _merge_pattern(letter_cids, piece_cids, schedule, mine_set, theirs_set)
         n1 = word.strands
         word = plumb(word, piece_word, pattern)
         letter_cids = _merge_lists(letter_cids, piece_cids, pattern)
@@ -484,12 +507,9 @@ def homogenize(d: Diagram) -> BKLWord:
             if orig == shared:
                 continue
             disc_of[orig] = piece_pos[leaf.circle_map[orig]] + n1 - 1
-        placed.update(leaf.crossings)
-        if not _closure_matches(
-            word, _link_invariants(subdiagram(d, placed, keep_free_circles=False))
-        ):
-            raise PipelineError("plumbing step drifted from the diagram's link")
-    return word
+    if not _closure_matches(word, _link_invariants(d)):
+        raise PipelineError("plumbed word does not match the diagram's link")
+    return word, steps
 
 
 def _realized_leaf(leaf: PlumbLeaf, start_circle_orig: int):
@@ -501,14 +521,14 @@ def _realized_leaf(leaf: PlumbLeaf, start_circle_orig: int):
     return word, pos, letter_cids
 
 
-def _cut_at(sigma: list[int], mine: list[int], theirs: set) -> list[int]:
+def _cut_at(sigma: tuple[int, ...], mine: list[int], mine_set: set, theirs: set) -> list[int]:
     """Linearize the cyclic order of the shared circle, compatibly with ``mine``."""
-    relevant = [cid for cid in sigma if cid in theirs or cid in set(mine)]
+    relevant = [cid for cid in sigma if cid in theirs or cid in mine_set]
     if not mine:
         return relevant
     k = relevant.index(mine[0])
     schedule = relevant[k:] + relevant[:k]
-    if [cid for cid in schedule if cid in set(mine)] != mine:
+    if [cid for cid in schedule if cid in mine_set] != mine:
         raise PipelineError("accumulated word is out of cyclic order at the shared circle")
     return schedule
 

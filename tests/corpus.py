@@ -196,6 +196,15 @@ def pseudoalternating_diagrams(seed: int, count: int):
         yield d, word
 
 
+def disjoint_union(*parts: Diagram) -> Diagram:
+    """The split diagram of ``parts`` side by side, arc labels shifted apart."""
+    crossings, offset = [], 0
+    for d in parts:
+        crossings += [[arc + offset for arc in entry] for entry in d.crossings]
+        offset += 2 * d.crossing_count
+    return Diagram(crossings, sum(d.unknots for d in parts))
+
+
 def scrambled(rng: random.Random, strands: int, letters, moves: int) -> list:
     """Artin letters rewritten ``moves`` times without changing the braid.
 

@@ -5,7 +5,7 @@ import pytest
 
 from braidbands.cli import run
 
-from corpus import FIG8, K5_2, K9_43, TREFOIL
+from corpus import FIG8, K5_2, K9_43, TREFOIL, disjoint_union
 
 
 @pytest.fixture
@@ -128,6 +128,12 @@ def test_homogenize_command(tmp_path, capsys, trefoil_file):
         assert run(["homogenize", str(path), "--tree", "--json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha1(out.encode()).hexdigest() == HOMOGENIZE_TREE_SHA1[name]
+    split = tmp_path / "split.json"
+    split.write_text(disjoint_union(TREFOIL, FIG8).to_json())
+    assert run(["homogenize", str(split), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["strands"] == 5
+    assert run(["homogenize", str(split), "--tree"]) == 2
+    assert "--tree needs a connected diagram" in capsys.readouterr().err
 
 
 def test_invariant_commands(capsys, trefoil_file):

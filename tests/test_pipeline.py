@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from braidbands import diagrams
+from braidbands import diagrams, pipeline
 from braidbands.cli import run
 from braidbands.diagrams import (
     Diagram,
@@ -46,6 +46,7 @@ from corpus import (
     K9_43,
     TREFOIL,
     TREFOIL_NEG,
+    disjoint_union,
     pseudoalternating_diagrams,
     random_artin_word,
     random_bkl_word,
@@ -261,6 +262,58 @@ def test_homogenize_random_pseudoalternating():
         assert closure_components(w) == link_components(d)
 
 
+def test_homogenize_split_and_crossingless_golden():
+    assert homogenize(Diagram(TREFOIL.crossings, unknots=1)) == parse_word("b(1,2)^3", strands=3)
+    assert homogenize(disjoint_union(TREFOIL, TREFOIL)) == parse_word(
+        "b(1,2)^3 b(3,4)^3", strands=4
+    )
+    assert homogenize(Diagram([], unknots=1)) == BKLWord(1)
+    assert homogenize(Diagram([], unknots=2)) == BKLWord(2)
+    with pytest.raises(PipelineError):
+        homogenize(Diagram())
+
+
+def test_homogenize_split_diagrams_with_free_unknots():
+    rng = random.Random(606)
+    pool = [d for d, _word in pseudoalternating_diagrams(seed=606, count=30)]
+    for d in pool:
+        union = disjoint_union(d, *rng.sample(pool, rng.randrange(3)))
+        union = Diagram(union.crossings, unknots=rng.randrange(3))
+        w = homogenize(union)
+        assert is_homogeneous(w)
+        assert w.strands == len(analyze(union).circles) + union.unknots
+        assert len(w.letters) == union.crossing_count
+        assert closure_components(w) == link_components(union)
+        assert alexander_from_braid(w) == alexander_from_diagram(union)
+
+
+def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
+    # One Fox call per leaf and one Burau call per leaf candidate tried, then
+    # one gate of the finished word against the diagram itself.
+    fox_calls, burau_calls, tried = [], [], []
+    fox, burau = pipeline.alexander_from_diagram, pipeline.alexander_from_braid
+
+    def counted_realizations(*args, **kwargs):
+        for found in realizations(*args, **kwargs):
+            tried.append(found)
+            yield found
+
+    monkeypatch.setattr(pipeline, "alexander_from_diagram", lambda d: fox_calls.append(d) or fox(d))
+    monkeypatch.setattr(pipeline, "alexander_from_braid", lambda w: burau_calls.append(w) or burau(w))
+    monkeypatch.setattr(pipeline, "realizations", counted_realizations)
+    cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
+    cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
+    for d in cases:
+        k = len(decompose_generalized_flat(d))
+        fox_calls.clear()
+        burau_calls.clear()
+        tried.clear()
+        w = homogenize(d)
+        assert len(fox_calls) == k + 1
+        assert len(burau_calls) == len(tried) + 1
+        assert fox_calls[-1] is d and burau_calls[-1] is w
+
+
 def test_homogenize_leaves_no_cyclic_garbage():
     homogenize(K9_43)
     gc.collect()
@@ -306,8 +359,8 @@ def test_homogenize_words_pinned():
 
 
 def test_homogenize_derives_each_structure_once(monkeypatch):
-    # A fresh diagram with k leaves needs 2k structures: the diagram itself,
-    # its k pieces and the k - 1 partial diagrams the plumbing gate checks.
+    # A fresh diagram with k leaves needs k + 1 structures: the diagram
+    # itself and its k pieces.
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
     built = []
@@ -317,7 +370,7 @@ def test_homogenize_derives_each_structure_once(monkeypatch):
         k = len(decompose_generalized_flat(d))
         built.clear()
         homogenize(Diagram(d.crossings, d.unknots))
-        assert len(built) == 2 * k
+        assert len(built) == k + 1
 
 
 def _seeded_closures(seed: int, count: int):
