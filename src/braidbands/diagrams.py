@@ -215,6 +215,7 @@ class DiagramStructure:
     circle_left: tuple[int, ...]  # region left of each circle's traversal
     circle_right: tuple[int, ...]
     circle_component: tuple[int, ...]  # connected component id per circle
+    crossing_region: tuple[int, ...]  # region of the channel at each crossing
 
 
 def analyze(d: Diagram) -> DiagramStructure:
@@ -315,11 +316,14 @@ def _structure_of(d: Diagram) -> DiagramStructure:
     # Smoothed regions: faces merged across the channel between the two
     # smoothed strands at each crossing.
     uf = _UnionFind(range(face_count))
+    channel = []
     for idx in range(len(d.crossings)):
         if signs[idx] > 0:
             uf.union(face_of[(idx, 1)], face_of[(idx, 3)])
+            channel.append(face_of[(idx, 1)])
         else:
             uf.union(face_of[(idx, 0)], face_of[(idx, 2)])
+            channel.append(face_of[(idx, 0)])
     region_ids: dict[int, int] = {}
     region_of_face = []
     for f in range(face_count):
@@ -367,6 +371,7 @@ def _structure_of(d: Diagram) -> DiagramStructure:
         tuple(circle_left),
         tuple(circle_right),
         circle_component,
+        tuple([region_of_face[f] for f in channel]),
     )
 
 

@@ -1,5 +1,43 @@
-"""Link-invariant oracles: reduced Burau matrices and Alexander polynomials.
+"""Link invariants: Seifert matrices, reduced Burau matrices, Alexander polynomials.
 
+Seifert matrices
+----------------
+The Seifert form of an oriented surface F is V(a, b) = lk(a, b+), where b+
+is b pushed off F along its positive normal.  Two builders compute it in
+plain ints over a cycle basis chosen by the caller: one for the surface
+that Seifert's algorithm gives a diagram (a disc per Seifert circle, a
+half-twisted band per crossing) and one for the braided surface of a band
+word (a disc per strand, a band per letter).  Both surfaces are fatgraphs,
+so a cycle is a closed walk of bands: (edge, +1) runs from the edge's first
+end to its second, (edge, -1) back.
+
+Both builders write 2V = S - X:
+
+* X(a, b) is the intersection number of a with b pushed to its own left
+  inside the surface.  It depends only on the cyclic order of the band ends
+  at each disc: a chord p -> q and the pushed chord p' -> q' cross where
+  their ends interleave.
+* S = V + V^T.  Each half-twisted band of sign e that a and b run along
+  adds -e * a_e * b_e, where a_e is +1 or -1 as a runs along it.  Inside
+  one smoothed region of a diagram the discs and bands lie flat and that
+  is all of S.  Two cycles in different regions share at most one circle,
+  and the surface is a Murasugi sum along its disc: V(a, b) = -X(a, b) if a
+  lies on the positive side of the disc and 0 if b does (Gabai, *The
+  Murasugi sum is a natural geometric operation*, 1983).  Seifert's
+  algorithm leaves free which pieces lie on which side; every choice bounds
+  the diagram's link, and each gives its own matrix.  On a braided surface,
+  seen along the axis of the stack, a band from disc r to disc s lies
+  across discs r + 1 to s and crosses there each chord whose span in word
+  order holds its letter; each crossing adds -a_e.
+
+Since the Alexander polynomial is det(V^T - tV) up to a unit, equal
+matrices give equal polynomials, and the signature of V + V^T changes sign
+under mirroring (Rudolph, *Braided surfaces and Seifert ribbons for closed
+braids*, 1983; J. Collins, *An algorithm for computing the Seifert matrix
+of a link from a braid representation*, 2007).
+
+Alexander polynomials
+---------------------
 Two independent routes compute the one-variable Alexander polynomial of a
 link, both exact over the integers:
 
@@ -57,7 +95,7 @@ from __future__ import annotations
 
 from .diagrams import Diagram, DiagramError, _UnionFind, analyze
 from .laurent import Laurent
-from .words import ArtinWord, Word, bkl_to_artin
+from .words import ArtinWord, BKLWord, Word, bkl_to_artin
 
 Matrix = list[list[Laurent]]
 
@@ -438,3 +476,114 @@ def alexander_from_diagram_minor(d: Diagram, drop_row: int, drop_col: int) -> La
     if rows is None:
         return Laurent.zero()
     return _fox_minor(rows, drop_row, drop_col)
+
+
+# ---------------------------------------------------------------------------
+# Seifert matrices
+# ---------------------------------------------------------------------------
+
+def _passages(cycles, ends) -> dict:
+    """Each vertex's passages: (cycle index, edge in, edge out) per visit.
+
+    ``ends[edge]`` is the edge's (first end, second end).
+    """
+    at: dict = {}
+    for i, cycle in enumerate(cycles):
+        edge_in, way_in = cycle[-1]
+        for edge, way in cycle:
+            v = ends[edge_in][way_in > 0]
+            if v != ends[edge][way < 0]:
+                raise ValueError(f"cycle {i} is not a closed walk")
+            at.setdefault(v, []).append((i, edge_in, edge))
+            edge_in, way_in = edge, way
+    return at
+
+
+def _twists(cycles, twice: list[list[int]], signs) -> None:
+    """Add the half twists of the bands shared by each cycle pair to 2V."""
+    users: dict = {}
+    for i, cycle in enumerate(cycles):
+        for edge, way in cycle:
+            users.setdefault(edge, []).append((i, way))
+    for edge, pairs in users.items():
+        e = signs[edge]
+        for i, a in pairs:
+            row = twice[i]
+            for j, b in pairs:
+                row[j] -= e * a * b
+
+
+def _halved(twice: list[list[int]]) -> list[list[int]]:
+    return [[x >> 1 for x in row] for row in twice]
+
+
+def diagram_seifert_matrix(d: Diagram, cycles, ranks=None) -> list[list[int]]:
+    """Seifert matrix of a connected diagram's surface over ``cycles``.
+
+    A cycle walks crossings: (c, +1) runs from crossing c's first Seifert
+    circle ``analyze(d).graph.edges[c][0]`` to its second.  Every crossing of
+    a simple cycle lies in one smoothed region.  Two cycles in different
+    regions share at most one circle; the one on the positive side of its
+    disc is the one in the region on the circle's left or, given ``ranks``,
+    the one of higher rank.
+    """
+    st = analyze(d)
+    ends = [(u, v) for u, v, _s, _c in st.graph.edges]
+    regions = [st.crossing_region[cycle[0][0]] for cycle in cycles]
+    g = len(cycles)
+    twice = [[0] * g for _ in range(g)]
+    _twists(cycles, twice, st.signs)
+    for v, visits in _passages(cycles, ends).items():
+        deg = len(st.passages[v])
+        place = {cid: k for k, cid in enumerate(st.passages[v])}
+        left = st.circle_left[v]
+        for i, edge_in, edge_out in visits:
+            p = place[edge_in]
+            span = (place[edge_out] - p) % deg
+            row = twice[i]
+            for j, edge_in2, edge_out2 in visits:
+                x = (0 < (place[edge_in2] - p) % deg <= span) - ((place[edge_out2] - p) % deg < span)
+                if not x:
+                    continue
+                if regions[i] == regions[j]:
+                    row[j] -= x
+                elif (ranks[i] > ranks[j]) if ranks else (regions[i] == left):
+                    row[j] -= 2 * x
+    return _halved(twice)
+
+
+def word_seifert_matrix(w: BKLWord, cycles) -> list[list[int]]:
+    """Seifert matrix of a band word's braided surface over ``cycles``.
+
+    A cycle walks letters: (k, +1) runs along letter k from disc r to disc s,
+    (k, -1) back.  Each disc's band ends are in word order, so letter
+    indices modulo the word length give their cyclic order.
+    """
+    letters = w.letters
+    length = len(letters)
+    g = len(cycles)
+    twice = [[0] * g for _ in range(g)]
+    _twists(cycles, twice, [e for _r, _s, e in letters])
+    # Letter k, run in direction a by cycle i, passes discs r + 1 .. s.
+    passing: dict = {}
+    for i, cycle in enumerate(cycles):
+        for k, a in cycle:
+            for disc in range(letters[k][0] + 1, letters[k][1] + 1):
+                passing.setdefault(disc, []).append((k, i, a))
+    for disc, visits in _passages(cycles, letters).items():
+        over = passing.get(disc, ())
+        for i, p, q in visits:
+            span = (q - p) % length
+            row = twice[i]
+            for j, p2, q2 in visits:
+                row[j] -= (0 < (p2 - p) % length <= span) - ((q2 - p) % length < span)
+            # The bands across this disc cross the chord p -> q where their
+            # letter lies between its ends; an end letter counts on one side
+            # only, since the pushed-off chord runs beside its band.
+            for k, j, a in over:
+                t = (k - p) % length
+                if t < span:
+                    twice[j][i] -= a
+                if 0 < t <= span:
+                    row[j] -= a
+    return _halved(twice)

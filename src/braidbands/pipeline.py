@@ -17,8 +17,10 @@ one per block, and orders them as a list of plumbing steps: each piece
 with the circle it shares with the pieces before it.  It realizes each
 piece and plumbs them together in that order.  Soundness is not assumed:
 each leaf's realization is chosen by comparing component counts and
-Alexander polynomials with the leaf's diagram, and the finished word is
-compared the same way with the input diagram.
+integer Seifert matrices with the leaf's diagram, and the finished word is
+compared the same way with the input diagram.  The two surfaces share one
+fatgraph, so one spanning tree of the Seifert graph names the same basis of
+first homology on both, and the matrices are compared entry by entry.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .diagrams import (
     link_components,
     subdiagram,
 )
-from .invariants import alexander_from_braid, alexander_from_diagram
-from .laurent import Laurent
+from .invariants import diagram_seifert_matrix, word_seifert_matrix
 from .plumbing import ShufflePattern, plumb
 from .surfaces import word_turn, word_twirl
 from .words import BKLWord, closure_components
@@ -47,6 +48,10 @@ from .words import BKLWord, closure_components
 
 class PipelineError(ValueError):
     pass
+
+
+class SoundnessError(Exception):
+    """An internal invariant failed: a bug, not invalid input."""
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +275,7 @@ def flat_diagram(fat: Fatgraph) -> Diagram:
     for fatgraphs read off diagrams).  Each circle is traversed in its
     stored order; at every crossing the edge's first endpoint supplies the
     under-in arc.  The emitted PD is validated structurally here and the
-    callers' invariant gates keep the construction honest.
+    callers' Seifert-matrix gates keep the construction honest.
     """
     fat.check()
     if not fat.edges:
@@ -336,34 +341,155 @@ class PlumbLeaf:
         }
 
 
-def _link_invariants(d: Diagram) -> tuple[int, Laurent]:
-    """Component count and Alexander polynomial of a diagram's link."""
-    return link_components(d), alexander_from_diagram(d)
+def _fundamental_cycles(vertex_count: int, ends) -> list[tuple[tuple[int, int], ...]]:
+    """Fundamental cycles of a breadth-first spanning tree of a connected multigraph.
+
+    The tree grows from vertex 0 through edges in index order.  Each other
+    edge gives one cycle: the edge from its first end to its second, then
+    the tree path back, as (edge, +1 or -1) steps, -1 where a step runs from
+    an edge's second end to its first.
+    """
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+    for edge, (u, v) in enumerate(ends):
+        adjacent[u].append((edge, v))
+        adjacent[v].append((edge, u))
+    up: list = [None] * vertex_count  # (edge to the parent, parent, step from it)
+    depth = [0] * vertex_count
+    up[0] = (-1, 0, None)
+    queue = [0]
+    for x in queue:
+        for edge, y in adjacent[x]:
+            if up[y] is None:
+                up[y] = (edge, x, (edge, 1 if ends[edge][0] == y else -1))
+                depth[y] = depth[x] + 1
+                queue.append(y)
+    cycles = []
+    for edge, (u, v) in enumerate(ends):
+        if up[v][0] == edge or up[u][0] == edge:
+            continue
+        rise, fall = [], []  # v up to the common ancestor; u up to it
+        while v != u:
+            if depth[v] >= depth[u]:
+                rise.append(up[v][2])
+                v = up[v][1]
+            else:
+                fall.append(up[u][2])
+                u = up[u][1]
+        cycles.append(((edge, 1), *rise, *[(e, -way) for e, way in reversed(fall)]))
+    return cycles
 
 
-def _closure_matches(word: BKLWord, target: tuple[int, Laurent]) -> bool:
-    components, poly = target
-    return closure_components(word) == components and alexander_from_braid(word) == poly
+def _seifert_gate(d: Diagram, rank_of=None):
+    """Predicate: is a word's braided surface the surface of ``d``?
+
+    It takes the word, the map from ``d``'s Seifert circles to the word's
+    discs and the map from ``d``'s crossings to its letters, and holds when
+    each letter joins its crossing's discs, the closure has ``d``'s
+    component count and the braided surface has ``d``'s Seifert matrix in
+    one basis: the fundamental cycles of ``d``'s Seifert graph, carried to
+    the word through the maps.  ``rank_of`` ranks crossings, and with them
+    the cycles through them, for :func:`diagram_seifert_matrix`.  The
+    diagram side is built once, here.
+    """
+    st = analyze(d)
+    ends = [(u, v) for u, v, _s, _c in st.graph.edges]
+    cycles = _fundamental_cycles(len(st.circles), ends)
+    ranks = None if rank_of is None else [rank_of[cycle[0][0]] for cycle in cycles]
+    target = diagram_seifert_matrix(d, cycles, ranks)
+    components = link_components(d)
+
+    def matches(word: BKLWord, disc_of, letter_of) -> bool:
+        if len(word.letters) != len(ends) or closure_components(word) != components:
+            return False
+        way = []
+        for c, (u, v) in enumerate(ends):
+            a, b = disc_of[u], disc_of[v]
+            if word.letters[letter_of[c]][:2] != ((a, b) if a < b else (b, a)):
+                return False
+            way.append(1 if a < b else -1)
+        mapped = [tuple([(letter_of[c], w * way[c]) for c, w in cycle]) for cycle in cycles]
+        return word_seifert_matrix(word, mapped) == target
+
+    return matches
+
+
+def _plumbing_ranks(st, steps) -> list[int]:
+    """Each crossing's plumbing step, checked to rank a surface of the diagram.
+
+    Plumbing puts each leaf on the positive side of its shared disc, past
+    the leaves plumbed before it, so a cycle of a later leaf lies on the
+    positive side of a circle shared with a cycle of an earlier one.
+    Seifert's algorithm stacks the diagram's surface that way when some
+    region can be the outer one such that at each circle every inner leaf
+    comes after all the outer leaves whose band ends interleave with its
+    own there, or before all of them: the outer leaves stay level with the
+    circle's disc, and the inner leaf goes on the side of its rank.  Leaves
+    whose ends do not interleave never cross there, which holds for any two
+    on one side of a circle and for a single crossing, so they do not
+    constrain the order.
+    """
+    rank = [0] * len(st.signs)
+    at: dict[int, list[tuple[int, int, list[int]]]] = {}  # circle -> (step, region, ends)
+    for k, (leaf, _shared) in enumerate(steps):
+        for c in leaf.crossings:
+            rank[c] = k
+        region = st.crossing_region[leaf.crossings[0]]
+        mine = set(leaf.crossings)
+        for circle in leaf.circles:
+            ends = [i for i, c in enumerate(st.passages[circle]) if c in mine]
+            at.setdefault(circle, []).append((k, region, ends))
+
+    def interleave(a: list[int], b: list[int]) -> bool:
+        marks = sorted([(i, 0) for i in a] + [(i, 1) for i in b])
+        return sum(marks[i][1] != marks[i - 1][1] for i in range(len(marks))) > 2
+
+    outer_sides = {}
+    for circle, leaves in at.items():
+        outer_sides[circle] = {
+            outer
+            for outer in (st.circle_left[circle], st.circle_right[circle])
+            if all(
+                len({k < j for j, r, b in leaves if r == outer and interleave(ends, b)}) < 2
+                for k, region, ends in leaves
+                if region != outer
+            )
+        }
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(st.region_count)]
+    for circle, (a, b) in enumerate(zip(st.circle_left, st.circle_right)):
+        adjacent[a].append((circle, b))
+        adjacent[b].append((circle, a))
+    for outer in range(st.region_count):
+        toward = {}  # circle -> its region on the side of ``outer``
+        queue = [outer]
+        for x in queue:
+            for circle, y in adjacent[x]:
+                if circle not in toward:
+                    toward[circle] = x
+                    queue.append(y)
+        if all(toward[c] in ok for c, ok in outer_sides.items()):
+            return rank
+    raise SoundnessError("plumbing order stacks no Seifert surface of the diagram")
 
 
 def braided_realization(d: Diagram, start_circle: int = 0):
     """Word, disc positions and crossing order realizing a diagram's surface.
 
     Candidate height assignments for the fatgraph are enumerated and the
-    first one whose closure matches the diagram's component count and
-    Alexander polynomial wins; band heights alone do not pin down the
-    embedding, so the gate is what makes the construction sound.  Fatgraph
-    edge ``k`` is crossing ``k``, so the edge order is the crossing order.
+    first one whose closure has the diagram's component count and whose
+    braided surface has the diagram's Seifert matrix wins; band heights
+    alone do not pin down the embedding, so the gate is what makes the
+    construction sound.  Fatgraph edge ``k`` is crossing ``k``, so the edge
+    order is the crossing order.
     """
     fat = fatgraph_of_diagram(d)
-    target = _link_invariants(d)
+    matches = _seifert_gate(d)
     tried = 0
     for word, pos, topo in realizations(fat, start_vertex=start_circle):
         tried += 1
-        if _closure_matches(word, target):
+        if matches(word, pos, {c: k for k, c in enumerate(topo)}):
             return word, pos, topo
     raise PipelineError(
-        f"no braided realization matches the diagram's invariants ({tried} candidates)"
+        f"no braided realization matches the diagram's Seifert matrix ({tried} candidates)"
     )
 
 
@@ -371,8 +497,8 @@ def primitive_flat_to_bkl(d: Diagram, start_circle: int = 0) -> BKLWord:
     """Single-sign band word for a primitive flat diagram.
 
     Discs correspond to Seifert circles and letters to crossings; the word
-    carries the diagram's sign everywhere and its closure is verified
-    against the diagram's oracles.
+    carries the diagram's sign everywhere and its braided surface is
+    verified against the diagram's Seifert matrix.
     """
     if not is_primitive_flat(d):
         raise PipelineError("diagram is not primitive flat")
@@ -418,7 +544,7 @@ def decompose_generalized_flat(d: Diagram) -> list[tuple[PlumbLeaf, int]]:
         verts = tuple(sorted({x for (u, v, _s, _c) in block for x in (u, v)}))
         piece, cmap = _piece(d, ids)
         if not is_primitive_flat(piece):
-            raise PipelineError("unsupported nesting pattern inside a block")
+            raise SoundnessError("unsupported nesting pattern inside a block")
         leaves.append(PlumbLeaf(piece, ids, verts, cmap))
     if not leaves:
         raise PipelineError("no blocks to fold")
@@ -431,12 +557,12 @@ def decompose_generalized_flat(d: Diagram) -> list[tuple[PlumbLeaf, int]]:
             shared = [v for v in leaf.circles if v in reached]
             if shared:
                 if len(shared) > 1:
-                    raise PipelineError("blocks share more than one circle")
+                    raise SoundnessError("blocks share more than one circle")
                 steps.append((leaves.pop(k), shared[0]))
                 reached.update(leaf.circles)
                 break
         else:
-            raise PipelineError("block structure is disconnected")
+            raise SoundnessError("block structure is disconnected")
     return steps
 
 
@@ -448,7 +574,7 @@ def homogenize(d: Diagram) -> BKLWord:
     cyclic order there, and plumbed in with the shuffle pattern that
     reproduces that order.  Each leaf is gated while its realization is
     chosen and the finished word is gated against ``d``, so a construction
-    that drifts from the diagram's link fails loudly.  A split diagram gives
+    that drifts from the diagram's surface raises ``SoundnessError``.  A split diagram gives
     the direct sum of its parts' words, and a free unknot a bare disc.
     """
     return _homogenize(d)[0]
@@ -507,8 +633,9 @@ def _homogenize(d: Diagram):
             if orig == shared:
                 continue
             disc_of[orig] = piece_pos[leaf.circle_map[orig]] + n1 - 1
-    if not _closure_matches(word, _link_invariants(d)):
-        raise PipelineError("plumbed word does not match the diagram's link")
+    letter_of = {c: k for k, c in enumerate(letter_cids)}
+    if not _seifert_gate(d, _plumbing_ranks(st, steps))(word, disc_of, letter_of):
+        raise SoundnessError("plumbed word does not match the diagram's link")
     return word, steps
 
 

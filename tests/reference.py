@@ -11,6 +11,8 @@ the first handle and free-reducing all of it after every step.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from braidbands.diagrams import Diagram, _UnionFind, analyze
 from braidbands.laurent import Laurent
 from braidbands.words import ArtinWord, Permutation, Word, bkl_to_artin
@@ -170,6 +172,37 @@ def alexander_from_diagram(d: Diagram) -> Laurent:
     if not d.crossings:
         return Laurent.one() if d.unknots == 1 else Laurent.zero()
     return alexander_from_diagram_minor(d, 0, 0)
+
+
+def signature(m: list[list[int]]) -> int:
+    """Signature of a symmetric integer matrix, by exact congruence diagonalization."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    total = 0
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][i]), None)
+        if pivot is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair  # row and column j added to i make a[i][i] = 2 a[i][j]
+            for r in range(n):
+                a[i][r] += a[j][r]
+            for r in range(n):
+                a[r][i] += a[r][j]
+            pivot = i
+        a[k], a[pivot] = a[pivot], a[k]
+        for row in a:
+            row[k], row[pivot] = row[pivot], row[k]
+        total += 1 if a[k][k] > 0 else -1
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            if f:
+                for r in range(n):
+                    a[i][r] -= f * a[k][r]
+                for r in range(n):
+                    a[r][i] -= f * a[r][k]
+    return total
 
 
 def permutation_of(w: Word) -> Permutation:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from braidbands import pipeline
 from braidbands.cli import run
 
 from corpus import FIG8, K5_2, K9_43, TREFOIL, disjoint_union
@@ -179,3 +180,15 @@ def test_malformed_input_is_exit_2(tmp_path, argv):
     except SystemExit as exc:  # argparse rejects the command line itself
         code = exc.code
     assert code == 2
+
+
+def test_failed_soundness_gate_is_exit_3(tmp_path, capsys, trefoil_file, monkeypatch):
+    # A gate that rejects the finished word is an internal failure, not bad
+    # input; a malformed diagram still is bad input.
+    monkeypatch.setattr(pipeline, "_seifert_gate", lambda d, rank_of=None: lambda *maps: rank_of is None)
+    assert run(["homogenize", trefoil_file]) == 3
+    assert "plumbed word does not match the diagram's link" in capsys.readouterr().err
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"crossings": [[1, 2, 3, 4]]}))
+    assert run(["homogenize", str(malformed)]) == 2
+    assert not issubclass(pipeline.SoundnessError, ValueError)

@@ -3,20 +3,35 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidbands import pipeline
 from braidbands.laurent import Laurent
 from braidbands.invariants import (
     alexander_from_braid,
     alexander_from_diagram,
     alexander_from_diagram_minor,
     burau_reduced,
+    diagram_seifert_matrix,
+    word_seifert_matrix,
 )
-from braidbands.words import ArtinWord, parse_word
-from braidbands.diagrams import Diagram, closure_diagram
+from braidbands.plumbing import plumb
+from braidbands.surfaces import from_word, incidence_connected, to_word, word_turn, word_twirl
+from braidbands.surfaces import mirror as mirror_surface
+from braidbands.words import ArtinWord, BKLWord, artin_to_bkl, closure_components, parse_word
+from braidbands.diagrams import Diagram, analyze, closure_diagram, link_components
 from braidbands.invariants import _PRIMES, _poly_det, _prime_above
 
 import reference
-from corpus import FIG8, K5_2, K9_43, TREFOIL, random_artin_word, random_bkl_word
-from reference import determinant
+from corpus import (
+    FIG8,
+    K5_2,
+    K9_43,
+    TREFOIL,
+    TREFOIL_NEG,
+    pseudoalternating_diagrams,
+    random_artin_word,
+    random_bkl_word,
+)
+from reference import determinant, signature
 
 
 def test_laurent_arithmetic():
@@ -308,3 +323,158 @@ def test_poly_det_matches_bareiss():
         expected = determinant(dense)
         got = Laurent.from_list(_poly_det(rows))
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# Seifert matrices
+# ---------------------------------------------------------------------------
+
+def _diagram_basis(d: Diagram):
+    """The gate's basis: fundamental cycles of the Seifert graph's BFS tree."""
+    structure = analyze(d)
+    return pipeline._fundamental_cycles(len(structure.circles), [e[:2] for e in structure.graph.edges])
+
+
+def _word_basis(w: BKLWord):
+    return pipeline._fundamental_cycles(w.strands, [(r - 1, s - 1) for r, s, _e in w.letters])
+
+
+def _seifert_alexander(v: list[list[int]]) -> Laurent:
+    """Normalized det(V^T - tV)."""
+    rows = [{j: (0, (v[j][i], -v[i][j])) for j in range(len(v)) if v[i][j] or v[j][i]} for i in range(len(v))]
+    return Laurent.from_list(_poly_det(rows)).normalized()
+
+
+def _connected_closures(seed: int, count: int):
+    rng = random.Random(seed)
+    while count:
+        w = random_artin_word(rng, max_strands=6, max_len=20)
+        d = closure_diagram(w)
+        if d.crossings and not d.unknots and len(set(analyze(d).circle_component)) == 1:
+            count -= 1
+            yield w, d
+
+
+def _final_gate_matrices(d: Diagram, monkeypatch):
+    """Both sides of the last Seifert comparison ``homogenize(d)`` makes."""
+    seen = {}
+    for name, fn in (("diagram", diagram_seifert_matrix), ("word", word_seifert_matrix)):
+        monkeypatch.setattr(
+            pipeline, f"{name}_seifert_matrix",
+            lambda *args, fn=fn, name=name: seen.__setitem__(name, fn(*args)) or seen[name],
+        )
+    pipeline.homogenize(d)
+    monkeypatch.undo()
+    return seen["diagram"], seen["word"]
+
+
+def test_seifert_matrices_golden(monkeypatch):
+    # The trefoil is one leaf; the figure-eight plumbs a positive and a
+    # negative Hopf band, and of the two entries between them only the one
+    # from the band on the positive side of the shared disc is nonzero.
+    assert _final_gate_matrices(TREFOIL, monkeypatch) == ([[-1, 0], [-1, -1]],) * 2
+    assert _final_gate_matrices(TREFOIL_NEG, monkeypatch) == ([[1, 0], [1, 1]],) * 2
+    assert _final_gate_matrices(FIG8, monkeypatch) == ([[1, 1], [0, -1]],) * 2
+    assert diagram_seifert_matrix(TREFOIL, _diagram_basis(TREFOIL)) == [[-1, 0], [-1, -1]]
+    assert word_seifert_matrix(parse_word("b(1,2)^3", strands=2), [((1, 1), (0, -1))]) == [[-1]]
+
+
+def test_seifert_signature_changes_sign_under_mirroring():
+    def sig(d):
+        v = diagram_seifert_matrix(d, _diagram_basis(d))
+        return signature([[a + b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))])
+
+    assert sig(TREFOIL) == -2 and sig(TREFOIL_NEG) == 2
+    for text in ("b(1,2)^3 b(2,3)^2", "b(1,3)^3 b(2,3)^-1 b(1,2)^2"):
+        w = parse_word(text, strands=3)
+        mirror = to_word(mirror_surface(from_word(w)))
+        v, m = (word_seifert_matrix(x, _word_basis(x)) for x in (w, mirror))
+        assert signature([[a + b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))]) == -signature(
+            [[a + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))]
+        ) != 0
+
+
+def test_seifert_gate_rejects_the_mirror_trefoil_word():
+    word, pos, topo = pipeline.braided_realization(TREFOIL)
+    letter_of = {c: k for k, c in enumerate(topo)}
+    mirror = BKLWord(2, [(r, s, -e) for r, s, e in word.letters])
+    assert mirror == parse_word("b(1,2)^-3", strands=2)
+    # Component count and Alexander polynomial cannot tell them apart ...
+    assert closure_components(mirror) == link_components(TREFOIL)
+    assert alexander_from_braid(mirror) == alexander_from_diagram(TREFOIL)
+    # ... the Seifert matrix can.
+    gate = pipeline._seifert_gate(TREFOIL)
+    assert gate(word, pos, letter_of)
+    assert not gate(mirror, pos, letter_of)
+
+
+def test_seifert_determinant_is_fox():
+    cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
+    cases += [d for _w, d in _connected_closures(seed=31, count=100)]
+    cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
+    for d in cases:
+        v = diagram_seifert_matrix(d, _diagram_basis(d))
+        assert _seifert_alexander(v) == alexander_from_diagram(d)
+    # Stacking the surface by the plumbing order keeps it a surface of the link.
+    for d in cases[:5] + cases[-25:]:
+        structure = analyze(d)
+        ranks = pipeline._plumbing_ranks(structure, pipeline.decompose_generalized_flat(d))
+        basis = _diagram_basis(d)
+        v = diagram_seifert_matrix(d, basis, [ranks[cycle[0][0]] for cycle in basis])
+        assert _seifert_alexander(v) == alexander_from_diagram(d)
+
+
+def test_seifert_determinant_is_burau():
+    rng = random.Random(32)
+    done = 0
+    while done < 100:
+        w = random_bkl_word(rng, max_strands=8, max_len=16, homogeneous=True)
+        if not incidence_connected(from_word(w)):
+            continue
+        done += 1
+        assert _seifert_alexander(word_seifert_matrix(w, _word_basis(w))) == alexander_from_braid(w)
+
+
+def test_braided_surface_of_an_artin_word_is_the_surface_of_its_closure():
+    # Strand i of the closed braid is a Seifert circle and disc i; crossing k
+    # is letter k.  Any word, homogeneous or not.
+    for w, d in _connected_closures(seed=33, count=100):
+        ends = [e[:2] for e in analyze(d).graph.edges]
+        disc_of = {}
+        for (u, v), (i, e) in zip(ends, w.letters):
+            disc_of[u], disc_of[v] = (i + 1, i) if e > 0 else (i, i + 1)
+        basis = _diagram_basis(d)
+        carried = [
+            tuple([(c, way if disc_of[ends[c][0]] < disc_of[ends[c][1]] else -way) for c, way in cycle])
+            for cycle in basis
+        ]
+        assert word_seifert_matrix(artin_to_bkl(w), carried) == diagram_seifert_matrix(d, basis)
+
+
+def test_word_seifert_matrix_under_moves_and_plumbing():
+    rng = random.Random(34)
+    done = 0
+    while done < 60:
+        w1 = random_bkl_word(rng, max_strands=4, max_len=7)
+        w2 = random_bkl_word(rng, max_strands=4, max_len=7)
+        if not (incidence_connected(from_word(w1)) and incidence_connected(from_word(w2))):
+            continue
+        done += 1
+        b1, b2 = _word_basis(w1), _word_basis(w2)
+        v1, v2 = word_seifert_matrix(w1, b1), word_seifert_matrix(w2, b2)
+        # Twirls and turns are isotopies; carry the basis along.
+        kept = [r > 1 for r, _s, _e in w1.letters]  # disc 1 moves past disc n
+        twirled = [tuple([(k, way if kept[k] else -way) for k, way in c]) for c in b1]
+        assert word_seifert_matrix(word_twirl(w1), twirled) == v1
+        turned = [tuple([((k + 1) % len(w1.letters), way) for k, way in c]) for c in b1]
+        assert word_seifert_matrix(word_turn(w1), turned) == v1
+        # Plumbing puts w2 on the positive side of the shared disc: the
+        # summands keep their matrices and w1's cycles do not link w2's pushoffs.
+        marks = [1] * len(w1.letters) + [2] * len(w2.letters)
+        rng.shuffle(marks)
+        at = {1: [k for k, m in enumerate(marks) if m == 1], 2: [k for k, m in enumerate(marks) if m == 2]}
+        basis = [tuple([(at[side][k], way) for k, way in c]) for side, b in ((1, b1), (2, b2)) for c in b]
+        v = word_seifert_matrix(plumb(w1, w2, marks), basis)
+        g1 = len(b1)
+        assert [row[:g1] for row in v[:g1]] == v1 and [row[g1:] for row in v[g1:]] == v2
+        assert all(x == 0 for row in v[:g1] for x in row[g1:])

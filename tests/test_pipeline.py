@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from braidbands import diagrams, pipeline
+from braidbands import diagrams, invariants, pipeline
 from braidbands.cli import run
 from braidbands.diagrams import (
     Diagram,
@@ -288,30 +288,65 @@ def test_homogenize_split_diagrams_with_free_unknots():
 
 
 def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
-    # One Fox call per leaf and one Burau call per leaf candidate tried, then
-    # one gate of the finished word against the diagram itself.
-    fox_calls, burau_calls, tried = [], [], []
-    fox, burau = pipeline.alexander_from_diagram, pipeline.alexander_from_braid
+    # One diagram-side Seifert matrix per leaf and one word-side matrix per
+    # leaf candidate tried, then one of each for the finished word against
+    # the diagram itself.  Neither Alexander engine runs.
+    alexander_calls, diagram_sides, word_sides, tried = [], [], [], []
+    diagram_side, word_side = pipeline.diagram_seifert_matrix, pipeline.word_seifert_matrix
 
     def counted_realizations(*args, **kwargs):
         for found in realizations(*args, **kwargs):
             tried.append(found)
             yield found
 
-    monkeypatch.setattr(pipeline, "alexander_from_diagram", lambda d: fox_calls.append(d) or fox(d))
-    monkeypatch.setattr(pipeline, "alexander_from_braid", lambda w: burau_calls.append(w) or burau(w))
+    for module in (invariants, pipeline):
+        for name in ("alexander_from_diagram", "alexander_from_braid"):
+            monkeypatch.setattr(module, name, lambda *a: alexander_calls.append(a), raising=False)
+    monkeypatch.setattr(
+        pipeline, "diagram_seifert_matrix", lambda d, *a: diagram_sides.append(d) or diagram_side(d, *a)
+    )
+    monkeypatch.setattr(
+        pipeline, "word_seifert_matrix", lambda w, *a: word_sides.append(w) or word_side(w, *a)
+    )
     monkeypatch.setattr(pipeline, "realizations", counted_realizations)
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
     for d in cases:
         k = len(decompose_generalized_flat(d))
-        fox_calls.clear()
-        burau_calls.clear()
+        diagram_sides.clear()
+        word_sides.clear()
         tried.clear()
         w = homogenize(d)
-        assert len(fox_calls) == k + 1
-        assert len(burau_calls) == len(tried) + 1
-        assert fox_calls[-1] is d and burau_calls[-1] is w
+        assert len(diagram_sides) == k + 1
+        assert len(word_sides) == len(tried) + 1
+        assert diagram_sides[-1] is d and word_sides[-1] is w
+    assert alexander_calls == []
+
+
+def test_single_crossing_leaves_do_not_order_the_stacking():
+    # A lone crossing carries no cycle and its one end at a circle
+    # interleaves with nothing.  Here two lone crossings on one side of a
+    # circle alternate in plumbing order with two leaves on its other side.
+    d = Diagram([[1, 4, 2, 3], [4, 1, 5, 2], [5, 7, 6, 6], [7, 9, 8, 10], [10, 12, 11, 11], [12, 8, 9, 3]])
+    w = homogenize(d)
+    assert is_homogeneous(w) and len(w.letters) == d.crossing_count
+    assert closure_components(w) == link_components(d)
+    assert alexander_from_braid(w) == alexander_from_diagram(d)
+
+
+def test_only_interleaving_leaves_order_the_stacking():
+    # Circle 0 holds four leaves, sides alternating in plumbing order; the
+    # first and the second do not interleave there, so the stacking with the
+    # first side outer holds.
+    d = Diagram([
+        [1, 8, 2, 7], [19, 20, 20, 21], [8, 13, 9, 14], [14, 9, 15, 10], [10, 22, 11, 21],
+        [22, 12, 23, 11], [12, 15, 13, 16], [16, 4, 17, 5], [5, 17, 6, 18], [18, 24, 19, 23],
+        [24, 3, 7, 2], [3, 6, 4, 1],
+    ])
+    w = homogenize(d)
+    assert is_homogeneous(w) and len(w.letters) == d.crossing_count
+    assert closure_components(w) == link_components(d)
+    assert alexander_from_braid(w) == alexander_from_diagram(d)
 
 
 def test_homogenize_leaves_no_cyclic_garbage():
