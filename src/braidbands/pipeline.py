@@ -15,26 +15,26 @@ flat PD diagram for a planar fatgraph.  The pipeline splits a homogeneous
 diagram into single-sign pieces at the cut circles of its Seifert graph,
 one per block, and orders them as a list of plumbing steps: each piece
 with the circle it shares with the pieces before it.  It realizes each
-piece and plumbs them together in that order.  Soundness is not assumed:
-each leaf's realization is chosen by comparing component counts and
-integer Seifert matrices with the leaf's diagram, and the finished word is
-compared the same way with the input diagram.  The two surfaces share one
-fatgraph, so one spanning tree of the Seifert graph names the same basis of
-first homology on both, and the matrices are compared entry by entry.
+piece and plumbs them together in that order.  A piece is read off the
+input diagram's one structure, not built as a diagram of its own.
+Soundness is not assumed: each leaf's realization is chosen by comparing
+component counts and integer Seifert matrices with the leaf's, and the
+finished word is compared the same way with the input diagram.  The two
+surfaces share one fatgraph, so one spanning tree of the Seifert graph
+names the same basis of first homology on both, and the matrices are
+compared entry by entry.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .diagrams import (
     Diagram,
     DiagramError,
     _renumber,
     analyze,
-    blocks,
     is_homogeneous_diagram,
     is_primitive_flat,
     link_components,
@@ -162,30 +162,23 @@ def realizations(fat: Fatgraph, start_vertex: int = 0, limit: int = 4096):
     adj: list[list[int]] = [[] for _ in range(m)]
     emitted = 0
 
-    def acyclic(extra: list[tuple[int, int]]) -> bool:
-        graph = [list(a) for a in adj]
-        for a, b in extra:
-            graph[a].append(b)
-        state = [0] * m
-        for s in range(m):
-            if state[s]:
-                continue
-            stack2 = [(s, iter(graph[s]))]
-            state[s] = 1
-            while stack2:
-                node, it = stack2[-1]
-                advanced = False
-                for nxt in it:
-                    if state[nxt] == 1:
-                        return False
-                    if state[nxt] == 0:
-                        state[nxt] = 1
-                        stack2.append((nxt, iter(graph[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    stack2.pop()
+    def acyclic_from(start: int) -> bool:
+        # ``adj`` was acyclic before a chain of edges from ``start`` was
+        # added, so any cycle runs through the chain and is reachable from it.
+        state = {start: 1}  # 1 on the search path, 2 done
+        stack = [(start, iter(adj[start]))]
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if nxt not in state:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(adj[nxt])))
+                    break
+                if state[nxt] == 1:
+                    return False
+            else:
+                state[node] = 2
+                stack.pop()
         return True
 
     def constraints_for(v: int, cut: int) -> list[tuple[int, int]]:
@@ -231,12 +224,12 @@ def realizations(fat: Fatgraph, start_vertex: int = 0, limit: int = 4096):
         v = vertices[idx]
         for cut in range(max(1, len(fat.orders[v]))):
             extra = constraints_for(v, cut)
-            if acyclic(extra):
-                for a, b in extra:
-                    adj[a].append(b)
+            for a, b in extra:
+                adj[a].append(b)
+            if not extra or acyclic_from(extra[0][0]):
                 yield from search(idx + 1)
-                for a, b in extra:
-                    adj[a].remove(b)
+            for a, _b in extra:
+                adj[a].pop()
 
     try:
         yield from search(0)
@@ -322,23 +315,29 @@ def flat_diagram(fat: Fatgraph) -> Diagram:
 
 @dataclass(frozen=True)
 class PlumbLeaf:
-    diagram: Diagram
+    """One block of ``source``'s Seifert graph, read off ``source``'s structure.
+
+    Its fatgraph (edge k for crossing ``crossings[k]``) and boundary
+    component count are those of ``diagram``, the source with the other
+    crossings smoothed and their circles dropped, which is built on request.
+    """
+
+    source: Diagram
     crossings: tuple[int, ...]  # crossing ids in the source diagram
     circles: tuple[int, ...]  # circle ids in the source diagram
-    # source circle id -> circle id in ``diagram``; derived from the fields above
-    circle_map: dict[int, int] = field(compare=False)
+    circle_map: dict[int, int] = field(compare=False)  # source circle -> fatgraph vertex
+    fatgraph: Fatgraph = field(compare=False)
+    components: int = field(compare=False)
+
+    @property
+    def diagram(self) -> Diagram:
+        return subdiagram(self.source, self.crossings, keep_free_circles=False)
 
     def to_obj(self):
-        return {
-            "leaf": {
-                "crossings": list(self.crossings),
-                "circles": list(self.circles),
-                "diagram": {
-                    "crossings": [list(x) for x in self.diagram.crossings],
-                    "unknots": self.diagram.unknots,
-                },
-            }
-        }
+        piece = self.diagram
+        diagram = {"crossings": [list(x) for x in piece.crossings], "unknots": piece.unknots}
+        return {"leaf": {"crossings": list(self.crossings), "circles": list(self.circles),
+                         "diagram": diagram}}
 
 
 def _fundamental_cycles(vertex_count: int, ends) -> list[tuple[tuple[int, int], ...]]:
@@ -380,23 +379,23 @@ def _fundamental_cycles(vertex_count: int, ends) -> list[tuple[tuple[int, int], 
 
 
 def _seifert_gate(d: Diagram, rank_of=None):
-    """Predicate: is a word's braided surface the surface of ``d``?
+    """:func:`_gate` for ``d``: circles are its Seifert circles, edges its crossings.
 
-    It takes the word, the map from ``d``'s Seifert circles to the word's
-    discs and the map from ``d``'s crossings to its letters, and holds when
-    each letter joins its crossing's discs, the closure has ``d``'s
-    component count and the braided surface has ``d``'s Seifert matrix in
-    one basis: the fundamental cycles of ``d``'s Seifert graph, carried to
-    the word through the maps.  ``rank_of`` ranks crossings, and with them
-    the cycles through them, for :func:`diagram_seifert_matrix`.  The
-    diagram side is built once, here.
+    ``rank_of`` ranks crossings, and with them the cycles through them, for
+    :func:`diagram_seifert_matrix`.  The diagram side is built once, here.
     """
     st = analyze(d)
     ends = [(u, v) for u, v, _s, _c in st.graph.edges]
     cycles = _fundamental_cycles(len(st.circles), ends)
     ranks = None if rank_of is None else [rank_of[cycle[0][0]] for cycle in cycles]
-    target = diagram_seifert_matrix(d, cycles, ranks)
-    components = link_components(d)
+    return _gate(ends, cycles, diagram_seifert_matrix(d, cycles, ranks), link_components(d))
+
+
+def _gate(ends, cycles, target, components: int):
+    """Predicate on (word, disc_of, letter_of): each letter joins its edge's
+    discs, the closure has ``components`` components and the braided surface
+    has Seifert matrix ``target`` over ``cycles`` carried through the maps.
+    """
 
     def matches(word: BKLWord, disc_of, letter_of) -> bool:
         if len(word.letters) != len(ends) or closure_components(word) != components:
@@ -481,10 +480,13 @@ def braided_realization(d: Diagram, start_circle: int = 0):
     construction sound.  Fatgraph edge ``k`` is crossing ``k``, so the edge
     order is the crossing order.
     """
-    fat = fatgraph_of_diagram(d)
-    matches = _seifert_gate(d)
+    return _first_realization(fatgraph_of_diagram(d), start_circle, _seifert_gate(d))
+
+
+def _first_realization(fat: Fatgraph, start_vertex: int, matches):
+    """The first of ``realizations(fat, start_vertex)`` that ``matches`` accepts."""
     tried = 0
-    for word, pos, topo in realizations(fat, start_vertex=start_circle):
+    for word, pos, topo in realizations(fat, start_vertex=start_vertex):
         tried += 1
         if matches(word, pos, {c: k for k, c in enumerate(topo)}):
             return word, pos, topo
@@ -506,20 +508,42 @@ def primitive_flat_to_bkl(d: Diagram, start_circle: int = 0) -> BKLWord:
     return word
 
 
-def _piece(d: Diagram, crossing_ids: Iterable[int]):
-    """Extract a sub-diagram and the map from source circles to its circles."""
-    keep = sorted(set(crossing_ids))
-    piece = subdiagram(d, keep, keep_free_circles=False)
-    st, pst = analyze(d), analyze(piece)
-    circle_map: dict[int, int] = {}
-    for k, cid in enumerate(keep):
-        a = d.crossings[cid][0]
-        pa = piece.crossings[k][0]
-        circle_map[st.circle_of[a]] = pst.circle_of[pa]
-        c = d.crossings[cid][2]
-        pc = piece.crossings[k][2]
-        circle_map[st.circle_of[c]] = pst.circle_of[pc]
-    return piece, circle_map
+def _leaf(d: Diagram, ids: tuple[int, ...], circles: tuple[int, ...]) -> PlumbLeaf:
+    """The block of ``d`` on crossings ``ids``, as its own diagram reads.
+
+    Circles keep their cyclic orders, restricted to ``ids``.  A boundary run
+    entering crossing x on one circle leaves x on the other and enters that
+    circle's next block crossing.  Walks start from the runs entering each
+    crossing of ``ids``, under then over, in the order ``subdiagram``
+    numbers arcs, so circles are numbered by their first run and each
+    cyclic order starts at the crossing that run enters.
+    """
+    st = analyze(d)
+    edges = st.graph.edges
+    mine = set(ids)
+    kept = {u: [c for c in st.passages[u] if c in mine] for u in circles}
+    after = {(c, u): n for u, order in kept.items() for c, n in zip(order, order[1:] + order[:1])}
+    first: dict[int, int] = {}  # circle -> the crossing its first run enters
+    seen: set[tuple[int, int]] = set()
+    components = 0
+    for c in ids:
+        for run in ((c, edges[c][0]), (c, edges[c][1])):
+            components += run not in seen
+            while run not in seen:
+                seen.add(run)
+                x, u = run
+                first.setdefault(u, x)
+                v = edges[x][0] + edges[x][1] - u
+                run = (after[(x, v)], v)
+    vertex = {u: k for k, u in enumerate(first)}
+    end = {(c, edges[c][j]): (k, j) for k, c in enumerate(ids) for j in (0, 1)}
+    orders = []
+    for u, x in first.items():
+        at = kept[u].index(x)
+        orders.append(tuple([end[(c, u)] for c in kept[u][at:] + kept[u][:at]]))
+    fat_edges = tuple([(vertex[edges[c][0]], vertex[edges[c][1]], edges[c][2]) for c in ids])
+    fat = Fatgraph(len(first), fat_edges, tuple(orders))
+    return PlumbLeaf(d, ids, circles, vertex, fat, components)
 
 
 def decompose_generalized_flat(d: Diagram) -> list[tuple[PlumbLeaf, int]]:
@@ -527,9 +551,9 @@ def decompose_generalized_flat(d: Diagram) -> list[tuple[PlumbLeaf, int]]:
 
     Each block of the Seifert graph becomes one leaf.  The result is the
     sequence of plumbing steps: each leaf paired with the one source circle
-    it shares with the leaves before it, ``-1`` for the first leaf.  A leaf
-    that stays nested for every outer-region choice of its own diagram is
-    unsupported.
+    it shares with the leaves before it, ``-1`` for the first leaf.  Every
+    block's crossings lie in one smoothed region of ``d``, so its diagram is
+    primitive flat; a block that does not is a bug.
     """
     report = is_homogeneous_diagram(d)
     if not report.homogeneous:
@@ -542,10 +566,9 @@ def decompose_generalized_flat(d: Diagram) -> list[tuple[PlumbLeaf, int]]:
     for block in report.decomposition.blocks:
         ids = tuple(sorted(cid for (_u, _v, _s, cid) in block))
         verts = tuple(sorted({x for (u, v, _s, _c) in block for x in (u, v)}))
-        piece, cmap = _piece(d, ids)
-        if not is_primitive_flat(piece):
+        if len({st.crossing_region[c] for c in ids}) > 1:
             raise SoundnessError("unsupported nesting pattern inside a block")
-        leaves.append(PlumbLeaf(piece, ids, verts, cmap))
+        leaves.append(_leaf(d, ids, verts))
     if not leaves:
         raise PipelineError("no blocks to fold")
 
@@ -640,12 +663,19 @@ def _homogenize(d: Diagram):
 
 
 def _realized_leaf(leaf: PlumbLeaf, start_circle_orig: int):
-    """Realize one leaf; letters are tagged with source-diagram crossing ids."""
-    word, pos, piece_order = braided_realization(
-        leaf.diagram, start_circle=leaf.circle_map[start_circle_orig]
-    )
-    letter_cids = [leaf.crossings[k] for k in piece_order]
-    return word, pos, letter_cids
+    """Realize one leaf; letters are tagged with source-diagram crossing ids.
+
+    The block lies in one smoothed region of the source, where restriction
+    keeps cyclic orders, so its Seifert matrix is the source's over its cycles.
+    """
+    fat = leaf.fatgraph
+    ends = [(u, v) for u, v, _s in fat.edges]
+    cycles = _fundamental_cycles(fat.vertex_count, ends)
+    source_cycles = [tuple([(leaf.crossings[k], way) for k, way in cycle]) for cycle in cycles]
+    target = diagram_seifert_matrix(leaf.source, source_cycles)
+    matches = _gate(ends, cycles, target, leaf.components)
+    word, pos, order = _first_realization(fat, leaf.circle_map[start_circle_orig], matches)
+    return word, pos, [leaf.crossings[k] for k in order]
 
 
 def _cut_at(sigma: tuple[int, ...], mine: list[int], mine_set: set, theirs: set) -> list[int]:
@@ -656,7 +686,7 @@ def _cut_at(sigma: tuple[int, ...], mine: list[int], mine_set: set, theirs: set)
     k = relevant.index(mine[0])
     schedule = relevant[k:] + relevant[:k]
     if [cid for cid in schedule if cid in mine_set] != mine:
-        raise PipelineError("accumulated word is out of cyclic order at the shared circle")
+        raise SoundnessError("accumulated word is out of cyclic order at the shared circle")
     return schedule
 
 
@@ -666,7 +696,7 @@ def _turn_until(word: BKLWord, cids: list[int], at_shared: set, want: list[int])
             return word, cids
         word = word_turn(word)
         cids = [cids[-1]] + cids[:-1]
-    raise PipelineError("cannot align the piece with the shared circle's cyclic order")
+    raise SoundnessError("cannot align the piece with the shared circle's cyclic order")
 
 
 def _merge_pattern(mine_cids, piece_cids, schedule, mine_set, theirs_set):

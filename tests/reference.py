@@ -6,16 +6,20 @@ fraction-free (Bareiss) determinant over Laurent polynomials.  They are slow
 but share no arithmetic with the library's evaluation engine.  The braid
 permutation is kept in its O(L * n) form, rescanning every strand per letter,
 and handle reduction in its O(L) per step form, rescanning the whole word for
-the first handle and free-reducing all of it after every step.
+the first handle and free-reducing all of it after every step.  A plumbing
+leaf is its own sub-diagram, analysed from scratch, and realizations are
+enumerated with a full acyclicity check on a copy of the height graph per cut.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
-from braidbands.diagrams import Diagram, _UnionFind, analyze
+from braidbands.diagrams import Diagram, _UnionFind, analyze, subdiagram
 from braidbands.laurent import Laurent
-from braidbands.words import ArtinWord, Permutation, Word, bkl_to_artin
+from braidbands.pipeline import Fatgraph, _disc_positions
+from braidbands.words import ArtinWord, BKLWord, Permutation, Word, bkl_to_artin
 
 Matrix = list[list[Laurent]]
 
@@ -262,3 +266,108 @@ def handle_reduce(w: ArtinWord) -> ArtinWord:
         if found is None:
             return ArtinWord(w.strands, tuple(letters))
         letters = _free_reduce(_reduce_handle(letters, *found))
+
+
+def piece(d: Diagram, crossing_ids):
+    """A leaf's sub-diagram and the map from source circles to its circles."""
+    keep = sorted(set(crossing_ids))
+    sub = subdiagram(d, keep, keep_free_circles=False)
+    st, pst = analyze(d), analyze(sub)
+    circle_map: dict[int, int] = {}
+    for k, cid in enumerate(keep):
+        a = d.crossings[cid][0]
+        pa = sub.crossings[k][0]
+        circle_map[st.circle_of[a]] = pst.circle_of[pa]
+        c = d.crossings[cid][2]
+        pc = sub.crossings[k][2]
+        circle_map[st.circle_of[c]] = pst.circle_of[pc]
+    return sub, circle_map
+
+
+def realizations(fat: Fatgraph, start_vertex: int = 0, limit: int = 4096):
+    """``pipeline.realizations``, checking each cut on a copy of the whole graph."""
+    fat.check()
+    n = fat.vertex_count
+    pos = _disc_positions(fat, start_vertex)
+    m = len(fat.edges)
+    vertices = sorted(range(n), key=lambda v: pos[v])
+    adj: list[list[int]] = [[] for _ in range(m)]
+    emitted = 0
+
+    def acyclic(extra: list[tuple[int, int]]) -> bool:
+        graph = [list(a) for a in adj]
+        for a, b in extra:
+            graph[a].append(b)
+        state = [0] * m
+        for s in range(m):
+            if state[s]:
+                continue
+            stack = [(s, iter(graph[s]))]
+            state[s] = 1
+            while stack:
+                node, it = stack[-1]
+                advanced = False
+                for nxt in it:
+                    if state[nxt] == 1:
+                        return False
+                    if state[nxt] == 0:
+                        state[nxt] = 1
+                        stack.append((nxt, iter(graph[nxt])))
+                        advanced = True
+                        break
+                if not advanced:
+                    state[node] = 2
+                    stack.pop()
+        return True
+
+    def constraints_for(v: int, cut: int) -> list[tuple[int, int]]:
+        order = fat.orders[v]
+        lin = [order[(cut + k) % len(order)][0] for k in range(len(order))]
+        return [(lin[k], lin[k + 1]) for k in range(len(lin) - 1)]
+
+    def topo_word():
+        indeg = [0] * m
+        for a in range(m):
+            for b in adj[a]:
+                indeg[b] += 1
+        heap = [e for e in range(m) if indeg[e] == 0]
+        heapq.heapify(heap)
+        topo: list[int] = []
+        while heap:
+            e = heapq.heappop(heap)
+            topo.append(e)
+            for b in adj[e]:
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    heapq.heappush(heap, b)
+        if len(topo) != m:
+            return None
+        letters = []
+        for e in topo:
+            u0, v0, s = fat.edges[e]
+            a, b = pos[u0], pos[v0]
+            letters.append((min(a, b), max(a, b), s))
+        return BKLWord(n, tuple(letters)), topo
+
+    def search(idx: int):
+        nonlocal emitted
+        if emitted >= limit:
+            return
+        if idx == len(vertices):
+            built = topo_word()
+            if built is not None:
+                emitted += 1
+                word, topo = built
+                yield word, dict(pos), tuple(topo)
+            return
+        v = vertices[idx]
+        for cut in range(max(1, len(fat.orders[v]))):
+            extra = constraints_for(v, cut)
+            if acyclic(extra):
+                for a, b in extra:
+                    adj[a].append(b)
+                yield from search(idx + 1)
+                for a, b in extra:
+                    adj[a].remove(b)
+
+    return search(0)

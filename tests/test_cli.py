@@ -5,6 +5,8 @@ import pytest
 
 from braidbands import pipeline
 from braidbands.cli import run
+from braidbands.diagrams import closure_diagram
+from braidbands.words import parse_word
 
 from corpus import FIG8, K5_2, K9_43, TREFOIL, disjoint_union
 
@@ -192,3 +194,22 @@ def test_failed_soundness_gate_is_exit_3(tmp_path, capsys, trefoil_file, monkeyp
     malformed.write_text(json.dumps({"crossings": [[1, 2, 3, 4]]}))
     assert run(["homogenize", str(malformed)]) == 2
     assert not issubclass(pipeline.SoundnessError, ValueError)
+
+
+@pytest.mark.parametrize("broken, message", [
+    # The running word's letters at the shared circle, out of cyclic order.
+    (lambda cut_at: lambda sigma, mine, *rest: cut_at(sigma, mine[::-1], *rest),
+     "accumulated word is out of cyclic order"),
+    # A schedule that no turn of the next leaf matches.
+    (lambda cut_at: lambda *args: cut_at(*args)[::-1], "cannot align the piece"),
+])
+def test_plumbing_bookkeeping_failure_is_exit_3(tmp_path, capsys, monkeypatch, broken, message):
+    # The granny knot plumbs two trefoils along a circle holding three
+    # crossings of each, so a reversed order there is no rotation of it.
+    path = tmp_path / "granny.json"
+    path.write_text(closure_diagram(parse_word("s1^3 s2^3", strands=3)).to_json())
+    assert run(["homogenize", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(pipeline, "_cut_at", broken(pipeline._cut_at))
+    assert run(["homogenize", str(path)]) == 3
+    assert message in capsys.readouterr().err

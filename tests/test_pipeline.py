@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import reference
 from braidbands import diagrams, invariants, pipeline
 from braidbands.cli import run
 from braidbands.diagrams import (
@@ -19,7 +20,7 @@ from braidbands.diagrams import (
     subdiagram,
     validate,
 )
-from braidbands.invariants import alexander_from_braid, alexander_from_diagram
+from braidbands.invariants import alexander_from_braid, alexander_from_diagram, diagram_seifert_matrix
 from braidbands.pipeline import (
     Fatgraph,
     PipelineError,
@@ -167,6 +168,31 @@ def test_realizations_enumerates_consistently():
     assert len({w.letters for w in words_seen}) == len(words_seen)
 
 
+def _seeded_fatgraphs(seed: int, count: int):
+    """Leaves of pseudoalternating diagrams, then band-word fatgraphs with shuffled orders."""
+    for d, _word in pseudoalternating_diagrams(seed=seed, count=count):
+        yield from (leaf.fatgraph for leaf, _shared in decompose_generalized_flat(d))
+    rng = random.Random(seed)
+    for _ in range(count):
+        fat = fatgraph_of_word(random_bkl_word(rng, max_strands=5, max_len=8))
+        orders = [rng.sample(order, len(order)) for order in fat.orders]
+        yield Fatgraph(fat.vertex_count, fat.edges, tuple(map(tuple, orders)))
+
+
+def test_realizations_match_the_copying_reference():
+    # Pruning a cut that closes no cycle would drop candidates; missing a
+    # cycle only costs time, since a cyclic height order yields no word.
+    for fat in _seeded_fatgraphs(seed=515, count=60):
+        for start in sorted({0, fat.vertex_count - 1}):
+            try:
+                got = list(realizations(fat, start))
+            except PipelineError:
+                with pytest.raises(PipelineError):
+                    list(reference.realizations(fat, start))
+                continue
+            assert got == list(reference.realizations(fat, start))
+
+
 def test_flat_diagram_round_trip_and_oracles():
     rng = random.Random(19)
     done = 0
@@ -236,6 +262,52 @@ def test_decompose_trees():
     assert len(gsteps) == 2 and gsteps[1][1] in gsteps[0][0].circles
     with pytest.raises(PipelineError):
         decompose_generalized_flat(closure_diagram(parse_word("s1 s1^-1 s1", strands=2)))
+
+
+def test_leaf_view_matches_subdiagram(monkeypatch):
+    # Each leaf read off its source's structure is what its own sub-diagram
+    # gives: the same fatgraph, circle map, component count and gate target.
+    cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
+    cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=100)]
+    cases += list(_seeded_closures(seed=78, count=100))
+    gates = []
+    gate = pipeline._gate
+    monkeypatch.setattr(pipeline, "_gate", lambda *args: gates.append(args) or gate(*args))
+    leaves = 0
+    for d in cases:
+        try:
+            steps = decompose_generalized_flat(d)
+        except PipelineError:  # not homogeneous, or split
+            continue
+        for leaf, _shared in steps:
+            piece, circle_map = reference.piece(d, leaf.crossings)
+            assert leaf.diagram == piece
+            assert leaf.fatgraph == fatgraph_of_diagram(piece)
+            assert leaf.circle_map == circle_map
+            assert leaf.components == link_components(piece)
+            gates.clear()
+            pipeline._realized_leaf(leaf, leaf.circles[0])
+            ((_ends, cycles, target, components),) = gates
+            assert target == diagram_seifert_matrix(piece, cycles)
+            assert components == link_components(piece)
+            assert len({analyze(d).crossing_region[c] for c in leaf.crossings}) == 1
+            assert is_primitive_flat(piece)
+            leaves += 1
+    assert leaves > 300
+
+
+def test_one_smoothed_region_is_flat():
+    # The block check reads "one smoothed region" for "primitive flat"; on
+    # whole connected diagrams both answers occur, and they agree.
+    cases = [TREFOIL, FIG8, K5_2, K9_43, *_seeded_closures(seed=79, count=200)]
+    seen = set()
+    for d in cases:
+        if not d.crossings or d.unknots or len(set(analyze(d).circle_component)) > 1:
+            continue
+        flat = nesting_forest(d).max_depth == 0
+        assert (len(set(analyze(d).crossing_region)) == 1) == flat
+        seen.add(flat)
+    assert seen == {True, False}
 
 
 def test_homogenize_counts_and_oracles():
@@ -394,18 +466,20 @@ def test_homogenize_words_pinned():
 
 
 def test_homogenize_derives_each_structure_once(monkeypatch):
-    # A fresh diagram with k leaves needs k + 1 structures: the diagram
-    # itself and its k pieces.
+    # A fresh connected diagram needs one structure, its own: every leaf
+    # is read off it, and no piece diagram is built.
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
-    built = []
+    built, pieces = [], []
     structure_of = diagrams._structure_of
     monkeypatch.setattr(diagrams, "_structure_of", lambda d: built.append(d) or structure_of(d))
+    for module in (diagrams, pipeline):
+        monkeypatch.setattr(module, "subdiagram", lambda *a, **k: pieces.append(a) or subdiagram(*a, **k))
     for d in cases:
-        k = len(decompose_generalized_flat(d))
+        fresh = Diagram(d.crossings, d.unknots)
         built.clear()
-        homogenize(Diagram(d.crossings, d.unknots))
-        assert len(built) == k + 1
+        homogenize(fresh)
+        assert len(built) == 1 and built[0] is fresh and pieces == []
 
 
 def _seeded_closures(seed: int, count: int):
