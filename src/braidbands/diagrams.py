@@ -8,10 +8,13 @@ negative one.
 
 Seifert circles are the orbits of arcs under orientation-respecting
 smoothing.  The planar embedding carried by the PD rotation system yields
-faces, the regions of the smoothed picture, and a containment (nesting)
-structure for the circles.  PD codes determine an embedding on the sphere
-only, so containment is always computed relative to a choice of outer
-region; the predicates below quantify over that choice.
+faces; merged across the channel between the two smoothed strands at each
+crossing, they are the smoothed regions, the regions of the smoothed
+picture.  Each crossing lies in one of them.  PD codes determine an
+embedding on the sphere only, where which circles nest inside which
+depends on the choice of outer region, so flatness is read off the
+smoothed regions instead: a connected piece's circles can all sit
+unnested exactly when its crossings lie in one region.
 
 All of this is one ``DiagramStructure`` per diagram: ``analyze`` computes
 it on the first call and keeps it on the ``Diagram``, and every function
@@ -65,7 +68,10 @@ class Diagram:
         if not isinstance(data, dict):
             raise DiagramError("a diagram must be a JSON object")
         try:
-            return Diagram(data.get("crossings", []), data.get("unknots", 0))
+            crossings, unknots = data.get("crossings", []), data.get("unknots", 0)
+            if type(unknots) is not int or any(type(x) is not int for entry in crossings for x in entry):
+                raise TypeError("crossing arcs and unknots must be integers")
+            return Diagram(crossings, unknots)
         except (TypeError, ValueError) as exc:
             raise DiagramError(f"malformed diagram: {exc}") from exc
 
@@ -476,86 +482,30 @@ def is_homogeneous_diagram(d: Diagram) -> BlockReport:
 
 
 # ---------------------------------------------------------------------------
-# Nesting of Seifert circles
+# Primitive flatness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NestingForest:
-    parent: tuple[int, ...]  # -1 for roots
-    depth: tuple[int, ...]
-    root_regions: tuple[int, ...]
+def in_one_region(st: DiagramStructure, crossing_ids: Iterable[int]) -> bool:
+    """True iff in each connected component the crossings share one smoothed region.
 
-    @property
-    def max_depth(self) -> int:
-        return max(self.depth, default=0)
-
-
-def _region_tree(st: DiagramStructure) -> dict[int, list[tuple[int, int]]]:
-    """Adjacency of smoothed regions: region -> [(neighbor region, circle)]."""
-    tree: dict[int, list[tuple[int, int]]] = {r: [] for r in range(st.region_count)}
-    for ci in range(len(st.circles)):
-        a, b = st.circle_left[ci], st.circle_right[ci]
-        tree[a].append((b, ci))
-        tree[b].append((a, ci))
-    return tree
-
-
-def _forest_from_root(st: DiagramStructure, tree, root: int, parent_circle, depth) -> None:
-    seen = {root}
-    queue = [(root, -1, 0)]
-    while queue:
-        region, above, dep = queue.pop()
-        for nbr, circle in tree[region]:
-            if nbr in seen:
-                continue
-            seen.add(nbr)
-            parent_circle[circle] = above
-            depth[circle] = dep
-            queue.append((nbr, circle, dep + 1))
-
-
-def nesting_forest(d: Diagram) -> NestingForest:
-    """Containment forest of Seifert circles for the best outer-region choices.
-
-    PD codes fix an embedding on the sphere only; per connected component the
-    outer region is chosen to minimize nesting depth (then total, then id).
+    A region lies in one component, so that is one region per component met.
     """
-    st = analyze(d)
-    tree = _region_tree(st)
-    # Group regions by diagram component (via any adjacent circle).
-    region_component: dict[int, int] = {}
-    for ci in range(len(st.circles)):
-        region_component[st.circle_left[ci]] = st.circle_component[ci]
-        region_component[st.circle_right[ci]] = st.circle_component[ci]
-    n_comp = max(st.circle_component, default=-1) + 1
-    parent = [-1] * len(st.circles)
-    depth = [0] * len(st.circles)
-    roots = []
-    for comp in range(n_comp):
-        candidates = sorted(r for r, k in region_component.items() if k == comp)
-        best = None
-        for root in candidates:
-            p = [-1] * len(st.circles)
-            dp = [0] * len(st.circles)
-            _forest_from_root(st, tree, root, p, dp)
-            members = [ci for ci in range(len(st.circles)) if st.circle_component[ci] == comp]
-            key = (max(dp[ci] for ci in members), sum(dp[ci] for ci in members), root)
-            if best is None or key < best[0]:
-                best = (key, root, p, dp)
-        _key, root, p, dp = best
-        roots.append(root)
-        for ci in range(len(st.circles)):
-            if st.circle_component[ci] == comp:
-                parent[ci] = p[ci]
-                depth[ci] = dp[ci]
-    return NestingForest(tuple(parent), tuple(depth), tuple(roots))
+    regions, parts = set(), set()
+    for c in crossing_ids:
+        regions.add(st.crossing_region[c])
+        parts.add(st.circle_component[st.graph.edges[c][0]])
+    return len(regions) == len(parts)
 
 
 def is_primitive_flat(d: Diagram) -> bool:
-    """Single-sign diagram whose circles can all sit unnested in the plane."""
-    if len(set(analyze(d).signs)) > 1:
-        return False
-    return nesting_forest(d).max_depth == 0
+    """Single-sign diagram whose circles can all sit unnested in the plane.
+
+    A connected component's circles can all sit unnested exactly when its
+    crossings lie in one smoothed region: that region, taken as the outer
+    one, touches every circle.  Free unknots sit unnested anyway.
+    """
+    st = analyze(d)
+    return len(set(st.signs)) <= 1 and in_one_region(st, range(len(st.signs)))
 
 
 # ---------------------------------------------------------------------------

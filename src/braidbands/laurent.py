@@ -71,9 +71,6 @@ class Laurent:
                 return c
         return 0
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
     def coefficient_list(self) -> tuple[list[int], int]:
         """Dense coefficient list plus the exponent offset of its first entry."""
         if not self.coeffs:

@@ -35,6 +35,7 @@ from .diagrams import (
     DiagramError,
     _renumber,
     analyze,
+    in_one_region,
     is_homogeneous_diagram,
     is_primitive_flat,
     link_components,
@@ -52,6 +53,9 @@ class PipelineError(ValueError):
 
 class SoundnessError(Exception):
     """An internal invariant failed: a bug, not invalid input."""
+
+
+REALIZATION_LIMIT = 4096  # candidates ``realizations`` yields at most
 
 
 # ---------------------------------------------------------------------------
@@ -96,28 +100,6 @@ def fatgraph_of_word(w: BKLWord) -> Fatgraph:
     return Fatgraph(w.strands, edges, tuple([tuple(o) for o in orders]))
 
 
-def fatgraph_of_diagram(d: Diagram) -> Fatgraph:
-    """Fatgraph of a connected diagram.
-
-    Each circle's cyclic order is its traversal sequence; the link
-    orientation alternates against nesting in exactly the way that makes
-    this reading match the braided-surface convention at every circle.
-    """
-    st = analyze(d)
-    if len(set(st.circle_component)) != 1:
-        raise PipelineError("fatgraph requires a connected diagram")
-    edges = []
-    end_at: dict[tuple[int, int], tuple[int, int]] = {}
-    for eid, (u, v, sign, cid) in enumerate(st.graph.edges):
-        edges.append((u, v, sign))
-        end_at[(cid, u)] = (eid, 0)
-        end_at[(cid, v)] = (eid, 1)
-    orders = []
-    for ci, passage in enumerate(st.passages):
-        orders.append(tuple([end_at[(cid, ci)] for cid in passage]))
-    return Fatgraph(len(st.circles), tuple(edges), tuple(orders))
-
-
 # ---------------------------------------------------------------------------
 # Realization: fatgraph -> band word
 # ---------------------------------------------------------------------------
@@ -141,15 +123,15 @@ def _disc_positions(fat: Fatgraph, start_vertex: int) -> dict[int, int]:
     return pos
 
 
-def realizations(fat: Fatgraph, start_vertex: int = 0, limit: int = 4096):
+def realizations(fat: Fatgraph, start_vertex: int = 0):
     """Yield (word, disc position map, edge order) realizing the fatgraph.
 
     A realization cuts each vertex's cyclic order so that the resulting
-    linear orders embed in one global band-height order.  All cut
-    combinations are enumerated (acyclicity-pruned, deterministic order);
-    the fatgraph does not determine the braided embedding on its own, so
-    callers pick the realization whose closure passes their invariant
-    gate.
+    linear orders embed in one global band-height order.  Cut combinations
+    are enumerated (acyclicity-pruned, deterministic order) up to
+    ``REALIZATION_LIMIT`` candidates; the fatgraph does not determine the
+    braided embedding on its own, so callers pick the realization whose
+    closure passes their invariant gate.
     """
     fat.check()
     n = fat.vertex_count
@@ -212,7 +194,7 @@ def realizations(fat: Fatgraph, start_vertex: int = 0, limit: int = 4096):
 
     def search(idx: int):
         nonlocal emitted
-        if emitted >= limit:
+        if emitted >= REALIZATION_LIMIT:
             return
         if idx == len(vertices):
             built = topo_word()
@@ -378,7 +360,7 @@ def _fundamental_cycles(vertex_count: int, ends) -> list[tuple[tuple[int, int], 
     return cycles
 
 
-def _seifert_gate(d: Diagram, rank_of=None):
+def _seifert_gate(d: Diagram, rank_of):
     """:func:`_gate` for ``d``: circles are its Seifert circles, edges its crossings.
 
     ``rank_of`` ranks crossings, and with them the cycles through them, for
@@ -387,7 +369,7 @@ def _seifert_gate(d: Diagram, rank_of=None):
     st = analyze(d)
     ends = [(u, v) for u, v, _s, _c in st.graph.edges]
     cycles = _fundamental_cycles(len(st.circles), ends)
-    ranks = None if rank_of is None else [rank_of[cycle[0][0]] for cycle in cycles]
+    ranks = [rank_of[cycle[0][0]] for cycle in cycles]
     return _gate(ends, cycles, diagram_seifert_matrix(d, cycles, ranks), link_components(d))
 
 
@@ -470,42 +452,16 @@ def _plumbing_ranks(st, steps) -> list[int]:
     raise SoundnessError("plumbing order stacks no Seifert surface of the diagram")
 
 
-def braided_realization(d: Diagram, start_circle: int = 0):
-    """Word, disc positions and crossing order realizing a diagram's surface.
+def primitive_flat_to_bkl(d: Diagram) -> BKLWord:
+    """Single-sign band word for a primitive flat diagram: its ``homogenize`` word.
 
-    Candidate height assignments for the fatgraph are enumerated and the
-    first one whose closure has the diagram's component count and whose
-    braided surface has the diagram's Seifert matrix wins; band heights
-    alone do not pin down the embedding, so the gate is what makes the
-    construction sound.  Fatgraph edge ``k`` is crossing ``k``, so the edge
-    order is the crossing order.
-    """
-    return _first_realization(fatgraph_of_diagram(d), start_circle, _seifert_gate(d))
-
-
-def _first_realization(fat: Fatgraph, start_vertex: int, matches):
-    """The first of ``realizations(fat, start_vertex)`` that ``matches`` accepts."""
-    tried = 0
-    for word, pos, topo in realizations(fat, start_vertex=start_vertex):
-        tried += 1
-        if matches(word, pos, {c: k for k, c in enumerate(topo)}):
-            return word, pos, topo
-    raise PipelineError(
-        f"no braided realization matches the diagram's Seifert matrix ({tried} candidates)"
-    )
-
-
-def primitive_flat_to_bkl(d: Diagram, start_circle: int = 0) -> BKLWord:
-    """Single-sign band word for a primitive flat diagram.
-
-    Discs correspond to Seifert circles and letters to crossings; the word
-    carries the diagram's sign everywhere and its braided surface is
-    verified against the diagram's Seifert matrix.
+    Discs correspond to Seifert circles and free unknots, letters to
+    crossings; the word carries the diagram's sign everywhere and passes
+    ``homogenize``'s Seifert-matrix gates.
     """
     if not is_primitive_flat(d):
         raise PipelineError("diagram is not primitive flat")
-    word, _pos, _order = braided_realization(d, start_circle)
-    return word
+    return homogenize(d)
 
 
 def _leaf(d: Diagram, ids: tuple[int, ...], circles: tuple[int, ...]) -> PlumbLeaf:
@@ -552,8 +508,9 @@ def decompose_generalized_flat(d: Diagram) -> list[tuple[PlumbLeaf, int]]:
     Each block of the Seifert graph becomes one leaf.  The result is the
     sequence of plumbing steps: each leaf paired with the one source circle
     it shares with the leaves before it, ``-1`` for the first leaf.  Every
-    block's crossings lie in one smoothed region of ``d``, so its diagram is
-    primitive flat; a block that does not is a bug.
+    block's crossings lie in one smoothed region of ``d`` (``in_one_region``,
+    the rule of ``is_primitive_flat``), so its diagram is primitive flat; a
+    block that does not is a bug.
     """
     report = is_homogeneous_diagram(d)
     if not report.homogeneous:
@@ -566,7 +523,7 @@ def decompose_generalized_flat(d: Diagram) -> list[tuple[PlumbLeaf, int]]:
     for block in report.decomposition.blocks:
         ids = tuple(sorted(cid for (_u, _v, _s, cid) in block))
         verts = tuple(sorted({x for (u, v, _s, _c) in block for x in (u, v)}))
-        if len({st.crossing_region[c] for c in ids}) > 1:
+        if not in_one_region(st, ids):
             raise SoundnessError("unsupported nesting pattern inside a block")
         leaves.append(_leaf(d, ids, verts))
     if not leaves:
@@ -665,8 +622,11 @@ def _homogenize(d: Diagram):
 def _realized_leaf(leaf: PlumbLeaf, start_circle_orig: int):
     """Realize one leaf; letters are tagged with source-diagram crossing ids.
 
-    The block lies in one smoothed region of the source, where restriction
-    keeps cyclic orders, so its Seifert matrix is the source's over its cycles.
+    The first candidate whose closure has the leaf's component count and
+    whose braided surface has the leaf's Seifert matrix wins: band heights
+    alone do not pin down the embedding.  The block lies in one smoothed
+    region of the source, where restriction keeps cyclic orders, so its
+    Seifert matrix is the source's over its cycles.
     """
     fat = leaf.fatgraph
     ends = [(u, v) for u, v, _s in fat.edges]
@@ -674,8 +634,14 @@ def _realized_leaf(leaf: PlumbLeaf, start_circle_orig: int):
     source_cycles = [tuple([(leaf.crossings[k], way) for k, way in cycle]) for cycle in cycles]
     target = diagram_seifert_matrix(leaf.source, source_cycles)
     matches = _gate(ends, cycles, target, leaf.components)
-    word, pos, order = _first_realization(fat, leaf.circle_map[start_circle_orig], matches)
-    return word, pos, [leaf.crossings[k] for k in order]
+    tried = 0
+    for word, pos, order in realizations(fat, leaf.circle_map[start_circle_orig]):
+        tried += 1
+        if matches(word, pos, {c: k for k, c in enumerate(order)}):
+            return word, pos, [leaf.crossings[k] for k in order]
+    raise PipelineError(
+        f"no braided realization matches the diagram's Seifert matrix ({tried} candidates)"
+    )
 
 
 def _cut_at(sigma: tuple[int, ...], mine: list[int], mine_set: set, theirs: set) -> list[int]:

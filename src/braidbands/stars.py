@@ -34,19 +34,6 @@ L, R = "L", "R"
 
 
 @dataclass(frozen=True)
-class AttachPoint:
-    """A slot on a disc's front edge: a band-end region or a gap between regions."""
-
-    disc: int
-    region: Optional[tuple[int, str]] = None  # (band index, L or R end)
-    gap: Optional[int] = None  # number of regions above the gap
-
-    def __post_init__(self):
-        if (self.region is None) == (self.gap is None):
-            raise StarError("attach point needs exactly one of region or gap")
-
-
-@dataclass(frozen=True)
 class Ray:
     """Band crossings from the center outward plus the tip gap."""
 
@@ -88,16 +75,22 @@ class Star:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise StarError("a star must be a JSON object")
+
+        def whole(x) -> int:
+            if type(x) is not int:
+                raise TypeError(f"expected an integer, got {x!r}")
+            return x
+
         try:
             rays = [
                 Ray(
-                    tuple((int(b), e, x) for b, e, x in r.get("steps", [])),
-                    int(r["tip"]["disc"]),
-                    int(r["tip"]["gap"]),
+                    tuple((whole(b), e, x) for b, e, x in r.get("steps", [])),
+                    whole(r["tip"]["disc"]),
+                    whole(r["tip"]["gap"]),
                 )
                 for r in data.get("rays", [])
             ]
-            return Star(int(data["center"]), rays)
+            return Star(whole(data["center"]), rays)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise StarError(f"malformed star: {exc!r}") from exc
 

@@ -65,9 +65,10 @@ class BraidedSurface:
         if not isinstance(data, dict):
             raise MoveError("from_json", "surface", "not a JSON object")
         try:
-            return BraidedSurface(
-                data["discs"], [(b["l"], b["r"], b["e"]) for b in data.get("bands", [])]
-            )
+            bands = [(b["l"], b["r"], b["e"]) for b in data.get("bands", [])]
+            if type(data["discs"]) is not int or any(type(x) is not int for band in bands for x in band):
+                raise TypeError("discs and band ends must be integers")
+            return BraidedSurface(data["discs"], bands)
         except (KeyError, TypeError, ValueError) as exc:
             raise MoveError("from_json", "surface", f"malformed: {exc!r}") from exc
 
@@ -89,18 +90,6 @@ class MoveSpec:
     strand: Optional[int] = None  # inflate
     sign: Optional[int] = None  # inflate
     height: Optional[int] = None  # inflate insertion index, default 0 (top)
-
-    KINDS = (
-        "inflate",
-        "deflate",
-        "slip",
-        "slide_up",
-        "slide_down",
-        "twirl",
-        "turn",
-        "flip_vertical",
-        "mirror",
-    )
 
 
 def _bands_commute(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:

@@ -9,16 +9,21 @@ and handle reduction in its O(L) per step form, rescanning the whole word for
 the first handle and free-reducing all of it after every step.  A plumbing
 leaf is its own sub-diagram, analysed from scratch, and realizations are
 enumerated with a full acyclicity check on a copy of the height graph per cut.
+Primitive flatness is the nesting definition: for each connected component,
+every choice of outer region is tried, and the circles must all sit at
+nesting depth 0 for the best one.  A connected diagram's fatgraph is read off
+its Seifert circles' traversal orders directly.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 
-from braidbands.diagrams import Diagram, _UnionFind, analyze, subdiagram
+from braidbands.diagrams import Diagram, DiagramStructure, _UnionFind, analyze, subdiagram
 from braidbands.laurent import Laurent
-from braidbands.pipeline import Fatgraph, _disc_positions
+from braidbands.pipeline import Fatgraph, PipelineError, _disc_positions
 from braidbands.words import ArtinWord, BKLWord, Permutation, Word, bkl_to_artin
 
 Matrix = list[list[Laurent]]
@@ -371,3 +376,104 @@ def realizations(fat: Fatgraph, start_vertex: int = 0, limit: int = 4096):
                     adj[a].remove(b)
 
     return search(0)
+
+
+@dataclass(frozen=True)
+class NestingForest:
+    parent: tuple[int, ...]  # -1 for roots
+    depth: tuple[int, ...]
+    root_regions: tuple[int, ...]
+
+    @property
+    def max_depth(self) -> int:
+        return max(self.depth, default=0)
+
+
+def _region_tree(st: DiagramStructure) -> dict[int, list[tuple[int, int]]]:
+    """Adjacency of smoothed regions: region -> [(neighbor region, circle)]."""
+    tree: dict[int, list[tuple[int, int]]] = {r: [] for r in range(st.region_count)}
+    for ci in range(len(st.circles)):
+        a, b = st.circle_left[ci], st.circle_right[ci]
+        tree[a].append((b, ci))
+        tree[b].append((a, ci))
+    return tree
+
+
+def _forest_from_root(st: DiagramStructure, tree, root: int, parent_circle, depth) -> None:
+    seen = {root}
+    queue = [(root, -1, 0)]
+    while queue:
+        region, above, dep = queue.pop()
+        for nbr, circle in tree[region]:
+            if nbr in seen:
+                continue
+            seen.add(nbr)
+            parent_circle[circle] = above
+            depth[circle] = dep
+            queue.append((nbr, circle, dep + 1))
+
+
+def nesting_forest(d: Diagram) -> NestingForest:
+    """Containment forest of Seifert circles for the best outer-region choices.
+
+    PD codes fix an embedding on the sphere only; per connected component the
+    outer region is chosen to minimize nesting depth (then total, then id).
+    """
+    st = analyze(d)
+    tree = _region_tree(st)
+    # Group regions by diagram component (via any adjacent circle).
+    region_component: dict[int, int] = {}
+    for ci in range(len(st.circles)):
+        region_component[st.circle_left[ci]] = st.circle_component[ci]
+        region_component[st.circle_right[ci]] = st.circle_component[ci]
+    n_comp = max(st.circle_component, default=-1) + 1
+    parent = [-1] * len(st.circles)
+    depth = [0] * len(st.circles)
+    roots = []
+    for comp in range(n_comp):
+        candidates = sorted(r for r, k in region_component.items() if k == comp)
+        best = None
+        for root in candidates:
+            p = [-1] * len(st.circles)
+            dp = [0] * len(st.circles)
+            _forest_from_root(st, tree, root, p, dp)
+            members = [ci for ci in range(len(st.circles)) if st.circle_component[ci] == comp]
+            key = (max(dp[ci] for ci in members), sum(dp[ci] for ci in members), root)
+            if best is None or key < best[0]:
+                best = (key, root, p, dp)
+        _key, root, p, dp = best
+        roots.append(root)
+        for ci in range(len(st.circles)):
+            if st.circle_component[ci] == comp:
+                parent[ci] = p[ci]
+                depth[ci] = dp[ci]
+    return NestingForest(tuple(parent), tuple(depth), tuple(roots))
+
+
+def is_primitive_flat(d: Diagram) -> bool:
+    """Single-sign diagram whose circles can all sit unnested in the plane."""
+    if len(set(analyze(d).signs)) > 1:
+        return False
+    return nesting_forest(d).max_depth == 0
+
+
+def fatgraph_of_diagram(d: Diagram) -> Fatgraph:
+    """Fatgraph of a connected diagram.
+
+    Each circle's cyclic order is its traversal sequence; the link
+    orientation alternates against nesting in exactly the way that makes
+    this reading match the braided-surface convention at every circle.
+    """
+    st = analyze(d)
+    if len(set(st.circle_component)) != 1:
+        raise PipelineError("fatgraph requires a connected diagram")
+    edges = []
+    end_at: dict[tuple[int, int], tuple[int, int]] = {}
+    for eid, (u, v, sign, cid) in enumerate(st.graph.edges):
+        edges.append((u, v, sign))
+        end_at[(cid, u)] = (eid, 0)
+        end_at[(cid, v)] = (eid, 1)
+    orders = []
+    for ci, passage in enumerate(st.passages):
+        orders.append(tuple([end_at[(cid, ci)] for cid in passage]))
+    return Fatgraph(len(st.circles), tuple(edges), tuple(orders))

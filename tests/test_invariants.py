@@ -395,17 +395,23 @@ def test_seifert_signature_changes_sign_under_mirroring():
 
 
 def test_seifert_gate_rejects_the_mirror_trefoil_word():
-    word, pos, topo = pipeline.braided_realization(TREFOIL)
-    letter_of = {c: k for k, c in enumerate(topo)}
+    # The trefoil is one leaf; its realization with homogenize's maps
+    # meets the final gate, which ranks the crossings by plumbing step.
+    steps = pipeline.decompose_generalized_flat(TREFOIL)
+    ((leaf, _shared),) = steps
+    word, pos, cids = pipeline._realized_leaf(leaf, leaf.circles[0])
+    assert word == pipeline.homogenize(TREFOIL)
+    disc_of = {c: pos[leaf.circle_map[c]] for c in leaf.circles}
+    letter_of = {c: k for k, c in enumerate(cids)}
     mirror = BKLWord(2, [(r, s, -e) for r, s, e in word.letters])
     assert mirror == parse_word("b(1,2)^-3", strands=2)
     # Component count and Alexander polynomial cannot tell them apart ...
     assert closure_components(mirror) == link_components(TREFOIL)
     assert alexander_from_braid(mirror) == alexander_from_diagram(TREFOIL)
     # ... the Seifert matrix can.
-    gate = pipeline._seifert_gate(TREFOIL)
-    assert gate(word, pos, letter_of)
-    assert not gate(mirror, pos, letter_of)
+    gate = pipeline._seifert_gate(TREFOIL, pipeline._plumbing_ranks(analyze(TREFOIL), steps))
+    assert gate(word, disc_of, letter_of)
+    assert not gate(mirror, disc_of, letter_of)
 
 
 def test_seifert_determinant_is_fox():

@@ -15,7 +15,6 @@ from braidbands.diagrams import (
     is_homogeneous_diagram,
     is_primitive_flat,
     link_components,
-    nesting_forest,
     seifert_decompose,
     subdiagram,
     validate,
@@ -25,7 +24,6 @@ from braidbands.pipeline import (
     Fatgraph,
     PipelineError,
     decompose_generalized_flat,
-    fatgraph_of_diagram,
     fatgraph_of_word,
     flat_diagram,
     homogenize,
@@ -162,7 +160,7 @@ def test_realize_word_round_trips_fatgraph():
 
 
 def test_realizations_enumerates_consistently():
-    fat = fatgraph_of_diagram(K5_2)
+    fat = reference.fatgraph_of_diagram(K5_2)
     words_seen = [w for w, _p, _t in realizations(fat)]
     assert len(words_seen) >= 2
     assert len({w.letters for w in words_seen}) == len(words_seen)
@@ -206,7 +204,7 @@ def test_flat_diagram_round_trip_and_oracles():
         except PipelineError:
             continue
         assert validate(d).ok
-        assert fatgraphs_isomorphic(fatgraph_of_diagram(d), fat)
+        assert fatgraphs_isomorphic(reference.fatgraph_of_diagram(d), fat)
         assert alexander_from_diagram(d) == alexander_from_braid(w)
         assert link_components(d) == closure_components(w)
         done += 1
@@ -229,6 +227,23 @@ def test_primitive_flat_to_bkl_examples():
         primitive_flat_to_bkl(FIG8)
     with pytest.raises(PipelineError):
         primitive_flat_to_bkl(Diagram())
+
+
+def test_primitive_flat_to_bkl_split_and_with_free_unknots():
+    # Flat diagrams with free unknots or split parts get homogenize's word:
+    # a disc per circle and per unknot, a letter per crossing, one sign.
+    cases = [d for d in _flatness_cases(seed=515, count=40) if is_primitive_flat(d)
+             and len(set(analyze(d).circle_component)) + d.unknots > 1]
+    assert {bool(d.unknots) for d in cases} == {True, False} and len(cases) > 50
+    for d in cases:
+        st = analyze(d)
+        w = primitive_flat_to_bkl(d)
+        assert w.strands == len(st.circles) + d.unknots
+        assert len(w.letters) == d.crossing_count
+        assert len({e for _r, _s, e in w.letters} | set(st.signs)) <= 1
+        assert closure_components(w) == link_components(d)
+        assert alexander_from_braid(w) == alexander_from_diagram(d)
+    assert primitive_flat_to_bkl(Diagram([], unknots=2)) == BKLWord(2)
 
 
 def test_primitive_flat_to_bkl_5_2():
@@ -282,7 +297,7 @@ def test_leaf_view_matches_subdiagram(monkeypatch):
         for leaf, _shared in steps:
             piece, circle_map = reference.piece(d, leaf.crossings)
             assert leaf.diagram == piece
-            assert leaf.fatgraph == fatgraph_of_diagram(piece)
+            assert leaf.fatgraph == reference.fatgraph_of_diagram(piece)
             assert leaf.circle_map == circle_map
             assert leaf.components == link_components(piece)
             gates.clear()
@@ -296,18 +311,42 @@ def test_leaf_view_matches_subdiagram(monkeypatch):
     assert leaves > 300
 
 
+def _flatness_cases(seed: int, count: int) -> list[Diagram]:
+    """Distinct diagrams of every shape ``is_primitive_flat`` meets.
+
+    Golden knots, the empty diagram and unlinks, seeded closures (untouched
+    strands become free unknots), pseudoalternating diagrams and their
+    primitive flat leaves, then twice as many disjoint unions of two or three
+    of those, with up to two free unknots, half of them of one sign's leaves.
+    """
+    rng = random.Random(seed)
+    pool = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43, Diagram(), Diagram([], unknots=2)]
+    pool += _seeded_closures(seed, count)
+    leaves = {1: [], -1: []}
+    for d, _word in pseudoalternating_diagrams(seed=seed, count=count):
+        pool.append(d)
+        for leaf, _shared in decompose_generalized_flat(d):
+            leaves[leaf.fatgraph.edges[0][2]].append(leaf.diagram)
+    pool += leaves[1] + leaves[-1]
+    for k in range(2 * len(pool)):
+        parts = rng.sample(pool if k % 2 else leaves[rng.choice((1, -1))], rng.randint(2, 3))
+        union = disjoint_union(*parts)
+        pool.append(Diagram(union.crossings, unknots=union.unknots + rng.randrange(3)))
+    return list(dict.fromkeys(pool))
+
+
 def test_one_smoothed_region_is_flat():
-    # The block check reads "one smoothed region" for "primitive flat"; on
-    # whole connected diagrams both answers occur, and they agree.
-    cases = [TREFOIL, FIG8, K5_2, K9_43, *_seeded_closures(seed=79, count=200)]
+    # "One sign, and one smoothed region per connected component" gives the
+    # nesting reference's answer, on split diagrams and free unknots too;
+    # both answers occur among the connected and among the split diagrams.
+    cases = _flatness_cases(seed=79, count=500)
+    assert len(cases) >= 3000
     seen = set()
     for d in cases:
-        if not d.crossings or d.unknots or len(set(analyze(d).circle_component)) > 1:
-            continue
-        flat = nesting_forest(d).max_depth == 0
-        assert (len(set(analyze(d).crossing_region)) == 1) == flat
-        seen.add(flat)
-    assert seen == {True, False}
+        flat = is_primitive_flat(d)
+        assert flat == reference.is_primitive_flat(d)
+        seen.add((len(set(analyze(d).circle_component)) + d.unknots > 1, flat))
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_homogenize_counts_and_oracles():
@@ -432,12 +471,6 @@ def test_homogenize_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_braided_realization_rejects_unmatchable():
-    # a diagram is required; a disconnected input cannot be realized
-    with pytest.raises(PipelineError):
-        fatgraph_of_diagram(Diagram())
-
-
 def test_tree_to_obj_shape(tmp_path, capsys):
     steps = decompose_generalized_flat(FIG8)
     path = tmp_path / "fig8.json"
@@ -500,7 +533,7 @@ def _everything_about(d: Diagram) -> list:
     return [
         seifert_decompose(d),
         is_homogeneous_diagram(d),
-        nesting_forest(d),
+        reference.nesting_forest(d),
         is_primitive_flat(d),
         link_components(d),
         alexander_from_diagram(d),
