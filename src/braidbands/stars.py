@@ -18,8 +18,8 @@ while keeping the word homogeneous and the boundary link fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import json
+import math
 from typing import Iterable, Iterator, Optional, Union
 
 from .surfaces import BraidedSurface
@@ -84,7 +84,7 @@ class Star:
         try:
             rays = [
                 Ray(
-                    tuple((whole(b), e, x) for b, e, x in r.get("steps", [])),
+                    tuple([(whole(b), e, x) for b, e, x in r.get("steps", [])]),
                     whole(r["tip"]["disc"]),
                     whole(r["tip"]["gap"]),
                 )
@@ -96,10 +96,22 @@ class Star:
 
 
 # ---------------------------------------------------------------------------
-# Internal state: bands with stable ids and rational heights
+# Internal state: bands with stable ids and integer heights
 # ---------------------------------------------------------------------------
 
 _CENTER = ("center",)
+
+
+def _div(a: int, b: int) -> int:
+    """``a / b`` for heights the state's scale makes divisible.
+
+    A remainder means a rescale was missed: a bug, not a refused star, so
+    it raises ArithmeticError rather than StarError.
+    """
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError(f"height {a} is not divisible by {b}")
+    return q
 
 
 @dataclass
@@ -107,7 +119,7 @@ class _Band:
     l: int
     r: int
     e: int
-    h: Fraction
+    h: int
 
     def end_disc(self, end: str) -> int:
         return self.l if end == L else self.r
@@ -117,18 +129,35 @@ class _Band:
 class _Ray:
     steps: list[list]  # [band id, enter end, exit end]
     tip_disc: int
-    tip_h: Fraction
+    tip_h: int
 
 
 @dataclass
 class _State:
+    """Bands and rays under reduction, ordered by integer heights.
+
+    Every stored height (``_Band.h``, ``_Ray.tip_h``) is ``scale`` times the
+    band's or tip's height on the rational slot line, where the input's
+    bands sit at whole heights.  Only the order of heights matters, so a
+    step that splits a gap first multiplies every height by enough
+    (``rescale``) for the split to land on integers.
+    """
+
     discs: int
     bands: dict[int, _Band]
     center: int
     rays: list[_Ray]
     next_id: int
+    scale: int
 
-    def order_on_disc(self, d: int) -> list[tuple[Fraction, int, str]]:
+    def rescale(self, q: int) -> None:
+        for band in self.bands.values():
+            band.h *= q
+        for ray in self.rays:
+            ray.tip_h *= q
+        self.scale *= q
+
+    def order_on_disc(self, d: int) -> list[tuple[int, int, str]]:
         out = []
         for bid, band in self.bands.items():
             if band.l == d:
@@ -138,22 +167,20 @@ class _State:
         out.sort(key=lambda t: -t[0])
         return out
 
-    def word(self) -> BKLWord:
-        seq = sorted(self.bands.items(), key=lambda kv: -kv[1].h)
-        return BKLWord(self.discs, tuple((b.l, b.r, b.e) for _i, b in seq))
-
 
 def _materialize(surface: BraidedSurface, star: Star) -> _State:
-    bands = {
-        k: _Band(l, r, e, Fraction(len(surface.bands) - k))
-        for k, (l, r, e) in enumerate(surface.bands)
-    }
-    state = _State(surface.discs, bands, star.center, [], len(surface.bands))
     # Tips sharing a gap receive distinct heights, earlier rays higher, so
-    # that the chord tests see a definite order.
+    # that the chord tests see a definite order: n tips split their gap into
+    # n + 1 equal parts, so the scale is the lcm of those part counts.
     per_gap: dict[tuple[int, int], int] = {}
     for ray in star.rays:
         per_gap[(ray.tip_disc, ray.tip_gap)] = per_gap.get((ray.tip_disc, ray.tip_gap), 0) + 1
+    scale = math.lcm(*(n + 1 for n in per_gap.values()))
+    bands = {
+        k: _Band(l, r, e, (len(surface.bands) - k) * scale)
+        for k, (l, r, e) in enumerate(surface.bands)
+    }
+    state = _State(surface.discs, bands, star.center, [], len(surface.bands), scale)
     counter: dict[tuple[int, int], int] = {}
     for ray in star.rays:
         for bid, _e, _x in ray.steps:
@@ -163,33 +190,33 @@ def _materialize(surface: BraidedSurface, star: Star) -> _State:
         key = (ray.tip_disc, ray.tip_gap)
         k = counter.get(key, 0)
         counter[key] = k + 1
-        tip_h = hi - (hi - lo) * Fraction(k + 1, per_gap[key] + 1)
+        tip_h = hi - _div((hi - lo) * (k + 1), per_gap[key] + 1)
         state.rays.append(_Ray([list(s) for s in ray.steps], ray.tip_disc, tip_h))
     return state
 
 
-def _gap_bounds(state: _State, disc: int, gap: int) -> tuple[Fraction, Fraction]:
+def _gap_bounds(state: _State, disc: int, gap: int) -> tuple[int, int]:
     if not 1 <= disc <= state.discs:
         raise StarError(f"no disc {disc}")
     regions = state.order_on_disc(disc)
     if not 0 <= gap <= len(regions):
         raise StarError(f"gap {gap} out of range on disc {disc}")
     if not regions:
-        return Fraction(-1), Fraction(1)
-    hi = regions[gap - 1][0] if gap > 0 else regions[0][0] + 2
-    lo = regions[gap][0] if gap < len(regions) else regions[-1][0] - 2
+        return -state.scale, state.scale
+    hi = regions[gap - 1][0] if gap > 0 else regions[0][0] + 2 * state.scale
+    lo = regions[gap][0] if gap < len(regions) else regions[-1][0] - 2 * state.scale
     return lo, hi
 
 
 def _freeze(state: _State) -> tuple[BraidedSurface, Star]:
     order = sorted(state.bands.items(), key=lambda kv: -kv[1].h)
     index_of = {bid: k for k, (bid, _b) in enumerate(order)}
-    surface = BraidedSurface(state.discs, tuple((b.l, b.r, b.e) for _i, b in order))
+    surface = BraidedSurface(state.discs, [(b.l, b.r, b.e) for _i, b in order])
     rays = []
     for ray in state.rays:
         regions = state.order_on_disc(ray.tip_disc)
         gap = sum(1 for h, _b, _e in regions if h > ray.tip_h)
-        steps = tuple((index_of[bid], e, x) for bid, e, x in ray.steps)
+        steps = tuple([(index_of[bid], e, x) for bid, e, x in ray.steps])
         rays.append(Ray(steps, ray.tip_disc, gap))
     return surface, Star(state.center, rays)
 
@@ -216,7 +243,7 @@ def _ray_chords(state: _State, ray: _Ray):
     return chords
 
 
-def _point_height(state: _State, point) -> Optional[Fraction]:
+def _point_height(state: _State, point) -> Optional[int]:
     if point[0] == "region":
         return state.bands[point[1]].h
     if point[0] == "tip":
@@ -361,25 +388,28 @@ def _remove_slack(state: _State) -> None:
         pass
 
 
-def _landing_slots(state: _State, disc: int, h: Fraction, above: bool) -> list[Fraction]:
-    """Candidate tip heights beside ``h``, nearest first, on one side."""
+def _landing_slots(state: _State, disc: int, h: int, above: bool) -> list[int]:
+    """Candidate tip heights beside ``h``, nearest first, on one side.
+
+    The midpoints are exact when every height is even.
+    """
     occupied = sorted({hh for hh, _b, _e in state.order_on_disc(disc)}
                       | {r.tip_h for r in state.rays if r.tip_disc == disc})
-    out: list[Fraction] = []
+    out: list[int] = []
     if above:
         side = [x for x in occupied if x > h]
         prev = h
         for x in side:
-            out.append((prev + x) / 2)
+            out.append(_div(prev + x, 2))
             prev = x
-        out.append(prev + 1)
+        out.append(prev + state.scale)
     else:
         side = [x for x in occupied if x < h]
         prev = h
         for x in reversed(side):
-            out.append((prev + x) / 2)
+            out.append(_div(prev + x, 2))
             prev = x
-        out.append(prev - 1)
+        out.append(prev - state.scale)
     return out
 
 
@@ -391,6 +421,7 @@ def _remove_loose_once(state: _State, ray_index: int) -> int:
     until the star stays embedded.  Parallel rays through the same band
     retract from the outside in, so the scan always finds the right slot.
     """
+    state.rescale(2)  # every height even, so the landing midpoints are exact
     ray = state.rays[ray_index]
     if not ray.steps:
         raise StarError("ray is not long")
@@ -612,15 +643,18 @@ def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, St
     ray = state.rays[idx]
     band0 = state.bands[b0]
     x0 = band0.l
-    h0 = band0.h
-    h_tip = ray.tip_h
 
     # Step 1: bands across the tail span; the ones at the tip disc exist
     # because the ray is not loose.
-    btau = [bid for bid, b in state.bands.items() if h0 < b.h < h_tip]
+    btau = [bid for bid, b in state.bands.items() if band0.h < b.h < ray.tip_h]
     btau.sort(key=lambda bid: -state.bands[bid].h)
     if not any(state.bands[b].l == x0 or state.bands[b].r == x0 for b in btau):
         raise StarError("chosen ray's span carries no band at the tip disc")
+    # Steps 2-4 halve a gap, split the rest into len(btau) + 1 parts and
+    # halve a gap again; this scale keeps all three exact.  Step 6 halves
+    # once more after step 5's retraction has doubled every height.
+    state.rescale(4 * (len(btau) + 1))
+    h_tip = ray.tip_h
 
     # Step 2: inflate positively at the tip disc, just above the span.
     def f(d: int) -> int:
@@ -628,20 +662,17 @@ def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, St
 
     state.discs += 1
     _relabel_discs(state, f)
-    occupied = [state.bands[b].h for b in btau]
-    top = max(occupied)
+    top = max(state.bands[b].h for b in btau)
     new_id = state.next_id
     state.next_id += 1
-    h_new = (top + h_tip) / 2
+    h_new = _div(top + h_tip, 2)
     state.bands[new_id] = _Band(x0, x0 + 1, 1, h_new)
 
     # Step 3: carry the span above the fresh band, preserving order.
-    slot_hi = h_tip
     step_count = len(btau) + 1
     for k, bid in enumerate(btau):
         band = state.bands[bid]
-        new_h = h_new + (h_tip - h_new) * Fraction(len(btau) - k, step_count)
-        band.h = new_h
+        band.h = h_new + _div((h_tip - h_new) * (len(btau) - k), step_count)
         if band.l == x0:
             _transfer_region(state, bid, L, new_id)
             band.l = x0 + 1
@@ -659,9 +690,7 @@ def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, St
     band0.l = x0 + 1
     if band0.l > band0.r:
         raise StarError("crossed band inverted during the slide")
-    band0.h = (h_new + min(state.bands[b].h for b in btau)) / 2 if btau else (
-        h_new + h_tip
-    ) / 2
+    band0.h = _div(h_new + min(state.bands[b].h for b in btau), 2)
     _remove_slack(state)
 
     # Step 5: the chosen ray is loose at the fresh band; retract it.
@@ -675,9 +704,7 @@ def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, St
     _transfer_region(state, new_id, R, b0)
     fresh = state.bands[new_id]
     fresh.r = band0.r
-    fresh.h = (band0.h + min(state.bands[b].h for b in btau)) / 2 if btau else (
-        band0.h + h_tip
-    ) / 2
+    fresh.h = _div(band0.h + min(state.bands[b].h for b in btau), 2)
     _remove_slack(state)
 
     # Step 7: the ray is loose again at the crossed band; retract.

@@ -77,13 +77,13 @@ def random_homogeneous_surface(rng: random.Random, max_n=4, max_b=6) -> BraidedS
     return BraidedSurface(n, bands)
 
 
-def random_star(rng: random.Random, s: BraidedSurface) -> Star:
+def random_star(rng: random.Random, s: BraidedSurface, max_rays=3, max_steps=3) -> Star:
     center = rng.randint(1, s.discs)
     rays = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, max_rays)):
         disc = center
         steps = []
-        for _ in range(rng.randint(0, 3)):
+        for _ in range(rng.randint(0, max_steps)):
             attached = [
                 (k, "L" if l == disc else "R")
                 for k, (l, r, e) in enumerate(s.bands)

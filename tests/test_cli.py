@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from braidbands import pipeline
+from braidbands import pipeline, stars
 from braidbands.cli import run
 from braidbands.diagrams import closure_diagram
 from braidbands.words import parse_word
@@ -97,7 +97,7 @@ def test_surface_commands(tmp_path, capsys):
         assert sum(b["e"] for b in bands) == 2 + band_sign  # two positive bands plus the new one
 
 
-def test_star_reduce_command(tmp_path, capsys):
+def _golden_star_files(tmp_path, capsys) -> list[str]:
     surface = tmp_path / "surface.json"
     star = tmp_path / "star.json"
     run(["surface", "from-word", "b(1,2) b(1,3) b(1,2)", "--json"])
@@ -106,9 +106,22 @@ def test_star_reduce_command(tmp_path, capsys):
         "center": 3,
         "rays": [{"steps": [[1, "R", "L"]], "tip": {"disc": 1, "gap": 3}}],
     }))
-    assert run(["star", "reduce", str(surface), str(star), "--trace"]) == 0
+    return [str(surface), str(star)]
+
+
+def test_star_reduce_command(tmp_path, capsys):
+    assert run(["star", "reduce", *_golden_star_files(tmp_path, capsys), "--trace"]) == 0
     out = capsys.readouterr().out
     assert "delta_b=  0" in out
+
+
+def test_lost_height_exactness_is_exit_3(tmp_path, capsys, monkeypatch):
+    # Star heights are integers that each split of a gap first rescales; a
+    # skipped rescale leaves a remainder, which is a bug, not bad input.
+    files = _golden_star_files(tmp_path, capsys)
+    monkeypatch.setattr(stars._State, "rescale", lambda self, q: None)
+    assert run(["star", "reduce", *files]) == 3
+    assert "is not divisible by" in capsys.readouterr().err
 
 
 # sha1 of the full ``homogenize --tree --json`` output of the golden knots.

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +16,16 @@ from braidbands.stars import (
     minimize,
     reduce_step,
     reduce_to_disc,
+    reductions,
 )
 from braidbands.surfaces import BraidedSurface, from_word, to_word
 from braidbands.words import closure_components, is_homogeneous, parse_word
 
 from corpus import random_homogeneous_surface, random_star, valid_star_instances
+
+# sha256 of every check_star verdict, minimize result, reductions step and
+# StarError message on the stars of ``_pinned_star_lines``.
+PINNED_STARS_SHA256 = "005b79dc64fd216b46fcc32d30b6443b75cc11df5c150399c3006beb7de96bf6"
 
 GOLDEN_SURFACE = from_word(parse_word("b(1,2) b(1,3) b(1,2)", strands=3))
 GOLDEN_STAR = Star(3, [Ray(((1, "R", "L"),), 1, 3)])
@@ -167,3 +175,57 @@ def test_known_hard_shape_fails_loud():
     check_star(s, star)
     with pytest.raises(StarError):
         reduce_to_disc(s, star)
+
+
+def _pinned_star_lines(seed: int, valid: int):
+    """One line per fact about seeded stars of up to 6 rays of up to 8 steps
+    on surfaces of up to 10 discs and 30 bands, until ``valid`` stars pass
+    ``check_star``."""
+    rng = random.Random(seed)
+    passed = 0
+    while passed < valid:
+        s = random_homogeneous_surface(rng, max_n=10, max_b=30)
+        star = random_star(rng, s, max_rays=6, max_steps=8)
+        yield f"draw {s.to_json()} {star.to_json()}"
+        try:
+            check_star(s, star)
+        except StarError as exc:
+            yield f"invalid {exc}"
+            continue
+        passed += 1
+        try:
+            yield f"minimize {minimize(s, star).to_json()}"
+            for s2, star2 in reductions(s, star):
+                yield f"step {s2.to_json()} {star2.to_json()}"
+        except StarError as exc:
+            yield f"refused {exc}"
+
+
+def test_star_reductions_pinned():
+    digest = hashlib.sha256()
+    for line in _pinned_star_lines(seed=20261018, valid=1000):
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_STARS_SHA256
+
+
+REFUSED_STARS = Path(__file__).parent / "data" / "refused_stars.json"
+
+
+def test_refused_stars_keep_their_messages():
+    # The check_star-valid stars that minimize or reduce_to_disc refused while
+    # the star_reduce benchmark drew its corpora at seeds 1-3.  A fix that
+    # reduces some of them shows up as an edit of this file.
+    cases = json.loads(REFUSED_STARS.read_text())
+    assert len(cases) == 259
+    for case in cases:
+        s = BraidedSurface.from_json(json.dumps(case["surface"]))
+        star = Star.from_json(json.dumps(case["star"]))
+        check_star(s, star)
+        if case["refused_by"] == "reduce_to_disc":
+            minimize(s, star)
+            refuse = reduce_to_disc
+        else:
+            refuse = minimize
+        with pytest.raises(StarError) as info:
+            refuse(s, star)
+        assert str(info.value) == case["message"]
