@@ -13,17 +13,24 @@ region twice) and loose rays (whose tail cuts off a band-free piece of
 disc) retract for free, and one inflation plus a controlled cascade of
 slides trades a crossing of an essential ray for a fresh disc-band pair
 while keeping the word homogeneous and the boundary link fixed.
+
+A whole reduction runs on one mutable state, built once from the input and
+frozen back into a surface and a star once at the end.  Each disc keeps its
+band ends in height order inside that state.  Before and after each step
+the heights are re-spread to the order that freezing and rebuilding the
+state would give, so the result is the same as stepping through frozen
+``(surface, star)`` pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import bisect
 import json
 import math
 from typing import Iterable, Iterator, Optional, Union
 
 from .surfaces import BraidedSurface
-from .words import BKLWord, is_homogeneous
 
 
 class StarError(ValueError):
@@ -141,6 +148,11 @@ class _State:
     bands sit at whole heights.  Only the order of heights matters, so a
     step that splits a gap first multiplies every height by enough
     (``rescale``) for the split to land on integers.
+
+    ``order[d]`` lists the band ends on disc ``d`` as ``(band, id, end)``,
+    highest first.  It holds the bands themselves, so rescaling and
+    re-spreading, which keep the height order, keep it valid; the helpers
+    that move a band end, change a height or relabel discs update it.
     """
 
     discs: int
@@ -149,6 +161,7 @@ class _State:
     rays: list[_Ray]
     next_id: int
     scale: int
+    order: list[list[tuple[_Band, int, str]]]
 
     def rescale(self, q: int) -> None:
         for band in self.bands.values():
@@ -157,54 +170,65 @@ class _State:
             ray.tip_h *= q
         self.scale *= q
 
-    def order_on_disc(self, d: int) -> list[tuple[int, int, str]]:
-        out = []
-        for bid, band in self.bands.items():
-            if band.l == d:
-                out.append((band.h, bid, L))
-            if band.r == d:
-                out.append((band.h, bid, R))
-        out.sort(key=lambda t: -t[0])
-        return out
-
 
 def _materialize(surface: BraidedSurface, star: Star) -> _State:
-    # Tips sharing a gap receive distinct heights, earlier rays higher, so
-    # that the chord tests see a definite order: n tips split their gap into
-    # n + 1 equal parts, so the scale is the lcm of those part counts.
-    per_gap: dict[tuple[int, int], int] = {}
-    for ray in star.rays:
-        per_gap[(ray.tip_disc, ray.tip_gap)] = per_gap.get((ray.tip_disc, ray.tip_gap), 0) + 1
-    scale = math.lcm(*(n + 1 for n in per_gap.values()))
-    bands = {
-        k: _Band(l, r, e, (len(surface.bands) - k) * scale)
-        for k, (l, r, e) in enumerate(surface.bands)
-    }
-    state = _State(surface.discs, bands, star.center, [], len(surface.bands), scale)
-    counter: dict[tuple[int, int], int] = {}
+    bands = {k: _Band(l, r, e, len(surface.bands) - k) for k, (l, r, e) in enumerate(surface.bands)}
+    order: list[list] = [[] for _ in range(surface.discs + 1)]
+    for bid, band in bands.items():
+        order[band.l].append((band, bid, L))
+        order[band.r].append((band, bid, R))
+    state = _State(surface.discs, bands, star.center, [], len(surface.bands), 1, order)
     for ray in star.rays:
         for bid, _e, _x in ray.steps:
             if bid not in bands:
                 raise StarError(f"ray references band {bid} not on the surface")
-        lo, hi = _gap_bounds(state, ray.tip_disc, ray.tip_gap)
-        key = (ray.tip_disc, ray.tip_gap)
-        k = counter.get(key, 0)
-        counter[key] = k + 1
-        tip_h = hi - _div((hi - lo) * (k + 1), per_gap[key] + 1)
-        state.rays.append(_Ray([list(s) for s in ray.steps], ray.tip_disc, tip_h))
+        _gap_bounds(state, ray.tip_disc, ray.tip_gap)  # rejects a tip outside the disc's gaps
+        state.rays.append(_Ray([list(s) for s in ray.steps], ray.tip_disc, 0))
+    _spread(state, [(ray.tip_disc, ray.tip_gap) for ray in star.rays])
     return state
+
+
+def _spread(state: _State, gaps: list[tuple[int, int]]) -> None:
+    """Place bands at whole heights in their current order and the tips in ``gaps``.
+
+    Tips sharing a gap receive distinct heights, earlier rays higher, so
+    that the chord tests see a definite order: n tips split their gap into
+    n + 1 equal parts, so the scale is the lcm of those part counts.
+    """
+    per_gap: dict[tuple[int, int], int] = {}
+    for key in gaps:
+        per_gap[key] = per_gap.get(key, 0) + 1
+    state.scale = math.lcm(*(n + 1 for n in per_gap.values()))
+    ranked = sorted(state.bands.values(), key=lambda band: -band.h)
+    for k, band in enumerate(ranked):
+        band.h = (len(ranked) - k) * state.scale
+    counter: dict[tuple[int, int], int] = {}
+    for ray, key in zip(state.rays, gaps):
+        lo, hi = _gap_bounds(state, *key)
+        k = counter.get(key, 0) + 1
+        counter[key] = k
+        ray.tip_h = hi - _div((hi - lo) * k, per_gap[key] + 1)
+
+
+def _tip_gap(state: _State, ray: _Ray) -> int:
+    return sum(1 for band, _b, _e in state.order[ray.tip_disc] if band.h > ray.tip_h)
+
+
+def _renormalize(state: _State) -> None:
+    """Re-spread every height exactly as ``_materialize(*_freeze(state))`` would."""
+    _spread(state, [(ray.tip_disc, _tip_gap(state, ray)) for ray in state.rays])
 
 
 def _gap_bounds(state: _State, disc: int, gap: int) -> tuple[int, int]:
     if not 1 <= disc <= state.discs:
         raise StarError(f"no disc {disc}")
-    regions = state.order_on_disc(disc)
+    regions = state.order[disc]
     if not 0 <= gap <= len(regions):
         raise StarError(f"gap {gap} out of range on disc {disc}")
     if not regions:
         return -state.scale, state.scale
-    hi = regions[gap - 1][0] if gap > 0 else regions[0][0] + 2 * state.scale
-    lo = regions[gap][0] if gap < len(regions) else regions[-1][0] - 2 * state.scale
+    hi = regions[gap - 1][0].h if gap > 0 else regions[0][0].h + 2 * state.scale
+    lo = regions[gap][0].h if gap < len(regions) else regions[-1][0].h - 2 * state.scale
     return lo, hi
 
 
@@ -212,13 +236,34 @@ def _freeze(state: _State) -> tuple[BraidedSurface, Star]:
     order = sorted(state.bands.items(), key=lambda kv: -kv[1].h)
     index_of = {bid: k for k, (bid, _b) in enumerate(order)}
     surface = BraidedSurface(state.discs, [(b.l, b.r, b.e) for _i, b in order])
-    rays = []
-    for ray in state.rays:
-        regions = state.order_on_disc(ray.tip_disc)
-        gap = sum(1 for h, _b, _e in regions if h > ray.tip_h)
-        steps = tuple([(index_of[bid], e, x) for bid, e, x in ray.steps])
-        rays.append(Ray(steps, ray.tip_disc, gap))
+    rays = [
+        Ray(tuple([(index_of[bid], e, x) for bid, e, x in ray.steps]), ray.tip_disc, _tip_gap(state, ray))
+        for ray in state.rays
+    ]
     return surface, Star(state.center, rays)
+
+
+def _relabel_order(state: _State, f) -> None:
+    """Carry each disc's band order along a disc relabelling ``f`` that the
+    bands have already followed; an end's side is read off its band."""
+    order: list[list] = [[] for _ in range(state.discs + 1)]
+    for d, ends in enumerate(state.order):
+        if ends:
+            new = f(d)
+            order[new] = [(band, bid, L if band.l == new else R) for band, bid, _e in ends]
+    state.order = order
+
+
+def _drop_ends(state: _State, bid: int) -> None:
+    band = state.bands[bid]
+    for d in (band.l, band.r):
+        state.order[d] = [end for end in state.order[d] if end[1] != bid]
+
+
+def _insert_ends(state: _State, bid: int) -> None:
+    band = state.bands[bid]
+    for d, end in ((band.l, L), (band.r, R)):
+        bisect.insort(state.order[d], (band, bid, end), key=lambda t: -t[0].h)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +340,9 @@ def _check_state(state: _State) -> None:
 # Classification
 # ---------------------------------------------------------------------------
 
-def delta_b(obj: Union[Ray, Star, _Ray]) -> int:
+def delta_b(obj: Union[Ray, Star, _Ray, _State]) -> int:
     """Number of band crossings of a ray, or their sum over a star."""
-    if isinstance(obj, Star):
+    if isinstance(obj, (Star, _State)):
         return sum(len(r.steps) for r in obj.rays)
     return len(obj.steps)
 
@@ -327,20 +372,19 @@ def _slack_step(ray: _Ray) -> Optional[tuple[int, int, list]]:
     return None
 
 
-def _tail_sides(state: _State, ray: _Ray):
-    """Regions beside the tail on the tip disc: (between interval, outside)."""
-    bid, _e, exit_ = ray.steps[-1]
+def _tail_sides(state: _State, ray: _Ray) -> tuple[int, int]:
+    """Regions beside the tail on the tip disc, counted: (between, outside)."""
+    bid = ray.steps[-1][0]
     h_c = state.bands[bid].h
-    h_t = ray.tip_h
-    lo, hi = min(h_c, h_t), max(h_c, h_t)
-    between, outside = [], []
-    for h, b, end in state.order_on_disc(ray.tip_disc):
+    lo, hi = min(h_c, ray.tip_h), max(h_c, ray.tip_h)
+    between = outside = 0
+    for band, b, _end in state.order[ray.tip_disc]:
         if b == bid:
             continue
-        if lo < h < hi:
-            between.append((h, b, end))
+        if lo < band.h < hi:
+            between += 1
         else:
-            outside.append((h, b, end))
+            outside += 1
     return between, outside
 
 
@@ -358,9 +402,10 @@ def _ray_loose_removable(state: _State, ray: _Ray) -> bool:
     center sits on the same disc, the center fan occupies that side and the
     pull is blocked; such rays are reduced by the inflation step instead.
     """
-    return _ray_loose(state, ray) and (
-        state.center != ray.tip_disc or not _tail_sides(state, ray)[0]
-    )
+    if not ray.steps:
+        return False
+    between, outside = _tail_sides(state, ray)
+    return (not between or not outside) and (state.center != ray.tip_disc or not between)
 
 
 def classify_ray(surface: BraidedSurface, star: Star, ray_index: int) -> RayClass:
@@ -393,7 +438,7 @@ def _landing_slots(state: _State, disc: int, h: int, above: bool) -> list[int]:
 
     The midpoints are exact when every height is even.
     """
-    occupied = sorted({hh for hh, _b, _e in state.order_on_disc(disc)}
+    occupied = sorted({band.h for band, _b, _e in state.order[disc]}
                       | {r.tip_h for r in state.rays if r.tip_disc == disc})
     out: list[int] = []
     if above:
@@ -523,6 +568,7 @@ def _relabel_discs(state: _State, f) -> None:
             band.l, band.r = band.r, band.l
     for ray in state.rays:
         ray.tip_disc = f(ray.tip_disc)
+    _relabel_order(state, f)
 
 
 def _reverse_indices(state: _State) -> None:
@@ -535,6 +581,7 @@ def _reverse_indices(state: _State) -> None:
         for step in ray.steps:
             step[1] = L if step[1] == R else R
             step[2] = L if step[2] == R else R
+    _relabel_order(state, lambda d: n + 1 - d)
 
 
 def _upside_down_state(state: _State) -> None:
@@ -545,6 +592,8 @@ def _upside_down_state(state: _State) -> None:
     for ray in state.rays:
         ray.tip_h = -ray.tip_h
     _reverse_indices(state)
+    for ends in state.order:
+        ends.reverse()
 
 
 def _mirror_state(state: _State) -> None:
@@ -572,6 +621,7 @@ def _twirl_state(state: _State) -> None:
     state.center = f(state.center)
     for ray in state.rays:
         ray.tip_disc = f(ray.tip_disc)
+    _relabel_order(state, f)
 
 
 def _pick_ray(state: _State) -> int:
@@ -589,7 +639,7 @@ def _pick_ray(state: _State) -> int:
             if j != idx and other.tip_disc == ray.tip_disc and lo < other.tip_h < hi
         )
         regions_inside = sum(
-            1 for h, _b, _e in state.order_on_disc(ray.tip_disc) if lo < h < hi
+            1 for band, _b, _e in state.order[ray.tip_disc] if lo < band.h < hi
         )
         candidates.append((tips_inside, regions_inside, idx))
     if not candidates:
@@ -607,17 +657,24 @@ def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, St
     and at least one crossing.  Adds exactly one disc and one band, and
     strictly decreases the total crossing count.
     """
-    word = BKLWord(surface.discs, surface.bands)
-    if not is_homogeneous(word):
-        raise StarError("surface word is not homogeneous")
-    if delta_b(star) == 0:
-        raise StarError("star already lies in the discs")
     state = _materialize(surface, star)
+    _reduce_state(state)
+    return _freeze(state)
+
+
+def _reduce_state(state: _State) -> None:
+    """``reduce_step`` in place on a live state."""
+    signs: dict[tuple[int, int], int] = {}
+    for band in state.bands.values():
+        if signs.setdefault((band.l, band.r), band.e) != band.e:
+            raise StarError("surface word is not homogeneous")
+    before = delta_b(state)
+    if before == 0:
+        raise StarError("star already lies in the discs")
     if any(
         _slack_step(ray) is not None or _ray_loose_removable(state, ray) for ray in state.rays
     ):
         raise StarError("star is not minimal")
-    before = delta_b(star)
 
     idx = _pick_ray(state)
 
@@ -667,10 +724,12 @@ def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, St
     state.next_id += 1
     h_new = _div(top + h_tip, 2)
     state.bands[new_id] = _Band(x0, x0 + 1, 1, h_new)
+    _insert_ends(state, new_id)
 
     # Step 3: carry the span above the fresh band, preserving order.
     step_count = len(btau) + 1
     for k, bid in enumerate(btau):
+        _drop_ends(state, bid)
         band = state.bands[bid]
         band.h = h_new + _div((h_tip - h_new) * (len(btau) - k), step_count)
         if band.l == x0:
@@ -682,15 +741,17 @@ def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, St
             _transfer_region(state, bid, R, new_id)
             band.r = x0 + 1
             band.l, band.r = min(band.l, band.r), max(band.l, band.r)
+        _insert_ends(state, bid)
     _remove_slack(state)
 
     # Step 4: slide the crossed band over the fresh one.
+    _drop_ends(state, b0)
     _transfer_region(state, b0, L, new_id)
-    band0 = state.bands[b0]
     band0.l = x0 + 1
     if band0.l > band0.r:
         raise StarError("crossed band inverted during the slide")
     band0.h = _div(h_new + min(state.bands[b].h for b in btau), 2)
+    _insert_ends(state, b0)
     _remove_slack(state)
 
     # Step 5: the chosen ray is loose at the fresh band; retract it.
@@ -701,10 +762,12 @@ def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, St
         raise StarError("another ray blocked the first retraction")
 
     # Step 6: slide the fresh band over the crossed band.
+    _drop_ends(state, new_id)
     _transfer_region(state, new_id, R, b0)
     fresh = state.bands[new_id]
     fresh.r = band0.r
     fresh.h = _div(band0.h + min(state.bands[b].h for b in btau), 2)
+    _insert_ends(state, new_id)
     _remove_slack(state)
 
     # Step 7: the ray is loose again at the crossed band; retract.
@@ -717,34 +780,55 @@ def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, St
 
     if mirrored:
         _mirror_state(state)
-    new_surface, new_star = _freeze(state)
     _check_state(state)
-    if delta_b(new_star) >= before:
+    if delta_b(state) >= before:
         raise StarError("reduction failed to decrease the crossing count")
-    return new_surface, new_star
+
+
+def _reduce_states(state: _State) -> Iterator[_State]:
+    """Minimize the live state, then reduce and minimize it in place until
+    the star misses all bands, yielding it after each minimization.
+
+    Heights are re-spread to the ``_materialize(*_freeze(state))`` order
+    before and after each step, so every step sees the state that a round
+    trip through frozen objects would give.
+    """
+    _minimize_state(state)
+    budget = delta_b(state)
+    yield state
+    while delta_b(state):
+        if budget == 0:
+            raise StarError("reduction exceeded its crossing budget")
+        budget -= 1
+        _renormalize(state)
+        _reduce_state(state)
+        _renormalize(state)
+        _minimize_state(state)
+        yield state
 
 
 def reductions(surface: BraidedSurface, star: Star) -> Iterator[tuple[BraidedSurface, Star]]:
     """Yield the minimized star, then each reduced and minimized (surface, star).
 
-    Stops once the star misses all bands.  Every step removes at least one
-    crossing, so more steps than the first minimized star has crossings
-    raise StarError.
+    The whole reduction runs on one live state and only the yielded pairs
+    are frozen.  Its heights are re-spread to the ``_materialize(*_freeze())``
+    order before each step, so the pairs are those of calling ``reduce_step``
+    and ``minimize`` on frozen pairs.  Stops once the star misses all bands.
+    Every step removes at least one crossing, so more steps than the first
+    minimized star has crossings raise StarError.
     """
-    star = minimize(surface, star)
-    budget = delta_b(star)
-    yield surface, star
-    while delta_b(star):
-        if budget == 0:
-            raise StarError("reduction exceeded its crossing budget")
-        budget -= 1
-        surface, star = reduce_step(surface, star)
-        star = minimize(surface, star)
-        yield surface, star
+    for state in _reduce_states(_materialize(surface, star)):
+        yield _freeze(state)
 
 
 def reduce_to_disc(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, Star]:
-    """Minimize and reduce until the star misses all bands."""
-    for surface, star in reductions(surface, star):
+    """Minimize and reduce until the star misses all bands.
+
+    Runs on one live state from one ``_materialize`` to one ``_freeze``,
+    re-spreading its heights before each step as ``reductions`` does; the
+    result is the last pair ``reductions`` yields.
+    """
+    state = _materialize(surface, star)
+    for _ in _reduce_states(state):
         pass
-    return surface, star
+    return _freeze(state)

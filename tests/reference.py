@@ -12,7 +12,9 @@ enumerated with a full acyclicity check on a copy of the height graph per cut.
 Primitive flatness is the nesting definition: for each connected component,
 every choice of outer region is tried, and the circles must all sit at
 nesting depth 0 for the best one.  A connected diagram's fatgraph is read off
-its Seifert circles' traversal orders directly.
+its Seifert circles' traversal orders directly.  A star reduction round-trips
+through frozen ``(surface, star)`` pairs between steps, and a disc's band order
+is a scan of every band, sorted.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from fractions import Fraction
 from braidbands.diagrams import Diagram, DiagramStructure, _UnionFind, analyze, subdiagram
 from braidbands.laurent import Laurent
 from braidbands.pipeline import Fatgraph, PipelineError, _disc_positions
+from braidbands.stars import Star, StarError, _State, delta_b, minimize, reduce_step
+from braidbands.surfaces import BraidedSurface
 from braidbands.words import ArtinWord, BKLWord, Permutation, Word, bkl_to_artin
 
 Matrix = list[list[Laurent]]
@@ -477,3 +481,30 @@ def fatgraph_of_diagram(d: Diagram) -> Fatgraph:
     for ci, passage in enumerate(st.passages):
         orders.append(tuple([end_at[(cid, ci)] for cid in passage]))
     return Fatgraph(len(st.circles), tuple(edges), tuple(orders))
+
+
+def reductions_by_freezing(surface: BraidedSurface, star: Star):
+    """``stars.reductions`` as public calls on frozen objects: ``minimize``,
+    then ``reduce_step`` and ``minimize`` until no crossing is left."""
+    star = minimize(surface, star)
+    budget = delta_b(star)
+    yield surface, star
+    while delta_b(star):
+        if budget == 0:
+            raise StarError("reduction exceeded its crossing budget")
+        budget -= 1
+        surface, star = reduce_step(surface, star)
+        star = minimize(surface, star)
+        yield surface, star
+
+
+def order_on_disc_scan(state: _State, d: int) -> list[tuple[int, int, str]]:
+    """Band ends on disc ``d`` as ``(height, band id, end)``, highest first."""
+    out = []
+    for bid, band in state.bands.items():
+        if band.l == d:
+            out.append((band.h, bid, "L"))
+        if band.r == d:
+            out.append((band.h, bid, "R"))
+    out.sort(key=lambda t: -t[0])
+    return out

@@ -4,7 +4,9 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from braidbands import stars
 from braidbands.invariants import alexander_from_braid
 from braidbands.stars import (
     Ray,
@@ -22,6 +24,7 @@ from braidbands.surfaces import BraidedSurface, from_word, to_word
 from braidbands.words import closure_components, is_homogeneous, parse_word
 
 from corpus import random_homogeneous_surface, random_star, valid_star_instances
+from reference import order_on_disc_scan, reductions_by_freezing
 
 # sha256 of every check_star verdict, minimize result, reductions step and
 # StarError message on the stars of ``_pinned_star_lines``.
@@ -229,3 +232,118 @@ def test_refused_stars_keep_their_messages():
         with pytest.raises(StarError) as info:
             refuse(s, star)
         assert str(info.value) == case["message"]
+
+
+@st.composite
+def crowded_stars(draw):
+    """A homogeneous surface and a star whose rays, ending on one disc, mostly
+    share a gap there, so that several tips split one gap."""
+    n = draw(st.integers(2, 5))
+    signs: dict = {}
+    bands = []
+    for _ in range(draw(st.integers(1, 10))):
+        l = draw(st.integers(1, n - 1))
+        r = draw(st.integers(l + 1, n))
+        bands.append((l, r, signs.setdefault((l, r), draw(st.sampled_from((1, -1))))))
+    center = draw(st.integers(1, n))
+    shared: dict = {}
+    rays = []
+    for _ in range(draw(st.integers(2, 6))):
+        disc, steps = center, []
+        for _ in range(draw(st.integers(0, 4))):
+            attached = [
+                (k, "L" if l == disc else "R") for k, (l, r, _e) in enumerate(bands) if disc in (l, r)
+            ]
+            if not attached:
+                break
+            k, end = draw(st.sampled_from(attached))
+            exit_ = "R" if end == "L" else "L"
+            steps.append((k, end, exit_))
+            disc = bands[k][1] if exit_ == "R" else bands[k][0]
+        regions = sum(1 for l, r, _e in bands if disc in (l, r))
+        gap = shared.setdefault(disc, draw(st.integers(0, regions)))
+        if draw(st.integers(0, 3)) == 0:
+            gap = draw(st.integers(0, regions))
+        rays.append(Ray(tuple(steps), disc, gap))
+    return BraidedSurface(n, bands), Star(center, rays)
+
+
+def _outcome(pairs) -> list:
+    out = []
+    try:
+        for s, star in pairs:
+            out.append((s, star))
+    except StarError as exc:
+        out.append(str(exc))
+    return out
+
+
+# After its first step this star has two tips in one gap out of ray order;
+# the live state must re-spread them before minimizing, or it refuses with
+# "no innermost ray found" where the frozen round trip reduces the star.
+_TIPS_OUT_OF_RAY_ORDER = (
+    BraidedSurface(3, ((1, 2, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 3, 1), (2, 3, 1), (1, 3, 1))),
+    Star(2, (
+        Ray((), 2, 0),
+        Ray((), 2, 0),
+        Ray(((3, "L", "R"), (6, "R", "L")), 1, 0),
+        Ray(((5, "L", "R"), (3, "R", "L")), 2, 0),
+    )),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowded_stars())
+@example(_TIPS_OUT_OF_RAY_ORDER)
+def test_live_reductions_match_the_frozen_round_trip(case):
+    s, star = case
+    assert _outcome(reductions(s, star)) == _outcome(reductions_by_freezing(s, star))
+
+
+def _assert_order_matches_scan(state) -> None:
+    assert len(state.order) == state.discs + 1 and not state.order[0]
+    for d in range(1, state.discs + 1):
+        stored = [(band.h, bid, end) for band, bid, end in state.order[d]]
+        assert stored == order_on_disc_scan(state, d)
+        assert all(band is state.bands[bid] for band, bid, _end in state.order[d])
+
+
+def test_stored_disc_order_follows_every_mutation(monkeypatch):
+    # Inside a step, every slack cleanup comes after the fresh band's
+    # insertion or a slide of steps 3, 4 or 6; check the order there too.
+    remove_slack = stars._remove_slack
+
+    def checked_remove_slack(state):
+        _assert_order_matches_scan(state)
+        remove_slack(state)
+
+    monkeypatch.setattr(stars, "_remove_slack", checked_remove_slack)
+    checked = 0
+    for s, star in valid_star_instances(seed=4242, count=80):
+        state = stars._materialize(s, star)
+        _assert_order_matches_scan(state)
+        for mutate in (stars._twirl_state, stars._upside_down_state, stars._mirror_state):
+            mutate(state)
+            _assert_order_matches_scan(state)
+        state.discs += 1
+        stars._relabel_discs(state, lambda d: d if d < 2 else d + 1)  # an inflation at disc 1
+        _assert_order_matches_scan(state)
+        try:
+            for live in stars._reduce_states(stars._materialize(s, star)):
+                _assert_order_matches_scan(live)  # holds the bands each step inserted
+                checked += live.next_id > len(s.bands)
+        except StarError:
+            pass
+    assert checked >= 20
+
+
+def test_reduce_to_disc_materializes_and_freezes_once(monkeypatch):
+    calls = {"_materialize": 0, "_freeze": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(stars, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(stars, name, counted)
+    s2, star2 = reduce_to_disc(GOLDEN_SURFACE, GOLDEN_STAR)
+    assert delta_b(star2) == 0 and s2.discs == GOLDEN_SURFACE.discs + 1
+    assert calls == {"_materialize": 1, "_freeze": 1}
