@@ -14,10 +14,12 @@ makes one tuple per distinct letter, and handle reduction reuses the
 letters of its input.
 
 Equality of braid elements is decided by handle reduction, a terminating
-rewriting procedure on Artin words.  Each step rewrites one handle and
-free-reduces only where the rewrite meets the rest of the word; the search
-for the next handle resumes at the lowest position the step changed,
-since no handle can close before it.
+rewriting procedure on Artin words.  It runs as one loop on two stacks: a
+handle-free prefix and the rest of the word, reversed.  Each letter moved
+from the rest onto the prefix is checked for a handle closing there; a
+handle is rewritten in place on the prefix, and the letters from the lowest
+position it changed go back onto the rest to be checked again, so a step
+costs the handle's length, not the word's.
 """
 
 from __future__ import annotations
@@ -262,88 +264,73 @@ def exponent_sum(w: Word) -> int:
 # Handle reduction
 # ---------------------------------------------------------------------------
 
-def _find_handle(letters: list[tuple[int, int]], start: int):
-    # The first handle closing at or after ``start``: for each closing
-    # position q, look back for the nearest letter of index <= i; a handle
-    # needs that letter to be the same generator with opposite sign.  The
-    # handle found this way has minimal closing position, hence contains no
-    # nested handle and is safe to reduce.
-    for q in range(start, len(letters)):
-        i, e = letters[q]
-        for p in range(q - 1, -1, -1):
-            j, d = letters[p]
-            if j > i:
-                continue
-            if j == i and d == -e:
-                return p, q
-            break
-    return None
-
-
-def _reduce_handle(letters: list[tuple[int, int]], p: int, q: int) -> int:
-    """Reduce the handle ``letters[p..q]`` in place and free-reduce at its seams.
-
-    ``letters`` is freely reduced on entry and on exit.  The prefix before
-    ``p`` is the bottom of a stack; the rewritten middle is pushed onto it,
-    cancelling as it goes, and the suffix after ``q`` cancels against the
-    top until its first letter that does not, after which it is appended as
-    one slice.  Returns ``low``, the lowest stack length reached: letters
-    before ``low`` are those of the word before the step.
-    """
-    first, last = letters[p], letters[q]
-    i, e = first
-    up, down = (i + 1, -e), (i + 1, e)
-    middle = letters[p + 1 : q]
-    tail = letters[q + 1 :]
-    del letters[p:]
-    low = p
-    # Letters are pushed with cancellation.  Signs are +-1, so two letters
-    # cancel iff they have the same index and different signs.
-    for letter in middle:
-        if letter[0] == i + 1:
-            pushed = (up, first if letter[1] == e else last, down)
-        else:
-            pushed = (letter,)
-        for x in pushed:
-            if letters and letters[-1][0] == x[0] and letters[-1][1] != x[1]:
-                letters.pop()
-                low = min(low, len(letters))
-            else:
-                letters.append(x)
-    k = 0
-    while k < len(tail) and letters and letters[-1][0] == tail[k][0] and letters[-1][1] != tail[k][1]:
-        letters.pop()
-        k += 1
-    low = min(low, len(letters))
-    letters.extend(tail[k:])
-    return low
-
-
 def handle_reduce(w: ArtinWord) -> ArtinWord:
     """Reduce ``w`` to a handle-free word representing the same braid.
 
     Each step reduces the first handle, the one with the smallest closing
     position, and frees the result of cancelling pairs (Dehornoy, *A fast
-    method for comparing braids*, 1997).  A step changes the word only from
-    the position ``low`` that :func:`_reduce_handle` returns, and whether a
-    handle closes at position q depends only on the letters up to q, so no
-    handle closes before ``low`` and the next search starts there.  Since
+    method for comparing braids*, 1997).  The word is freely reduced first
+    and then kept as two stacks: ``done``, a handle-free prefix, and
+    ``todo``, the rest of the word reversed.  Each letter ``sigma_i^e``
+    popped from ``todo`` looks back in ``done`` for the nearest letter of
+    index <= i; if that is ``sigma_i^-e``, the two close a handle whose
+    middle has only letters of index > i.  The step truncates ``done`` at
+    the opener ``sigma_i^-e``, pushes the middle with each ``sigma_(i+1)^d``
+    rewritten as ``sigma_(i+1)^e sigma_i^d sigma_(i+1)^-e``, cancelling as
+    it goes, cancels the seam against the top of ``todo`` and moves
+    ``done[low:]`` back onto ``todo``, where ``low`` is the lowest length
+    ``done`` reached while the middle was pushed.  Whether a handle closes
+    at a position depends only on the letters up to it, so what is left of
+    ``done``, a prefix the step did not change, stays handle-free.  Since
     the freely reduced form of a word is unique, every intermediate word is
-    the one a rescan from position 0 with a full free reduction would give,
-    at a cost of the handle's length instead of the word's per step.
+    the one a rescan from position 0 with a full free reduction would give.
     """
-    letters: list[tuple[int, int]] = []
+    # done[0] is a sentinel of index 0: it stops every look-back and
+    # cancels with no letter, so neither needs a bounds check.  Signs are
+    # +-1, so two letters cancel iff they have the same index and different
+    # signs.
+    done: list[tuple[int, int]] = [(0, 0)]
     for letter in w.letters:
-        if letters and letters[-1][0] == letter[0] and letters[-1][1] != letter[1]:
-            letters.pop()
+        top = done[-1]
+        if top[0] == letter[0] and top[1] != letter[1]:
+            done.pop()
         else:
-            letters.append(letter)
-    start = 0
-    while True:
-        found = _find_handle(letters, start)
-        if found is None:
-            return ArtinWord(w.strands, tuple(letters))
-        start = _reduce_handle(letters, *found)
+            done.append(letter)
+    todo = done[:0:-1]
+    del done[1:]
+    while todo:
+        last = todo.pop()
+        i = last[0]
+        p = len(done) - 1
+        while done[p][0] > i:
+            p -= 1
+        first = done[p]
+        if first[0] != i or first[1] == last[1]:
+            done.append(last)
+            continue
+        e = first[1]
+        up, down = (i + 1, -e), (i + 1, e)
+        middle = done[p + 1 :]
+        del done[p:]
+        low = p
+        for letter in middle:
+            if letter[0] == i + 1:
+                pushed = (up, first if letter[1] == e else last, down)
+            else:
+                pushed = (letter,)
+            for x in pushed:
+                top = done[-1]
+                if top[0] == x[0] and top[1] != x[1]:
+                    done.pop()
+                    low = min(low, len(done))
+                else:
+                    done.append(x)
+        while todo and done[-1][0] == todo[-1][0] and done[-1][1] != todo[-1][1]:
+            done.pop()
+            todo.pop()
+        todo += done[: low - 1 : -1]  # done[low:] reversed; low >= 1
+        del done[low:]
+    return ArtinWord(w.strands, tuple(done[1:]))
 
 
 def is_trivial_braid(w: ArtinWord) -> bool:
@@ -363,8 +350,9 @@ def braids_equal(u: Word, v: Word) -> bool:
     """Decide whether two words represent the same braid element."""
     if u.strands != v.strands:
         raise WordError(f"strand counts differ: {u.strands} vs {v.strands}")
-    ua, va = _as_artin(u), _as_artin(v)
-    return is_trivial_braid(ua.concat(va.inverse()))
+    letters = list(_as_artin(u).letters)
+    letters += [(i, -e) for i, e in reversed(_as_artin(v).letters)]
+    return is_trivial_braid(ArtinWord(u.strands, letters))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +398,10 @@ def parse_word(text: str, strands: int | None = None, kind: str | None = None) -
         if parsed is None:
             parsed = tokens[token] = _parse_token(token, shared)
         band, letter, count = parsed
-        (bkl if band else artin).extend([letter] * count)
+        try:
+            (bkl if band else artin).extend([letter] * count)
+        except (MemoryError, OverflowError):
+            raise WordError(f"exponent too large to expand in token {token!r}") from None
     if artin and bkl:
         raise WordError("word mixes Artin and band tokens")
     if bkl or kind == "bkl":

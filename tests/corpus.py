@@ -231,11 +231,13 @@ def scrambled(rng: random.Random, strands: int, letters, moves: int) -> list:
     return w
 
 
-def handle_reduction_words(seed: int, count: int):
+def handle_reduction_words(seed: int, count: int, lengths=(1, 80)):
     """Yield (word, trivial) pairs: seeded Artin words on 2 to 10 strands.
 
     The kinds take turns: a random word of up to 200 letters (``trivial`` is
-    None, not known); ``u v^-1`` with v a scramble of u, in Artin letters or
+    None, not known); ``u v^-1`` with v a scramble of u, u having a number of
+    Artin letters drawn from ``lengths`` (a band word's expansion may pass
+    the top by less than one band), in Artin letters or
     expanded from band letters (trivial); and the same with the commutator
     [x^2, y^2] of two generators sharing a strand inserted into v first
     (nontrivial, with the permutation and exponent sum of a trivial word).
@@ -247,7 +249,7 @@ def handle_reduction_words(seed: int, count: int):
         if kind == 0:
             yield random_artin_word(rng, max_strands=n, max_len=200), None
             continue
-        length = rng.randint(1, 80)
+        length = rng.randint(*lengths)
         if kind % 2:
             u = [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)]
         else:

@@ -161,8 +161,10 @@ def test_invariant_commands(capsys, trefoil_file):
     assert json.loads(capsys.readouterr().out)["components"] == 3
 
 
-def test_invalid_word_is_exit_2():
+def test_invalid_word_is_exit_2(capsys):
     assert run(["braid", "exponent-sum", "nonsense"]) == 2
+    assert run(["braid", "equal", f"s1^{2**62}", "s1", "--strands", "3"]) == 2
+    assert f"s1^{2**62}" in capsys.readouterr().err
 
 
 # JSON input files for the malformed-input cases, by name.

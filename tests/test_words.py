@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidbands import words
 from braidbands.words import (
     ArtinWord,
     BKLWord,
@@ -30,6 +32,7 @@ from corpus import (
     handle_reduction_words,
     random_artin_word,
     random_bkl_word,
+    scrambled,
 )
 
 
@@ -126,6 +129,69 @@ def test_handle_reduce_matches_reference():
         seen.add((w.strands, trivial))
     assert {n for n, _ in seen} == set(range(2, 11))
     assert {t for _, t in seen} == {None, True, False}
+
+
+def test_handle_reduce_matches_reference_on_benchmark_sized_words():
+    # u has 50 to 200 Artin letters, as in the braid_equal benchmark, so the
+    # words reach the lengths where the two stacks hold hundreds of letters.
+    kinds = set()
+    for w, trivial in handle_reduction_words(seed=12, count=40, lengths=(50, 200)):
+        reduced = handle_reduce(w)
+        assert reduced == reference.handle_reduce(w), format_word(w)
+        if trivial is not None:
+            assert (len(reduced) == 0) == trivial, format_word(w)
+        kinds.add(trivial)
+    assert kinds == {None, True, False}
+
+
+@st.composite
+def word_pairs(draw):
+    """(u, v) on 2 to 6 strands, each in Artin or band letters, up to 40
+    letters; v is u rewritten by braid relations or a word of its own."""
+    n = draw(st.integers(2, 6))
+    artin = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    band = st.integers(1, n - 1).flatmap(
+        lambda r: st.tuples(st.just(r), st.integers(r + 1, n), st.sampled_from((1, -1)))
+    )
+
+    def word():
+        if draw(st.booleans()):
+            return ArtinWord(n, draw(st.lists(artin, max_size=40)))
+        return BKLWord(n, draw(st.lists(band, max_size=40)))
+
+    u = word()
+    if draw(st.booleans()):
+        letters = words._as_artin(u).letters
+        rng = draw(st.randoms(use_true_random=False))
+        return u, ArtinWord(n, scrambled(rng, n, letters, len(letters) // 2))
+    return u, word()
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_pairs())
+def test_handle_reduce_and_braids_equal_match_reference(pair):
+    u, v = pair
+    for w in (words._as_artin(u), words._as_artin(v)):
+        assert handle_reduce(w) == reference.handle_reduce(w)
+    quotient = words._as_artin(u).concat(words._as_artin(v).inverse())
+    assert braids_equal(u, v) == (len(reference.handle_reduce(quotient)) == 0)
+
+
+def test_braids_equal_reduces_once(monkeypatch):
+    calls = []
+
+    def recording(w):
+        calls.append(w)
+        return real(w)
+
+    real = words.handle_reduce
+    monkeypatch.setattr(words, "handle_reduce", recording)
+    u = parse_word("b(1,3) b(2,4)^-1 b(1,2)", 4)
+    v = parse_word("s3 s1 s2", 4)
+    for a, b in ((u, v), (v, u), (u, u), (v, v)):
+        calls.clear()
+        assert braids_equal(a, b) == (a is b)
+        assert calls == [words._as_artin(a).concat(words._as_artin(b).inverse())]
 
 
 def test_bkl_first_relation():
@@ -272,6 +338,10 @@ def test_grammar_errors_and_inference():
         parse_word("s1^0")
     with pytest.raises(WordError):
         parse_word("nonsense")
+    # 2**62 unit letters cannot be stored; the list refuses at once.
+    for token in (f"s1^{2**62}", f"b(1,3)^-{2**62}", f"s2^{2**70}"):
+        with pytest.raises(WordError, match=re.escape(token)):
+            parse_word(f"s1 {token}", 3)
     assert parse_word("s2").strands == 3
     assert parse_word("b(1,4)").strands == 4
     assert parse_word("e").strands == 1
