@@ -17,12 +17,13 @@ one per block, and orders them as a list of plumbing steps: each piece
 with the circle it shares with the pieces before it.  It realizes each
 piece and plumbs them together in that order.  A piece is read off the
 input diagram's one structure, not built as a diagram of its own.
-Soundness is not assumed: each leaf's realization is chosen by comparing
-component counts and integer Seifert matrices with the leaf's, and the
-finished word is compared the same way with the input diagram.  The two
-surfaces share one fatgraph, so one spanning tree of the Seifert graph
-names the same basis of first homology on both, and the matrices are
-compared entry by entry.
+Soundness is not assumed: the input diagram's integer Seifert matrix is
+built once, over the fundamental cycles of one spanning tree of its Seifert
+graph.  Each leaf's realization is chosen by comparing component counts and
+the leaf's block of that matrix, over the cycles through its crossings, and
+the finished word is compared the same way with the whole matrix.  The
+surfaces share one fatgraph, so the cycles name the same basis of first
+homology on both, and the matrices are compared entry by entry.
 """
 
 from __future__ import annotations
@@ -360,19 +361,6 @@ def _fundamental_cycles(vertex_count: int, ends) -> list[tuple[tuple[int, int], 
     return cycles
 
 
-def _seifert_gate(d: Diagram, rank_of):
-    """:func:`_gate` for ``d``: circles are its Seifert circles, edges its crossings.
-
-    ``rank_of`` ranks crossings, and with them the cycles through them, for
-    :func:`diagram_seifert_matrix`.  The diagram side is built once, here.
-    """
-    st = analyze(d)
-    ends = [(u, v) for u, v, _s, _c in st.graph.edges]
-    cycles = _fundamental_cycles(len(st.circles), ends)
-    ranks = [rank_of[cycle[0][0]] for cycle in cycles]
-    return _gate(ends, cycles, diagram_seifert_matrix(d, cycles, ranks), link_components(d))
-
-
 def _gate(ends, cycles, target, components: int):
     """Predicate on (word, disc_of, letter_of): each letter joins its edge's
     discs, the closure has ``components`` components and the braided surface
@@ -580,8 +568,12 @@ def _homogenize(d: Diagram):
         return BKLWord(strands + d.unknots, letters), None
 
     steps = decompose_generalized_flat(d)
+    ends = [(u, v) for u, v, _s, _c in st.graph.edges]
+    cycles = _fundamental_cycles(len(st.circles), ends)
+    rank = _plumbing_ranks(st, steps)
+    target = diagram_seifert_matrix(d, cycles, [rank[cycle[0][0]] for cycle in cycles])
     first_leaf = steps[0][0]
-    word, pos, letter_cids = _realized_leaf(first_leaf, first_leaf.circles[0])
+    word, pos, letter_cids = _realized_leaf(first_leaf, first_leaf.circles[0], cycles, target)
     disc_of = {orig: pos[first_leaf.circle_map[orig]] for orig in first_leaf.circles}
 
     for leaf, shared in steps[1:]:
@@ -593,7 +585,7 @@ def _homogenize(d: Diagram):
             n = word.strands
             disc_of = {c: (p - twirls - 1) % n + 1 for c, p in disc_of.items()}
 
-        piece_word, piece_pos, piece_cids = _realized_leaf(leaf, shared)
+        piece_word, piece_pos, piece_cids = _realized_leaf(leaf, shared, cycles, target)
 
         # Schedule the shared circle's letters in the diagram's cyclic order.
         sigma = st.passages[shared]
@@ -614,26 +606,29 @@ def _homogenize(d: Diagram):
                 continue
             disc_of[orig] = piece_pos[leaf.circle_map[orig]] + n1 - 1
     letter_of = {c: k for k, c in enumerate(letter_cids)}
-    if not _seifert_gate(d, _plumbing_ranks(st, steps))(word, disc_of, letter_of):
+    if not _gate(ends, cycles, target, link_components(d))(word, disc_of, letter_of):
         raise SoundnessError("plumbed word does not match the diagram's link")
     return word, steps
 
 
-def _realized_leaf(leaf: PlumbLeaf, start_circle_orig: int):
+def _realized_leaf(leaf: PlumbLeaf, start_circle_orig: int, cycles, target):
     """Realize one leaf; letters are tagged with source-diagram crossing ids.
 
-    The first candidate whose closure has the leaf's component count and
-    whose braided surface has the leaf's Seifert matrix wins: band heights
-    alone do not pin down the embedding.  The block lies in one smoothed
-    region of the source, where restriction keeps cyclic orders, so its
-    Seifert matrix is the source's over its cycles.
+    ``target`` is the source's Seifert matrix over ``cycles``, fundamental
+    cycles of one spanning tree.  Each lies in one block and the tree spans
+    each block, so the cycles through the leaf's crossings are a basis of
+    its surface.  The leaf lies in one smoothed region, where restriction
+    keeps cyclic orders and ranks do not enter, so their rows and columns
+    of ``target`` are its Seifert matrix.  The first candidate whose closure
+    has the leaf's component count and whose braided surface has that
+    matrix wins: band heights alone do not pin down the embedding.
     """
     fat = leaf.fatgraph
-    ends = [(u, v) for u, v, _s in fat.edges]
-    cycles = _fundamental_cycles(fat.vertex_count, ends)
-    source_cycles = [tuple([(leaf.crossings[k], way) for k, way in cycle]) for cycle in cycles]
-    target = diagram_seifert_matrix(leaf.source, source_cycles)
-    matches = _gate(ends, cycles, target, leaf.components)
+    edge_of = {c: k for k, c in enumerate(leaf.crossings)}
+    share = [i for i, cycle in enumerate(cycles) if cycle[0][0] in edge_of]
+    mine = [tuple([(edge_of[c], way) for c, way in cycles[i]]) for i in share]
+    block = [[target[i][j] for j in share] for i in share]
+    matches = _gate([(u, v) for u, v, _s in fat.edges], mine, block, leaf.components)
     tried = 0
     for word, pos, order in realizations(fat, leaf.circle_map[start_circle_orig]):
         tried += 1

@@ -42,6 +42,21 @@ TREFOIL_NEG = flat_diagram(fatgraph_of_word(parse_word("b(1,2)^-3", strands=2)))
 WORD_943_BRAID = parse_word("s1 s1 s1 s2 s1 s1 s3^-1 s2 s3^-1", strands=4)
 K9_43 = closure_diagram(WORD_943_BRAID)
 
+# Flat wheels, keyed by 2k: a ring of 2k Seifert circles with one circle
+# inside, joined to every other ring circle.  Each is positive, primitive
+# flat and homogeneous, with 3k crossings.
+WHEELS = {
+    4: Diagram([[1, 5, 2, 6], [8, 2, 5, 3], [9, 7, 10, 8], [6, 10, 7, 11], [11, 4, 12, 1], [3, 12, 4, 9]]),
+    6: Diagram([[1, 13, 2, 14], [18, 2, 13, 3], [9, 17, 10, 18], [16, 10, 17, 11], [5, 15, 6, 16],
+                [14, 6, 15, 7], [7, 12, 8, 1], [3, 8, 4, 9], [11, 4, 12, 5]]),
+    8: Diagram([[1, 9, 2, 10], [16, 2, 9, 3], [17, 15, 18, 16], [14, 18, 15, 19], [5, 13, 6, 14],
+                [12, 6, 13, 7], [21, 11, 22, 12], [10, 22, 11, 23], [23, 8, 24, 1], [3, 24, 4, 17],
+                [19, 4, 20, 5], [7, 20, 8, 21]]),
+    10: Diagram([[1, 21, 2, 22], [30, 2, 21, 3], [13, 29, 14, 30], [28, 14, 29, 15], [5, 27, 6, 28],
+                 [26, 6, 27, 7], [17, 25, 18, 26], [24, 18, 25, 19], [9, 23, 10, 24], [22, 10, 23, 11],
+                 [11, 20, 12, 1], [3, 12, 4, 13], [15, 4, 16, 5], [7, 16, 8, 17], [19, 8, 20, 9]]),
+}
+
 
 def random_bkl_word(rng: random.Random, max_strands=5, max_len=8, homogeneous=False) -> BKLWord:
     n = rng.randint(2, max_strands)

@@ -399,7 +399,11 @@ def test_seifert_gate_rejects_the_mirror_trefoil_word():
     # meets the final gate, which ranks the crossings by plumbing step.
     steps = pipeline.decompose_generalized_flat(TREFOIL)
     ((leaf, _shared),) = steps
-    word, pos, cids = pipeline._realized_leaf(leaf, leaf.circles[0])
+    structure = analyze(TREFOIL)
+    cycles = _diagram_basis(TREFOIL)
+    ranks = pipeline._plumbing_ranks(structure, steps)
+    target = diagram_seifert_matrix(TREFOIL, cycles, [ranks[cycle[0][0]] for cycle in cycles])
+    word, pos, cids = pipeline._realized_leaf(leaf, leaf.circles[0], cycles, target)
     assert word == pipeline.homogenize(TREFOIL)
     disc_of = {c: pos[leaf.circle_map[c]] for c in leaf.circles}
     letter_of = {c: k for k, c in enumerate(cids)}
@@ -409,7 +413,8 @@ def test_seifert_gate_rejects_the_mirror_trefoil_word():
     assert closure_components(mirror) == link_components(TREFOIL)
     assert alexander_from_braid(mirror) == alexander_from_diagram(TREFOIL)
     # ... the Seifert matrix can.
-    gate = pipeline._seifert_gate(TREFOIL, pipeline._plumbing_ranks(analyze(TREFOIL), steps))
+    ends = [edge[:2] for edge in structure.graph.edges]
+    gate = pipeline._gate(ends, cycles, target, link_components(TREFOIL))
     assert gate(word, disc_of, letter_of)
     assert not gate(mirror, disc_of, letter_of)
 

@@ -45,6 +45,7 @@ from corpus import (
     K9_43,
     TREFOIL,
     TREFOIL_NEG,
+    WHEELS,
     disjoint_union,
     pseudoalternating_diagrams,
     random_artin_word,
@@ -294,21 +295,50 @@ def test_leaf_view_matches_subdiagram(monkeypatch):
             steps = decompose_generalized_flat(d)
         except PipelineError:  # not homogeneous, or split
             continue
-        for leaf, _shared in steps:
+        gates.clear()
+        homogenize(d)  # builds one gate per leaf, in plumbing order, then the final one
+        assert len(gates) == len(steps) + 1
+        for (leaf, _shared), (_ends, cycles, target, components) in zip(steps, gates):
             piece, circle_map = reference.piece(d, leaf.crossings)
             assert leaf.diagram == piece
             assert leaf.fatgraph == reference.fatgraph_of_diagram(piece)
             assert leaf.circle_map == circle_map
             assert leaf.components == link_components(piece)
-            gates.clear()
-            pipeline._realized_leaf(leaf, leaf.circles[0])
-            ((_ends, cycles, target, components),) = gates
             assert target == diagram_seifert_matrix(piece, cycles)
             assert components == link_components(piece)
             assert len({analyze(d).crossing_region[c] for c in leaf.crossings}) == 1
             assert is_primitive_flat(piece)
             leaves += 1
     assert leaves > 300
+
+
+def test_leaves_split_one_cycle_basis(monkeypatch):
+    # A fundamental cycle is simple, so it lies in one block, and the
+    # spanning tree restricted to a block spans it: each leaf's gate takes
+    # a basis of its surface from the whole graph's cycles, and its target
+    # is their block of the diagram's matrix, where ranks do not enter.
+    cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
+    cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
+    cases += [WHEELS[size] for size in (4, 6, 8)]
+    gates = []
+    gate = pipeline._gate
+    monkeypatch.setattr(pipeline, "_gate", lambda *args: gates.append(args) or gate(*args))
+    for d in cases:
+        st = analyze(d)
+        steps = decompose_generalized_flat(d)
+        leaf_of = {c: k for k, (leaf, _shared) in enumerate(steps) for c in leaf.crossings}
+        cycles = pipeline._fundamental_cycles(len(st.circles), [e[:2] for e in st.graph.edges])
+        for cycle in cycles:
+            assert len({leaf_of[c] for c, _way in cycle}) == 1
+        gates.clear()
+        homogenize(d)
+        received = []
+        for (leaf, _shared), (_ends, mine, target, _components) in zip(steps, gates):
+            assert len(mine) == len(leaf.crossings) - len(leaf.circles) + 1
+            mine = [tuple([(leaf.crossings[k], way) for k, way in cycle]) for cycle in mine]
+            assert target == diagram_seifert_matrix(d, mine)
+            received += mine
+        assert sorted(received) == sorted(cycles)
 
 
 def _flatness_cases(seed: int, count: int) -> list[Diagram]:
@@ -399,11 +429,13 @@ def test_homogenize_split_diagrams_with_free_unknots():
 
 
 def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
-    # One diagram-side Seifert matrix per leaf and one word-side matrix per
-    # leaf candidate tried, then one of each for the finished word against
-    # the diagram itself.  Neither Alexander engine runs.
+    # One cycle basis, one plumbing ranking and one diagram-side Seifert
+    # matrix per connected diagram; one word-side matrix per leaf candidate
+    # tried, then one for the finished word.  Neither Alexander engine runs.
     alexander_calls, diagram_sides, word_sides, tried = [], [], [], []
+    bases, rankings = [], []
     diagram_side, word_side = pipeline.diagram_seifert_matrix, pipeline.word_seifert_matrix
+    fundamental_cycles, plumbing_ranks = pipeline._fundamental_cycles, pipeline._plumbing_ranks
 
     def counted_realizations(*args, **kwargs):
         for found in realizations(*args, **kwargs):
@@ -419,18 +451,18 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
     monkeypatch.setattr(
         pipeline, "word_seifert_matrix", lambda w, *a: word_sides.append(w) or word_side(w, *a)
     )
+    monkeypatch.setattr(pipeline, "_fundamental_cycles", lambda *a: bases.append(a) or fundamental_cycles(*a))
+    monkeypatch.setattr(pipeline, "_plumbing_ranks", lambda *a: rankings.append(a) or plumbing_ranks(*a))
     monkeypatch.setattr(pipeline, "realizations", counted_realizations)
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
     for d in cases:
-        k = len(decompose_generalized_flat(d))
-        diagram_sides.clear()
-        word_sides.clear()
-        tried.clear()
+        for calls in (diagram_sides, word_sides, tried, bases, rankings):
+            calls.clear()
         w = homogenize(d)
-        assert len(diagram_sides) == k + 1
+        assert len(diagram_sides) == len(bases) == len(rankings) == 1 and diagram_sides[0] is d
         assert len(word_sides) == len(tried) + 1
-        assert diagram_sides[-1] is d and word_sides[-1] is w
+        assert word_sides[-1] is w
     assert alexander_calls == []
 
 
@@ -496,6 +528,44 @@ def test_homogenize_words_pinned():
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
     lines = [f"{format_word(w)}/{w.strands}" for w in map(homogenize, cases)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_WORDS_SHA256
+
+
+@pytest.mark.parametrize("size, tried, expected", [
+    (4, 5, "b(2,3) b(1,2) b(3,4) b(3,5) b(1,5) b(1,4)"),
+    (6, 94, "b(1,2) b(5,6) b(5,7) b(3,7) b(2,3) b(1,6) b(4,5) b(1,4) b(3,4)"),
+    (8, 714, "b(1,2) b(5,6) b(5,9) b(3,9) b(2,3) b(7,8) b(6,7) b(1,8) b(4,5) b(4,7) b(1,4) b(3,4)"),
+])
+def test_homogenize_wheels(monkeypatch, size, tried, expected):
+    # A wheel is one leaf whose gate rejects many candidates before one
+    # passes, so the words pin the gate's rejections as well as its choice.
+    d = WHEELS[size]
+    assert set(analyze(d).signs) == {1} and is_primitive_flat(d) and is_homogeneous_diagram(d).homogeneous
+    seen = []
+
+    def counted_realizations(*args, **kwargs):
+        for found in realizations(*args, **kwargs):
+            seen.append(found)
+            yield found
+
+    monkeypatch.setattr(pipeline, "realizations", counted_realizations)
+    w = homogenize(d)
+    assert format_word(w) == expected and w.strands == size + 1
+    assert len(seen) == tried
+    assert alexander_from_braid(w) == alexander_from_diagram(d)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PipelineError,
+    reason="the first match is candidate 4,988, past REALIZATION_LIMIT: an unbudgeted "
+    "search (ROADMAP item 4) that a direct cut rule would replace (ROADMAP item 11)",
+)
+def test_homogenize_wheel_of_ten():
+    d = WHEELS[10]
+    assert is_primitive_flat(d) and is_homogeneous_diagram(d).homogeneous
+    w = homogenize(d)
+    assert w.strands == 11 and len(w.letters) == 15
+    assert closure_components(w) == link_components(d) == 2
 
 
 def test_homogenize_derives_each_structure_once(monkeypatch):
