@@ -1,4 +1,4 @@
-"""Link invariants: Seifert matrices, reduced Burau matrices, Alexander polynomials.
+"""Link invariants: Seifert matrices and Alexander polynomials.
 
 Seifert matrices
 ----------------
@@ -38,12 +38,18 @@ of a link from a braid representation*, 2007).
 
 Alexander polynomials
 ---------------------
-Two independent routes compute the one-variable Alexander polynomial of a
-link, both exact over the integers:
+Two routes compute the one-variable Alexander polynomial of a link, both
+exact over the integers, and both take one Fox minor: the Fox Jacobian of a
+presentation of the link group, abelianized to t, without one row and one
+column.
 
-* from a braid word, via the reduced Burau representation and the identity
-  ``det(B(w) - I) = unit * Alexander * (1 + t + ... + t^(n-1))``;
-* from a diagram, via the Wirtinger presentation and Fox derivatives.
+* From a diagram, the Wirtinger presentation: a generator per arc and a
+  relation per crossing.
+* From a braid word w on n strands, the presentation x_i = w(x_i) of the
+  group of its closure.  Its Fox matrix is I - B(w), where B(w) is the
+  unreduced Burau matrix, and the minor without the last row and column is
+  the polynomial (Birman, *Braids, Links and Mapping Class Groups*, 1974,
+  section 3).  For n = 1 it is the 0 x 0 minor, 1.
 
 Values are compared after normalization (lowest exponent 0, positive
 leading coefficient), which quotients out the unit ambiguity.  For links of
@@ -80,24 +86,21 @@ interpolation; a ``Laurent`` is built only for the final polynomial.
   is needed, and the table holds known primes, so no primality test runs
   either.
 
-On the Fox side the Wirtinger minor is a pencil A + tB with at most three
-nonzeros per row, so D is at most its size and the elimination stays
-sparse.  On the Burau side the running product is kept as dense Laurent
-coefficient lists: a generator changes one column of the product, which is
-rebuilt from at most three neighbouring columns.  Each row and then each
-column of B - I is divided by the lowest power of t it holds, so every
-entry is a polynomial; the determinant then differs from det(B - I) by a
-power of t, which normalization removes after the exact division by
-1 + t + ... + t^(n-1).
+The Wirtinger minor is a pencil A + tB with at most three nonzeros per
+row, so D is at most its size and the elimination stays sparse.  On the
+braid side the running product is kept as dense Laurent coefficient lists:
+a generator rebuilds two neighbouring columns of the product from each
+other.  Both minors end in one routine, which divides each row and then
+each column by the lowest power of t it holds, so every entry is a
+polynomial; the determinant then differs from the minor by a power of t,
+which normalization removes.
 """
 
 from __future__ import annotations
 
-from .diagrams import Diagram, DiagramError, _UnionFind, analyze
+from .diagrams import Diagram, _UnionFind, analyze
 from .laurent import Laurent
 from .words import ArtinWord, BKLWord, Word, bkl_to_artin
-
-Matrix = list[list[Laurent]]
 
 # A dense Laurent entry: (exponent of the first coefficient, coefficients).
 # Entries are never mutated once built, so the zero entry is shared.
@@ -292,8 +295,27 @@ def _poly_det(rows: list[dict[int, tuple]]) -> list[int]:
     return coeffs
 
 
+def _alexander_det(rows: list[dict[int, tuple]]) -> Laurent:
+    """Normalized determinant of sparse rows of dense entries with nonzero first coefficients.
+
+    Each row, then each column, is first divided by its lowest power of t.
+    """
+    row_lo = [min((off for off, _c in row.values()), default=0) for row in rows]
+    col_lo: dict[int, int] = {}
+    for row, lo in zip(rows, row_lo):
+        for j, (off, _c) in row.items():
+            col_lo[j] = min(col_lo.get(j, off - lo), off - lo)
+    det = _poly_det(
+        [
+            {j: (off - lo - col_lo[j], coeffs) for j, (off, coeffs) in row.items()}
+            for row, lo in zip(rows, row_lo)
+        ]
+    )
+    return Laurent.from_list(det).normalized()
+
+
 # ---------------------------------------------------------------------------
-# Reduced Burau representation
+# Fox minor of a closed braid: I - B(w) for the unreduced Burau matrix
 # ---------------------------------------------------------------------------
 
 def _combine(terms) -> tuple:
@@ -318,79 +340,44 @@ def _combine(terms) -> tuple:
     return (lo + start, out[start:end]) if start < end else _ZERO
 
 
-def _burau_columns(word: ArtinWord) -> list[list[tuple]]:
-    """Columns of the reduced Burau matrix of an Artin word, as dense entries.
+def alexander_from_braid(w: Word) -> Laurent:
+    """Normalized Alexander polynomial of the closure of a braid word.
 
-    Right multiplication by the i-th generator (column k = i - 1) rebuilds
-    column k only: ``t*c[k-1] - t*c[k] + c[k+1]`` for a positive letter and
-    ``c[k-1] - c[k]/t + c[k+1]/t`` for a negative one, where columns outside
-    the matrix are zero.
+    The unreduced Burau product B(w) is kept as n dense columns, each
+    without its last row, which the minor drops.  Right multiplication by
+    the i-th generator rebuilds columns k = i - 1 and k + 1: ``c[k] - t*c[k]
+    + c[k+1]`` and ``t*c[k]`` for a positive letter, ``c[k+1]/t`` and
+    ``c[k] + c[k+1] - c[k+1]/t`` for a negative one.
     """
+    word = w if isinstance(w, ArtinWord) else bkl_to_artin(w)
     size = word.strands - 1
-    cols = [[(0, (1,)) if r == k else _ZERO for r in range(size)] for k in range(size)]
+    one = (0, (1,))
+    cols = [[one if r == k else _ZERO for r in range(size)] for k in range(size + 1)]
     for i, e in word.letters:
         k = i - 1
-        left = cols[k - 1] if k > 0 else None
-        right = cols[k + 1] if k + 1 < size else None
-        mid = cols[k]
-        up, low = (1, 0) if e > 0 else (0, -1)
-        new = []
-        for r in range(size):
-            terms = [(-1, up + low, mid[r])]
-            if left is not None:
-                terms.append((1, up, left[r]))
-            if right is not None:
-                terms.append((1, low, right[r]))
-            new.append(_combine(terms))
-        cols[k] = new
-    return cols
-
-
-def burau_reduced(w: Word) -> Matrix:
-    """Product of reduced Burau matrices in word order; identity for the empty word."""
-    word = w if isinstance(w, ArtinWord) else bkl_to_artin(w)
-    cols = _burau_columns(word)
-    return [[Laurent.from_list(col[r][1], col[r][0]) for col in cols] for r in range(len(cols))]
-
-
-def alexander_from_braid(w: Word) -> Laurent:
-    """Normalized Alexander polynomial of the closure of a braid word."""
-    word = w if isinstance(w, ArtinWord) else bkl_to_artin(w)
-    n = word.strands
-    if n == 1:
-        return Laurent.one()
-    cols = _burau_columns(word)
-    size = n - 1
-    one = (0, (1,))
-    rows = [
-        [_combine(((1, 0, cols[j][i]), (-1, 0, one))) if i == j else cols[j][i] for j in range(size)]
-        for i in range(size)
-    ]
-    # Divide each row, then each column, by its lowest power of t.
-    row_lo = []
-    for row in rows:
-        offsets = [off for off, coeffs in row if coeffs]
-        if not offsets:
-            return Laurent.zero()
-        row_lo.append(min(offsets))
-    col_lo = [
-        min((rows[i][j][0] - row_lo[i] for i in range(size) if rows[i][j][1]), default=0)
-        for j in range(size)
-    ]
-    det = _poly_det(
-        [
-            {j: (off - row_lo[i] - col_lo[j], coeffs) for j, (off, coeffs) in enumerate(row) if coeffs}
-            for i, row in enumerate(rows)
-        ]
-    )
-    if not det:
-        return Laurent.zero()
-    divisor = Laurent.from_list([1] * n)  # 1 + t + ... + t^(n-1)
-    return Laurent.from_list(det).divide_exact(divisor).normalized()
+        left, right = cols[k], cols[k + 1]
+        if e > 0:
+            cols[k] = [_combine(((1, 0, a), (-1, 1, a), (1, 0, b))) for a, b in zip(left, right)]
+            cols[k + 1] = [(off + 1, c) if c else _ZERO for off, c in left]
+        else:
+            cols[k] = [(off - 1, c) if c else _ZERO for off, c in right]
+            cols[k + 1] = [
+                _combine(((1, 0, a), (1, 0, b), (-1, -1, b))) for a, b in zip(left, right)
+            ]
+    # B - I differs from I - B by the sign that normalization removes.
+    rows = []
+    for i in range(size):
+        row = {}
+        for j in range(size):
+            entry = _combine(((1, 0, cols[j][i]), (-1, 0, one))) if i == j else cols[j][i]
+            if entry[1]:
+                row[j] = entry
+        rows.append(row)
+    return _alexander_det(rows)
 
 
 # ---------------------------------------------------------------------------
-# Fox calculus on the Wirtinger presentation
+# Fox minor of a diagram: the Wirtinger presentation
 # ---------------------------------------------------------------------------
 
 def _wirtinger_rows(d: Diagram) -> list[dict[int, tuple[int, int]]] | None:
@@ -440,7 +427,7 @@ def _fox_minor(rows: list[dict[int, tuple[int, int]]], drop_row: int, drop_col: 
             else:
                 entries[j - (j > drop_col)] = (0, (const, lin) if lin else (const,))
         minor.append(entries)
-    return Laurent.from_list(_poly_det(minor)).normalized()
+    return _alexander_det(minor)
 
 
 def alexander_from_diagram(d: Diagram) -> Laurent:
@@ -461,21 +448,6 @@ def alexander_from_diagram(d: Diagram) -> Laurent:
     if rows is None:
         return Laurent.zero()
     return _fox_minor(rows, 0, 0)
-
-
-def alexander_from_diagram_minor(d: Diagram, drop_row: int, drop_col: int) -> Laurent:
-    """Same as :func:`alexander_from_diagram` with an explicit deleted row/column."""
-    if not d.crossings:
-        raise DiagramError("empty diagram has no Wirtinger matrix")
-    c = len(d.crossings)
-    if not (0 <= drop_row < c and 0 <= drop_col < c):
-        raise DiagramError(f"minor ({drop_row}, {drop_col}) outside a {c}x{c} Wirtinger matrix")
-    if d.unknots:
-        return Laurent.zero()
-    rows = _wirtinger_rows(d)
-    if rows is None:
-        return Laurent.zero()
-    return _fox_minor(rows, drop_row, drop_col)
 
 
 # ---------------------------------------------------------------------------

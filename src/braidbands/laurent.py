@@ -1,8 +1,7 @@
 """Exact Laurent polynomials in one variable over the integers.
 
 Coefficients are arbitrary-precision ints keyed by exponent; the zero
-polynomial has no entries.  All arithmetic keeps the canonical form (no
-zero coefficients stored).
+polynomial has no entries, and no zero coefficient is ever stored.
 """
 
 from __future__ import annotations
@@ -39,10 +38,6 @@ class Laurent:
     @staticmethod
     def one() -> "Laurent":
         return Laurent({0: 1})
-
-    @staticmethod
-    def t(exponent: int = 1, coeff: int = 1) -> "Laurent":
-        return Laurent({exponent: coeff})
 
     @staticmethod
     def from_list(coeffs: Iterable[int], offset: int = 0) -> "Laurent":
@@ -83,59 +78,12 @@ class Laurent:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "Laurent") -> "Laurent":
-        d = dict(self.coeffs)
-        for k, c in other.coeffs:
-            d[k] = d.get(k, 0) + c
-        return Laurent(d)
-
     def __neg__(self) -> "Laurent":
         return Laurent({k: -c for k, c in self.coeffs})
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + (-other)
-
-    def __mul__(self, other: "Laurent") -> "Laurent":
-        d: dict[int, int] = {}
-        for k1, c1 in self.coeffs:
-            for k2, c2 in other.coeffs:
-                k = k1 + k2
-                d[k] = d.get(k, 0) + c1 * c2
-        return Laurent(d)
 
     def shift(self, exponent: int) -> "Laurent":
         """Multiply by t**exponent."""
         return Laurent({k + exponent: c for k, c in self.coeffs})
-
-    def substitute_inverse(self) -> "Laurent":
-        """The polynomial with t replaced by 1/t."""
-        return Laurent({-k: c for k, c in self.coeffs})
-
-    def divide_exact(self, divisor: "Laurent") -> "Laurent":
-        """Exact division; raises ValueError when the division leaves a remainder."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return Laurent.zero()
-        # Shift both to ordinary polynomials, divide, shift back.
-        num, num_off = self.coefficient_list()
-        den, den_off = divisor.coefficient_list()
-        if len(num) < len(den):
-            raise ValueError("non-exact Laurent division")
-        quot = [0] * (len(num) - len(den) + 1)
-        rem = list(num)
-        lead = den[-1]
-        for i in range(len(quot) - 1, -1, -1):
-            q, r = divmod(rem[i + len(den) - 1], lead)
-            if r:
-                raise ValueError("non-exact Laurent division")
-            quot[i] = q
-            if q:
-                for j, dc in enumerate(den):
-                    rem[i + j] -= q * dc
-        if any(rem):
-            raise ValueError("non-exact Laurent division")
-        return Laurent.from_list(quot, num_off - den_off)
 
     def normalized(self) -> "Laurent":
         """Canonical representative up to units: lowest exponent 0, positive lead."""

@@ -359,6 +359,7 @@ def braids_equal(u: Word, v: Word) -> bool:
 # Word grammar
 # ---------------------------------------------------------------------------
 
+MAX_WORD_LETTERS = 10**6  # longest word, exponents expanded, that parse_word accepts
 _ARTIN_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
 _BKL_TOKEN = re.compile(r"^b\((\d+),(\d+)\)(?:\^(-?\d+))?$")
 
@@ -382,8 +383,9 @@ def _parse_token(token: str, shared: dict) -> tuple[bool, tuple, int]:
 def parse_word(text: str, strands: int | None = None, kind: str | None = None) -> Word:
     """Parse the token grammar: ``s<i>``, ``b(<r>,<s>)``, optional ``^<k>``, ``e``.
 
-    Exponents expand to unit letters.  Mixing Artin and band tokens in one
-    word is rejected.  When ``strands`` is omitted it is inferred as one plus
+    Exponents expand to unit letters; a word longer than
+    ``MAX_WORD_LETTERS`` is rejected, as is one that mixes Artin and band
+    tokens.  When ``strands`` is omitted it is inferred as one plus
     the largest strand index used (1 for the empty word).  ``kind`` forces
     ``"artin"`` or ``"bkl"`` output for the empty word.
     """
@@ -398,10 +400,9 @@ def parse_word(text: str, strands: int | None = None, kind: str | None = None) -
         if parsed is None:
             parsed = tokens[token] = _parse_token(token, shared)
         band, letter, count = parsed
-        try:
-            (bkl if band else artin).extend([letter] * count)
-        except (MemoryError, OverflowError):
-            raise WordError(f"exponent too large to expand in token {token!r}") from None
+        if len(artin) + len(bkl) + count > MAX_WORD_LETTERS:
+            raise WordError(f"word longer than {MAX_WORD_LETTERS} letters at token {token!r}")
+        (bkl if band else artin).extend([letter] * count)
     if artin and bkl:
         raise WordError("word mixes Artin and band tokens")
     if bkl or kind == "bkl":

@@ -2,8 +2,9 @@
 
 These are the straightforward forms of the library's oracles: full reduced
 Burau matrices multiplied letter by letter, a dense Wirtinger matrix, and a
-fraction-free (Bareiss) determinant over Laurent polynomials.  They are slow
-but share no arithmetic with the library's evaluation engine.  The braid
+fraction-free (Bareiss) determinant over Laurent polynomials, with the
+Laurent sum, product and exact division as plain functions here.  They are
+slow but share no arithmetic with the library's evaluation engine.  The braid
 permutation is kept in its O(L * n) form, rescanning every strand per letter,
 and handle reduction in its O(L) per step form, rescanning the whole word for
 the first handle and free-reducing all of it after every step.  A plumbing
@@ -33,6 +34,65 @@ from braidbands.words import ArtinWord, BKLWord, Permutation, Word, bkl_to_artin
 Matrix = list[list[Laurent]]
 
 
+# ---------------------------------------------------------------------------
+# Laurent arithmetic for the references and the tests; the library only negates and shifts
+# ---------------------------------------------------------------------------
+
+def monomial(exponent: int = 1, coeff: int = 1) -> Laurent:
+    return Laurent({exponent: coeff})
+
+
+def add(a: Laurent, b: Laurent) -> Laurent:
+    d = dict(a.coeffs)
+    for k, c in b.coeffs:
+        d[k] = d.get(k, 0) + c
+    return Laurent(d)
+
+
+def sub(a: Laurent, b: Laurent) -> Laurent:
+    return add(a, -b)
+
+
+def mul(a: Laurent, b: Laurent) -> Laurent:
+    d: dict[int, int] = {}
+    for k1, c1 in a.coeffs:
+        for k2, c2 in b.coeffs:
+            d[k1 + k2] = d.get(k1 + k2, 0) + c1 * c2
+    return Laurent(d)
+
+
+def substitute_inverse(a: Laurent) -> Laurent:
+    """The polynomial with t replaced by 1/t."""
+    return Laurent({-k: c for k, c in a.coeffs})
+
+
+def divide_exact(a: Laurent, divisor: Laurent) -> Laurent:
+    """Exact division; raises ValueError when the division leaves a remainder."""
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if a.is_zero():
+        return Laurent.zero()
+    # Shift both to ordinary polynomials, divide, shift back.
+    num, num_off = a.coefficient_list()
+    den, den_off = divisor.coefficient_list()
+    if len(num) < len(den):
+        raise ValueError("non-exact Laurent division")
+    quot = [0] * (len(num) - len(den) + 1)
+    rem = list(num)
+    lead = den[-1]
+    for i in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[i + len(den) - 1], lead)
+        if r:
+            raise ValueError("non-exact Laurent division")
+        quot[i] = q
+        if q:
+            for j, dc in enumerate(den):
+                rem[i + j] -= q * dc
+    if any(rem):
+        raise ValueError("non-exact Laurent division")
+    return Laurent.from_list(quot, num_off - den_off)
+
+
 def _identity(n: int) -> Matrix:
     return [[Laurent.one() if i == j else Laurent.zero() for j in range(n)] for i in range(n)]
 
@@ -48,7 +108,7 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
             for x in range(k):
                 if a[i][x].is_zero() or b[x][j].is_zero():
                     continue
-                acc = acc + a[i][x] * b[x][j]
+                acc = add(acc, mul(a[i][x], b[x][j]))
             out[i][j] = acc
     return out
 
@@ -74,7 +134,7 @@ def determinant(m: Matrix) -> Laurent:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).divide_exact(prev)
+                a[i][j] = divide_exact(sub(mul(a[k][k], a[i][j]), mul(a[i][k], a[k][j])), prev)
             a[i][k] = Laurent.zero()
         prev = a[k][k]
     det = a[n - 1][n - 1]
@@ -84,11 +144,11 @@ def determinant(m: Matrix) -> Laurent:
 def _burau_generator(n: int, i: int, sign: int) -> Matrix:
     """Reduced Burau matrix of the i-th Artin generator of B_n, size (n-1)."""
     m = _identity(n - 1)
-    t = Laurent.t()
-    tinv = Laurent.t(-1)
+    t = monomial()
+    tinv = monomial(-1)
     one = Laurent.one()
     if n == 2:
-        m[0][0] = Laurent.t(1, -1) if sign > 0 else Laurent.t(-1, -1)
+        m[0][0] = monomial(1, -1) if sign > 0 else monomial(-1, -1)
         return m
     if sign > 0:
         if i == 1:
@@ -132,11 +192,11 @@ def alexander_from_braid(w: Word) -> Laurent:
     if n == 1:
         return Laurent.one()
     b = burau_reduced(word)
-    m = [[x - y for x, y in zip(rb, ri)] for rb, ri in zip(b, _identity(n - 1))]
+    m = [[sub(x, y) for x, y in zip(rb, ri)] for rb, ri in zip(b, _identity(n - 1))]
     det = determinant(m)
     if det.is_zero():
         return Laurent.zero()
-    return det.divide_exact(Laurent.from_list([1] * n)).normalized()
+    return divide_exact(det, Laurent.from_list([1] * n)).normalized()
 
 
 def wirtinger_matrix(d: Diagram) -> Matrix | None:
@@ -150,19 +210,19 @@ def wirtinger_matrix(d: Diagram) -> Matrix | None:
     c = len(d.crossings)
     if len(gens) != c:
         return None
-    t, one = Laurent.t(), Laurent.one()
+    t, one = monomial(), Laurent.one()
     rows = []
     for idx, (a, b, cc, _dd) in enumerate(d.crossings):
         over, src, dst = gen_index[uf.find(b)], gen_index[uf.find(a)], gen_index[uf.find(cc)]
         row = [Laurent.zero() for _ in range(c)]
         if st.signs[idx] > 0:
-            row[over] = row[over] + (one - t)
-            row[src] = row[src] + t
-            row[dst] = row[dst] - one
+            row[over] = add(row[over], sub(one, t))
+            row[src] = add(row[src], t)
+            row[dst] = sub(row[dst], one)
         else:
-            row[over] = row[over] + (t - one)
-            row[src] = row[src] + one
-            row[dst] = row[dst] - t
+            row[over] = add(row[over], sub(t, one))
+            row[src] = add(row[src], one)
+            row[dst] = sub(row[dst], t)
         rows.append(row)
     return rows
 

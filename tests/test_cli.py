@@ -159,6 +159,10 @@ def test_invariant_commands(capsys, trefoil_file):
     assert json.loads(capsys.readouterr().out)["coefficients"] == [1, -1, 1]
     assert run(["invariant", "components", "--word", "e", "--strands", "3", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["components"] == 3
+    # The 0 x 0 minor of one strand, split closures and the trefoil as a band word.
+    for word, strands, poly in (("e", "1", "1"), ("e", "3", "0"), ("b(1,3)^3", "3", "0"), ("b(1,2)^3", "2", "1 - t + t^2")):
+        assert run(["invariant", "alexander", "--word", word, "--strands", strands, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["poly"] == poly
 
 
 def test_invalid_word_is_exit_2(capsys):

@@ -338,10 +338,12 @@ def test_grammar_errors_and_inference():
         parse_word("s1^0")
     with pytest.raises(WordError):
         parse_word("nonsense")
-    # 2**62 unit letters cannot be stored; the list refuses at once.
-    for token in (f"s1^{2**62}", f"b(1,3)^-{2**62}", f"s2^{2**70}"):
+    # A word past MAX_WORD_LETTERS unit letters is refused before it is expanded.
+    for token in (f"s1^{2**62}", f"b(1,3)^-{2**62}", f"s2^{2**70}", "s1^1000001"):
         with pytest.raises(WordError, match=re.escape(token)):
             parse_word(f"s1 {token}", 3)
+    with pytest.raises(WordError, match="longer than 1000000 letters"):
+        parse_word("s1^999999 s2 s1", 3)
     assert parse_word("s2").strands == 3
     assert parse_word("b(1,4)").strands == 4
     assert parse_word("e").strands == 1
