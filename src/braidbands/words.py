@@ -9,9 +9,12 @@ positions address individual crossings.  Two presentations coexist:
   ``r`` and ``s`` cross in front of all intermediate strands.
 
 Letters are immutable tuples of ints and are shared, not copied: the word
-constructors keep a letter that already is such a tuple, ``parse_word``
-makes one tuple per distinct letter, and handle reduction reuses the
-letters of its input.
+constructors check each distinct letter once and replace every letter by
+the first letter of the word equal to it, ``parse_word`` makes one tuple
+per distinct letter, and handle reduction reuses the letters of its input.
+A word with a letter that fails the check, or that cannot be hashed, is
+coerced and checked letter by letter instead, so an error names the first
+bad letter of the word.
 
 Equality of braid elements is decided by handle reduction, a terminating
 rewriting procedure on Artin words.  It runs as one loop on two stacks: a
@@ -19,7 +22,9 @@ handle-free prefix and the rest of the word, reversed.  Each letter moved
 from the rest onto the prefix is checked for a handle closing there; a
 handle is rewritten in place on the prefix, and the letters from the lowest
 position it changed go back onto the rest to be checked again, so a step
-costs the handle's length, not the word's.
+costs the handle's length, not the word's.  The stacks hold int codes
+(``2*i`` for ``sigma_i``, ``2*i + 1`` for its inverse) over a sentinel 0,
+and the reduct's codes are turned back into the input's own letters.
 """
 
 from __future__ import annotations
@@ -49,6 +54,32 @@ def _band_letter(letter) -> tuple[int, int, int]:
     return (int(r), int(s), int(e))
 
 
+def _first_of_each(letters: tuple, valid) -> tuple | None:
+    """``letters`` with each letter replaced by the first letter equal to it.
+
+    ``valid`` is called once per distinct letter.  None means that it failed
+    for one, or that a letter is unhashable (a list, say): the caller then
+    coerces and checks the letters one by one, in word order.  Equal letters
+    end up as one tuple, so a letter that equals a valid one without being an
+    exact tuple of ints, such as ``(1, True)``, is replaced by that one.
+    """
+    try:
+        first = {x: x for x in set(letters)}
+    except TypeError:
+        return None
+    if not all(map(valid, first)):
+        return None
+    # A list, not an iterator: tuple() of an iterator starts at 10 slots and
+    # resizes, which drains one tuple free list and fills the others.
+    return tuple([first[x] for x in letters])
+
+
+def _inverse_letters(letters: tuple) -> tuple:
+    """The letters of the inverse word, with one tuple per distinct letter."""
+    flipped = {x: (*x[:-1], -x[-1]) for x in set(letters)}
+    return tuple([flipped[x] for x in reversed(letters)])
+
+
 @dataclass(frozen=True)
 class ArtinWord:
     """A word in the Artin generators of the braid group on ``strands`` strands."""
@@ -59,23 +90,26 @@ class ArtinWord:
     def __init__(self, strands: int, letters: Iterable[tuple[int, int]] = ()):
         if strands < 1:
             raise WordError(f"strand count must be >= 1, got {strands}")
-        letters = tuple([
-            x if type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
-            else _artin_letter(x)
-            for x in letters
-        ])
-        for i, e in letters:
-            _check_sign(e)
-            if not 1 <= i <= strands - 1:
-                raise WordError(f"generator index {i} out of range for {strands} strands")
+        letters = tuple(letters)
+        checked = _first_of_each(
+            letters,
+            lambda x: type(x) is tuple and len(x) == 2 and type(x[0]) is int
+            and type(x[1]) is int and x[1] in (1, -1) and 1 <= x[0] <= strands - 1,
+        )
+        if checked is None:
+            checked = tuple([_artin_letter(x) for x in letters])
+            for i, e in checked:
+                _check_sign(e)
+                if not 1 <= i <= strands - 1:
+                    raise WordError(f"generator index {i} out of range for {strands} strands")
         object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", checked)
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def inverse(self) -> "ArtinWord":
-        return ArtinWord(self.strands, tuple([(i, -e) for i, e in reversed(self.letters)]))
+        return ArtinWord(self.strands, _inverse_letters(self.letters))
 
     def concat(self, other: "ArtinWord") -> "ArtinWord":
         if other.strands != self.strands:
@@ -96,27 +130,29 @@ class BKLWord:
     def __init__(self, strands: int, letters: Iterable[tuple[int, int, int]] = ()):
         if strands < 1:
             raise WordError(f"strand count must be >= 1, got {strands}")
-        letters = tuple([
-            x
-            if type(x) is tuple and len(x) == 3 and type(x[0]) is int and type(x[1]) is int
-            and type(x[2]) is int
-            else _band_letter(x)
-            for x in letters
-        ])
-        for r, s, e in letters:
-            _check_sign(e)
-            if not 1 <= r < s <= strands:
-                raise WordError(
-                    f"band generator ({r},{s}) out of range for {strands} strands"
-                )
+        letters = tuple(letters)
+        checked = _first_of_each(
+            letters,
+            lambda x: type(x) is tuple and len(x) == 3 and type(x[0]) is int
+            and type(x[1]) is int and type(x[2]) is int and x[2] in (1, -1)
+            and 1 <= x[0] < x[1] <= strands,
+        )
+        if checked is None:
+            checked = tuple([_band_letter(x) for x in letters])
+            for r, s, e in checked:
+                _check_sign(e)
+                if not 1 <= r < s <= strands:
+                    raise WordError(
+                        f"band generator ({r},{s}) out of range for {strands} strands"
+                    )
         object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", checked)
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def inverse(self) -> "BKLWord":
-        return BKLWord(self.strands, tuple([(r, s, -e) for r, s, e in reversed(self.letters)]))
+        return BKLWord(self.strands, _inverse_letters(self.letters))
 
     def concat(self, other: "BKLWord") -> "BKLWord":
         if other.strands != self.strands:
@@ -284,53 +320,70 @@ def handle_reduce(w: ArtinWord) -> ArtinWord:
     ``done``, a prefix the step did not change, stays handle-free.  Since
     the freely reduced form of a word is unique, every intermediate word is
     the one a rescan from position 0 with a full free reduction would give.
+
+    The stacks hold int codes, ``2*i`` for ``sigma_i`` and ``2*i + 1`` for
+    ``sigma_i^-1``.  Two letters cancel iff their codes have ``x ^ y == 1``,
+    and a letter's index is above ``i`` iff its code is at least
+    ``2*i + 2``, so the look-back runs while ``done[p] >= 2*i + 2``.
+    ``done[0]`` is the code 0 of a sentinel of index 0: it stops every
+    look-back and cancels with no letter, so neither needs a bounds check.
+    With the closer's code ``last``, a rewritten ``sigma_(i+1)^d`` pushes
+    the codes ``2*i + 2 + (last & 1)``, its own code minus 2, and the first
+    of these with its last bit flipped.  Each code of the reduct is turned
+    back into a letter of ``w`` equal to it, so letters stay shared; only a
+    letter that ``w`` lacks is a new tuple.
     """
-    # done[0] is a sentinel of index 0: it stops every look-back and
-    # cancels with no letter, so neither needs a bounds check.  Signs are
-    # +-1, so two letters cancel iff they have the same index and different
-    # signs.
-    done: list[tuple[int, int]] = [(0, 0)]
-    for letter in w.letters:
-        top = done[-1]
-        if top[0] == letter[0] and top[1] != letter[1]:
+    code_of = {x: 2 * x[0] + (x[1] < 0) for x in set(w.letters)}
+    done = [0]
+    for c in map(code_of.__getitem__, w.letters):
+        if done[-1] ^ c == 1:
             done.pop()
         else:
-            done.append(letter)
+            done.append(c)
     todo = done[:0:-1]
     del done[1:]
     while todo:
         last = todo.pop()
-        i = last[0]
+        lim = (last | 1) + 1  # 2*i + 2 for a letter of index i
         p = len(done) - 1
-        while done[p][0] > i:
+        while done[p] >= lim:
             p -= 1
         first = done[p]
-        if first[0] != i or first[1] == last[1]:
+        if first ^ last != 1:
             done.append(last)
             continue
-        e = first[1]
-        up, down = (i + 1, -e), (i + 1, e)
+        up = lim + (last & 1)  # sigma_(i+1) with the closer's sign
+        down = up ^ 1
         middle = done[p + 1 :]
         del done[p:]
         low = p
-        for letter in middle:
-            if letter[0] == i + 1:
-                pushed = (up, first if letter[1] == e else last, down)
-            else:
-                pushed = (letter,)
-            for x in pushed:
-                top = done[-1]
-                if top[0] == x[0] and top[1] != x[1]:
+        for x in middle:
+            if x >= lim + 2:  # index above i + 1: pushed unchanged
+                if done[-1] ^ x == 1:
                     done.pop()
-                    low = min(low, len(done))
+                    if len(done) < low:
+                        low = len(done)
                 else:
                     done.append(x)
-        while todo and done[-1][0] == todo[-1][0] and done[-1][1] != todo[-1][1]:
+            elif done[-1] != down:  # only up could cancel, and only against down
+                done += (up, x - 2, down)
+            else:
+                for y in (up, x - 2, down):
+                    if done[-1] ^ y == 1:
+                        done.pop()
+                        if len(done) < low:
+                            low = len(done)
+                    else:
+                        done.append(y)
+        while todo and done[-1] ^ todo[-1] == 1:
             done.pop()
             todo.pop()
         todo += done[: low - 1 : -1]  # done[low:] reversed; low >= 1
         del done[low:]
-    return ArtinWord(w.strands, tuple(done[1:]))
+    letter_of = {c: x for x, c in code_of.items()}
+    for c in set(done[1:]).difference(letter_of):
+        letter_of[c] = (c >> 1, -1 if c & 1 else 1)
+    return ArtinWord(w.strands, tuple([letter_of[c] for c in done[1:]]))
 
 
 def is_trivial_braid(w: ArtinWord) -> bool:
@@ -350,8 +403,7 @@ def braids_equal(u: Word, v: Word) -> bool:
     """Decide whether two words represent the same braid element."""
     if u.strands != v.strands:
         raise WordError(f"strand counts differ: {u.strands} vs {v.strands}")
-    letters = list(_as_artin(u).letters)
-    letters += [(i, -e) for i, e in reversed(_as_artin(v).letters)]
+    letters = _as_artin(u).letters + _inverse_letters(_as_artin(v).letters)
     return is_trivial_braid(ArtinWord(u.strands, letters))
 
 
@@ -373,7 +425,14 @@ def _parse_token(token: str, shared: dict) -> tuple[bool, tuple, int]:
         if m is None:
             raise WordError(f"cannot parse token {token!r}")
     *indices, power = m.groups()
-    k = int(power) if power else 1
+    k = 1
+    if power:
+        digits = power.lstrip("-").lstrip("0")
+        # More digits than MAX_WORD_LETTERS has is too long a run, and int()
+        # would refuse a string of thousands of digits with a ValueError.
+        if len(digits) > len(str(MAX_WORD_LETTERS)):
+            raise WordError(f"word longer than {MAX_WORD_LETTERS} letters at token {token!r}")
+        k = int(digits or "0") * (-1 if power[0] == "-" else 1)
     if k == 0:
         raise WordError(f"zero exponent in token {token!r}")
     letter = tuple([int(x) for x in indices] + [1 if k > 0 else -1])

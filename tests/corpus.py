@@ -246,8 +246,8 @@ def scrambled(rng: random.Random, strands: int, letters, moves: int) -> list:
     return w
 
 
-def handle_reduction_words(seed: int, count: int, lengths=(1, 80)):
-    """Yield (word, trivial) pairs: seeded Artin words on 2 to 10 strands.
+def handle_reduction_words(seed: int, count: int, lengths=(1, 80), strands=(2, 10)):
+    """Yield (word, trivial) pairs: seeded Artin words on ``strands`` strands.
 
     The kinds take turns: a random word of up to 200 letters (``trivial`` is
     None, not known); ``u v^-1`` with v a scramble of u, u having a number of
@@ -256,11 +256,13 @@ def handle_reduction_words(seed: int, count: int, lengths=(1, 80)):
     expanded from band letters (trivial); and the same with the commutator
     [x^2, y^2] of two generators sharing a strand inserted into v first
     (nontrivial, with the permutation and exponent sum of a trivial word).
+    ``strands`` bounds the strand count; the commutator needs at least 3.
     """
     rng = random.Random(seed)
+    low, high = strands
     for k in range(count):
         kind = k % 5
-        n = rng.randint(2 if kind < 3 else 3, 10)
+        n = rng.randint(low if kind < 3 else max(low, 3), high)
         if kind == 0:
             yield random_artin_word(rng, max_strands=n, max_len=200), None
             continue

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidbands import pipeline, stars
 from braidbands.cli import run
@@ -169,6 +172,61 @@ def test_invalid_word_is_exit_2(capsys):
     assert run(["braid", "exponent-sum", "nonsense"]) == 2
     assert run(["braid", "equal", f"s1^{2**62}", "s1", "--strands", "3"]) == 2
     assert f"s1^{2**62}" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> tuple[int, str]:
+    """Exit code and stderr of one CLI call; argparse's own refusals exit 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+# Token text: short runs of the grammar's characters and long digit runs.
+TOKEN_TEXT = st.lists(
+    st.one_of(
+        st.text(alphabet="sb(),^-e0123456789 ", max_size=12),
+        st.tuples(st.sampled_from("0123456789"), st.integers(1, 5000)).map(lambda t: t[0] * t[1]),
+    ),
+    max_size=6,
+).map("".join)
+STRANDS = st.one_of(st.none(), st.integers(-1, 12))
+# Short words in the grammar with valid tokens; the strand count may be too small.
+EXPONENT = st.one_of(st.just(""), st.integers(1, 99), st.integers(-99, -1)).map(
+    lambda k: f"^{k}" if k else ""
+)
+ARTIN_TOKEN = st.integers(1, 5).map("s{}".format)
+BAND_TOKEN = st.integers(1, 5).flatmap(lambda r: st.integers(r + 1, 6).map(f"b({r},{{}})".format))
+
+
+def short_words(token):
+    return st.lists(st.builds("".join, st.tuples(token, EXPONENT)), max_size=12).map(" ".join)
+
+
+def _with_strands(argv, strands):
+    return argv if strands is None else argv + ["--strands", str(strands)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(TOKEN_TEXT, STRANDS)
+def test_word_text_exits_0_1_or_2(text, strands):
+    for command in ("exponent-sum", "check-homogeneous"):
+        code, err = _exit_code(_with_strands(["braid", command], strands) + ["--", text])
+        assert code in (0, 1, 2), (command, text, err)
+        assert "internal error" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((ARTIN_TOKEN, BAND_TOKEN)).flatmap(short_words), st.data())
+def test_braid_equal_exits_0_1_or_2(u, data):
+    v = data.draw(short_words(data.draw(st.sampled_from((ARTIN_TOKEN, BAND_TOKEN)))))
+    strands = data.draw(st.one_of(st.none(), st.integers(0, 8)))
+    code, err = _exit_code(_with_strands(["braid", "equal"], strands) + ["--", u, v])
+    assert code in (0, 1, 2), (u, v, err)
+    assert "internal error" not in err
 
 
 # JSON input files for the malformed-input cases, by name.

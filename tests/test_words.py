@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -144,6 +145,22 @@ def test_handle_reduce_matches_reference_on_benchmark_sized_words():
     assert kinds == {None, True, False}
 
 
+def test_handle_reduce_matches_reference_on_12_to_16_strands():
+    # Letters of index 10 and up have codes above 19, so both the look-back
+    # bound and the decoding are checked past the 10 strands of the corpus
+    # above.
+    strands, indices = set(), set()
+    for w, trivial in handle_reduction_words(seed=1216, count=150, strands=(12, 16)):
+        reduced = handle_reduce(w)
+        assert reduced == reference.handle_reduce(w), format_word(w)
+        if trivial is not None:
+            assert (len(reduced) == 0) == trivial, format_word(w)
+            strands.add(w.strands)
+        indices.update(i for i, _ in reduced.letters)
+    assert strands == set(range(12, 17))
+    assert max(indices) >= 12
+
+
 @st.composite
 def word_pairs(draw):
     """(u, v) on 2 to 6 strands, each in Artin or band letters, up to 40
@@ -273,6 +290,19 @@ def test_parsed_letters_are_shared():
     w = parse_word("s1^3 s2 s1")
     assert ArtinWord(w.strands, w.letters).letters[0] is w.letters[0]
     assert handle_reduce(w).letters[0] is w.letters[0]
+    # Every letter of a reduct that the input has is the input's own tuple;
+    # only a letter the input lacks is a new one.
+    new = 0
+    for u, _ in handle_reduction_words(seed=99, count=200, strands=(2, 16)):
+        w = parse_word(format_word(u), u.strands)
+        shared = {x: x for x in w.letters}
+        for x in handle_reduce(w).letters:
+            if x in shared:
+                assert x is shared[x], format_word(w)
+            else:
+                assert type(x) is tuple and all(type(v) is int for v in x)
+                new += 1
+    assert new > 0
 
 
 def test_constructors_coerce_letters():
@@ -287,6 +317,46 @@ def test_constructors_coerce_letters():
         ArtinWord(3, [(1, 1, 1)])
     with pytest.raises(ValueError):
         BKLWord(3, [(1, 2)])
+
+
+def test_constructors_name_the_first_bad_letter():
+    # Distinct letters are checked in set order; a failed check goes back to
+    # word order, so the message names the first bad letter of the word.
+    artin = [(1, 1), (5, 1), (1, -1), (0, 1), (2, 3)]
+    messages = {
+        (5, 1): "generator index 5 out of range for 3 strands",
+        (0, 1): "generator index 0 out of range for 3 strands",
+        (2, 3): "sign must be +1 or -1, got 3",
+    }
+    for order in itertools.permutations(artin):
+        bad = next(x for x in order if x in messages)
+        with pytest.raises(WordError, match=re.escape(messages[bad])):
+            ArtinWord(3, order)
+    band = [(1, 2, 1), (3, 5, 1), (1, 3, -1), (2, 2, 1), (1, 2, 0)]
+    messages = {
+        (3, 5, 1): "band generator (3,5) out of range for 4 strands",
+        (2, 2, 1): "band generator (2,2) out of range for 4 strands",
+        (1, 2, 0): "sign must be +1 or -1, got 0",
+    }
+    for order in itertools.permutations(band):
+        bad = next(x for x in order if x in messages)
+        with pytest.raises(WordError, match=re.escape(messages[bad])):
+            BKLWord(4, order)
+
+
+def test_constructors_share_equal_letters():
+    # Each letter becomes the first letter of the word equal to it, so a
+    # letter that equals a tuple of ints without being one is replaced.
+    first = (1, 1)
+    a = ArtinWord(3, [first, (1, True), (1.0, 1), (2, -1), (2, -1.0)])
+    assert all(x is first for x in a.letters[:3]) and a.letters[3] is a.letters[4]
+    assert format_word(a) == "s1 s1 s1 s2^-1 s2^-1"
+    b = BKLWord(4, [(1, 3, 1), (True, 3, 1.0), (2, 4, -1)])
+    assert b.letters[0] is b.letters[1] and format_word(b) == "b(1,3) b(1,3) b(2,4)^-1"
+    # A first letter that is not a tuple of ints has the word coerced.
+    for w in (ArtinWord(3, [(1, True), (1, 1)]), BKLWord(3, [(1.0, 2, 1), (1, 2, 1)])):
+        for letter in w.letters:
+            assert type(letter) is tuple and all(type(v) is int for v in letter)
 
 
 def test_grammar_round_trip_random():
@@ -344,6 +414,13 @@ def test_grammar_errors_and_inference():
             parse_word(f"s1 {token}", 3)
     with pytest.raises(WordError, match="longer than 1000000 letters"):
         parse_word("s1^999999 s2 s1", 3)
+    # Digits are counted before int() sees them, which refuses thousands of
+    # digits with its own ValueError; leading zeros do not count.
+    for power in ("9" * 5000, "-" + "9" * 5000, "0" * 5000 + "12345678"):
+        with pytest.raises(WordError, match="longer than 1000000 letters"):
+            parse_word(f"s1^{power}")
+    assert parse_word("s1^00000002").letters == ((1, 1), (1, 1))
+    assert parse_word("s1^-" + "0" * 5000 + "2").letters == ((1, -1), (1, -1))
     assert parse_word("s2").strands == 3
     assert parse_word("b(1,4)").strands == 4
     assert parse_word("e").strands == 1
