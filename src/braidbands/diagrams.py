@@ -76,24 +76,6 @@ class Diagram:
             raise DiagramError(f"malformed diagram: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Diagnostics:
-    ok: bool
-    problems: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate(d: Diagram) -> Diagnostics:
-    """Check the PD invariants, reporting the first violated rule."""
-    try:
-        analyze(d)
-    except DiagramError as exc:
-        return Diagnostics(False, (str(exc),))
-    return Diagnostics(True)
-
-
 # ---------------------------------------------------------------------------
 # Core structure: successors, signs, circles, faces, regions
 # ---------------------------------------------------------------------------

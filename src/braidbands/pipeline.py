@@ -10,13 +10,14 @@ way that makes the two readings line up, so no per-circle correction is
 needed.
 
 Realizing a fatgraph as a word chooses a disc order and band heights whose
-per-vertex orders reproduce the cyclic data; the converse emitter writes a
-flat PD diagram for a planar fatgraph.  The pipeline splits a homogeneous
-diagram into single-sign pieces at the cut circles of its Seifert graph,
-one per block, and orders them as a list of plumbing steps: each piece
-with the circle it shares with the pieces before it.  It realizes each
-piece and plumbs them together in that order.  A piece is read off the
-input diagram's one structure, not built as a diagram of its own.
+per-vertex orders reproduce the cyclic data.  The pipeline splits a
+homogeneous diagram into single-sign pieces at the cut circles of its
+Seifert graph, one per block, and orders them as a list of plumbing
+steps: each piece with the circle it shares with the pieces before it.
+It realizes each piece and plumbs them together in that order, each
+after one counted twirl of the running word and one counted turn of
+the piece.  A piece is read off the input diagram's one structure, not
+built as a diagram of its own.
 Soundness is not assumed: the input diagram's integer Seifert matrix is
 built once, over the fundamental cycles of one spanning tree of its Seifert
 graph.  Each leaf's realization is chosen by comparing component counts and
@@ -33,8 +34,6 @@ from dataclasses import dataclass, field
 
 from .diagrams import (
     Diagram,
-    DiagramError,
-    _renumber,
     analyze,
     in_one_region,
     is_homogeneous_diagram,
@@ -90,15 +89,6 @@ class Fatgraph:
         for u, v, _s in self.edges:
             if u == v:
                 raise PipelineError("fatgraph edges must join distinct vertices")
-
-
-def fatgraph_of_word(w: BKLWord) -> Fatgraph:
-    edges = tuple([(l - 1, r - 1, e) for l, r, e in w.letters])
-    orders: list[list[tuple[int, int]]] = [[] for _ in range(w.strands)]
-    for eid, (l, r, _e) in enumerate(w.letters):
-        orders[l - 1].append((eid, 0))
-        orders[r - 1].append((eid, 1))
-    return Fatgraph(w.strands, edges, tuple([tuple(o) for o in orders]))
 
 
 # ---------------------------------------------------------------------------
@@ -218,78 +208,6 @@ def realizations(fat: Fatgraph, start_vertex: int = 0):
         yield from search(0)
     finally:
         del search  # the closure refers to itself; break the cycle
-
-
-# ---------------------------------------------------------------------------
-# Emission: planar fatgraph -> flat diagram
-# ---------------------------------------------------------------------------
-
-def _two_colour(fat: Fatgraph) -> list[int]:
-    colour = [-1] * fat.vertex_count
-    for start in range(fat.vertex_count):
-        if colour[start] != -1:
-            continue
-        colour[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for eid, end in fat.orders[v]:
-                u0, v0, _s = fat.edges[eid]
-                other = (u0, v0)[1 - end]
-                if colour[other] == -1:
-                    colour[other] = 1 - colour[v]
-                    queue.append(other)
-                elif colour[other] == colour[v]:
-                    raise PipelineError("fatgraph is not bipartite (odd circle cycle)")
-    return colour
-
-
-def flat_diagram(fat: Fatgraph) -> Diagram:
-    """Write a flat PD diagram whose projection surface realizes the fatgraph.
-
-    The fatgraph must be connected, planar and bipartite (all of which hold
-    for fatgraphs read off diagrams).  Each circle is traversed in its
-    stored order; at every crossing the edge's first endpoint supplies the
-    under-in arc.  The emitted PD is validated structurally here and the
-    callers' Seifert-matrix gates keep the construction honest.
-    """
-    fat.check()
-    if not fat.edges:
-        raise PipelineError("cannot emit a diagram with no crossings")
-    _disc_positions(fat, 0)  # connectivity: isolated discs have no PD trace
-    _two_colour(fat)  # domain check: odd circle cycles never come from diagrams
-
-    # Arc tokens: (vertex, k) is the arc leaving passage k toward passage k+1.
-    where: dict[tuple[int, int], tuple[int, int]] = {}
-    for v in range(fat.vertex_count):
-        for k, (eid, end) in enumerate(fat.orders[v]):
-            where[(eid, end)] = (v, k)
-
-    entries: list[tuple] = []
-    succ: dict = {}
-    for eid, (u, v, sign) in enumerate(fat.edges):
-        pu, ku = where[(eid, 0)]
-        pv, kv = where[(eid, 1)]
-        du, dv = fat.degree(pu), fat.degree(pv)
-        a_u = (pu, (ku - 1) % du)
-        o_u = (pu, ku)
-        a_v = (pv, (kv - 1) % dv)
-        o_v = (pv, kv)
-        if sign > 0:
-            entries.append((a_u, a_v, o_v, o_u))
-        else:
-            entries.append((a_u, o_u, o_v, a_v))
-        succ[a_u] = o_v
-        succ[a_v] = o_u
-
-    d = _renumber(entries, succ)
-    try:
-        st = analyze(d)
-    except DiagramError as exc:
-        raise PipelineError(f"fatgraph has no flat diagram: {exc}") from exc
-    if st.signs != tuple([s for _u, _v, s in fat.edges]):
-        raise PipelineError("emitted diagram has wrong crossing signs")
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +455,14 @@ def decompose_generalized_flat(d: Diagram) -> list[tuple[PlumbLeaf, int]]:
 def homogenize(d: Diagram) -> BKLWord:
     """Band word of a homogeneous diagram: plumb its leaves in order.
 
-    Each leaf is realized with the shared circle as its first disc, turned
-    until its letters at the shared circle line up with the diagram's
-    cyclic order there, and plumbed in with the shuffle pattern that
-    reproduces that order.  Each leaf is gated while its realization is
-    chosen and the finished word is gated against ``d``, so a construction
-    that drifts from the diagram's surface raises ``SoundnessError``.  A split diagram gives
-    the direct sum of its parts' words, and a free unknot a bare disc.
+    The running word is twirled to put the shared circle rightmost.  Each
+    leaf is realized with that circle as its first disc, turned the fewest
+    times that line up its letters there with the diagram's cyclic order,
+    and plumbed in with the shuffle pattern that reproduces that order.
+    Each leaf is gated while its realization is chosen and the finished
+    word is gated against ``d``, so a construction that drifts from the
+    diagram's surface raises ``SoundnessError``.  A split diagram gives the
+    direct sum of its parts' words, and a free unknot a bare disc.
     """
     return _homogenize(d)[0]
 
@@ -577,13 +496,10 @@ def _homogenize(d: Diagram):
     disc_of = {orig: pos[first_leaf.circle_map[orig]] for orig in first_leaf.circles}
 
     for leaf, shared in steps[1:]:
-        # Rotate the running surface until the shared circle is rightmost.
+        # Rotate the running surface so that the shared circle is rightmost.
         twirls = disc_of[shared] % word.strands
-        for _ in range(twirls):
-            word = word_twirl(word)
-        if twirls:
-            n = word.strands
-            disc_of = {c: (p - twirls - 1) % n + 1 for c, p in disc_of.items()}
+        word = word_twirl(word, twirls)
+        disc_of = {c: (p - twirls - 1) % word.strands + 1 for c, p in disc_of.items()}
 
         piece_word, piece_pos, piece_cids = _realized_leaf(leaf, shared, cycles, target)
 
@@ -652,12 +568,15 @@ def _cut_at(sigma: tuple[int, ...], mine: list[int], mine_set: set, theirs: set)
 
 
 def _turn_until(word: BKLWord, cids: list[int], at_shared: set, want: list[int]):
-    for _ in range(max(1, len(word.letters))):
-        if [c for c in cids if c in at_shared] == want:
-            return word, cids
-        word = word_turn(word)
-        cids = [cids[-1]] + cids[:-1]
-    raise SoundnessError("cannot align the piece with the shared circle's cyclic order")
+    """Turn ``word`` the fewest times that lists its letters in ``at_shared``
+    in the order ``want``; ``cids`` are its letters' distinct tags."""
+    at = [k for k, c in enumerate(cids) if c in at_shared]
+    order = [cids[k] for k in at]
+    m = order.index(want[0]) if want and want[0] in order else 0
+    if order[m:] + order[:m] != want:
+        raise SoundnessError("cannot align the piece with the shared circle's cyclic order")
+    cut = at[m] if m else len(cids)  # the turns bring the letters from order[m] on to the top
+    return word_turn(word, len(cids) - cut), cids[cut:] + cids[:cut]
 
 
 def _merge_pattern(mine_cids, piece_cids, schedule, mine_set, theirs_set):

@@ -19,7 +19,8 @@ frozen back into a surface and a star once at the end.  Each disc keeps its
 band ends in height order inside that state.  Before and after each step
 the heights are re-spread to the order that freezing and rebuilding the
 state would give, so the result is the same as stepping through frozen
-``(surface, star)`` pairs.
+``(surface, star)`` pairs.  Twirls, flips, mirrors and inflations all
+renumber discs through ``_relabel_discs``; k twirls are one rotation.
 """
 
 from __future__ import annotations
@@ -243,9 +244,22 @@ def _freeze(state: _State) -> tuple[BraidedSurface, Star]:
     return surface, Star(state.center, rays)
 
 
-def _relabel_order(state: _State, f) -> None:
-    """Carry each disc's band order along a disc relabelling ``f`` that the
-    bands have already followed; an end's side is read off its band."""
+def _relabel_discs(state: _State, f) -> None:
+    """Carry the state, each disc's band order included, along a bijection
+    ``f`` of its discs.  A band whose ends change order swaps ``l`` and
+    ``r``, and every ray step through it swaps its enter and exit ends."""
+    state.center = f(state.center)
+    swapped = set()
+    for bid, band in state.bands.items():
+        band.l, band.r = f(band.l), f(band.r)
+        if band.l > band.r:
+            band.l, band.r = band.r, band.l
+            swapped.add(bid)
+    for ray in state.rays:
+        ray.tip_disc = f(ray.tip_disc)
+        for step in ray.steps:
+            if step[0] in swapped:
+                step[1:] = [R if end == L else L for end in step[1:]]
     order: list[list] = [[] for _ in range(state.discs + 1)]
     for d, ends in enumerate(state.order):
         if ends:
@@ -347,13 +361,6 @@ def delta_b(obj: Union[Ray, Star, _Ray, _State]) -> int:
     return len(obj.steps)
 
 
-@dataclass(frozen=True)
-class RayClass:
-    long: bool
-    slack: bool
-    loose: bool
-
-
 def _slack_step(ray: _Ray) -> Optional[tuple[int, int, list]]:
     """First slack arc of a ray as (start, stop, replacement steps), or None.
 
@@ -406,12 +413,6 @@ def _ray_loose_removable(state: _State, ray: _Ray) -> bool:
         return False
     between, outside = _tail_sides(state, ray)
     return (not between or not outside) and (state.center != ray.tip_disc or not between)
-
-
-def classify_ray(surface: BraidedSurface, star: Star, ray_index: int) -> RayClass:
-    state = _materialize(surface, star)
-    ray = state.rays[ray_index]
-    return RayClass(bool(ray.steps), _slack_step(ray) is not None, _ray_loose(state, ray))
 
 
 # ---------------------------------------------------------------------------
@@ -560,28 +561,9 @@ def _transfer_region(state: _State, bid: int, end: str, bridge: int) -> None:
                 k += 1
 
 
-def _relabel_discs(state: _State, f) -> None:
-    state.center = f(state.center)
-    for band in state.bands.values():
-        band.l, band.r = f(band.l), f(band.r)
-        if band.l > band.r:
-            band.l, band.r = band.r, band.l
-    for ray in state.rays:
-        ray.tip_disc = f(ray.tip_disc)
-    _relabel_order(state, f)
-
-
-def _reverse_indices(state: _State) -> None:
-    n = state.discs
-    for band in state.bands.values():
-        band.l, band.r = n + 1 - band.r, n + 1 - band.l
-    state.center = n + 1 - state.center
-    for ray in state.rays:
-        ray.tip_disc = n + 1 - ray.tip_disc
-        for step in ray.steps:
-            step[1] = L if step[1] == R else R
-            step[2] = L if step[2] == R else R
-    _relabel_order(state, lambda d: n + 1 - d)
+def _twirl_state(state: _State, times: int) -> None:
+    """``times`` twirls as one relabelling: disc d becomes d - times, mod n."""
+    _relabel_discs(state, lambda d: (d - 1 - times) % state.discs + 1)
 
 
 def _upside_down_state(state: _State) -> None:
@@ -591,37 +573,15 @@ def _upside_down_state(state: _State) -> None:
         band.h = -band.h
     for ray in state.rays:
         ray.tip_h = -ray.tip_h
-    _reverse_indices(state)
+    _relabel_discs(state, lambda d: state.discs + 1 - d)
     for ends in state.order:
         ends.reverse()
 
 
 def _mirror_state(state: _State) -> None:
-    _reverse_indices(state)
+    _relabel_discs(state, lambda d: state.discs + 1 - d)
     for band in state.bands.values():
         band.e = -band.e
-
-
-def _twirl_state(state: _State) -> None:
-    n = state.discs
-
-    def f(d: int) -> int:
-        return n if d == 1 else d - 1
-
-    for bid, band in state.bands.items():
-        wraps = band.l == 1
-        band.l, band.r = f(band.l), f(band.r)
-        if wraps:
-            band.l, band.r = band.r, band.l  # old left end is now the right end
-            for ray in state.rays:
-                for step in ray.steps:
-                    if step[0] == bid:
-                        step[1] = L if step[1] == R else R
-                        step[2] = L if step[2] == R else R
-    state.center = f(state.center)
-    for ray in state.rays:
-        ray.tip_disc = f(ray.tip_disc)
-    _relabel_order(state, f)
 
 
 def _pick_ray(state: _State) -> int:
@@ -690,14 +650,9 @@ def _reduce_state(state: _State) -> None:
     mirrored = state.bands[b0].e != 1
     if mirrored:
         _mirror_state(state)
-    guard = 0
-    while state.bands[b0].end_disc(state.rays[idx].steps[-1][2]) != state.bands[b0].l:
-        _twirl_state(state)
-        guard += 1
-        if guard > state.discs:
-            raise StarError("twirl normalization failed")
+    if ray.steps[-1][2] == R:
+        _twirl_state(state, state.bands[b0].l)  # its left disc wraps round to n
 
-    ray = state.rays[idx]
     band0 = state.bands[b0]
     x0 = band0.l
 

@@ -9,7 +9,7 @@ inflation/deflation add or remove a disc-band pair, slips exchange
 unlinked neighbouring bands, slides move a band over a neighbour sharing a
 disc, twirls rotate the disc order cyclically, turns move the lowest band
 to the top, and the two normalizations flip the surface upside down or
-mirror it left to right.
+mirror it left to right.  A count of twirls or turns is one rotation.
 """
 
 from __future__ import annotations
@@ -203,26 +203,20 @@ def slide_down(s: BraidedSurface, position: int) -> BraidedSurface:
     return BraidedSurface(s.discs, bands)
 
 
-def twirl(s: BraidedSurface) -> BraidedSurface:
-    """Pass the leftmost disc to the rightmost position."""
-    if s.band_count == 0 and s.discs == 1:
-        return s
+def twirl(s: BraidedSurface, times: int = 1) -> BraidedSurface:
+    """Pass the leftmost disc to the rightmost position, ``times`` times over."""
     n = s.discs
     bands = []
     for l, r, e in s.bands:
-        if l != 1:
-            bands.append((l - 1, r - 1, e))
-        else:
-            bands.append((r - 1, n, e))
+        l, r = (l - 1 - times) % n + 1, (r - 1 - times) % n + 1
+        bands.append((l, r, e) if l < r else (r, l, e))
     return BraidedSurface(n, bands)
 
 
-def turn(s: BraidedSurface) -> BraidedSurface:
-    """Slide the lowest band around the back to the highest position."""
-    if s.band_count == 0:
-        return s
-    bands = (s.bands[-1],) + s.bands[:-1]
-    return BraidedSurface(s.discs, bands)
+def turn(s: BraidedSurface, times: int = 1) -> BraidedSurface:
+    """Slide the lowest band round the back to the top, ``times`` times over."""
+    k = -times % s.band_count if s.bands else 0
+    return BraidedSurface(s.discs, s.bands[k:] + s.bands[:k])
 
 
 def flip_vertical(s: BraidedSurface) -> BraidedSurface:
@@ -282,12 +276,12 @@ def euler_genus(s: BraidedSurface) -> tuple[int, int, int]:
     return chi, mu, twice_genus // 2
 
 
-def word_twirl(w: BKLWord) -> BKLWord:
-    return to_word(twirl(from_word(w)))
+def word_twirl(w: BKLWord, times: int = 1) -> BKLWord:
+    return to_word(twirl(from_word(w), times))
 
 
-def word_turn(w: BKLWord) -> BKLWord:
-    return to_word(turn(from_word(w)))
+def word_turn(w: BKLWord, times: int = 1) -> BKLWord:
+    return to_word(turn(from_word(w), times))
 
 
 def render_svg(s: BraidedSurface) -> str:

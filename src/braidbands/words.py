@@ -412,6 +412,7 @@ def braids_equal(u: Word, v: Word) -> bool:
 # ---------------------------------------------------------------------------
 
 MAX_WORD_LETTERS = 10**6  # longest word, exponents expanded, that parse_word accepts
+_INDEX_DIGITS = len(str(MAX_WORD_LETTERS)) + 1  # an index with this many digits is above it
 _ARTIN_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
 _BKL_TOKEN = re.compile(r"^b\((\d+),(\d+)\)(?:\^(-?\d+))?$")
 
@@ -435,7 +436,13 @@ def _parse_token(token: str, shared: dict) -> tuple[bool, tuple, int]:
         k = int(digits or "0") * (-1 if power[0] == "-" else 1)
     if k == 0:
         raise WordError(f"zero exponent in token {token!r}")
-    letter = tuple([int(x) for x in indices] + [1 if k > 0 else -1])
+    # int() sees at most _INDEX_DIGITS significant digits of an index: enough
+    # to show that it is above MAX_WORD_LETTERS, never thousands of them.
+    letter = [int(x) if len(x) < _INDEX_DIGITS else int(x.lstrip("0")[:_INDEX_DIGITS] or "0")
+              for x in indices]
+    if max(letter) > MAX_WORD_LETTERS:
+        raise WordError(f"generator index above {MAX_WORD_LETTERS} in token {token!r}")
+    letter = tuple(letter + [1 if k > 0 else -1])
     return band, shared.setdefault(letter, letter), abs(k)
 
 
@@ -444,10 +451,13 @@ def parse_word(text: str, strands: int | None = None, kind: str | None = None) -
 
     Exponents expand to unit letters; a word longer than
     ``MAX_WORD_LETTERS`` is rejected, as is one that mixes Artin and band
-    tokens.  When ``strands`` is omitted it is inferred as one plus
-    the largest strand index used (1 for the empty word).  ``kind`` forces
-    ``"artin"`` or ``"bkl"`` output for the empty word.
+    tokens, and a generator index or ``strands`` above that bound.  When
+    ``strands`` is omitted it is inferred as one plus the largest strand
+    index used (1 for the empty word).  ``kind`` forces ``"artin"`` or
+    ``"bkl"`` output for the empty word.
     """
+    if strands is not None and strands > MAX_WORD_LETTERS:
+        raise WordError(f"more than {MAX_WORD_LETTERS} strands")
     artin: list[tuple[int, int]] = []
     bkl: list[tuple[int, int, int]] = []
     tokens: dict[str, tuple[bool, tuple, int]] = {}  # token -> (band?, letter, count)

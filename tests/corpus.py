@@ -1,11 +1,15 @@
-"""Shared fixtures: golden words, PD codes, and seeded random generators."""
+"""Shared fixtures: golden words, PD codes, and seeded random generators.
+
+Fixture diagrams are also written from band words: a word's fatgraph, when
+planar, is the projection surface of a flat diagram (``flat_diagram``).
+"""
 
 from __future__ import annotations
 
 import random
 
-from braidbands.diagrams import Diagram, closure_diagram
-from braidbands.pipeline import fatgraph_of_word, flat_diagram
+from braidbands.diagrams import Diagram, DiagramError, _renumber, analyze, closure_diagram
+from braidbands.pipeline import Fatgraph, PipelineError, _disc_positions
 from braidbands.stars import Ray, Star, StarError, check_star
 from braidbands.surfaces import BraidedSurface
 from braidbands.words import ArtinWord, BKLWord, bkl_to_artin, parse_word
@@ -32,6 +36,87 @@ PLUMB_RESULT = parse_word(
 TREFOIL = Diagram([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]])
 FIG8 = Diagram([[4, 2, 5, 1], [8, 6, 1, 5], [6, 3, 7, 4], [2, 7, 3, 8]])
 K5_2 = Diagram([[1, 4, 2, 5], [3, 8, 4, 9], [5, 10, 6, 1], [9, 6, 10, 7], [7, 2, 8, 3]])
+
+# ---------------------------------------------------------------------------
+# Band words as fatgraphs, and planar fatgraphs as flat diagrams
+# ---------------------------------------------------------------------------
+
+def fatgraph_of_word(w: BKLWord) -> Fatgraph:
+    edges = tuple([(l - 1, r - 1, e) for l, r, e in w.letters])
+    orders: list[list[tuple[int, int]]] = [[] for _ in range(w.strands)]
+    for eid, (l, r, _e) in enumerate(w.letters):
+        orders[l - 1].append((eid, 0))
+        orders[r - 1].append((eid, 1))
+    return Fatgraph(w.strands, edges, tuple([tuple(o) for o in orders]))
+
+
+def _two_colour(fat: Fatgraph) -> list[int]:
+    colour = [-1] * fat.vertex_count
+    for start in range(fat.vertex_count):
+        if colour[start] != -1:
+            continue
+        colour[start] = 0
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for eid, end in fat.orders[v]:
+                u0, v0, _s = fat.edges[eid]
+                other = (u0, v0)[1 - end]
+                if colour[other] == -1:
+                    colour[other] = 1 - colour[v]
+                    queue.append(other)
+                elif colour[other] == colour[v]:
+                    raise PipelineError("fatgraph is not bipartite (odd circle cycle)")
+    return colour
+
+
+def flat_diagram(fat: Fatgraph) -> Diagram:
+    """Write a flat PD diagram whose projection surface realizes the fatgraph.
+
+    The fatgraph must be connected, planar and bipartite (all of which hold
+    for fatgraphs read off diagrams).  Each circle is traversed in its
+    stored order; at every crossing the edge's first endpoint supplies the
+    under-in arc.  The emitted PD is validated structurally here and the
+    callers' Seifert-matrix gates keep the construction honest.
+    """
+    fat.check()
+    if not fat.edges:
+        raise PipelineError("cannot emit a diagram with no crossings")
+    _disc_positions(fat, 0)  # connectivity: isolated discs have no PD trace
+    _two_colour(fat)  # domain check: odd circle cycles never come from diagrams
+
+    # Arc tokens: (vertex, k) is the arc leaving passage k toward passage k+1.
+    where: dict[tuple[int, int], tuple[int, int]] = {}
+    for v in range(fat.vertex_count):
+        for k, (eid, end) in enumerate(fat.orders[v]):
+            where[(eid, end)] = (v, k)
+
+    entries: list[tuple] = []
+    succ: dict = {}
+    for eid, (u, v, sign) in enumerate(fat.edges):
+        pu, ku = where[(eid, 0)]
+        pv, kv = where[(eid, 1)]
+        du, dv = fat.degree(pu), fat.degree(pv)
+        a_u = (pu, (ku - 1) % du)
+        o_u = (pu, ku)
+        a_v = (pv, (kv - 1) % dv)
+        o_v = (pv, kv)
+        if sign > 0:
+            entries.append((a_u, a_v, o_v, o_u))
+        else:
+            entries.append((a_u, o_u, o_v, a_v))
+        succ[a_u] = o_v
+        succ[a_v] = o_u
+
+    d = _renumber(entries, succ)
+    try:
+        st = analyze(d)
+    except DiagramError as exc:
+        raise PipelineError(f"fatgraph has no flat diagram: {exc}") from exc
+    if st.signs != tuple([s for _u, _v, s in fat.edges]):
+        raise PipelineError("emitted diagram has wrong crossing signs")
+    return d
+
 
 # Mirror trefoil: the flat diagram of the all-negative 2-circle bundle.
 TREFOIL_NEG = flat_diagram(fatgraph_of_word(parse_word("b(1,2)^-3", strands=2)))

@@ -15,7 +15,10 @@ every choice of outer region is tried, and the circles must all sit at
 nesting depth 0 for the best one.  A connected diagram's fatgraph is read off
 its Seifert circles' traversal orders directly.  A star reduction round-trips
 through frozen ``(surface, star)`` pairs between steps, and a disc's band order
-is a scan of every band, sorted.
+is a scan of every band, sorted.  Twirls and turns are applied one move at a
+time, on surfaces and on star states, and a leaf is turned one letter at a
+time until it lines up.  Diagram validity and ray classes are read off
+``analyze`` and a materialized state.
 """
 
 from __future__ import annotations
@@ -24,11 +27,30 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from braidbands.diagrams import Diagram, DiagramStructure, _UnionFind, analyze, subdiagram
+from braidbands.diagrams import (
+    Diagram,
+    DiagramError,
+    DiagramStructure,
+    _UnionFind,
+    analyze,
+    subdiagram,
+)
 from braidbands.laurent import Laurent
-from braidbands.pipeline import Fatgraph, PipelineError, _disc_positions
-from braidbands.stars import Star, StarError, _State, delta_b, minimize, reduce_step
-from braidbands.surfaces import BraidedSurface
+from braidbands.pipeline import Fatgraph, PipelineError, SoundnessError, _disc_positions
+from braidbands.stars import (
+    L,
+    R,
+    Star,
+    StarError,
+    _materialize,
+    _ray_loose,
+    _slack_step,
+    _State,
+    delta_b,
+    minimize,
+    reduce_step,
+)
+from braidbands.surfaces import BraidedSurface, from_word, to_word
 from braidbands.words import ArtinWord, BKLWord, Permutation, Word, bkl_to_artin
 
 Matrix = list[list[Laurent]]
@@ -568,3 +590,123 @@ def order_on_disc_scan(state: _State, d: int) -> list[tuple[int, int, str]]:
             out.append((band.h, bid, "R"))
     out.sort(key=lambda t: -t[0])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Diagram validity and ray classes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Diagnostics:
+    ok: bool
+    problems: tuple[str, ...] = ()
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def validate(d: Diagram) -> Diagnostics:
+    """Check the PD invariants, reporting the first violated rule."""
+    try:
+        analyze(d)
+    except DiagramError as exc:
+        return Diagnostics(False, (str(exc),))
+    return Diagnostics(True)
+
+
+@dataclass(frozen=True)
+class RayClass:
+    long: bool
+    slack: bool
+    loose: bool
+
+
+def classify_ray(surface: BraidedSurface, star: Star, ray_index: int) -> RayClass:
+    state = _materialize(surface, star)
+    ray = state.rays[ray_index]
+    return RayClass(bool(ray.steps), _slack_step(ray) is not None, _ray_loose(state, ray))
+
+
+# ---------------------------------------------------------------------------
+# Twirls and turns, one move at a time
+# ---------------------------------------------------------------------------
+
+def twirl_once(s: BraidedSurface) -> BraidedSurface:
+    """Pass the leftmost disc to the rightmost position."""
+    if s.band_count == 0 and s.discs == 1:
+        return s
+    n = s.discs
+    bands = []
+    for l, r, e in s.bands:
+        if l != 1:
+            bands.append((l - 1, r - 1, e))
+        else:
+            bands.append((r - 1, n, e))
+    return BraidedSurface(n, bands)
+
+
+def turn_once(s: BraidedSurface) -> BraidedSurface:
+    """Slide the lowest band around the back to the highest position."""
+    if s.band_count == 0:
+        return s
+    bands = (s.bands[-1],) + s.bands[:-1]
+    return BraidedSurface(s.discs, bands)
+
+
+def relabel_order(state: _State, f) -> None:
+    """Carry each disc's band order along a disc relabelling ``f`` that the
+    bands have already followed; an end's side is read off its band."""
+    order: list[list] = [[] for _ in range(state.discs + 1)]
+    for d, ends in enumerate(state.order):
+        if ends:
+            new = f(d)
+            order[new] = [(band, bid, L if band.l == new else R) for band, bid, _e in ends]
+    state.order = order
+
+
+def twirl_state_once(state: _State) -> None:
+    """One twirl of a star state: disc 1 becomes disc n, the others move left."""
+    n = state.discs
+
+    def f(d: int) -> int:
+        return n if d == 1 else d - 1
+
+    for bid, band in state.bands.items():
+        wraps = band.l == 1
+        band.l, band.r = f(band.l), f(band.r)
+        if wraps:
+            band.l, band.r = band.r, band.l  # old left end is now the right end
+            for ray in state.rays:
+                for step in ray.steps:
+                    if step[0] == bid:
+                        step[1] = L if step[1] == R else R
+                        step[2] = L if step[2] == R else R
+    state.center = f(state.center)
+    for ray in state.rays:
+        ray.tip_disc = f(ray.tip_disc)
+    relabel_order(state, f)
+
+
+def reverse_discs(state: _State) -> None:
+    """Number a star state's discs right to left: every band swaps its ends."""
+    n = state.discs
+    for band in state.bands.values():
+        band.l, band.r = n + 1 - band.r, n + 1 - band.l
+    state.center = n + 1 - state.center
+    for ray in state.rays:
+        ray.tip_disc = n + 1 - ray.tip_disc
+        for step in ray.steps:
+            step[1] = L if step[1] == R else R
+            step[2] = L if step[2] == R else R
+    relabel_order(state, lambda d: n + 1 - d)
+
+
+def turn_until(word: BKLWord, cids: list[int], at_shared: set, want: list[int]):
+    """Turn ``word`` one letter at a time until its letters in ``at_shared``
+    read ``want``; ``cids`` tag its letters and turn with them."""
+    for _ in range(max(1, len(word.letters))):
+        if [c for c in cids if c in at_shared] == want:
+            return word, cids
+        word = to_word(turn_once(from_word(word)))
+        cids = [cids[-1]] + cids[:-1]
+    raise SoundnessError("cannot align the piece with the shared circle's cyclic order")

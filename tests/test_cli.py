@@ -229,6 +229,16 @@ def test_braid_equal_exits_0_1_or_2(u, data):
     assert "internal error" not in err
 
 
+def test_oversized_generator_index_is_exit_2():
+    # 10^11 strands would exhaust memory in the permutation; the parser
+    # refuses the index instead.
+    for argv in (["braid", "components", "s99999999999"],
+                 ["braid", "components", "--strands", "99999999999", "s1"],
+                 ["braid", "exponent-sum", "s" + "9" * 5000]):
+        code, err = _exit_code(argv)
+        assert code == 2 and "internal error" not in err, (argv, err)
+
+
 # JSON input files for the malformed-input cases, by name.
 CLI_FILES = {
     "list": [1, 2],

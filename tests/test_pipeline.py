@@ -17,15 +17,12 @@ from braidbands.diagrams import (
     link_components,
     seifert_decompose,
     subdiagram,
-    validate,
 )
 from braidbands.invariants import alexander_from_braid, alexander_from_diagram, diagram_seifert_matrix
 from braidbands.pipeline import (
     Fatgraph,
     PipelineError,
     decompose_generalized_flat,
-    fatgraph_of_word,
-    flat_diagram,
     homogenize,
     primitive_flat_to_bkl,
     realizations,
@@ -47,10 +44,13 @@ from corpus import (
     TREFOIL_NEG,
     WHEELS,
     disjoint_union,
+    fatgraph_of_word,
+    flat_diagram,
     pseudoalternating_diagrams,
     random_artin_word,
     random_bkl_word,
 )
+from reference import validate
 
 
 def fatgraphs_isomorphic(f: Fatgraph, g: Fatgraph) -> bool:
@@ -464,6 +464,30 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
         assert len(word_sides) == len(tried) + 1
         assert word_sides[-1] is w
     assert alexander_calls == []
+
+
+def test_turn_until_matches_the_one_turn_loop():
+    # Random words with distinct letter tags; the wanted order is a rotation
+    # of the shared letters, or a shuffle of them that may be none.
+    rng = random.Random(31)
+    for _ in range(2000):
+        w = random_bkl_word(rng, max_strands=5, max_len=9)
+        cids = rng.sample(range(100), len(w.letters))
+        shared = [c for c in cids if rng.random() < 0.5]
+        m = rng.randrange(len(shared) + 1)
+        want = shared[m:] + shared[:m]
+        if rng.random() < 0.3:
+            rng.shuffle(want)
+        if rng.random() < 0.05 and cids:  # with no letters, the old loop fails on cids[-1]
+            want = want[1:] if want else [100]
+        args = (w, cids, set(shared), want)
+        try:
+            expected = reference.turn_until(*args)
+        except pipeline.SoundnessError:
+            with pytest.raises(pipeline.SoundnessError, match="cannot align the piece"):
+                pipeline._turn_until(*args)
+        else:
+            assert pipeline._turn_until(*args) == expected
 
 
 def test_single_crossing_leaves_do_not_order_the_stacking():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -13,7 +14,6 @@ from braidbands.stars import (
     Star,
     StarError,
     check_star,
-    classify_ray,
     delta_b,
     minimize,
     reduce_step,
@@ -24,7 +24,13 @@ from braidbands.surfaces import BraidedSurface, from_word, to_word
 from braidbands.words import closure_components, is_homogeneous, parse_word
 
 from corpus import random_homogeneous_surface, random_star, valid_star_instances
-from reference import order_on_disc_scan, reductions_by_freezing
+from reference import (
+    classify_ray,
+    order_on_disc_scan,
+    reductions_by_freezing,
+    reverse_discs,
+    twirl_state_once,
+)
 
 # sha256 of every check_star verdict, minimize result, reductions step and
 # StarError message on the stars of ``_pinned_star_lines``.
@@ -322,9 +328,22 @@ def test_stored_disc_order_follows_every_mutation(monkeypatch):
     for s, star in valid_star_instances(seed=4242, count=80):
         state = stars._materialize(s, star)
         _assert_order_matches_scan(state)
-        for mutate in (stars._twirl_state, stars._upside_down_state, stars._mirror_state):
+        for mutate in (lambda state: stars._twirl_state(state, 1), stars._upside_down_state,
+                       stars._mirror_state):
             mutate(state)
             _assert_order_matches_scan(state)
+        # Two twirls as one, and a relabelling that reverses every band.
+        n = state.discs
+        for mutate, one_by_one in (
+            (lambda state: stars._twirl_state(state, 2),
+             lambda state: [twirl_state_once(state) for _ in range(2)]),
+            (lambda state: stars._relabel_discs(state, lambda d: n + 1 - d), reverse_discs),
+        ):
+            expected = copy.deepcopy(state)
+            one_by_one(expected)
+            mutate(state)
+            _assert_order_matches_scan(state)
+            assert stars._freeze(state) == stars._freeze(expected)
         state.discs += 1
         stars._relabel_discs(state, lambda d: d if d < 2 else d + 1)  # an inflation at disc 1
         _assert_order_matches_scan(state)
@@ -335,6 +354,17 @@ def test_stored_disc_order_follows_every_mutation(monkeypatch):
         except StarError:
             pass
     assert checked >= 20
+
+
+def test_counted_twirl_state_matches_single_twirls():
+    # Frozen, k twirls at once equal k single twirls, for k up to 2n.
+    for s, star in valid_star_instances(seed=77, count=60):
+        for k in range(2 * s.discs + 1):
+            state, expected = stars._materialize(s, star), stars._materialize(s, star)
+            stars._twirl_state(state, k)
+            for _ in range(k):
+                twirl_state_once(expected)
+            assert stars._freeze(state) == stars._freeze(expected)
 
 
 def test_reduce_to_disc_materializes_and_freezes_once(monkeypatch):

@@ -21,10 +21,13 @@ from braidbands.surfaces import (
     to_word,
     turn,
     twirl,
+    word_turn,
+    word_twirl,
     MoveError,
 )
 from braidbands.words import braids_equal, closure_components, is_homogeneous, parse_word
 
+import reference
 from corpus import WORD_SURFACE_GOLDEN, random_bkl_word
 
 
@@ -57,6 +60,22 @@ def test_turn_twirl_slide_examples():
     assert to_word(twirl(s2)) == parse_word("b(2,3) b(1,3)", strands=3)
     s3 = from_word(parse_word("b(2,3) b(1,2)", strands=3))
     assert to_word(slide_up(s3, 0)) == parse_word("b(1,3) b(2,3)", strands=3)
+
+
+def test_counted_twirl_and_turn_match_single_moves():
+    # k moves at once equal k single moves, for every k up to twice the
+    # disc count or the band count, on empty and one-disc surfaces too.
+    rng = random.Random(17)
+    surfaces = [BraidedSurface(1), BraidedSurface(4)]
+    surfaces += [from_word(random_bkl_word(rng, max_strands=7, max_len=10)) for _ in range(300)]
+    for s in surfaces:
+        twirled = turned = s
+        for k in range(2 * max(s.discs, s.band_count) + 1):
+            assert twirl(s, k) == twirled and turn(s, k) == turned
+            assert word_twirl(to_word(s), k) == to_word(twirled)
+            assert word_turn(to_word(s), k) == to_word(turned)
+            twirled, turned = reference.twirl_once(twirled), reference.turn_once(turned)
+        assert twirl(s) == reference.twirl_once(s) and turn(s) == reference.turn_once(s)
 
 
 def test_inflate_deflate():

@@ -425,3 +425,18 @@ def test_grammar_errors_and_inference():
     assert parse_word("b(1,4)").strands == 4
     assert parse_word("e").strands == 1
     assert isinstance(parse_word("e", kind="bkl"), BKLWord)
+
+
+def test_generator_indices_and_strands_are_bounded():
+    # An index or a strand count above MAX_WORD_LETTERS is refused before a
+    # word on that many strands is built, and thousands of digits before
+    # int() refuses them with its own ValueError; leading zeros do not count.
+    for token in ("s" + "9" * 5000, "b(1," + "9" * 5000 + ")", "s99999999999", "s1000001",
+                  "b(1,1000001)", "b(" + "9" * 5000 + ",1)^-1"):
+        with pytest.raises(WordError, match="generator index above 1000000"):
+            parse_word(f"e {token}")
+    with pytest.raises(WordError, match="more than 1000000 strands"):
+        parse_word("s1", strands=1000001)
+    assert parse_word("s" + "0" * 5000 + "7").letters == ((7, 1),)
+    assert parse_word("b(1,1000000)").strands == 1000000
+    assert parse_word("s1", strands=1000000).strands == 1000000
