@@ -20,11 +20,14 @@ the piece.  A piece is read off the input diagram's one structure, not
 built as a diagram of its own.
 Soundness is not assumed: the input diagram's integer Seifert matrix is
 built once, over the fundamental cycles of one spanning tree of its Seifert
-graph.  Each leaf's realization is chosen by comparing component counts and
-the leaf's block of that matrix, over the cycles through its crossings, and
-the finished word is compared the same way with the whole matrix.  The
-surfaces share one fatgraph, so the cycles name the same basis of first
-homology on both, and the matrices are compared entry by entry.
+graph, and the finished word's braided surface is compared with it, and
+its closure's component count with the diagram's.  The surfaces share one
+fatgraph, so the cycles name the same basis of first homology on both, and
+the matrices are compared entry by entry.  Each leaf takes its first
+realization.  Plumbing, twirls and turns keep a leaf's block of the matrix,
+its rows and columns over the cycles through its crossings, so when the
+comparison fails, the leaves whose blocks differ search on, each compared
+with its block alone, and the word is compared once more.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ class SoundnessError(Exception):
 
 
 REALIZATION_LIMIT = 4096  # candidates ``realizations`` yields at most
+NO_MATCH = "no braided realization matches the diagram's Seifert matrix ({} candidates)"
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +283,20 @@ def _fundamental_cycles(vertex_count: int, ends) -> list[tuple[tuple[int, int], 
     return cycles
 
 
+def _carried(ends, cycles, word: BKLWord, disc_of, letter_of):
+    """``cycles`` carried to ``word``'s letters through (disc_of, letter_of),
+    or None unless each edge's letter joins its two ends' discs."""
+    if len(word.letters) != len(ends):
+        return None
+    way = []
+    for c, (u, v) in enumerate(ends):
+        a, b = disc_of[u], disc_of[v]
+        if word.letters[letter_of[c]][:2] != ((a, b) if a < b else (b, a)):
+            return None
+        way.append(1 if a < b else -1)
+    return [tuple([(letter_of[c], w * way[c]) for c, w in cycle]) for cycle in cycles]
+
+
 def _gate(ends, cycles, target, components: int):
     """Predicate on (word, disc_of, letter_of): each letter joins its edge's
     discs, the closure has ``components`` components and the braided surface
@@ -286,16 +304,10 @@ def _gate(ends, cycles, target, components: int):
     """
 
     def matches(word: BKLWord, disc_of, letter_of) -> bool:
-        if len(word.letters) != len(ends) or closure_components(word) != components:
+        if closure_components(word) != components:
             return False
-        way = []
-        for c, (u, v) in enumerate(ends):
-            a, b = disc_of[u], disc_of[v]
-            if word.letters[letter_of[c]][:2] != ((a, b) if a < b else (b, a)):
-                return False
-            way.append(1 if a < b else -1)
-        mapped = [tuple([(letter_of[c], w * way[c]) for c, w in cycle]) for cycle in cycles]
-        return word_seifert_matrix(word, mapped) == target
+        mapped = _carried(ends, cycles, word, disc_of, letter_of)
+        return mapped is not None and word_seifert_matrix(word, mapped) == target
 
     return matches
 
@@ -459,8 +471,11 @@ def homogenize(d: Diagram) -> BKLWord:
     leaf is realized with that circle as its first disc, turned the fewest
     times that line up its letters there with the diagram's cyclic order,
     and plumbed in with the shuffle pattern that reproduces that order.
-    Each leaf is gated while its realization is chosen and the finished
-    word is gated against ``d``, so a construction that drifts from the
+    Each leaf takes its first realization, and the finished word is gated
+    once against ``d``.  Plumbing, twirls and turns keep each leaf's block
+    of the word's Seifert matrix, so a failed gate names the leaves whose
+    blocks differ; only those search on, each gated alone, and the word is
+    plumbed and gated again.  A construction that drifts from the
     diagram's surface raises ``SoundnessError``.  A split diagram gives the
     direct sum of its parts' words, and a free unknot a bare disc.
     """
@@ -491,17 +506,46 @@ def _homogenize(d: Diagram):
     cycles = _fundamental_cycles(len(st.circles), ends)
     rank = _plumbing_ranks(st, steps)
     target = diagram_seifert_matrix(d, cycles, [rank[cycle[0][0]] for cycle in cycles])
-    first_leaf = steps[0][0]
-    word, pos, letter_cids = _realized_leaf(first_leaf, first_leaf.circles[0], cycles, target)
-    disc_of = {orig: pos[first_leaf.circle_map[orig]] for orig in first_leaf.circles}
+    components = link_components(d)
+    starts = [leaf.circles[0] if shared < 0 else shared for leaf, shared in steps]
+    searches, realized = [], []
+    for (leaf, _shared), start in zip(steps, starts):
+        candidates = realizations(leaf.fatgraph, leaf.circle_map[start])
+        first = next(candidates, None)
+        if first is None:
+            raise PipelineError(NO_MATCH.format(0))
+        word, pos, order = first
+        searches.append(candidates)
+        realized.append((word, pos, [leaf.crossings[k] for k in order]))
+    repaired = False
+    while True:
+        word, disc_of, letter_cids = _plumbed(st, steps, realized)
+        mapped = _carried(ends, cycles, word, disc_of, {c: k for k, c in enumerate(letter_cids)})
+        seifert = None if mapped is None else word_seifert_matrix(word, mapped)
+        if seifert == target and closure_components(word) == components:
+            return word, steps
+        # Name the leaves whose rows and columns differ, once.
+        shares = [] if repaired or seifert is None else [_leaf_cycles(x, cycles) for x, _ in steps]
+        wrong = [k for k, share in enumerate(shares)
+                 if any(seifert[i][j] != target[i][j] for i in share for j in share)]
+        if not wrong:
+            raise SoundnessError("plumbed word does not match the diagram's link")
+        for k in wrong:
+            realized[k] = _realized_leaf(steps[k][0], starts[k], cycles, target, (searches[k], 1))
+        repaired = True
 
-    for leaf, shared in steps[1:]:
+
+def _plumbed(st, steps, realized):
+    """Plumb realized leaves in step order: the word, each source circle's
+    disc and each letter's source crossing."""
+    word, pos, letter_cids = realized[0]
+    first_leaf = steps[0][0]
+    disc_of = {orig: pos[first_leaf.circle_map[orig]] for orig in first_leaf.circles}
+    for (leaf, shared), (piece_word, piece_pos, piece_cids) in zip(steps[1:], realized[1:]):
         # Rotate the running surface so that the shared circle is rightmost.
         twirls = disc_of[shared] % word.strands
         word = word_twirl(word, twirls)
         disc_of = {c: (p - twirls - 1) % word.strands + 1 for c, p in disc_of.items()}
-
-        piece_word, piece_pos, piece_cids = _realized_leaf(leaf, shared, cycles, target)
 
         # Schedule the shared circle's letters in the diagram's cyclic order.
         sigma = st.passages[shared]
@@ -518,17 +562,19 @@ def _homogenize(d: Diagram):
         word = plumb(word, piece_word, pattern)
         letter_cids = _merge_lists(letter_cids, piece_cids, pattern)
         for orig in leaf.circles:
-            if orig == shared:
-                continue
-            disc_of[orig] = piece_pos[leaf.circle_map[orig]] + n1 - 1
-    letter_of = {c: k for k, c in enumerate(letter_cids)}
-    if not _gate(ends, cycles, target, link_components(d))(word, disc_of, letter_of):
-        raise SoundnessError("plumbed word does not match the diagram's link")
-    return word, steps
+            if orig != shared:
+                disc_of[orig] = piece_pos[leaf.circle_map[orig]] + n1 - 1
+    return word, disc_of, letter_cids
 
 
-def _realized_leaf(leaf: PlumbLeaf, start_circle_orig: int, cycles, target):
-    """Realize one leaf; letters are tagged with source-diagram crossing ids.
+def _leaf_cycles(leaf: PlumbLeaf, cycles) -> list[int]:
+    """Indices of the cycles through ``leaf``'s crossings."""
+    mine = set(leaf.crossings)
+    return [i for i, cycle in enumerate(cycles) if cycle[0][0] in mine]
+
+
+def _realized_leaf(leaf: PlumbLeaf, start_circle_orig: int, cycles, target, search=None):
+    """Realize one leaf, gated alone; letters are tagged with source crossing ids.
 
     ``target`` is the source's Seifert matrix over ``cycles``, fundamental
     cycles of one spanning tree.  Each lies in one block and the tree spans
@@ -538,21 +584,21 @@ def _realized_leaf(leaf: PlumbLeaf, start_circle_orig: int, cycles, target):
     of ``target`` are its Seifert matrix.  The first candidate whose closure
     has the leaf's component count and whose braided surface has that
     matrix wins: band heights alone do not pin down the embedding.
+    ``homogenize`` passes ``search``, a leaf's ``realizations`` iterator and
+    the count of candidates taken from it, when its block of the word fails.
     """
     fat = leaf.fatgraph
     edge_of = {c: k for k, c in enumerate(leaf.crossings)}
-    share = [i for i, cycle in enumerate(cycles) if cycle[0][0] in edge_of]
+    share = _leaf_cycles(leaf, cycles)
     mine = [tuple([(edge_of[c], way) for c, way in cycles[i]]) for i in share]
     block = [[target[i][j] for j in share] for i in share]
     matches = _gate([(u, v) for u, v, _s in fat.edges], mine, block, leaf.components)
-    tried = 0
-    for word, pos, order in realizations(fat, leaf.circle_map[start_circle_orig]):
+    candidates, tried = search or (realizations(fat, leaf.circle_map[start_circle_orig]), 0)
+    for word, pos, order in candidates:
         tried += 1
         if matches(word, pos, {c: k for k, c in enumerate(order)}):
             return word, pos, [leaf.crossings[k] for k in order]
-    raise PipelineError(
-        f"no braided realization matches the diagram's Seifert matrix ({tried} candidates)"
-    )
+    raise PipelineError(NO_MATCH.format(tried))
 
 
 def _cut_at(sigma: tuple[int, ...], mine: list[int], mine_set: set, theirs: set) -> list[int]:

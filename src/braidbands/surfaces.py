@@ -205,18 +205,12 @@ def slide_down(s: BraidedSurface, position: int) -> BraidedSurface:
 
 def twirl(s: BraidedSurface, times: int = 1) -> BraidedSurface:
     """Pass the leftmost disc to the rightmost position, ``times`` times over."""
-    n = s.discs
-    bands = []
-    for l, r, e in s.bands:
-        l, r = (l - 1 - times) % n + 1, (r - 1 - times) % n + 1
-        bands.append((l, r, e) if l < r else (r, l, e))
-    return BraidedSurface(n, bands)
+    return from_word(word_twirl(to_word(s), times))
 
 
 def turn(s: BraidedSurface, times: int = 1) -> BraidedSurface:
     """Slide the lowest band round the back to the top, ``times`` times over."""
-    k = -times % s.band_count if s.bands else 0
-    return BraidedSurface(s.discs, s.bands[k:] + s.bands[:k])
+    return from_word(word_turn(to_word(s), times))
 
 
 def flip_vertical(s: BraidedSurface) -> BraidedSurface:
@@ -277,11 +271,21 @@ def euler_genus(s: BraidedSurface) -> tuple[int, int, int]:
 
 
 def word_twirl(w: BKLWord, times: int = 1) -> BKLWord:
-    return to_word(twirl(from_word(w), times))
+    """``twirl`` on the word's letters; ``w`` itself for a multiple of its strands."""
+    n = w.strands
+    if times % n == 0:
+        return w
+    letters = []
+    for l, r, e in w.letters:
+        l, r = (l - 1 - times) % n + 1, (r - 1 - times) % n + 1
+        letters.append((l, r, e) if l < r else (r, l, e))
+    return BKLWord(n, letters)
 
 
 def word_turn(w: BKLWord, times: int = 1) -> BKLWord:
-    return to_word(turn(from_word(w), times))
+    """``turn`` on the word's letters; ``w`` itself for a multiple of its length."""
+    k = -times % len(w.letters) if w.letters else 0
+    return BKLWord(w.strands, w.letters[k:] + w.letters[:k]) if k else w
 
 
 def render_svg(s: BraidedSurface) -> str:

@@ -18,7 +18,8 @@ through frozen ``(surface, star)`` pairs between steps, and a disc's band order
 is a scan of every band, sorted.  Twirls and turns are applied one move at a
 time, on surfaces and on star states, and a leaf is turned one letter at a
 time until it lines up.  Diagram validity and ray classes are read off
-``analyze`` and a materialized state.
+``analyze`` and a materialized state.  ``homogenize`` chooses each leaf's
+realization by gating every candidate against the leaf's own block.
 """
 
 from __future__ import annotations
@@ -27,14 +28,17 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
+from braidbands import pipeline
 from braidbands.diagrams import (
     Diagram,
     DiagramError,
     DiagramStructure,
     _UnionFind,
     analyze,
+    link_components,
     subdiagram,
 )
+from braidbands.invariants import diagram_seifert_matrix
 from braidbands.laurent import Laurent
 from braidbands.pipeline import Fatgraph, PipelineError, SoundnessError, _disc_positions
 from braidbands.stars import (
@@ -710,3 +714,48 @@ def turn_until(word: BKLWord, cids: list[int], at_shared: set, want: list[int]):
         word = to_word(turn_once(from_word(word)))
         cids = [cids[-1]] + cids[:-1]
     raise SoundnessError("cannot align the piece with the shared circle's cyclic order")
+
+
+# ---------------------------------------------------------------------------
+# The per-leaf gated chooser
+# ---------------------------------------------------------------------------
+
+def homogenize_gated(d: Diagram):
+    """``pipeline.homogenize`` on a connected diagram, each leaf gated alone.
+
+    Every leaf takes the first enumerated realization whose closure has the
+    leaf's component count and whose braided surface has the leaf's block of
+    the diagram's Seifert matrix; the plumbed word is then gated against the
+    whole matrix.  Returns the word and each leaf's count of candidates tried.
+    """
+    st = analyze(d)
+    steps = pipeline.decompose_generalized_flat(d)
+    ends = [(u, v) for u, v, _s, _c in st.graph.edges]
+    cycles = pipeline._fundamental_cycles(len(st.circles), ends)
+    rank = pipeline._plumbing_ranks(st, steps)
+    target = diagram_seifert_matrix(d, cycles, [rank[cycle[0][0]] for cycle in cycles])
+    realized, tried = [], []
+    for leaf, shared in steps:
+        edge_of = {c: k for k, c in enumerate(leaf.crossings)}
+        share = [i for i, cycle in enumerate(cycles) if cycle[0][0] in edge_of]
+        mine = [tuple([(edge_of[c], way) for c, way in cycles[i]]) for i in share]
+        block = [[target[i][j] for j in share] for i in share]
+        fat = leaf.fatgraph
+        matches = pipeline._gate([(u, v) for u, v, _s in fat.edges], mine, block, leaf.components)
+        start = leaf.circle_map[leaf.circles[0] if shared < 0 else shared]
+        count = 0
+        for word, pos, order in realizations(fat, start, pipeline.REALIZATION_LIMIT):
+            count += 1
+            if matches(word, pos, {c: k for k, c in enumerate(order)}):
+                realized.append((word, pos, [leaf.crossings[k] for k in order]))
+                break
+        else:
+            raise PipelineError(
+                f"no braided realization matches the diagram's Seifert matrix ({count} candidates)"
+            )
+        tried.append(count)
+    word, disc_of, letter_cids = pipeline._plumbed(st, steps, realized)
+    letter_of = {c: k for k, c in enumerate(letter_cids)}
+    if not pipeline._gate(ends, cycles, target, link_components(d))(word, disc_of, letter_of):
+        raise SoundnessError("plumbed word does not match the diagram's link")
+    return word, tried

@@ -283,16 +283,12 @@ def test_malformed_input_is_exit_2(tmp_path, argv):
 
 
 def test_failed_soundness_gate_is_exit_3(tmp_path, capsys, trefoil_file, monkeypatch):
-    # A gate that rejects the finished word is an internal failure, not bad
-    # input; a malformed diagram still is bad input.  The trefoil is one
-    # leaf, so its first gate is the leaf's and its second the final one.
-    gates, gate = [], pipeline._gate
-
-    def rejecting_the_word(*args):
-        gates.append(args)
-        return gate(*args) if len(gates) == 1 else lambda *maps: False
-
-    monkeypatch.setattr(pipeline, "_gate", rejecting_the_word)
+    # A final comparison that rejects the finished word is an internal
+    # failure, not bad input; a malformed diagram still is bad input.  Here
+    # the closure's component count is off while every leaf's block of the
+    # Seifert matrix matches, so no leaf is named to search on.
+    closure_components = pipeline.closure_components
+    monkeypatch.setattr(pipeline, "closure_components", lambda w: closure_components(w) + 1)
     assert run(["homogenize", trefoil_file]) == 3
     assert "plumbed word does not match the diagram's link" in capsys.readouterr().err
     malformed = tmp_path / "malformed.json"

@@ -280,63 +280,65 @@ def test_decompose_trees():
         decompose_generalized_flat(closure_diagram(parse_word("s1 s1^-1 s1", strands=2)))
 
 
-def test_leaf_view_matches_subdiagram(monkeypatch):
+def _gate_target(d: Diagram, steps):
+    """The cycle basis and the Seifert matrix ``homogenize`` gates ``d`` against."""
+    st = analyze(d)
+    cycles = pipeline._fundamental_cycles(len(st.circles), [e[:2] for e in st.graph.edges])
+    rank = pipeline._plumbing_ranks(st, steps)
+    return cycles, diagram_seifert_matrix(d, cycles, [rank[cycle[0][0]] for cycle in cycles])
+
+
+def test_leaf_view_matches_subdiagram():
     # Each leaf read off its source's structure is what its own sub-diagram
-    # gives: the same fatgraph, circle map, component count and gate target.
+    # gives: the same fatgraph, circle map and component count, and its
+    # block of the gate's target is the sub-diagram's Seifert matrix.
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=100)]
     cases += list(_seeded_closures(seed=78, count=100))
-    gates = []
-    gate = pipeline._gate
-    monkeypatch.setattr(pipeline, "_gate", lambda *args: gates.append(args) or gate(*args))
     leaves = 0
     for d in cases:
         try:
             steps = decompose_generalized_flat(d)
         except PipelineError:  # not homogeneous, or split
             continue
-        gates.clear()
-        homogenize(d)  # builds one gate per leaf, in plumbing order, then the final one
-        assert len(gates) == len(steps) + 1
-        for (leaf, _shared), (_ends, cycles, target, components) in zip(steps, gates):
+        cycles, target = _gate_target(d, steps)
+        for leaf, _shared in steps:
             piece, circle_map = reference.piece(d, leaf.crossings)
             assert leaf.diagram == piece
             assert leaf.fatgraph == reference.fatgraph_of_diagram(piece)
             assert leaf.circle_map == circle_map
             assert leaf.components == link_components(piece)
-            assert target == diagram_seifert_matrix(piece, cycles)
-            assert components == link_components(piece)
+            edge_of = {c: k for k, c in enumerate(leaf.crossings)}
+            share = pipeline._leaf_cycles(leaf, cycles)
+            mine = [tuple([(edge_of[c], way) for c, way in cycles[i]]) for i in share]
+            assert [[target[i][j] for j in share] for i in share] == diagram_seifert_matrix(piece, mine)
             assert len({analyze(d).crossing_region[c] for c in leaf.crossings}) == 1
             assert is_primitive_flat(piece)
             leaves += 1
+        homogenize(d)  # and the leaves plumb to a word that passes the gate
     assert leaves > 300
 
 
-def test_leaves_split_one_cycle_basis(monkeypatch):
+def test_leaves_split_one_cycle_basis():
     # A fundamental cycle is simple, so it lies in one block, and the
-    # spanning tree restricted to a block spans it: each leaf's gate takes
-    # a basis of its surface from the whole graph's cycles, and its target
-    # is their block of the diagram's matrix, where ranks do not enter.
+    # spanning tree restricted to a block spans it: each leaf takes a basis
+    # of its surface from the whole graph's cycles, and its block of the
+    # target is their matrix in the diagram, where ranks do not enter.
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
     cases += [WHEELS[size] for size in (4, 6, 8)]
-    gates = []
-    gate = pipeline._gate
-    monkeypatch.setattr(pipeline, "_gate", lambda *args: gates.append(args) or gate(*args))
     for d in cases:
-        st = analyze(d)
         steps = decompose_generalized_flat(d)
         leaf_of = {c: k for k, (leaf, _shared) in enumerate(steps) for c in leaf.crossings}
-        cycles = pipeline._fundamental_cycles(len(st.circles), [e[:2] for e in st.graph.edges])
+        cycles, target = _gate_target(d, steps)
         for cycle in cycles:
             assert len({leaf_of[c] for c, _way in cycle}) == 1
-        gates.clear()
-        homogenize(d)
         received = []
-        for (leaf, _shared), (_ends, mine, target, _components) in zip(steps, gates):
+        for leaf, _shared in steps:
+            share = pipeline._leaf_cycles(leaf, cycles)
+            mine = [cycles[i] for i in share]
             assert len(mine) == len(leaf.crossings) - len(leaf.circles) + 1
-            mine = [tuple([(leaf.crossings[k], way) for k, way in cycle]) for cycle in mine]
-            assert target == diagram_seifert_matrix(d, mine)
+            assert [[target[i][j] for j in share] for i in share] == diagram_seifert_matrix(d, mine)
             received += mine
         assert sorted(received) == sorted(cycles)
 
@@ -430,16 +432,20 @@ def test_homogenize_split_diagrams_with_free_unknots():
 
 def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
     # One cycle basis, one plumbing ranking and one diagram-side Seifert
-    # matrix per connected diagram; one word-side matrix per leaf candidate
-    # tried, then one for the finished word.  Neither Alexander engine runs.
-    alexander_calls, diagram_sides, word_sides, tried = [], [], [], []
+    # matrix per connected diagram.  When every leaf's first candidate is
+    # right, the finished word is the one word-side matrix built; otherwise
+    # the leaves that search on build one per further candidate, and the
+    # repaired word one more.  Neither Alexander engine runs.
+    alexander_calls, diagram_sides, word_sides, searches = [], [], [], []
     bases, rankings = [], []
     diagram_side, word_side = pipeline.diagram_seifert_matrix, pipeline.word_seifert_matrix
     fundamental_cycles, plumbing_ranks = pipeline._fundamental_cycles, pipeline._plumbing_ranks
 
     def counted_realizations(*args, **kwargs):
+        leaf = len(searches)
+        searches.append(0)
         for found in realizations(*args, **kwargs):
-            tried.append(found)
+            searches[leaf] += 1
             yield found
 
     for module in (invariants, pipeline):
@@ -456,14 +462,122 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
     monkeypatch.setattr(pipeline, "realizations", counted_realizations)
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
+    first_right = 0
     for d in cases:
-        for calls in (diagram_sides, word_sides, tried, bases, rankings):
+        for calls in (diagram_sides, word_sides, searches, bases, rankings):
             calls.clear()
         w = homogenize(d)
         assert len(diagram_sides) == len(bases) == len(rankings) == 1 and diagram_sides[0] is d
-        assert len(word_sides) == len(tried) + 1
-        assert word_sides[-1] is w
+        assert len(searches) == len(decompose_generalized_flat(d))
+        if set(searches) == {1}:
+            assert len(word_sides) == 1 and word_sides[0] is w
+            first_right += 1
+        else:
+            assert len(word_sides) == 1 + sum(searches) - len(searches) + 1
+            assert word_sides[-1] is w
+    assert first_right == len(cases) - 1  # all but 5_2's one leaf
     assert alexander_calls == []
+
+
+@pytest.mark.parametrize("wrong_leaf", [0, 1, 2])
+def test_failed_gate_searches_on_only_the_leaves_it_names(monkeypatch, wrong_leaf):
+    # K9_43 has three leaves, each right at its first candidate.  A mirrored
+    # first candidate changes only its own leaf's block of the word's
+    # Seifert matrix, so that leaf alone takes one more candidate, and the
+    # word is the same.
+    expected = homogenize(K9_43)
+    assert len(decompose_generalized_flat(K9_43)) == 3
+    searches, word_sides = [], []
+    word_side = pipeline.word_seifert_matrix
+
+    def mirrored_first(fat, start):
+        leaf = len(searches)
+        searches.append(0)
+        candidates = realizations(fat, start)
+        if leaf == wrong_leaf:
+            word, pos, order = next(realizations(fat, start))
+            searches[leaf] += 1
+            yield BKLWord(word.strands, [(r, s, -e) for r, s, e in word.letters]), pos, order
+        for found in candidates:
+            searches[leaf] += 1
+            yield found
+
+    monkeypatch.setattr(
+        pipeline, "word_seifert_matrix", lambda w, *a: word_sides.append(w) or word_side(w, *a)
+    )
+    monkeypatch.setattr(pipeline, "realizations", mirrored_first)
+    assert homogenize(K9_43) == expected
+    assert searches == [1 + (k == wrong_leaf) for k in range(3)]
+    assert len(word_sides) == 3 and word_sides[-1] == expected
+
+
+def test_mismatch_outside_every_leaf_block_is_exit_3(tmp_path, capsys, monkeypatch):
+    # An entry between two leaves' cycles names no leaf to search on.
+    steps = decompose_generalized_flat(K9_43)
+    cycles, _target = _gate_target(K9_43, steps)
+    i, j = (pipeline._leaf_cycles(leaf, cycles)[0] for leaf, _shared in (steps[0], steps[2]))
+    word_side = pipeline.word_seifert_matrix
+
+    def off_block(w, mapped):
+        v = word_side(w, mapped)
+        v[i][j] += 1
+        return v
+
+    monkeypatch.setattr(pipeline, "word_seifert_matrix", off_block)
+    with pytest.raises(pipeline.SoundnessError, match="plumbed word does not match"):
+        homogenize(K9_43)
+    path = tmp_path / "k9_43.json"
+    path.write_text(K9_43.to_json())
+    assert run(["homogenize", str(path)]) == 3
+    assert "plumbed word does not match the diagram's link" in capsys.readouterr().err
+
+
+def _band_word_flat_diagrams(seed: int, count: int):
+    """Homogeneous flat diagrams of random homogeneous band words."""
+    rng = random.Random(seed)
+    while count:
+        w = random_bkl_word(rng, max_strands=8, max_len=20, homogeneous=True)
+        try:
+            d = flat_diagram(fatgraph_of_word(w))
+        except PipelineError:  # no letters, disconnected or not bipartite
+            continue
+        if is_homogeneous_diagram(d).homogeneous:
+            count -= 1
+            yield d
+
+
+def test_homogenize_matches_the_per_leaf_gated_chooser(monkeypatch):
+    # Gating once and searching on only the leaves the gate names gives the
+    # words of gating every leaf's candidates in turn, with the same count
+    # of candidates taken for each leaf.
+    cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43] + [WHEELS[size] for size in (4, 6, 8)]
+    cases += [d for d, _word in pseudoalternating_diagrams(seed=1, count=1000)]
+    cases += [d for d in _seeded_closures(seed=5, count=1200)
+              if not d.unknots and len(set(analyze(d).circle_component)) == 1
+              and is_homogeneous_diagram(d).homogeneous]
+    cases += list(_band_word_flat_diagrams(seed=9, count=600))
+    assert len(cases) >= 2000
+    searches = []
+
+    def counted_realizations(*args, **kwargs):
+        leaf = len(searches)
+        searches.append(0)
+        for found in realizations(*args, **kwargs):
+            searches[leaf] += 1
+            yield found
+
+    monkeypatch.setattr(pipeline, "realizations", counted_realizations)
+    searched_on = set()  # (discs, bands) of leaves taking more than one candidate
+    for d in cases:
+        searches.clear()
+        word, tried = reference.homogenize_gated(d)
+        assert homogenize(d) == word
+        assert searches == tried
+        for (leaf, _shared), count in zip(decompose_generalized_flat(d), tried):
+            if count > 1:
+                searched_on.add((leaf.fatgraph.vertex_count, len(leaf.crossings)))
+    # 5_2's leaf, the three wheels and a leaf of a band word's flat diagram
+    assert {(4, 5), (5, 6), (7, 9), (9, 12), (4, 7)} <= searched_on
 
 
 def test_turn_until_matches_the_one_turn_loop():
