@@ -16,11 +16,15 @@ while keeping the word homogeneous and the boundary link fixed.
 
 A whole reduction runs on one mutable state, built once from the input and
 frozen back into a surface and a star once at the end.  Each disc keeps its
-band ends in height order inside that state.  Before and after each step
-the heights are re-spread to the order that freezing and rebuilding the
-state would give, so the result is the same as stepping through frozen
+bands in height order inside that state, as bare ``(band, id)`` pairs: the
+side of an end is read off the band.  Before and after each step the
+heights are re-spread to the order that freezing and rebuilding the state
+would give, so the result is the same as stepping through frozen
 ``(surface, star)`` pairs.  Twirls, flips, mirrors and inflations all
-renumber discs through ``_relabel_discs``; k twirls are one rotation.
+renumber discs through ``_relabel_discs``, which evaluates the bijection
+once per disc into a table and moves each disc's list whole; k twirls are
+one rotation.  Embeddedness is checked by one walk over each ray that reads
+band and tip heights straight into per-disc chords.
 """
 
 from __future__ import annotations
@@ -150,10 +154,12 @@ class _State:
     step that splits a gap first multiplies every height by enough
     (``rescale``) for the split to land on integers.
 
-    ``order[d]`` lists the band ends on disc ``d`` as ``(band, id, end)``,
-    highest first.  It holds the bands themselves, so rescaling and
+    ``order[d]`` lists the bands with an end on disc ``d`` as bare
+    ``(band, id)`` pairs, highest first; the end is ``L`` if ``band.l == d``
+    and ``R`` otherwise.  It holds the bands themselves, so rescaling and
     re-spreading, which keep the height order, keep it valid; the helpers
-    that move a band end, change a height or relabel discs update it.
+    that move a band end or change a height update it, and relabelling
+    discs moves each disc's list to its new index whole.
     """
 
     discs: int
@@ -162,7 +168,7 @@ class _State:
     rays: list[_Ray]
     next_id: int
     scale: int
-    order: list[list[tuple[_Band, int, str]]]
+    order: list[list[tuple[_Band, int]]]
 
     def rescale(self, q: int) -> None:
         for band in self.bands.values():
@@ -176,8 +182,8 @@ def _materialize(surface: BraidedSurface, star: Star) -> _State:
     bands = {k: _Band(l, r, e, len(surface.bands) - k) for k, (l, r, e) in enumerate(surface.bands)}
     order: list[list] = [[] for _ in range(surface.discs + 1)]
     for bid, band in bands.items():
-        order[band.l].append((band, bid, L))
-        order[band.r].append((band, bid, R))
+        order[band.l].append((band, bid))
+        order[band.r].append((band, bid))
     state = _State(surface.discs, bands, star.center, [], len(surface.bands), 1, order)
     for ray in star.rays:
         for bid, _e, _x in ray.steps:
@@ -212,7 +218,7 @@ def _spread(state: _State, gaps: list[tuple[int, int]]) -> None:
 
 
 def _tip_gap(state: _State, ray: _Ray) -> int:
-    return sum(1 for band, _b, _e in state.order[ray.tip_disc] if band.h > ray.tip_h)
+    return sum(1 for band, _b in state.order[ray.tip_disc] if band.h > ray.tip_h)
 
 
 def _renormalize(state: _State) -> None:
@@ -246,26 +252,29 @@ def _freeze(state: _State) -> tuple[BraidedSurface, Star]:
 
 def _relabel_discs(state: _State, f) -> None:
     """Carry the state, each disc's band order included, along a bijection
-    ``f`` of its discs.  A band whose ends change order swaps ``l`` and
-    ``r``, and every ray step through it swaps its enter and exit ends."""
-    state.center = f(state.center)
+    ``f`` of its discs, evaluated once per disc.  A band whose ends change
+    order swaps ``l`` and ``r``, and every ray step through it flips both
+    its end labels.  Each disc's list moves to its new index unchanged."""
+    old = state.order
+    to = [0, *map(f, range(1, len(old)))]
+    state.center = to[state.center]
     swapped = set()
     for bid, band in state.bands.items():
-        band.l, band.r = f(band.l), f(band.r)
-        if band.l > band.r:
-            band.l, band.r = band.r, band.l
+        l, r = to[band.l], to[band.r]
+        if l > r:
+            l, r = r, l
             swapped.add(bid)
+        band.l, band.r = l, r
     for ray in state.rays:
-        ray.tip_disc = f(ray.tip_disc)
-        for step in ray.steps:
-            if step[0] in swapped:
-                step[1:] = [R if end == L else L for end in step[1:]]
-    order: list[list] = [[] for _ in range(state.discs + 1)]
-    for d, ends in enumerate(state.order):
-        if ends:
-            new = f(d)
-            order[new] = [(band, bid, L if band.l == new else R) for band, bid, _e in ends]
-    state.order = order
+        ray.tip_disc = to[ray.tip_disc]
+        if swapped:
+            for step in ray.steps:
+                if step[0] in swapped:
+                    step[1] = R if step[1] == L else L
+                    step[2] = R if step[2] == L else L
+    state.order = [[] for _ in range(state.discs + 1)]
+    for d in range(1, len(old)):
+        state.order[to[d]] = old[d]
 
 
 def _drop_ends(state: _State, bid: int) -> None:
@@ -276,39 +285,13 @@ def _drop_ends(state: _State, bid: int) -> None:
 
 def _insert_ends(state: _State, bid: int) -> None:
     band = state.bands[bid]
-    for d, end in ((band.l, L), (band.r, R)):
-        bisect.insort(state.order[d], (band, bid, end), key=lambda t: -t[0].h)
+    for d in (band.l, band.r):
+        bisect.insort(state.order[d], (band, bid), key=lambda t: -t[0].h)
 
 
 # ---------------------------------------------------------------------------
 # Chords and validity
 # ---------------------------------------------------------------------------
-
-def _ray_chords(state: _State, ray: _Ray):
-    """Disc arcs of one ray: (disc, endpoint, endpoint) with endpoints either
-    ('center',), ('tip', height) or ('region', band id, end)."""
-    chords = []
-    points = [(_CENTER, state.center)]
-    for bid, enter, exit_ in ray.steps:
-        band = state.bands[bid]
-        points.append((("region", bid, enter), band.end_disc(enter)))
-        points.append((("region", bid, exit_), band.end_disc(exit_)))
-    points.append((("tip", ray.tip_h), ray.tip_disc))
-    for k in range(0, len(points), 2):
-        (p, dp), (q, dq) = points[k], points[k + 1]
-        if dp != dq:
-            raise StarError("ray arcs hop between discs without a band")
-        chords.append((dp, p, q))
-    return chords
-
-
-def _point_height(state: _State, point) -> Optional[int]:
-    if point[0] == "region":
-        return state.bands[point[1]].h
-    if point[0] == "tip":
-        return point[1]
-    return None  # center
-
 
 def check_star(surface: BraidedSurface, star: Star) -> None:
     """Raise StarError when the star is not an embedded transverse star."""
@@ -321,29 +304,41 @@ def check_star(surface: BraidedSurface, star: Star) -> None:
 def _check_state(state: _State) -> None:
     """Embeddedness under the linear slot order.
 
-    Per disc: boundary chords must not strictly interleave, and the center
-    (anchored behind the front edge) reaches a slot without crossing a
-    chord only when that slot is not strictly inside the chord's span.
-    Shared slots count as parallel strands, never as crossings.
+    Each ray is walked once: its first arc joins the center to a point of
+    the center disc (a fan height), every later arc joins two boundary
+    points of one disc (an ordered pair of heights).  An arc that would hop
+    between discs is refused before any crossing test.  Then per disc, in
+    the order the walk first reached them: boundary chords must not
+    strictly interleave, and the center (anchored behind the front edge)
+    reaches a slot without crossing a chord only when that slot is not
+    strictly inside the chord's span.  The inequalities are strict, so
+    shared slots count as parallel strands, never as crossings.
     """
-    all_chords = []
+    bands = state.bands
+    by_disc: dict[int, tuple[list, list]] = {}
     for ray in state.rays:
-        all_chords.extend(_ray_chords(state, ray))
-    by_disc: dict[int, list] = {}
-    for chord in all_chords:
-        by_disc.setdefault(chord[0], []).append(chord)
-    for disc, chords in by_disc.items():
-        fan = [_point_height(state, q) for _d, p, q in chords if p == _CENTER]
-        boundary = [
-            tuple(sorted((_point_height(state, p), _point_height(state, q))))
-            for _d, p, q in chords
-            if p != _CENTER
-        ]
-        for i, (s1, s2) in enumerate(boundary):
-            for t1, t2 in boundary[i + 1 :]:
-                if {s1, s2} & {t1, t2}:
-                    continue
-                if (s1 < t1 < s2 < t2) or (t1 < s1 < t2 < s2):
+        disc, h = state.center, None
+        for bid, enter, exit_ in ray.steps:
+            band = bands[bid]
+            if (band.l if enter == L else band.r) != disc:
+                raise StarError("ray arcs hop between discs without a band")
+            fan, chords = by_disc.setdefault(disc, ([], []))
+            if h is None:
+                fan.append(band.h)
+            else:
+                chords.append((h, band.h) if h < band.h else (band.h, h))
+            disc, h = (band.l if exit_ == L else band.r), band.h
+        if ray.tip_disc != disc:
+            raise StarError("ray arcs hop between discs without a band")
+        fan, chords = by_disc.setdefault(disc, ([], []))
+        if h is None:
+            fan.append(ray.tip_h)
+        else:
+            chords.append((h, ray.tip_h) if h < ray.tip_h else (ray.tip_h, h))
+    for disc, (fan, chords) in by_disc.items():
+        for i, (s1, s2) in enumerate(chords):
+            for t1, t2 in chords[i + 1 :]:
+                if s1 < t1 < s2 < t2 or t1 < s1 < t2 < s2:
                     raise StarError(f"ray arcs cross inside disc {disc}")
             for f in fan:
                 if s1 < f < s2:
@@ -385,7 +380,7 @@ def _tail_sides(state: _State, ray: _Ray) -> tuple[int, int]:
     h_c = state.bands[bid].h
     lo, hi = min(h_c, ray.tip_h), max(h_c, ray.tip_h)
     between = outside = 0
-    for band, b, _end in state.order[ray.tip_disc]:
+    for band, b in state.order[ray.tip_disc]:
         if b == bid:
             continue
         if lo < band.h < hi:
@@ -439,7 +434,7 @@ def _landing_slots(state: _State, disc: int, h: int, above: bool) -> list[int]:
 
     The midpoints are exact when every height is even.
     """
-    occupied = sorted({band.h for band, _b, _e in state.order[disc]}
+    occupied = sorted({band.h for band, _b in state.order[disc]}
                       | {r.tip_h for r in state.rays if r.tip_disc == disc})
     out: list[int] = []
     if above:
@@ -599,7 +594,7 @@ def _pick_ray(state: _State) -> int:
             if j != idx and other.tip_disc == ray.tip_disc and lo < other.tip_h < hi
         )
         regions_inside = sum(
-            1 for band, _b, _e in state.order[ray.tip_disc] if lo < band.h < hi
+            1 for band, _b in state.order[ray.tip_disc] if lo < band.h < hi
         )
         candidates.append((tips_inside, regions_inside, idx))
     if not candidates:

@@ -14,11 +14,13 @@ Primitive flatness is the nesting definition: for each connected component,
 every choice of outer region is tried, and the circles must all sit at
 nesting depth 0 for the best one.  A connected diagram's fatgraph is read off
 its Seifert circles' traversal orders directly.  A star reduction round-trips
-through frozen ``(surface, star)`` pairs between steps, and a disc's band order
-is a scan of every band, sorted.  Twirls and turns are applied one move at a
-time, on surfaces and on star states, and a leaf is turned one letter at a
-time until it lines up.  Diagram validity and ray classes are read off
-``analyze`` and a materialized state.  ``homogenize`` chooses each leaf's
+through frozen ``(surface, star)`` pairs between steps, a disc's band order
+is a scan of every band, sorted, and a star state's embeddedness is checked
+on explicit chords with tagged endpoints.  Twirls and turns are applied one
+move at a time, on surfaces and on star states, a disc relabelling moves the
+bands first and rebuilds every disc's order after, and a leaf is turned one
+letter at a time until it lines up.  Diagram validity and ray classes are
+read off ``analyze`` and a materialized state.  ``homogenize`` chooses each leaf's
 realization by gating every candidate against the leaf's own block.
 """
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from braidbands import pipeline
 from braidbands.diagrams import (
@@ -42,6 +45,7 @@ from braidbands.invariants import diagram_seifert_matrix
 from braidbands.laurent import Laurent
 from braidbands.pipeline import Fatgraph, PipelineError, SoundnessError, _disc_positions
 from braidbands.stars import (
+    _CENTER,
     L,
     R,
     Star,
@@ -584,16 +588,65 @@ def reductions_by_freezing(surface: BraidedSurface, star: Star):
         yield surface, star
 
 
-def order_on_disc_scan(state: _State, d: int) -> list[tuple[int, int, str]]:
-    """Band ends on disc ``d`` as ``(height, band id, end)``, highest first."""
-    out = []
-    for bid, band in state.bands.items():
-        if band.l == d:
-            out.append((band.h, bid, "L"))
-        if band.r == d:
-            out.append((band.h, bid, "R"))
-    out.sort(key=lambda t: -t[0])
+def order_on_disc_scan(state: _State, d: int) -> list[tuple]:
+    """Bands with an end on disc ``d`` as ``(band, id)`` pairs, highest first."""
+    out = [(band, bid) for bid, band in state.bands.items() if d in (band.l, band.r)]
+    out.sort(key=lambda t: -t[0].h)
     return out
+
+
+def _ray_chords(state: _State, ray):
+    """Disc arcs of one ray: (disc, endpoint, endpoint) with endpoints either
+    ('center',), ('tip', height) or ('region', band id, end)."""
+    chords = []
+    points = [(_CENTER, state.center)]
+    for bid, enter, exit_ in ray.steps:
+        band = state.bands[bid]
+        points.append((("region", bid, enter), band.end_disc(enter)))
+        points.append((("region", bid, exit_), band.end_disc(exit_)))
+    points.append((("tip", ray.tip_h), ray.tip_disc))
+    for k in range(0, len(points), 2):
+        (p, dp), (q, dq) = points[k], points[k + 1]
+        if dp != dq:
+            raise StarError("ray arcs hop between discs without a band")
+        chords.append((dp, p, q))
+    return chords
+
+
+def _point_height(state: _State, point) -> Optional[int]:
+    if point[0] == "region":
+        return state.bands[point[1]].h
+    if point[0] == "tip":
+        return point[1]
+    return None  # center
+
+
+def check_state_by_chords(state: _State) -> None:
+    """``stars._check_state`` on explicit chords: every ray's chords are built
+    first, then each disc's chords are tested pair by pair, skipping pairs
+    that share an endpoint, in the order their first chord appeared."""
+    all_chords = []
+    for ray in state.rays:
+        all_chords.extend(_ray_chords(state, ray))
+    by_disc: dict[int, list] = {}
+    for chord in all_chords:
+        by_disc.setdefault(chord[0], []).append(chord)
+    for disc, chords in by_disc.items():
+        fan = [_point_height(state, q) for _d, p, q in chords if p == _CENTER]
+        boundary = [
+            tuple(sorted((_point_height(state, p), _point_height(state, q))))
+            for _d, p, q in chords
+            if p != _CENTER
+        ]
+        for i, (s1, s2) in enumerate(boundary):
+            for t1, t2 in boundary[i + 1 :]:
+                if {s1, s2} & {t1, t2}:
+                    continue
+                if (s1 < t1 < s2 < t2) or (t1 < s1 < t2 < s2):
+                    raise StarError(f"ray arcs cross inside disc {disc}")
+            for f in fan:
+                if s1 < f < s2:
+                    raise StarError(f"ray arcs cross inside disc {disc}")
 
 
 # ---------------------------------------------------------------------------
@@ -658,18 +711,38 @@ def turn_once(s: BraidedSurface) -> BraidedSurface:
 
 
 def relabel_order(state: _State, f) -> None:
-    """Carry each disc's band order along a disc relabelling ``f`` that the
-    bands have already followed; an end's side is read off its band."""
+    """Rebuild each disc's band order along a disc relabelling ``f`` that the
+    bands have already followed, pair by pair."""
     order: list[list] = [[] for _ in range(state.discs + 1)]
     for d, ends in enumerate(state.order):
         if ends:
-            new = f(d)
-            order[new] = [(band, bid, L if band.l == new else R) for band, bid, _e in ends]
+            order[f(d)] = [(band, bid) for band, bid in ends]
     state.order = order
 
 
+def relabel_discs(state: _State, f) -> None:
+    """``stars._relabel_discs`` band by band: move each band's ends along
+    ``f``, swap ends that change order and flip both end labels of every
+    step through a swapped band, then move the center, the tips and the
+    disc orders."""
+    for bid, band in state.bands.items():
+        band.l, band.r = f(band.l), f(band.r)
+        if band.l > band.r:
+            band.l, band.r = band.r, band.l
+            for ray in state.rays:
+                for step in ray.steps:
+                    if step[0] == bid:
+                        step[1] = L if step[1] == R else R
+                        step[2] = L if step[2] == R else R
+    state.center = f(state.center)
+    for ray in state.rays:
+        ray.tip_disc = f(ray.tip_disc)
+    relabel_order(state, f)
+
+
 def twirl_state_once(state: _State) -> None:
-    """One twirl of a star state: disc 1 becomes disc n, the others move left."""
+    """One twirl of a star state: disc 1 becomes disc n, the others move left;
+    each disc's ``(band, id)`` pairs follow it."""
     n = state.discs
 
     def f(d: int) -> int:
@@ -692,7 +765,8 @@ def twirl_state_once(state: _State) -> None:
 
 
 def reverse_discs(state: _State) -> None:
-    """Number a star state's discs right to left: every band swaps its ends."""
+    """Number a star state's discs right to left: every band swaps its ends,
+    and each disc's ``(band, id)`` pairs follow it."""
     n = state.discs
     for band in state.bands.values():
         band.l, band.r = n + 1 - band.r, n + 1 - band.l

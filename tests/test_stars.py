@@ -25,9 +25,11 @@ from braidbands.words import closure_components, is_homogeneous, parse_word
 
 from corpus import random_homogeneous_surface, random_star, valid_star_instances
 from reference import (
+    check_state_by_chords,
     classify_ray,
     order_on_disc_scan,
     reductions_by_freezing,
+    relabel_discs,
     reverse_discs,
     twirl_state_once,
 )
@@ -306,12 +308,19 @@ def test_live_reductions_match_the_frozen_round_trip(case):
     assert _outcome(reductions(s, star)) == _outcome(reductions_by_freezing(s, star))
 
 
+def _ends(pairs, d: int) -> list:
+    """``(height, band id, side)`` of a disc's ``(band, id)`` pairs, the side
+    read off the band as the library reads it."""
+    return [(band.h, bid, "L" if band.l == d else "R") for band, bid in pairs]
+
+
 def _assert_order_matches_scan(state) -> None:
     assert len(state.order) == state.discs + 1 and not state.order[0]
     for d in range(1, state.discs + 1):
-        stored = [(band.h, bid, end) for band, bid, end in state.order[d]]
-        assert stored == order_on_disc_scan(state, d)
-        assert all(band is state.bands[bid] for band, bid, _end in state.order[d])
+        stored = _ends(state.order[d], d)
+        assert stored == _ends(order_on_disc_scan(state, d), d)
+        assert all(band is state.bands[bid] for band, bid in state.order[d])
+        assert all(state.bands[bid].end_disc(side) == d for _h, bid, side in stored)
 
 
 def test_stored_disc_order_follows_every_mutation(monkeypatch):
@@ -377,3 +386,96 @@ def test_reduce_to_disc_materializes_and_freezes_once(monkeypatch):
     s2, star2 = reduce_to_disc(GOLDEN_SURFACE, GOLDEN_STAR)
     assert delta_b(star2) == 0 and s2.discs == GOLDEN_SURFACE.discs + 1
     assert calls == {"_materialize": 1, "_freeze": 1}
+
+
+def _check_outcome(check, state):
+    try:
+        check(state)
+    except StarError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.fixture
+def compared_checks(monkeypatch):
+    """``_check_state`` replaced by itself asserting that it agrees with the
+    chord check; counts the states that passed and that raised."""
+    check_state = stars._check_state
+    outcomes = {"passed": 0, "raised": 0}
+
+    def compared(state):
+        expected = _check_outcome(check_state_by_chords, state)
+        assert _check_outcome(check_state, state) == expected
+        outcomes["raised" if expected else "passed"] += 1
+        if expected:
+            raise StarError(expected)
+
+    monkeypatch.setattr(stars, "_check_state", compared)
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowded_stars())
+def test_check_state_matches_the_chord_check_on_crowded_stars(case):
+    s, star = case
+    state = stars._materialize(s, star)
+    assert _check_outcome(stars._check_state, state) == _check_outcome(check_state_by_chords, state)
+
+
+def test_check_state_matches_the_chord_check_on_refused_stars(compared_checks):
+    # Every state their refusals check: the stars and each landing candidate.
+    for case in json.loads(REFUSED_STARS.read_text()):
+        s = BraidedSurface.from_json(json.dumps(case["surface"]))
+        star = Star.from_json(json.dumps(case["star"]))
+        check_star(s, star)
+        with pytest.raises(StarError):
+            reduce_to_disc(s, star)
+    assert compared_checks["passed"] >= 259 and compared_checks["raised"] >= 259
+
+
+def test_check_state_matches_the_chord_check_through_every_reduction(compared_checks):
+    # Every state checked while the pinned corpus is drawn, minimized and
+    # reduced: the draws, each landing candidate and each finished step.
+    for _line in _pinned_star_lines(seed=20261018, valid=1000):
+        pass
+    assert compared_checks["passed"] >= 5000 and compared_checks["raised"] >= 1000
+
+
+# Two slack steps that enter and leave band 0 by one end, (0, "R", "R") and
+# (0, "L", "L"): a relabelling that swaps the band's ends must flip each to
+# the other end, which swapping enter and exit ends would not.
+_SAME_END_STEP = (
+    BraidedSurface(3, ((1, 2, 1), (2, 3, 1), (1, 3, 1))),
+    Star(2, (Ray(((0, "R", "R"), (1, "L", "R")), 3, 1), Ray(((0, "L", "L"),), 1, 0))),
+)
+
+
+def test_relabel_discs_matches_moving_the_bands_first():
+    cases = [_SAME_END_STEP, *valid_star_instances(seed=31, count=60)]
+    rng = random.Random(5)
+    for s, star in cases:
+        n = s.discs
+        shuffled = list(range(1, n + 1))
+        rng.shuffle(shuffled)
+        bijections = [(n, lambda d, k=k: (d - 1 - k) % n + 1) for k in range(n)]  # rotations
+        bijections.append((n, lambda d: n + 1 - d))  # the reversal
+        for x0 in range(1, n + 1):  # the inflation's shift at disc x0
+            bijections.append((n + 1, lambda d, x0=x0: d if d <= x0 else d + 1))
+        bijections.append((n, lambda d: shuffled[d - 1]))  # a random permutation
+        for discs, f in bijections:
+            state, expected = stars._materialize(s, star), stars._materialize(s, star)
+            state.discs = expected.discs = discs
+            stars._relabel_discs(state, f)
+            relabel_discs(expected, f)
+            _assert_order_matches_scan(state)
+            assert state.center == expected.center
+            assert [(r.steps, r.tip_disc, r.tip_h) for r in state.rays] == [
+                (r.steps, r.tip_disc, r.tip_h) for r in expected.rays
+            ]
+            assert stars._freeze(state) == stars._freeze(expected)
+    # The reversal swaps band 0's ends and flips both labels of each step.
+    state = stars._materialize(*_SAME_END_STEP)
+    stars._relabel_discs(state, lambda d: 4 - d)
+    assert [ray.steps for ray in state.rays] == [
+        [[0, "L", "L"], [1, "R", "L"]], [[0, "R", "R"]]
+    ]
