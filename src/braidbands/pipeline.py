@@ -24,10 +24,12 @@ graph, and the finished word's braided surface is compared with it, and
 its closure's component count with the diagram's.  The surfaces share one
 fatgraph, so the cycles name the same basis of first homology on both, and
 the matrices are compared entry by entry.  Each leaf takes its first
-realization.  Plumbing, twirls and turns keep a leaf's block of the matrix,
-its rows and columns over the cycles through its crossings, so when the
-comparison fails, the leaves whose blocks differ search on, each compared
-with its block alone, and the word is compared once more.
+realization.  Plumbing is a Murasugi sum, and twirls and turns are
+isotopies, so a leaf's block of the word's matrix, its rows and columns
+over the cycles through its crossings, is the matrix of the leaf's own
+surface.  When the comparison fails, only the leaves whose blocks differ
+take their next realization, and the word is plumbed and compared again,
+until it passes.
 """
 
 from __future__ import annotations
@@ -222,9 +224,9 @@ def realizations(fat: Fatgraph, start_vertex: int = 0):
 class PlumbLeaf:
     """One block of ``source``'s Seifert graph, read off ``source``'s structure.
 
-    Its fatgraph (edge k for crossing ``crossings[k]``) and boundary
-    component count are those of ``diagram``, the source with the other
-    crossings smoothed and their circles dropped, which is built on request.
+    Its fatgraph (edge k for crossing ``crossings[k]``) is that of
+    ``diagram``, the source with the other crossings smoothed and their
+    circles dropped, which is built on request.
     """
 
     source: Diagram
@@ -232,7 +234,6 @@ class PlumbLeaf:
     circles: tuple[int, ...]  # circle ids in the source diagram
     circle_map: dict[int, int] = field(compare=False)  # source circle -> fatgraph vertex
     fatgraph: Fatgraph = field(compare=False)
-    components: int = field(compare=False)
 
     @property
     def diagram(self) -> Diagram:
@@ -295,21 +296,6 @@ def _carried(ends, cycles, word: BKLWord, disc_of, letter_of):
             return None
         way.append(1 if a < b else -1)
     return [tuple([(letter_of[c], w * way[c]) for c, w in cycle]) for cycle in cycles]
-
-
-def _gate(ends, cycles, target, components: int):
-    """Predicate on (word, disc_of, letter_of): each letter joins its edge's
-    discs, the closure has ``components`` components and the braided surface
-    has Seifert matrix ``target`` over ``cycles`` carried through the maps.
-    """
-
-    def matches(word: BKLWord, disc_of, letter_of) -> bool:
-        if closure_components(word) != components:
-            return False
-        mapped = _carried(ends, cycles, word, disc_of, letter_of)
-        return mapped is not None and word_seifert_matrix(word, mapped) == target
-
-    return matches
 
 
 def _plumbing_ranks(st, steps) -> list[int]:
@@ -399,10 +385,8 @@ def _leaf(d: Diagram, ids: tuple[int, ...], circles: tuple[int, ...]) -> PlumbLe
     after = {(c, u): n for u, order in kept.items() for c, n in zip(order, order[1:] + order[:1])}
     first: dict[int, int] = {}  # circle -> the crossing its first run enters
     seen: set[tuple[int, int]] = set()
-    components = 0
     for c in ids:
         for run in ((c, edges[c][0]), (c, edges[c][1])):
-            components += run not in seen
             while run not in seen:
                 seen.add(run)
                 x, u = run
@@ -417,7 +401,7 @@ def _leaf(d: Diagram, ids: tuple[int, ...], circles: tuple[int, ...]) -> PlumbLe
         orders.append(tuple([end[(c, u)] for c in kept[u][at:] + kept[u][:at]]))
     fat_edges = tuple([(vertex[edges[c][0]], vertex[edges[c][1]], edges[c][2]) for c in ids])
     fat = Fatgraph(len(first), fat_edges, tuple(orders))
-    return PlumbLeaf(d, ids, circles, vertex, fat, components)
+    return PlumbLeaf(d, ids, circles, vertex, fat)
 
 
 def decompose_generalized_flat(d: Diagram) -> list[tuple[PlumbLeaf, int]]:
@@ -471,13 +455,14 @@ def homogenize(d: Diagram) -> BKLWord:
     leaf is realized with that circle as its first disc, turned the fewest
     times that line up its letters there with the diagram's cyclic order,
     and plumbed in with the shuffle pattern that reproduces that order.
-    Each leaf takes its first realization, and the finished word is gated
-    once against ``d``.  Plumbing, twirls and turns keep each leaf's block
-    of the word's Seifert matrix, so a failed gate names the leaves whose
-    blocks differ; only those search on, each gated alone, and the word is
-    plumbed and gated again.  A construction that drifts from the
-    diagram's surface raises ``SoundnessError``.  A split diagram gives the
-    direct sum of its parts' words, and a free unknot a bare disc.
+    Each leaf takes its first realization, and the word is gated against
+    ``d``.  Plumbing, twirls and turns keep each leaf's block of the word's
+    Seifert matrix, so a failed gate names the leaves whose blocks differ:
+    only those take their next realization, and the word is plumbed and
+    gated again.  A named leaf out of realizations raises ``PipelineError``;
+    a mismatch naming no leaf, or a leaf that kept its realization, raises
+    ``SoundnessError``.  A split diagram gives the direct sum of its parts'
+    words, and a free unknot a bare disc.
     """
     return _homogenize(d)[0]
 
@@ -508,31 +493,32 @@ def _homogenize(d: Diagram):
     target = diagram_seifert_matrix(d, cycles, [rank[cycle[0][0]] for cycle in cycles])
     components = link_components(d)
     starts = [leaf.circles[0] if shared < 0 else shared for leaf, shared in steps]
-    searches, realized = [], []
-    for (leaf, _shared), start in zip(steps, starts):
-        candidates = realizations(leaf.fatgraph, leaf.circle_map[start])
-        first = next(candidates, None)
-        if first is None:
-            raise PipelineError(NO_MATCH.format(0))
-        word, pos, order = first
-        searches.append(candidates)
-        realized.append((word, pos, [leaf.crossings[k] for k in order]))
-    repaired = False
+    searches = [realizations(leaf.fatgraph, leaf.circle_map[start])
+                for (leaf, _shared), start in zip(steps, starts)]
+    tried = [0] * len(steps)
+    realized: list = [None] * len(steps)
+    advance, shares = range(len(steps)), None
     while True:
+        for k in advance:
+            found = next(searches[k], None)
+            if found is None:
+                raise PipelineError(NO_MATCH.format(tried[k]))
+            tried[k] += 1
+            word, pos, order = found
+            realized[k] = (word, pos, [steps[k][0].crossings[i] for i in order])
         word, disc_of, letter_cids = _plumbed(st, steps, realized)
         mapped = _carried(ends, cycles, word, disc_of, {c: k for k, c in enumerate(letter_cids)})
         seifert = None if mapped is None else word_seifert_matrix(word, mapped)
         if seifert == target and closure_components(word) == components:
             return word, steps
-        # Name the leaves whose rows and columns differ, once.
-        shares = [] if repaired or seifert is None else [_leaf_cycles(x, cycles) for x, _ in steps]
-        wrong = [k for k, share in enumerate(shares)
-                 if any(seifert[i][j] != target[i][j] for i in share for j in share)]
-        if not wrong:
+        # The leaves whose rows and columns differ take their next candidate.
+        shares = shares or [_leaf_cycles(leaf, cycles) for leaf, _shared in steps]
+        wrong = [] if seifert is None else [
+            k for k, share in enumerate(shares)
+            if any(seifert[i][j] != target[i][j] for i in share for j in share)]
+        if not wrong or not set(wrong) <= set(advance):
             raise SoundnessError("plumbed word does not match the diagram's link")
-        for k in wrong:
-            realized[k] = _realized_leaf(steps[k][0], starts[k], cycles, target, (searches[k], 1))
-        repaired = True
+        advance = wrong
 
 
 def _plumbed(st, steps, realized):
@@ -568,37 +554,9 @@ def _plumbed(st, steps, realized):
 
 
 def _leaf_cycles(leaf: PlumbLeaf, cycles) -> list[int]:
-    """Indices of the cycles through ``leaf``'s crossings."""
+    """Indices of the cycles through ``leaf``'s crossings, a basis of its surface."""
     mine = set(leaf.crossings)
     return [i for i, cycle in enumerate(cycles) if cycle[0][0] in mine]
-
-
-def _realized_leaf(leaf: PlumbLeaf, start_circle_orig: int, cycles, target, search=None):
-    """Realize one leaf, gated alone; letters are tagged with source crossing ids.
-
-    ``target`` is the source's Seifert matrix over ``cycles``, fundamental
-    cycles of one spanning tree.  Each lies in one block and the tree spans
-    each block, so the cycles through the leaf's crossings are a basis of
-    its surface.  The leaf lies in one smoothed region, where restriction
-    keeps cyclic orders and ranks do not enter, so their rows and columns
-    of ``target`` are its Seifert matrix.  The first candidate whose closure
-    has the leaf's component count and whose braided surface has that
-    matrix wins: band heights alone do not pin down the embedding.
-    ``homogenize`` passes ``search``, a leaf's ``realizations`` iterator and
-    the count of candidates taken from it, when its block of the word fails.
-    """
-    fat = leaf.fatgraph
-    edge_of = {c: k for k, c in enumerate(leaf.crossings)}
-    share = _leaf_cycles(leaf, cycles)
-    mine = [tuple([(edge_of[c], way) for c, way in cycles[i]]) for i in share]
-    block = [[target[i][j] for j in share] for i in share]
-    matches = _gate([(u, v) for u, v, _s in fat.edges], mine, block, leaf.components)
-    candidates, tried = search or (realizations(fat, leaf.circle_map[start_circle_orig]), 0)
-    for word, pos, order in candidates:
-        tried += 1
-        if matches(word, pos, {c: k for k, c in enumerate(order)}):
-            return word, pos, [leaf.crossings[k] for k in order]
-    raise PipelineError(NO_MATCH.format(tried))
 
 
 def _cut_at(sigma: tuple[int, ...], mine: list[int], mine_set: set, theirs: set) -> list[int]:

@@ -21,7 +21,8 @@ move at a time, on surfaces and on star states, a disc relabelling moves the
 bands first and rebuilds every disc's order after, and a leaf is turned one
 letter at a time until it lines up.  Diagram validity and ray classes are
 read off ``analyze`` and a materialized state.  ``homogenize`` chooses each leaf's
-realization by gating every candidate against the leaf's own block.
+realization by gating every candidate against the leaf's own block and the
+component count of the leaf's own diagram.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from braidbands.diagrams import (
     link_components,
     subdiagram,
 )
-from braidbands.invariants import diagram_seifert_matrix
+from braidbands.invariants import diagram_seifert_matrix, word_seifert_matrix
 from braidbands.laurent import Laurent
 from braidbands.pipeline import Fatgraph, PipelineError, SoundnessError, _disc_positions
 from braidbands.stars import (
@@ -59,7 +60,7 @@ from braidbands.stars import (
     reduce_step,
 )
 from braidbands.surfaces import BraidedSurface, from_word, to_word
-from braidbands.words import ArtinWord, BKLWord, Permutation, Word, bkl_to_artin
+from braidbands.words import ArtinWord, BKLWord, Permutation, Word, bkl_to_artin, closure_components
 
 Matrix = list[list[Laurent]]
 
@@ -794,13 +795,51 @@ def turn_until(word: BKLWord, cids: list[int], at_shared: set, want: list[int]):
 # The per-leaf gated chooser
 # ---------------------------------------------------------------------------
 
+def gate(ends, cycles, target, components: int):
+    """Predicate on (word, disc_of, letter_of): each letter joins its edge's
+    discs, the closure has ``components`` components and the braided surface
+    has Seifert matrix ``target`` over ``cycles`` carried through the maps.
+    """
+
+    def matches(word: BKLWord, disc_of, letter_of) -> bool:
+        if closure_components(word) != components:
+            return False
+        mapped = pipeline._carried(ends, cycles, word, disc_of, letter_of)
+        return mapped is not None and word_seifert_matrix(word, mapped) == target
+
+    return matches
+
+
+def realized_leaf(leaf: pipeline.PlumbLeaf, start_circle: int, cycles, target):
+    """Realize one leaf gated alone, from source circle ``start_circle``.
+
+    The first enumerated candidate wins whose closure has the component
+    count of the leaf's own diagram and whose braided surface has the leaf's
+    block of ``target``, the source's Seifert matrix over ``cycles``.
+    Returns the word, its disc positions, its letters' source crossings and
+    the count of candidates tried.
+    """
+    fat = leaf.fatgraph
+    edge_of = {c: k for k, c in enumerate(leaf.crossings)}
+    share = [i for i, cycle in enumerate(cycles) if cycle[0][0] in edge_of]
+    mine = [tuple([(edge_of[c], way) for c, way in cycles[i]]) for i in share]
+    block = [[target[i][j] for j in share] for i in share]
+    matches = gate([(u, v) for u, v, _s in fat.edges], mine, block, link_components(leaf.diagram))
+    candidates = realizations(fat, leaf.circle_map[start_circle], pipeline.REALIZATION_LIMIT)
+    count = 0
+    for word, pos, order in candidates:
+        count += 1
+        if matches(word, pos, {c: k for k, c in enumerate(order)}):
+            return word, pos, [leaf.crossings[k] for k in order], count
+    raise PipelineError(pipeline.NO_MATCH.format(count))
+
+
 def homogenize_gated(d: Diagram):
     """``pipeline.homogenize`` on a connected diagram, each leaf gated alone.
 
-    Every leaf takes the first enumerated realization whose closure has the
-    leaf's component count and whose braided surface has the leaf's block of
-    the diagram's Seifert matrix; the plumbed word is then gated against the
-    whole matrix.  Returns the word and each leaf's count of candidates tried.
+    Every leaf takes its ``realized_leaf``; the plumbed word is then gated
+    against the whole matrix.  Returns the word and each leaf's count of
+    candidates tried.
     """
     st = analyze(d)
     steps = pipeline.decompose_generalized_flat(d)
@@ -810,26 +849,11 @@ def homogenize_gated(d: Diagram):
     target = diagram_seifert_matrix(d, cycles, [rank[cycle[0][0]] for cycle in cycles])
     realized, tried = [], []
     for leaf, shared in steps:
-        edge_of = {c: k for k, c in enumerate(leaf.crossings)}
-        share = [i for i, cycle in enumerate(cycles) if cycle[0][0] in edge_of]
-        mine = [tuple([(edge_of[c], way) for c, way in cycles[i]]) for i in share]
-        block = [[target[i][j] for j in share] for i in share]
-        fat = leaf.fatgraph
-        matches = pipeline._gate([(u, v) for u, v, _s in fat.edges], mine, block, leaf.components)
-        start = leaf.circle_map[leaf.circles[0] if shared < 0 else shared]
-        count = 0
-        for word, pos, order in realizations(fat, start, pipeline.REALIZATION_LIMIT):
-            count += 1
-            if matches(word, pos, {c: k for k, c in enumerate(order)}):
-                realized.append((word, pos, [leaf.crossings[k] for k in order]))
-                break
-        else:
-            raise PipelineError(
-                f"no braided realization matches the diagram's Seifert matrix ({count} candidates)"
-            )
+        *found, count = realized_leaf(leaf, leaf.circles[0] if shared < 0 else shared, cycles, target)
+        realized.append(tuple(found))
         tried.append(count)
     word, disc_of, letter_cids = pipeline._plumbed(st, steps, realized)
     letter_of = {c: k for k, c in enumerate(letter_cids)}
-    if not pipeline._gate(ends, cycles, target, link_components(d))(word, disc_of, letter_of):
+    if not gate(ends, cycles, target, link_components(d))(word, disc_of, letter_of):
         raise SoundnessError("plumbed word does not match the diagram's link")
     return word, tried

@@ -441,7 +441,7 @@ def test_seifert_gate_rejects_the_mirror_trefoil_word():
     cycles = _diagram_basis(TREFOIL)
     ranks = pipeline._plumbing_ranks(structure, steps)
     target = diagram_seifert_matrix(TREFOIL, cycles, [ranks[cycle[0][0]] for cycle in cycles])
-    word, pos, cids = pipeline._realized_leaf(leaf, leaf.circles[0], cycles, target)
+    word, pos, cids, _tried = reference.realized_leaf(leaf, leaf.circles[0], cycles, target)
     assert word == pipeline.homogenize(TREFOIL)
     disc_of = {c: pos[leaf.circle_map[c]] for c in leaf.circles}
     letter_of = {c: k for k, c in enumerate(cids)}
@@ -452,7 +452,7 @@ def test_seifert_gate_rejects_the_mirror_trefoil_word():
     assert alexander_from_braid(mirror) == alexander_from_diagram(TREFOIL)
     # ... the Seifert matrix can.
     ends = [edge[:2] for edge in structure.graph.edges]
-    gate = pipeline._gate(ends, cycles, target, link_components(TREFOIL))
+    gate = reference.gate(ends, cycles, target, link_components(TREFOIL))
     assert gate(word, disc_of, letter_of)
     assert not gate(mirror, disc_of, letter_of)
 

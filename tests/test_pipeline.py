@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +20,12 @@ from braidbands.diagrams import (
     seifert_decompose,
     subdiagram,
 )
-from braidbands.invariants import alexander_from_braid, alexander_from_diagram, diagram_seifert_matrix
+from braidbands.invariants import (
+    alexander_from_braid,
+    alexander_from_diagram,
+    diagram_seifert_matrix,
+    word_seifert_matrix,
+)
 from braidbands.pipeline import (
     Fatgraph,
     PipelineError,
@@ -290,8 +297,8 @@ def _gate_target(d: Diagram, steps):
 
 def test_leaf_view_matches_subdiagram():
     # Each leaf read off its source's structure is what its own sub-diagram
-    # gives: the same fatgraph, circle map and component count, and its
-    # block of the gate's target is the sub-diagram's Seifert matrix.
+    # gives: the same fatgraph and circle map, and its block of the gate's
+    # target is the sub-diagram's Seifert matrix.
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=100)]
     cases += list(_seeded_closures(seed=78, count=100))
@@ -307,7 +314,6 @@ def test_leaf_view_matches_subdiagram():
             assert leaf.diagram == piece
             assert leaf.fatgraph == reference.fatgraph_of_diagram(piece)
             assert leaf.circle_map == circle_map
-            assert leaf.components == link_components(piece)
             edge_of = {c: k for k, c in enumerate(leaf.crossings)}
             share = pipeline._leaf_cycles(leaf, cycles)
             mine = [tuple([(edge_of[c], way) for c, way in cycles[i]]) for i in share]
@@ -341,6 +347,49 @@ def test_leaves_split_one_cycle_basis():
             assert [[target[i][j] for j in share] for i in share] == diagram_seifert_matrix(d, mine)
             received += mine
         assert sorted(received) == sorted(cycles)
+
+
+def _rank(m: list[list[int]]) -> int:
+    """Exact rank over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_leaf_block_gives_its_component_count():
+    # Over a basis of a surface's first homology, V - V^T is the intersection
+    # form, whose nullity is one less than the boundary's component count.
+    # So a candidate whose block of the word's matrix is right also has the
+    # leaf's component count, and the word's gate needs no check per leaf.
+    cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43] + [WHEELS[size] for size in (4, 6, 8)]
+    cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=100)]
+    checked = 0
+    for d in cases:
+        steps = decompose_generalized_flat(d)
+        cycles, _target = _gate_target(d, steps)
+        for leaf, shared in steps:
+            fat = leaf.fatgraph
+            edge_of = {c: k for k, c in enumerate(leaf.crossings)}
+            mine = [tuple([(edge_of[c], way) for c, way in cycles[i]])
+                    for i in pipeline._leaf_cycles(leaf, cycles)]
+            start = leaf.circle_map[leaf.circles[0] if shared < 0 else shared]
+            for word, pos, order in itertools.islice(realizations(fat, start), 60):
+                letter_of = {edge: k for k, edge in enumerate(order)}
+                mapped = pipeline._carried([e[:2] for e in fat.edges], mine, word, pos, letter_of)
+                v = word_seifert_matrix(word, mapped)
+                form = [[a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))]
+                assert len(mine) - _rank(form) == closure_components(word) - 1
+                checked += 1
+    assert checked >= 700
 
 
 def _flatness_cases(seed: int, count: int) -> list[Diagram]:
@@ -434,8 +483,9 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
     # One cycle basis, one plumbing ranking and one diagram-side Seifert
     # matrix per connected diagram.  When every leaf's first candidate is
     # right, the finished word is the one word-side matrix built; otherwise
-    # the leaves that search on build one per further candidate, and the
-    # repaired word one more.  Neither Alexander engine runs.
+    # each round of repair plumbs and builds the word once more, so a leaf
+    # that takes the most candidates sets the count.  Neither Alexander
+    # engine runs.
     alexander_calls, diagram_sides, word_sides, searches = [], [], [], []
     bases, rankings = [], []
     diagram_side, word_side = pipeline.diagram_seifert_matrix, pipeline.word_seifert_matrix
@@ -473,42 +523,101 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
             assert len(word_sides) == 1 and word_sides[0] is w
             first_right += 1
         else:
-            assert len(word_sides) == 1 + sum(searches) - len(searches) + 1
+            assert len(word_sides) == max(searches)
             assert word_sides[-1] is w
     assert first_right == len(cases) - 1  # all but 5_2's one leaf
     assert alexander_calls == []
 
 
-@pytest.mark.parametrize("wrong_leaf", [0, 1, 2])
-def test_failed_gate_searches_on_only_the_leaves_it_names(monkeypatch, wrong_leaf):
+def _mirrored_first(mirrored, searches, only=()):
+    """``realizations`` whose call k yields ``mirrored[k % len(mirrored)]``
+    mirror images of its first candidate, then its candidates unless that
+    index is in ``only``; ``searches`` counts the candidates each call yields."""
+
+    def candidates(fat, start):
+        leaf = len(searches)
+        searches.append(0)
+        word, pos, order = next(realizations(fat, start))
+        mirror = BKLWord(word.strands, [(r, s, -e) for r, s, e in word.letters])
+        for _ in range(mirrored[leaf % len(mirrored)]):
+            searches[leaf] += 1
+            yield mirror, pos, order
+        for found in () if leaf % len(mirrored) in only else realizations(fat, start):
+            searches[leaf] += 1
+            yield found
+
+    return candidates
+
+
+@pytest.mark.parametrize(
+    "mirrored",
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (0, 2, 0)],
+    ids=lambda mirrored: "-".join(str(k) for k, n in enumerate(mirrored) for _ in range(n)),
+)
+def test_failed_gate_searches_on_only_the_leaves_it_names(monkeypatch, mirrored):
     # K9_43 has three leaves, each right at its first candidate.  A mirrored
-    # first candidate changes only its own leaf's block of the word's
-    # Seifert matrix, so that leaf alone takes one more candidate, and the
-    # word is the same.
+    # candidate changes only its own leaf's block of the word's Seifert
+    # matrix, so each leaf takes one more candidate per mirrored one put
+    # before its own, and the word is the same.  Each round plumbs and
+    # builds the word's matrix once, so the leaf that takes the most
+    # candidates sets the count.  The test ids name the mirrored candidates'
+    # leaves.
     expected = homogenize(K9_43)
     assert len(decompose_generalized_flat(K9_43)) == 3
     searches, word_sides = [], []
     word_side = pipeline.word_seifert_matrix
-
-    def mirrored_first(fat, start):
-        leaf = len(searches)
-        searches.append(0)
-        candidates = realizations(fat, start)
-        if leaf == wrong_leaf:
-            word, pos, order = next(realizations(fat, start))
-            searches[leaf] += 1
-            yield BKLWord(word.strands, [(r, s, -e) for r, s, e in word.letters]), pos, order
-        for found in candidates:
-            searches[leaf] += 1
-            yield found
-
     monkeypatch.setattr(
         pipeline, "word_seifert_matrix", lambda w, *a: word_sides.append(w) or word_side(w, *a)
     )
-    monkeypatch.setattr(pipeline, "realizations", mirrored_first)
+    monkeypatch.setattr(pipeline, "realizations", _mirrored_first(mirrored, searches))
     assert homogenize(K9_43) == expected
-    assert searches == [1 + (k == wrong_leaf) for k in range(3)]
-    assert len(word_sides) == 3 and word_sides[-1] == expected
+    assert searches == [1 + n for n in mirrored]
+    assert len(word_sides) == max(searches) and word_sides[-1] == expected
+
+
+def test_leaf_out_of_candidates_mid_repair_is_exit_2(tmp_path, capsys, monkeypatch):
+    # K9_43's middle leaf has only two candidates, both mirrored: the gate
+    # names it twice, and it runs out in the third round.  The first leaf is
+    # repaired in the same rounds.
+    searches = []
+    monkeypatch.setattr(pipeline, "realizations", _mirrored_first((1, 2, 0), searches, only={1}))
+    with pytest.raises(PipelineError, match=r"\(2 candidates\)"):
+        homogenize(K9_43)
+    assert searches == [2, 2, 1]
+    path = tmp_path / "k9_43.json"
+    path.write_text(K9_43.to_json())
+    assert run(["homogenize", str(path)]) == 2
+    assert "no braided realization matches the diagram's Seifert matrix (2 candidates)" in (
+        capsys.readouterr().err
+    )
+
+
+def test_block_change_of_a_kept_leaf_is_exit_3(tmp_path, capsys, monkeypatch):
+    # The first leaf's mirrored candidate fails round 0 and the first leaf
+    # alone takes its next candidate.  In round 1 the last leaf, which kept
+    # its candidate, has a changed block: a drift no candidate explains.
+    steps = decompose_generalized_flat(K9_43)
+    cycles, _target = _gate_target(K9_43, steps)
+    i = pipeline._leaf_cycles(steps[2][0], cycles)[0]
+    word_side = pipeline.word_seifert_matrix
+    builds, searches = [], []
+
+    def drifting(w, mapped):
+        v = word_side(w, mapped)
+        builds.append(w)
+        if len(builds) % 2 == 0:  # the second build of each homogenize
+            v[i][i] += 1
+        return v
+
+    monkeypatch.setattr(pipeline, "word_seifert_matrix", drifting)
+    monkeypatch.setattr(pipeline, "realizations", _mirrored_first((1, 0, 0), searches))
+    with pytest.raises(pipeline.SoundnessError, match="plumbed word does not match"):
+        homogenize(K9_43)
+    assert searches == [2, 1, 1] and len(builds) == 2
+    path = tmp_path / "k9_43.json"
+    path.write_text(K9_43.to_json())
+    assert run(["homogenize", str(path)]) == 3
+    assert "plumbed word does not match the diagram's link" in capsys.readouterr().err
 
 
 def test_mismatch_outside_every_leaf_block_is_exit_3(tmp_path, capsys, monkeypatch):
