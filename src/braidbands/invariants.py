@@ -509,12 +509,12 @@ def diagram_seifert_matrix(d: Diagram, cycles, ranks=None) -> list[list[int]]:
         deg = len(st.passages[v])
         place = {cid: k for k, cid in enumerate(st.passages[v])}
         left = st.circle_left[v]
-        for i, edge_in, edge_out in visits:
-            p = place[edge_in]
-            span = (place[edge_out] - p) % deg
+        spots = [(i, place[edge_in], place[edge_out]) for i, edge_in, edge_out in visits]
+        for i, p, q in spots:
+            span = (q - p) % deg
             row = twice[i]
-            for j, edge_in2, edge_out2 in visits:
-                x = (0 < (place[edge_in2] - p) % deg <= span) - ((place[edge_out2] - p) % deg < span)
+            for j, p2, q2 in spots:
+                x = (0 < (p2 - p) % deg <= span) - ((q2 - p) % deg < span)
                 if not x:
                     continue
                 if regions[i] == regions[j]:

@@ -120,15 +120,61 @@ def _disc_positions(fat: Fatgraph, start_vertex: int) -> dict[int, int]:
     return pos
 
 
+def _height_order(adj: list[list[int]]) -> list[int]:
+    """Kahn's order of the acyclic graph ``adj``, the least free node first."""
+    indeg = [0] * len(adj)
+    for targets in adj:
+        for b in targets:
+            indeg[b] += 1
+    heap = [a for a, k in enumerate(indeg) if k == 0]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        a = heapq.heappop(heap)
+        order.append(a)
+        for b in adj[a]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heapq.heappush(heap, b)
+    return order
+
+
+def _reach(adj: list[list[int]]) -> list[int]:
+    """Each node's bit set of the nodes it reaches in the acyclic graph ``adj``."""
+    reach = [0] * len(adj)
+    for a in reversed(_height_order(adj)):
+        r = 0
+        for b in adj[a]:
+            r |= reach[b] | 1 << b
+        reach[a] = r
+    return reach
+
+
+def _chain_keeps_acyclic(reach: list[int], chain: list[int]) -> bool:
+    """Whether the path ``chain`` of distinct nodes, added to the acyclic graph
+    whose bit sets are ``reach``, closes no cycle: no node of it reaches one
+    placed before it.  On a cycle, the last-placed chain node must be left by
+    an old arc, and the cycle goes on to an earlier-placed chain node."""
+    placed = 0
+    for e in chain:
+        if reach[e] & placed:
+            return False
+        placed |= 1 << e
+    return True
+
+
 def realizations(fat: Fatgraph, start_vertex: int = 0):
     """Yield (word, disc position map, edge order) realizing the fatgraph.
 
     A realization cuts each vertex's cyclic order so that the resulting
     linear orders embed in one global band-height order.  Cut combinations
-    are enumerated (acyclicity-pruned, deterministic order) up to
+    are enumerated disc by disc, in a deterministic order, up to
     ``REALIZATION_LIMIT`` candidates; the fatgraph does not determine the
     braided embedding on its own, so callers pick the realization whose
-    closure passes their invariant gate.
+    closure passes their invariant gate.  Each disc reads one reachability
+    pass of the height-order graph its predecessors built, and keeps a cut
+    when no edge of the cut's order reaches an edge placed before it, the
+    exact rule for the order to add no cycle.
     """
     fat.check()
     n = fat.vertex_count
@@ -137,78 +183,30 @@ def realizations(fat: Fatgraph, start_vertex: int = 0):
     pos = _disc_positions(fat, start_vertex)
 
     m = len(fat.edges)
-    vertices = sorted(range(n), key=lambda v: pos[v])
+    rings = [[eid for eid, _end in fat.orders[v]] for v in sorted(range(n), key=lambda v: pos[v])]
+    letter = [(min(pos[u], pos[v]), max(pos[u], pos[v]), s) for u, v, s in fat.edges]
     adj: list[list[int]] = [[] for _ in range(m)]
     emitted = 0
-
-    def acyclic_from(start: int) -> bool:
-        # ``adj`` was acyclic before a chain of edges from ``start`` was
-        # added, so any cycle runs through the chain and is reachable from it.
-        state = {start: 1}  # 1 on the search path, 2 done
-        stack = [(start, iter(adj[start]))]
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if nxt not in state:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(adj[nxt])))
-                    break
-                if state[nxt] == 1:
-                    return False
-            else:
-                state[node] = 2
-                stack.pop()
-        return True
-
-    def constraints_for(v: int, cut: int) -> list[tuple[int, int]]:
-        order = fat.orders[v]
-        lin = [order[(cut + k) % len(order)][0] for k in range(len(order))]
-        return [(lin[k], lin[k + 1]) for k in range(len(lin) - 1)]
-
-    def topo_word():
-        indeg = [0] * m
-        for a in range(m):
-            for b in adj[a]:
-                indeg[b] += 1
-        heap = [e for e in range(m) if indeg[e] == 0]
-        heapq.heapify(heap)
-        topo: list[int] = []
-        while heap:
-            e = heapq.heappop(heap)
-            topo.append(e)
-            for b in adj[e]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    heapq.heappush(heap, b)
-        if len(topo) != m:
-            return None
-        letters = []
-        for e in topo:
-            u0, v0, s = fat.edges[e]
-            a, b = pos[u0], pos[v0]
-            letters.append((min(a, b), max(a, b), s))
-        return BKLWord(n, tuple(letters)), topo
 
     def search(idx: int):
         nonlocal emitted
         if emitted >= REALIZATION_LIMIT:
             return
-        if idx == len(vertices):
-            built = topo_word()
-            if built is not None:
-                emitted += 1
-                word, topo = built
-                yield word, dict(pos), tuple(topo)
+        if idx == n:
+            emitted += 1
+            topo = _height_order(adj)
+            yield BKLWord(n, tuple([letter[e] for e in topo])), dict(pos), tuple(topo)
             return
-        v = vertices[idx]
-        for cut in range(max(1, len(fat.orders[v]))):
-            extra = constraints_for(v, cut)
-            for a, b in extra:
-                adj[a].append(b)
-            if not extra or acyclic_from(extra[0][0]):
+        ring = rings[idx]
+        reach = _reach(adj) if idx and len(ring) > 1 else [0] * m  # disc 1 meets no constraint
+        for cut in range(max(1, len(ring))):
+            lin = ring[cut:] + ring[:cut]
+            if _chain_keeps_acyclic(reach, lin):
+                for a, b in zip(lin, lin[1:]):
+                    adj[a].append(b)
                 yield from search(idx + 1)
-            for a, _b in extra:
-                adj[a].pop()
+                for a in lin[:-1]:
+                    adj[a].pop()
 
     try:
         yield from search(0)

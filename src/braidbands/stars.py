@@ -502,9 +502,12 @@ def minimize(surface: BraidedSurface, star: Star) -> Star:
     return out
 
 
-def _minimize_state(state: _State) -> None:
+def _minimize_state(state: _State) -> bool:
+    """Remove slack and loose arcs to a fixpoint; whether any was removed."""
+    changed = False
     while True:
         if _remove_slack_once(state):
+            changed = True
             continue
         loose = next(
             (k for k, ray in enumerate(state.rays) if _ray_loose_removable(state, ray)),
@@ -512,8 +515,9 @@ def _minimize_state(state: _State) -> None:
         )
         if loose is None:
             _check_state(state)
-            return
+            return changed
         _remove_loose_once(state, loose)
+        changed = True
 
 
 # ---------------------------------------------------------------------------
@@ -736,24 +740,28 @@ def _reduce_state(state: _State) -> None:
 
 
 def _reduce_states(state: _State) -> Iterator[_State]:
-    """Minimize the live state, then reduce and minimize it in place until
-    the star misses all bands, yielding it after each minimization.
+    """Minimize the live state, spread as ``_materialize`` leaves it, then
+    reduce and minimize it in place until the star misses all bands,
+    yielding it after each minimization.
 
     Heights are re-spread to the ``_materialize(*_freeze(state))`` order
     before and after each step, so every step sees the state that a round
-    trip through frozen objects would give.
+    trip through frozen objects would give.  Re-spreading a spread state
+    changes nothing, so the spread before a step is skipped when the
+    minimization after the last spread removed nothing.
     """
-    _minimize_state(state)
+    spread = not _minimize_state(state)
     budget = delta_b(state)
     yield state
     while delta_b(state):
         if budget == 0:
             raise StarError("reduction exceeded its crossing budget")
         budget -= 1
-        _renormalize(state)
+        if not spread:
+            _renormalize(state)
         _reduce_state(state)
         _renormalize(state)
-        _minimize_state(state)
+        spread = not _minimize_state(state)
         yield state
 
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies
 
 import reference
 from braidbands import diagrams, invariants, pipeline
@@ -185,18 +186,89 @@ def _seeded_fatgraphs(seed: int, count: int):
         yield Fatgraph(fat.vertex_count, fat.edges, tuple(map(tuple, orders)))
 
 
+def _closure_leaf_fatgraphs(seed: int):
+    """Leaves of closures of homogeneous 3-5 strand braids with every generator,
+    as the closures benchmark draws them: two circles joined by parallel
+    edges, generator 1 giving 2, 3, ..., 22 of them."""
+    rng = random.Random(seed)
+    for count in range(2, 23):
+        strands = rng.randint(3, 5)
+        gens = [1] * count + [rng.randint(2, strands - 1) for _ in range(rng.randint(1, 10))]
+        gens += range(2, strands)
+        rng.shuffle(gens)
+        sign = {i: rng.choice((1, -1)) for i in range(1, strands)}
+        d = closure_diagram(ArtinWord(strands, [(i, sign[i]) for i in gens]))
+        yield from (leaf.fatgraph for leaf, _shared in decompose_generalized_flat(d))
+
+
+def _assert_same_candidates(fat, start: int, limit=None) -> None:
+    try:
+        got = list(itertools.islice(realizations(fat, start), limit))
+    except PipelineError:
+        with pytest.raises(PipelineError):
+            list(reference.realizations(fat, start))
+        return
+    assert got == list(itertools.islice(reference.realizations(fat, start), limit))
+
+
 def test_realizations_match_the_copying_reference():
     # Pruning a cut that closes no cycle would drop candidates; missing a
     # cycle only costs time, since a cyclic height order yields no word.
     for fat in _seeded_fatgraphs(seed=515, count=60):
         for start in sorted({0, fat.vertex_count - 1}):
-            try:
-                got = list(realizations(fat, start))
-            except PipelineError:
-                with pytest.raises(PipelineError):
-                    list(reference.realizations(fat, start))
-                continue
-            assert got == list(reference.realizations(fat, start))
+            _assert_same_candidates(fat, start)
+    # The wheels reject most cuts from every start disc; the closure leaves
+    # are the shapes the closures benchmark runs.
+    for d in WHEELS.values():
+        (leaf, _shared), = decompose_generalized_flat(d)
+        for start in range(leaf.fatgraph.vertex_count):
+            _assert_same_candidates(leaf.fatgraph, start, limit=300)
+    closure_leaves = list(_closure_leaf_fatgraphs(seed=616))
+    assert {fat.vertex_count for fat in closure_leaves} == {2}
+    assert set(range(2, 23)) <= {len(fat.edges) for fat in closure_leaves}
+    for fat in closure_leaves:
+        for start in (0, 1):
+            _assert_same_candidates(fat, start)
+
+
+def _reaches_itself(adj: list[list[int]]) -> bool:
+    for s in range(len(adj)):
+        seen, todo = set(), list(adj[s])
+        while todo:
+            a = todo.pop()
+            if a == s:
+                return True
+            if a not in seen:
+                seen.add(a)
+                todo.extend(adj[a])
+    return False
+
+
+@strategies.composite
+def dags_and_rotated_chains(draw):
+    """An acyclic graph whose arcs run one or two places up a random ranking,
+    so that most reaching takes paths of several arcs, and a rotation of a
+    sequence of distinct nodes."""
+    n = draw(strategies.integers(1, 10))
+    rank = draw(strategies.permutations(range(n)))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if j - i <= 2 and draw(strategies.booleans()):
+            adj[rank[i]].append(rank[j])
+    chain = draw(strategies.lists(strategies.integers(0, n - 1), unique=True))
+    cut = draw(strategies.integers(0, len(chain)))
+    return adj, chain[cut:] + chain[:cut]
+
+
+@settings(max_examples=500, deadline=None)
+@given(dags_and_rotated_chains())
+def test_reach_rule_matches_a_cycle_search(case):
+    adj, chain = case
+    grown = [list(targets) for targets in adj]
+    for a, b in zip(chain, chain[1:]):
+        grown[a].append(b)
+    keeps = pipeline._chain_keeps_acyclic(pipeline._reach(adj), chain)
+    assert keeps == (not _reaches_itself(grown))
 
 
 def test_flat_diagram_round_trip_and_oracles():

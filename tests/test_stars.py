@@ -308,6 +308,44 @@ def test_live_reductions_match_the_frozen_round_trip(case):
     assert _outcome(reductions(s, star)) == _outcome(reductions_by_freezing(s, star))
 
 
+def _heights(state) -> tuple:
+    bands = {bid: band.h for bid, band in state.bands.items()}
+    return state.scale, bands, [ray.tip_h for ray in state.rays]
+
+
+def test_skipped_respreads_would_change_no_height(monkeypatch):
+    # A step that starts without a re-spread must see the heights one would
+    # give: re-spreading a copy changes no height and no scale.
+    renormalize, minimize_state, reduce_state = (
+        stars._renormalize, stars._minimize_state, stars._reduce_state)
+    respread = [False]  # whether the last call before a step was a re-spread
+    steps = {"respread": 0, "skipped": 0}
+
+    def renormalized(state):
+        renormalize(state)
+        respread[0] = True
+
+    def minimized(state):
+        respread[0] = False
+        return minimize_state(state)
+
+    def checked(state):
+        if not respread[0]:
+            spread = copy.deepcopy(state)
+            renormalize(spread)
+            assert _heights(spread) == _heights(state)
+        steps["respread" if respread[0] else "skipped"] += 1
+        respread[0] = False
+        return reduce_state(state)
+
+    monkeypatch.setattr(stars, "_renormalize", renormalized)
+    monkeypatch.setattr(stars, "_minimize_state", minimized)
+    monkeypatch.setattr(stars, "_reduce_state", checked)
+    for _line in _pinned_star_lines(seed=20261018, valid=1000):
+        pass
+    assert steps["skipped"] >= 1000 and steps["respread"] >= 300
+
+
 def _ends(pairs, d: int) -> list:
     """``(height, band id, side)`` of a disc's ``(band, id)`` pairs, the side
     read off the band as the library reads it."""
