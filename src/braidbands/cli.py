@@ -32,8 +32,14 @@ def _load_surface(path: str) -> surfaces.BraidedSurface:
         return surfaces.BraidedSurface.from_json(fh.read())
 
 
-def _word(text: str, strands, kind=None):
-    return words.parse_word(text, strands=strands, kind=kind)
+def _word(text: str, strands):
+    return words.parse_word(text, strands=strands)
+
+
+def _band_word(text: str, strands) -> words.BKLWord:
+    """A word in either alphabet, as band generators."""
+    w = words.parse_word(text, strands=strands, kind="bkl")
+    return words.artin_to_bkl(w) if isinstance(w, words.ArtinWord) else w
 
 
 def _emit(args, payload, text=None):
@@ -124,10 +130,7 @@ def _diagram_primitive_flat(args):
 # -- surface ----------------------------------------------------------------
 
 def _surface_from_word(args):
-    w = _word(args.word, args.strands, kind="bkl")
-    if isinstance(w, words.ArtinWord):
-        w = words.artin_to_bkl(w)
-    s = surfaces.from_word(w)
+    s = surfaces.from_word(_band_word(args.word, args.strands))
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(surfaces.render_svg(s))
@@ -199,8 +202,8 @@ def _star_reduce(args):
 # -- plumbing ---------------------------------------------------------------
 
 def _plumb(args):
-    w1 = _word(args.word1, args.strands1, kind="bkl")
-    w2 = _word(args.word2, args.strands2, kind="bkl")
+    w1 = _band_word(args.word1, args.strands1)
+    w2 = _band_word(args.word2, args.strands2)
     pattern = plumbing.ShufflePattern.parse(args.pattern) if args.pattern else None
     out = plumbing.plumb(w1, w2, pattern)
     _emit(args, {"word": words.format_word(out), "strands": out.strands},
@@ -209,8 +212,7 @@ def _plumb(args):
 
 
 def _deplumb(args):
-    w = _word(args.word, args.strands, kind="bkl")
-    w1, w2, pattern = plumbing.deplumb(w, args.n1)
+    w1, w2, pattern = plumbing.deplumb(_band_word(args.word, args.strands), args.n1)
     payload = {
         "first": words.format_word(w1),
         "second": words.format_word(w2),

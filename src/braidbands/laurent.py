@@ -60,12 +60,6 @@ class Laurent:
             raise ValueError("zero polynomial has no highest exponent")
         return self.coeffs[-1][0]
 
-    def coeff(self, exponent: int) -> int:
-        for k, c in self.coeffs:
-            if k == exponent:
-                return c
-        return 0
-
     def coefficient_list(self) -> tuple[list[int], int]:
         """Dense coefficient list plus the exponent offset of its first entry."""
         if not self.coeffs:

@@ -15,9 +15,11 @@ homogeneous diagram into single-sign pieces at the cut circles of its
 Seifert graph, one per block, and orders them as a list of plumbing
 steps: each piece with the circle it shares with the pieces before it.
 It realizes each piece and plumbs them together in that order, each
-after one counted twirl of the running word and one counted turn of
-the piece.  A piece is read off the input diagram's one structure, not
-built as a diagram of its own.
+after one counted twirl of the running surface and one counted turn of
+the piece.  Plumbing, twirls and turns act on a map from circles to discs
+and an order of crossings, and the word is read off them once.  A piece
+is read off the input diagram's one structure, not built as a diagram of
+its own.
 Soundness is not assumed: the input diagram's integer Seifert matrix is
 built once, over the fundamental cycles of one spanning tree of its Seifert
 graph, and the finished word's braided surface is compared with it, and
@@ -47,8 +49,6 @@ from .diagrams import (
     subdiagram,
 )
 from .invariants import diagram_seifert_matrix, word_seifert_matrix
-from .plumbing import ShufflePattern, plumb
-from .surfaces import word_turn, word_twirl
 from .words import BKLWord, closure_components
 
 
@@ -164,13 +164,14 @@ def _chain_keeps_acyclic(reach: list[int], chain: list[int]) -> bool:
 
 
 def realizations(fat: Fatgraph, start_vertex: int = 0):
-    """Yield (word, disc position map, edge order) realizing the fatgraph.
+    """Yield (disc position map, edge order) realizing the fatgraph.
 
     A realization cuts each vertex's cyclic order so that the resulting
-    linear orders embed in one global band-height order.  Cut combinations
-    are enumerated disc by disc, in a deterministic order, up to
-    ``REALIZATION_LIMIT`` candidates; the fatgraph does not determine the
-    braided embedding on its own, so callers pick the realization whose
+    linear orders embed in one global band-height order; edge ``e`` of the
+    order is the band joining its two ends' discs, with the edge's sign.
+    Cut combinations are enumerated disc by disc, in a deterministic order,
+    up to ``REALIZATION_LIMIT`` candidates; the fatgraph does not determine
+    the braided embedding on its own, so callers pick the realization whose
     closure passes their invariant gate.  Each disc reads one reachability
     pass of the height-order graph its predecessors built, and keeps a cut
     when no edge of the cut's order reaches an edge placed before it, the
@@ -184,7 +185,6 @@ def realizations(fat: Fatgraph, start_vertex: int = 0):
 
     m = len(fat.edges)
     rings = [[eid for eid, _end in fat.orders[v]] for v in sorted(range(n), key=lambda v: pos[v])]
-    letter = [(min(pos[u], pos[v]), max(pos[u], pos[v]), s) for u, v, s in fat.edges]
     adj: list[list[int]] = [[] for _ in range(m)]
     emitted = 0
 
@@ -194,8 +194,7 @@ def realizations(fat: Fatgraph, start_vertex: int = 0):
             return
         if idx == n:
             emitted += 1
-            topo = _height_order(adj)
-            yield BKLWord(n, tuple([letter[e] for e in topo])), dict(pos), tuple(topo)
+            yield dict(pos), tuple(_height_order(adj))
             return
         ring = rings[idx]
         reach = _reach(adj) if idx and len(ring) > 1 else [0] * m  # disc 1 meets no constraint
@@ -282,17 +281,10 @@ def _fundamental_cycles(vertex_count: int, ends) -> list[tuple[tuple[int, int], 
     return cycles
 
 
-def _carried(ends, cycles, word: BKLWord, disc_of, letter_of):
-    """``cycles`` carried to ``word``'s letters through (disc_of, letter_of),
-    or None unless each edge's letter joins its two ends' discs."""
-    if len(word.letters) != len(ends):
-        return None
-    way = []
-    for c, (u, v) in enumerate(ends):
-        a, b = disc_of[u], disc_of[v]
-        if word.letters[letter_of[c]][:2] != ((a, b) if a < b else (b, a)):
-            return None
-        way.append(1 if a < b else -1)
+def _carried(ends, cycles, disc_of, letter_of):
+    """``cycles`` carried to the word's letters: crossing ``c`` is letter
+    ``letter_of[c]``, run from its lower disc in ``disc_of`` to its higher."""
+    way = [1 if disc_of[u] < disc_of[v] else -1 for u, v in ends]
     return [tuple([(letter_of[c], w * way[c]) for c, w in cycle]) for cycle in cycles]
 
 
@@ -449,18 +441,19 @@ def decompose_generalized_flat(d: Diagram) -> list[tuple[PlumbLeaf, int]]:
 def homogenize(d: Diagram) -> BKLWord:
     """Band word of a homogeneous diagram: plumb its leaves in order.
 
-    The running word is twirled to put the shared circle rightmost.  Each
-    leaf is realized with that circle as its first disc, turned the fewest
-    times that line up its letters there with the diagram's cyclic order,
-    and plumbed in with the shuffle pattern that reproduces that order.
-    Each leaf takes its first realization, and the word is gated against
-    ``d``.  Plumbing, twirls and turns keep each leaf's block of the word's
-    Seifert matrix, so a failed gate names the leaves whose blocks differ:
-    only those take their next realization, and the word is plumbed and
-    gated again.  A named leaf out of realizations raises ``PipelineError``;
-    a mismatch naming no leaf, or a leaf that kept its realization, raises
-    ``SoundnessError``.  A split diagram gives the direct sum of its parts'
-    words, and a free unknot a bare disc.
+    The running surface is twirled to put the shared circle rightmost.
+    Each leaf is realized with that circle as its first disc, turned the
+    fewest times that line up its crossings there with the diagram's cyclic
+    order, and plumbed in by the shuffle that reproduces that order.  The
+    moves act on the circles' discs and the crossings' order, and the word
+    is read off them.  Each leaf takes its first realization, and the word
+    is gated against ``d``.  Plumbing, twirls and turns keep each leaf's
+    block of the word's Seifert matrix, so a failed gate names the leaves
+    whose blocks differ: only those take their next realization, and the
+    word is plumbed and gated again.  A named leaf out of realizations
+    raises ``PipelineError``; a mismatch naming no leaf, or a leaf that kept
+    its realization, raises ``SoundnessError``.  A split diagram gives the
+    direct sum of its parts' words, and a free unknot a bare disc.
     """
     return _homogenize(d)[0]
 
@@ -502,36 +495,36 @@ def _homogenize(d: Diagram):
             if found is None:
                 raise PipelineError(NO_MATCH.format(tried[k]))
             tried[k] += 1
-            word, pos, order = found
-            realized[k] = (word, pos, [steps[k][0].crossings[i] for i in order])
+            pos, order = found
+            realized[k] = (pos, [steps[k][0].crossings[i] for i in order])
         word, disc_of, letter_cids = _plumbed(st, steps, realized)
-        mapped = _carried(ends, cycles, word, disc_of, {c: k for k, c in enumerate(letter_cids)})
-        seifert = None if mapped is None else word_seifert_matrix(word, mapped)
+        mapped = _carried(ends, cycles, disc_of, {c: k for k, c in enumerate(letter_cids)})
+        seifert = word_seifert_matrix(word, mapped)
         if seifert == target and closure_components(word) == components:
             return word, steps
         # The leaves whose rows and columns differ take their next candidate.
         shares = shares or [_leaf_cycles(leaf, cycles) for leaf, _shared in steps]
-        wrong = [] if seifert is None else [
-            k for k, share in enumerate(shares)
-            if any(seifert[i][j] != target[i][j] for i in share for j in share)]
+        wrong = [k for k, share in enumerate(shares)
+                 if any(seifert[i][j] != target[i][j] for i in share for j in share)]
         if not wrong or not set(wrong) <= set(advance):
             raise SoundnessError("plumbed word does not match the diagram's link")
         advance = wrong
 
 
 def _plumbed(st, steps, realized):
-    """Plumb realized leaves in step order: the word, each source circle's
-    disc and each letter's source crossing."""
-    word, pos, letter_cids = realized[0]
+    """Plumb realized leaves in step order on the circles' discs and the
+    crossings' order, and read the word off them once: the word, each
+    source circle's disc and each letter's source crossing."""
+    pos, letter_cids = realized[0]
     first_leaf = steps[0][0]
     disc_of = {orig: pos[first_leaf.circle_map[orig]] for orig in first_leaf.circles}
-    for (leaf, shared), (piece_word, piece_pos, piece_cids) in zip(steps[1:], realized[1:]):
-        # Rotate the running surface so that the shared circle is rightmost.
-        twirls = disc_of[shared] % word.strands
-        word = word_twirl(word, twirls)
-        disc_of = {c: (p - twirls - 1) % word.strands + 1 for c, p in disc_of.items()}
+    n = len(disc_of)
+    for (leaf, shared), (piece_pos, piece_cids) in zip(steps[1:], realized[1:]):
+        # Twirl the running surface so that the shared circle is rightmost.
+        twirls = disc_of[shared] % n
+        disc_of = {c: (p - twirls - 1) % n + 1 for c, p in disc_of.items()}
 
-        # Schedule the shared circle's letters in the diagram's cyclic order.
+        # Schedule the shared circle's crossings in the diagram's cyclic order.
         sigma = st.passages[shared]
         sigma_set = set(sigma)
         mine = [cid for cid in letter_cids if cid in sigma_set]
@@ -539,16 +532,17 @@ def _plumbed(st, steps, realized):
         theirs_set = set(leaf.crossings) & sigma_set
         schedule = _cut_at(sigma, mine, mine_set, theirs_set)
         want_piece = [cid for cid in schedule if cid in theirs_set]
-        piece_word, piece_cids = _turn_until(piece_word, piece_cids, theirs_set, want_piece)
+        piece_cids = _turn_until(piece_cids, theirs_set, want_piece)
 
-        pattern = _merge_pattern(letter_cids, piece_cids, schedule, mine_set, theirs_set)
-        n1 = word.strands
-        word = plumb(word, piece_word, pattern)
-        letter_cids = _merge_lists(letter_cids, piece_cids, pattern)
+        # Plumb: the piece's discs go up by n - 1, its crossings shuffle in.
+        letter_cids = _merge(letter_cids, piece_cids, schedule, mine_set)
         for orig in leaf.circles:
             if orig != shared:
-                disc_of[orig] = piece_pos[leaf.circle_map[orig]] + n1 - 1
-    return word, disc_of, letter_cids
+                disc_of[orig] = piece_pos[leaf.circle_map[orig]] + n - 1
+        n += len(leaf.circles) - 1
+    bands = [st.graph.edges[c] for c in letter_cids]  # (circle, circle, sign, crossing)
+    letters = [(min(disc_of[u], disc_of[v]), max(disc_of[u], disc_of[v]), s) for u, v, s, _c in bands]
+    return BKLWord(n, letters), disc_of, letter_cids
 
 
 def _leaf_cycles(leaf: PlumbLeaf, cycles) -> list[int]:
@@ -569,47 +563,31 @@ def _cut_at(sigma: tuple[int, ...], mine: list[int], mine_set: set, theirs: set)
     return schedule
 
 
-def _turn_until(word: BKLWord, cids: list[int], at_shared: set, want: list[int]):
-    """Turn ``word`` the fewest times that lists its letters in ``at_shared``
-    in the order ``want``; ``cids`` are its letters' distinct tags."""
+def _turn_until(cids: list[int], at_shared: set, want: list[int]) -> list[int]:
+    """Turn a piece's crossing order ``cids`` the fewest times that lists its
+    crossings in ``at_shared`` in the order ``want``."""
     at = [k for k, c in enumerate(cids) if c in at_shared]
     order = [cids[k] for k in at]
     m = order.index(want[0]) if want and want[0] in order else 0
     if order[m:] + order[:m] != want:
         raise SoundnessError("cannot align the piece with the shared circle's cyclic order")
-    cut = at[m] if m else len(cids)  # the turns bring the letters from order[m] on to the top
-    return word_turn(word, len(cids) - cut), cids[cut:] + cids[:cut]
+    cut = at[m] if m else 0  # the turns bring the crossings from order[m] on to the top
+    return cids[cut:] + cids[:cut]
 
 
-def _merge_pattern(mine_cids, piece_cids, schedule, mine_set, theirs_set):
-    marks: list[int] = []
+def _merge(mine: list[int], piece: list[int], schedule: list[int], mine_set: set) -> list[int]:
+    """Shuffle ``mine`` and ``piece``, each kept in order, so that the shared
+    circle's crossings come in the order ``schedule``: each one waits for
+    the crossings listed before it in its own list."""
+    out: list[int] = []
     i = j = 0
     for cid in schedule:
         if cid in mine_set:
-            while True:
-                marks.append(1)
-                i += 1
-                if mine_cids[i - 1] == cid:
-                    break
-        elif cid in theirs_set:
-            while True:
-                marks.append(2)
-                j += 1
-                if piece_cids[j - 1] == cid:
-                    break
-    marks.extend([1] * (len(mine_cids) - i))
-    marks.extend([2] * (len(piece_cids) - j))
-    return ShufflePattern(marks)
-
-
-def _merge_lists(a: list[int], b: list[int], pattern) -> list[int]:
-    out: list[int] = []
-    i = j = 0
-    for m in pattern.marks:
-        if m == 1:
-            out.append(a[i])
-            i += 1
+            k = mine.index(cid, i) + 1
+            out += mine[i:k]
+            i = k
         else:
-            out.append(b[j])
-            j += 1
-    return out
+            k = piece.index(cid, j) + 1
+            out += piece[j:k]
+            j = k
+    return out + mine[i:] + piece[j:]

@@ -150,8 +150,12 @@ class _State:
 
     Every stored height (``_Band.h``, ``_Ray.tip_h``) is ``scale`` times the
     band's or tip's height on the rational slot line, where the input's
-    bands sit at whole heights.  Only the order of heights matters, so a
-    step that splits a gap first multiplies every height by enough
+    bands sit at whole heights.  The values matter, not only their order:
+    a band off the tip disc may sit at exactly the chosen tip's height,
+    outside the open span of ``_reduce_state``'s step 1, and steps 2-4 set
+    the carried bands' heights by fixed fractions of the gap to that tip,
+    which can move another ray's tip past a band on its own disc.  A step
+    that splits a gap first multiplies every height by enough
     (``rescale``) for the split to land on integers.
 
     ``order[d]`` lists the bands with an end on disc ``d`` as bare

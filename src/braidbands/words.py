@@ -474,7 +474,7 @@ def parse_word(text: str, strands: int | None = None, kind: str | None = None) -
         (bkl if band else artin).extend([letter] * count)
     if artin and bkl:
         raise WordError("word mixes Artin and band tokens")
-    if bkl or kind == "bkl":
+    if bkl or (kind == "bkl" and not artin):
         n = strands if strands is not None else max((s for _, s, _ in bkl), default=1)
         return BKLWord(n, tuple(bkl))
     n = strands if strands is not None else (max((i for i, _ in artin), default=0) + 1)

@@ -20,9 +20,12 @@ on explicit chords with tagged endpoints.  Twirls and turns are applied one
 move at a time, on surfaces and on star states, a disc relabelling moves the
 bands first and rebuilds every disc's order after, and a leaf is turned one
 letter at a time until it lines up.  Diagram validity and ray classes are
-read off ``analyze`` and a materialized state.  ``homogenize`` chooses each leaf's
-realization by gating every candidate against the leaf's own block and the
-component count of the leaf's own diagram.
+read off ``analyze`` and a materialized state.  Plumbing acts on band words:
+the running word is twirled, each piece's word turned and the two plumbed by
+a shuffle pattern, with the disc map and the crossing list carried beside and
+checked against the letters.  ``homogenize`` chooses each leaf's realization
+by gating every candidate against the leaf's own block and the component
+count of the leaf's own diagram.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from braidbands.diagrams import (
 from braidbands.invariants import diagram_seifert_matrix, word_seifert_matrix
 from braidbands.laurent import Laurent
 from braidbands.pipeline import Fatgraph, PipelineError, SoundnessError, _disc_positions
+from braidbands.plumbing import ShufflePattern, plumb
 from braidbands.stars import (
     _CENTER,
     L,
@@ -59,7 +63,7 @@ from braidbands.stars import (
     minimize,
     reduce_step,
 )
-from braidbands.surfaces import BraidedSurface, from_word, to_word
+from braidbands.surfaces import BraidedSurface, from_word, to_word, word_turn, word_twirl
 from braidbands.words import ArtinWord, BKLWord, Permutation, Word, bkl_to_artin, closure_components
 
 Matrix = list[list[Laurent]]
@@ -384,6 +388,15 @@ def piece(d: Diagram, crossing_ids):
     return sub, circle_map
 
 
+def realization_word(fat: Fatgraph, pos, order) -> BKLWord:
+    """The band word of a realization (disc position map, edge order)."""
+    letters = []
+    for e in order:
+        u, v, sign = fat.edges[e]
+        letters.append((min(pos[u], pos[v]), max(pos[u], pos[v]), sign))
+    return BKLWord(fat.vertex_count, letters)
+
+
 def realizations(fat: Fatgraph, start_vertex: int = 0, limit: int = 4096):
     """``pipeline.realizations``, checking each cut on a copy of the whole graph."""
     fat.check()
@@ -442,12 +455,7 @@ def realizations(fat: Fatgraph, start_vertex: int = 0, limit: int = 4096):
                     heapq.heappush(heap, b)
         if len(topo) != m:
             return None
-        letters = []
-        for e in topo:
-            u0, v0, s = fat.edges[e]
-            a, b = pos[u0], pos[v0]
-            letters.append((min(a, b), max(a, b), s))
-        return BKLWord(n, tuple(letters)), topo
+        return realization_word(fat, pos, topo), topo
 
     def search(idx: int):
         nonlocal emitted
@@ -792,6 +800,100 @@ def turn_until(word: BKLWord, cids: list[int], at_shared: set, want: list[int]):
 
 
 # ---------------------------------------------------------------------------
+# Plumbing on words
+# ---------------------------------------------------------------------------
+
+def plumbed_by_words(st, steps, realized):
+    """``pipeline._plumbed`` on band words: each realized leaf is (word, disc
+    position map, letters' source crossings), and the running word is
+    twirled, the piece's word turned and the two plumbed by a
+    ``ShufflePattern``, with the disc map and crossing list carried beside."""
+    word, pos, letter_cids = realized[0]
+    first_leaf = steps[0][0]
+    disc_of = {orig: pos[first_leaf.circle_map[orig]] for orig in first_leaf.circles}
+    for (leaf, shared), (piece_word, piece_pos, piece_cids) in zip(steps[1:], realized[1:]):
+        twirls = disc_of[shared] % word.strands
+        word = word_twirl(word, twirls)
+        disc_of = {c: (p - twirls - 1) % word.strands + 1 for c, p in disc_of.items()}
+        sigma = st.passages[shared]
+        sigma_set = set(sigma)
+        mine = [cid for cid in letter_cids if cid in sigma_set]
+        mine_set = set(mine)
+        theirs_set = set(leaf.crossings) & sigma_set
+        schedule = pipeline._cut_at(sigma, mine, mine_set, theirs_set)
+        want_piece = [cid for cid in schedule if cid in theirs_set]
+        piece_word, piece_cids = turn_word_until(piece_word, piece_cids, theirs_set, want_piece)
+        pattern = _merge_pattern(letter_cids, piece_cids, schedule, mine_set, theirs_set)
+        n1 = word.strands
+        word = plumb(word, piece_word, pattern)
+        letter_cids = _merge_lists(letter_cids, piece_cids, pattern)
+        for orig in leaf.circles:
+            if orig != shared:
+                disc_of[orig] = piece_pos[leaf.circle_map[orig]] + n1 - 1
+    return word, disc_of, letter_cids
+
+
+def turn_word_until(word: BKLWord, cids: list[int], at_shared: set, want: list[int]):
+    """Turn ``word`` the fewest times that lists its letters in ``at_shared``
+    in the order ``want``; ``cids`` are its letters' distinct tags."""
+    at = [k for k, c in enumerate(cids) if c in at_shared]
+    order = [cids[k] for k in at]
+    m = order.index(want[0]) if want and want[0] in order else 0
+    if order[m:] + order[:m] != want:
+        raise SoundnessError("cannot align the piece with the shared circle's cyclic order")
+    cut = at[m] if m else len(cids)  # the turns bring the letters from order[m] on to the top
+    return word_turn(word, len(cids) - cut), cids[cut:] + cids[:cut]
+
+
+def _merge_pattern(mine_cids, piece_cids, schedule, mine_set, theirs_set) -> ShufflePattern:
+    marks: list[int] = []
+    i = j = 0
+    for cid in schedule:
+        if cid in mine_set:
+            while True:
+                marks.append(1)
+                i += 1
+                if mine_cids[i - 1] == cid:
+                    break
+        elif cid in theirs_set:
+            while True:
+                marks.append(2)
+                j += 1
+                if piece_cids[j - 1] == cid:
+                    break
+    marks.extend([1] * (len(mine_cids) - i))
+    marks.extend([2] * (len(piece_cids) - j))
+    return ShufflePattern(marks)
+
+
+def _merge_lists(a: list[int], b: list[int], pattern: ShufflePattern) -> list[int]:
+    out: list[int] = []
+    i = j = 0
+    for m in pattern.marks:
+        if m == 1:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return out
+
+
+def carried(ends, cycles, word: BKLWord, disc_of, letter_of):
+    """``cycles`` carried to ``word``'s letters through (disc_of, letter_of),
+    or None unless each edge's letter joins its two ends' discs."""
+    if len(word.letters) != len(ends):
+        return None
+    way = []
+    for c, (u, v) in enumerate(ends):
+        a, b = disc_of[u], disc_of[v]
+        if word.letters[letter_of[c]][:2] != ((a, b) if a < b else (b, a)):
+            return None
+        way.append(1 if a < b else -1)
+    return [tuple([(letter_of[c], w * way[c]) for c, w in cycle]) for cycle in cycles]
+
+
+# ---------------------------------------------------------------------------
 # The per-leaf gated chooser
 # ---------------------------------------------------------------------------
 
@@ -804,7 +906,7 @@ def gate(ends, cycles, target, components: int):
     def matches(word: BKLWord, disc_of, letter_of) -> bool:
         if closure_components(word) != components:
             return False
-        mapped = pipeline._carried(ends, cycles, word, disc_of, letter_of)
+        mapped = carried(ends, cycles, word, disc_of, letter_of)
         return mapped is not None and word_seifert_matrix(word, mapped) == target
 
     return matches
@@ -852,7 +954,7 @@ def homogenize_gated(d: Diagram):
         *found, count = realized_leaf(leaf, leaf.circles[0] if shared < 0 else shared, cycles, target)
         realized.append(tuple(found))
         tried.append(count)
-    word, disc_of, letter_cids = pipeline._plumbed(st, steps, realized)
+    word, disc_of, letter_cids = plumbed_by_words(st, steps, realized)
     letter_of = {c: k for k, c in enumerate(letter_cids)}
     if not gate(ends, cycles, target, link_components(d))(word, disc_of, letter_of):
         raise SoundnessError("plumbed word does not match the diagram's link")

@@ -4,7 +4,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidbands import pipeline, stars
 from braidbands.cli import run
@@ -174,15 +174,21 @@ def test_invalid_word_is_exit_2(capsys):
     assert f"s1^{2**62}" in capsys.readouterr().err
 
 
-def _exit_code(argv) -> tuple[int, str]:
-    """Exit code and stderr of one CLI call; argparse's own refusals exit 2."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _call(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI call; argparse's own refusals exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = run(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exit_code(argv) -> tuple[int, str]:
+    """Exit code and stderr of one CLI call."""
+    code, _out, err = _call(argv)
+    return code, err
 
 
 # Token text: short runs of the grammar's characters and long digit runs.
@@ -227,6 +233,45 @@ def test_braid_equal_exits_0_1_or_2(u, data):
     code, err = _exit_code(_with_strands(["braid", "equal"], strands) + ["--", u, v])
     assert code in (0, 1, 2), (u, v, err)
     assert "internal error" not in err
+
+
+def _translated(word: str, strands) -> tuple[str, int] | None:
+    """``braid translate``'s band form of an Artin word and its strand count,
+    or None when it refuses the word."""
+    code, out, _err = _call(_with_strands(["braid", "translate", "--json"], strands) + ["--", word])
+    if code:
+        return None
+    data = json.loads(out)
+    return data["word"], data["strands"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(short_words(ARTIN_TOKEN), short_words(ARTIN_TOKEN), st.one_of(st.none(), st.integers(0, 8)),
+       st.integers(0, 8), st.integers(0, 9))
+@example("s1 s2 s1", "s1", None, 2, 2)
+@example("s1", "s1", 2, 2, 2)
+def test_band_word_commands_read_artin_words_as_translated(u, v, s1, s2, n1):
+    # surface from-word, plumb and deplumb take either alphabet: an Artin
+    # word gives the output of its band form, and a word braid translate
+    # refuses is refused too.
+    a, b = _translated(u, s1), _translated(v, s2)
+
+    def same(artin_argv, band_argv):
+        code, out, err = _call(artin_argv)
+        assert code in (0, 2) and "internal error" not in err, (artin_argv, err)
+        if band_argv is None:
+            assert code == 2, (artin_argv, out)
+        else:
+            assert (code, out) == _call(band_argv)[:2], (artin_argv, band_argv)
+
+    same(_with_strands(["surface", "from-word", "--json"], s1) + ["--", u],
+         a and ["surface", "from-word", "--json", "--strands", str(a[1]), "--", a[0]])
+    same(["deplumb", "--json", "--n1", str(n1)] + _with_strands([], s1) + ["--", u],
+         a and ["deplumb", "--json", "--n1", str(n1), "--strands", str(a[1]), "--", a[0]])
+    if s1 is not None:
+        same(["plumb", "--json", "--strands1", str(s1), "--strands2", str(s2), "--", u, v],
+             a and b and ["plumb", "--json", "--strands1", str(a[1]), "--strands2", str(b[1]),
+                          "--", a[0], b[0]])
 
 
 def test_oversized_generator_index_is_exit_2():

@@ -126,8 +126,8 @@ def fatgraphs_isomorphic(f: Fatgraph, g: Fatgraph) -> bool:
 
 def realize_word(fat: Fatgraph, start_vertex: int = 0) -> tuple[BKLWord, dict[int, int]]:
     """First height-consistent realization of the fatgraph (no link gate)."""
-    for word, pos, _topo in realizations(fat, start_vertex):
-        return word, pos
+    for pos, order in realizations(fat, start_vertex):
+        return reference.realization_word(fat, pos, order), pos
     raise PipelineError("fatgraph admits no consistent band heights")
 
 
@@ -170,7 +170,7 @@ def test_realize_word_round_trips_fatgraph():
 
 def test_realizations_enumerates_consistently():
     fat = reference.fatgraph_of_diagram(K5_2)
-    words_seen = [w for w, _p, _t in realizations(fat)]
+    words_seen = [reference.realization_word(fat, pos, order) for pos, order in realizations(fat)]
     assert len(words_seen) >= 2
     assert len({w.letters for w in words_seen}) == len(words_seen)
 
@@ -203,7 +203,8 @@ def _closure_leaf_fatgraphs(seed: int):
 
 def _assert_same_candidates(fat, start: int, limit=None) -> None:
     try:
-        got = list(itertools.islice(realizations(fat, start), limit))
+        got = [(reference.realization_word(fat, pos, order), pos, order)
+               for pos, order in itertools.islice(realizations(fat, start), limit)]
     except PipelineError:
         with pytest.raises(PipelineError):
             list(reference.realizations(fat, start))
@@ -454,9 +455,10 @@ def test_leaf_block_gives_its_component_count():
             mine = [tuple([(edge_of[c], way) for c, way in cycles[i]])
                     for i in pipeline._leaf_cycles(leaf, cycles)]
             start = leaf.circle_map[leaf.circles[0] if shared < 0 else shared]
-            for word, pos, order in itertools.islice(realizations(fat, start), 60):
+            for pos, order in itertools.islice(realizations(fat, start), 60):
+                word = reference.realization_word(fat, pos, order)
                 letter_of = {edge: k for k, edge in enumerate(order)}
-                mapped = pipeline._carried([e[:2] for e in fat.edges], mine, word, pos, letter_of)
+                mapped = pipeline._carried([e[:2] for e in fat.edges], mine, pos, letter_of)
                 v = word_seifert_matrix(word, mapped)
                 form = [[a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))]
                 assert len(mine) - _rank(form) == closure_components(word) - 1
@@ -554,12 +556,13 @@ def test_homogenize_split_diagrams_with_free_unknots():
 def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
     # One cycle basis, one plumbing ranking and one diagram-side Seifert
     # matrix per connected diagram.  When every leaf's first candidate is
-    # right, the finished word is the one word-side matrix built; otherwise
-    # each round of repair plumbs and builds the word once more, so a leaf
-    # that takes the most candidates sets the count.  Neither Alexander
-    # engine runs.
+    # right, the finished word is the one band word and the one word-side
+    # matrix built; otherwise each round of repair plumbs and builds the
+    # word once more, so a leaf that takes the most candidates sets the
+    # count.  Neither Alexander engine runs.
     alexander_calls, diagram_sides, word_sides, searches = [], [], [], []
-    bases, rankings = [], []
+    bases, rankings, band_words = [], [], []
+    band_word_init = BKLWord.__init__
     diagram_side, word_side = pipeline.diagram_seifert_matrix, pipeline.word_seifert_matrix
     fundamental_cycles, plumbing_ranks = pipeline._fundamental_cycles, pipeline._plumbing_ranks
 
@@ -582,57 +585,75 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
     monkeypatch.setattr(pipeline, "_fundamental_cycles", lambda *a: bases.append(a) or fundamental_cycles(*a))
     monkeypatch.setattr(pipeline, "_plumbing_ranks", lambda *a: rankings.append(a) or plumbing_ranks(*a))
     monkeypatch.setattr(pipeline, "realizations", counted_realizations)
+    monkeypatch.setattr(BKLWord, "__init__", lambda w, *a: band_words.append(w) or band_word_init(w, *a))
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
     first_right = 0
     for d in cases:
-        for calls in (diagram_sides, word_sides, searches, bases, rankings):
+        steps = decompose_generalized_flat(d)
+        for calls in (diagram_sides, word_sides, searches, bases, rankings, band_words):
             calls.clear()
         w = homogenize(d)
         assert len(diagram_sides) == len(bases) == len(rankings) == 1 and diagram_sides[0] is d
-        assert len(searches) == len(decompose_generalized_flat(d))
+        assert len(searches) == len(steps)
         if set(searches) == {1}:
             assert len(word_sides) == 1 and word_sides[0] is w
+            assert len(band_words) == 1 and band_words[0] is w
             first_right += 1
         else:
-            assert len(word_sides) == max(searches)
-            assert word_sides[-1] is w
+            assert len(word_sides) == len(band_words) == max(searches)
+            assert word_sides[-1] is w and band_words[-1] is w
     assert first_right == len(cases) - 1  # all but 5_2's one leaf
     assert alexander_calls == []
 
 
-def _mirrored_first(mirrored, searches, only=()):
-    """``realizations`` whose call k yields ``mirrored[k % len(mirrored)]``
-    mirror images of its first candidate, then its candidates unless that
-    index is in ``only``; ``searches`` counts the candidates each call yields."""
+def _faulted_first(monkeypatch, d, faulted, searches, only=()):
+    """Patch ``realizations`` so that its call k yields its first candidate
+    ``faulted[k % len(faulted)]`` extra times, then its candidates unless
+    that index is in ``only``, and ``word_seifert_matrix`` so that each
+    extra copy shifts its leaf's block of the word's matrix.  The leaves are
+    those of ``d``, and ``searches`` counts the candidates each call yields.
+    """
+    steps = decompose_generalized_flat(d)
+    cycles, _target = _gate_target(d, steps)
+    firsts = [pipeline._leaf_cycles(leaf, cycles)[0] for leaf, _shared in steps]
+    assert len(faulted) == len(steps)
+    word_side = pipeline.word_seifert_matrix
 
     def candidates(fat, start):
         leaf = len(searches)
         searches.append(0)
-        word, pos, order = next(realizations(fat, start))
-        mirror = BKLWord(word.strands, [(r, s, -e) for r, s, e in word.letters])
-        for _ in range(mirrored[leaf % len(mirrored)]):
+        first = next(realizations(fat, start))
+        for _ in range(faulted[leaf % len(faulted)]):
             searches[leaf] += 1
-            yield mirror, pos, order
-        for found in () if leaf % len(mirrored) in only else realizations(fat, start):
+            yield first
+        for found in () if leaf % len(faulted) in only else realizations(fat, start):
             searches[leaf] += 1
             yield found
 
-    return candidates
+    def shifted(w, mapped):
+        v = word_side(w, mapped)
+        for k, taken in enumerate(searches[-len(steps):]):  # this homogenize's leaves
+            if taken <= faulted[k]:
+                v[firsts[k]][firsts[k]] += 1
+        return v
+
+    monkeypatch.setattr(pipeline, "realizations", candidates)
+    monkeypatch.setattr(pipeline, "word_seifert_matrix", shifted)
 
 
 @pytest.mark.parametrize(
-    "mirrored",
+    "faulted",
     [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (0, 2, 0)],
-    ids=lambda mirrored: "-".join(str(k) for k, n in enumerate(mirrored) for _ in range(n)),
+    ids=lambda faulted: "-".join(str(k) for k, n in enumerate(faulted) for _ in range(n)),
 )
-def test_failed_gate_searches_on_only_the_leaves_it_names(monkeypatch, mirrored):
-    # K9_43 has three leaves, each right at its first candidate.  A mirrored
-    # candidate changes only its own leaf's block of the word's Seifert
-    # matrix, so each leaf takes one more candidate per mirrored one put
+def test_failed_gate_searches_on_only_the_leaves_it_names(monkeypatch, faulted):
+    # K9_43 has three leaves, each right at its first candidate.  A faulted
+    # candidate shifts only its own leaf's block of the word's Seifert
+    # matrix, so each leaf takes one more candidate per faulted one put
     # before its own, and the word is the same.  Each round plumbs and
     # builds the word's matrix once, so the leaf that takes the most
-    # candidates sets the count.  The test ids name the mirrored candidates'
+    # candidates sets the count.  The test ids name the faulted candidates'
     # leaves.
     expected = homogenize(K9_43)
     assert len(decompose_generalized_flat(K9_43)) == 3
@@ -641,18 +662,18 @@ def test_failed_gate_searches_on_only_the_leaves_it_names(monkeypatch, mirrored)
     monkeypatch.setattr(
         pipeline, "word_seifert_matrix", lambda w, *a: word_sides.append(w) or word_side(w, *a)
     )
-    monkeypatch.setattr(pipeline, "realizations", _mirrored_first(mirrored, searches))
+    _faulted_first(monkeypatch, K9_43, faulted, searches)
     assert homogenize(K9_43) == expected
-    assert searches == [1 + n for n in mirrored]
+    assert searches == [1 + n for n in faulted]
     assert len(word_sides) == max(searches) and word_sides[-1] == expected
 
 
 def test_leaf_out_of_candidates_mid_repair_is_exit_2(tmp_path, capsys, monkeypatch):
-    # K9_43's middle leaf has only two candidates, both mirrored: the gate
+    # K9_43's middle leaf has only two candidates, both faulted: the gate
     # names it twice, and it runs out in the third round.  The first leaf is
     # repaired in the same rounds.
     searches = []
-    monkeypatch.setattr(pipeline, "realizations", _mirrored_first((1, 2, 0), searches, only={1}))
+    _faulted_first(monkeypatch, K9_43, (1, 2, 0), searches, only={1})
     with pytest.raises(PipelineError, match=r"\(2 candidates\)"):
         homogenize(K9_43)
     assert searches == [2, 2, 1]
@@ -665,7 +686,7 @@ def test_leaf_out_of_candidates_mid_repair_is_exit_2(tmp_path, capsys, monkeypat
 
 
 def test_block_change_of_a_kept_leaf_is_exit_3(tmp_path, capsys, monkeypatch):
-    # The first leaf's mirrored candidate fails round 0 and the first leaf
+    # The first leaf's faulted candidate fails round 0 and the first leaf
     # alone takes its next candidate.  In round 1 the last leaf, which kept
     # its candidate, has a changed block: a drift no candidate explains.
     steps = decompose_generalized_flat(K9_43)
@@ -682,7 +703,7 @@ def test_block_change_of_a_kept_leaf_is_exit_3(tmp_path, capsys, monkeypatch):
         return v
 
     monkeypatch.setattr(pipeline, "word_seifert_matrix", drifting)
-    monkeypatch.setattr(pipeline, "realizations", _mirrored_first((1, 0, 0), searches))
+    _faulted_first(monkeypatch, K9_43, (1, 0, 0), searches)
     with pytest.raises(pipeline.SoundnessError, match="plumbed word does not match"):
         homogenize(K9_43)
     assert searches == [2, 1, 1] and len(builds) == 2
@@ -727,16 +748,23 @@ def _band_word_flat_diagrams(seed: int, count: int):
             yield d
 
 
-def test_homogenize_matches_the_per_leaf_gated_chooser(monkeypatch):
-    # Gating once and searching on only the leaves the gate names gives the
-    # words of gating every leaf's candidates in turn, with the same count
-    # of candidates taken for each leaf.
+def _chooser_cases() -> list[Diagram]:
+    """Connected homogeneous diagrams of every kind ``homogenize`` meets,
+    some of whose leaves take more than one candidate."""
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43] + [WHEELS[size] for size in (4, 6, 8)]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=1, count=1000)]
     cases += [d for d in _seeded_closures(seed=5, count=1200)
               if not d.unknots and len(set(analyze(d).circle_component)) == 1
               and is_homogeneous_diagram(d).homogeneous]
     cases += list(_band_word_flat_diagrams(seed=9, count=600))
+    return cases
+
+
+def test_homogenize_matches_the_per_leaf_gated_chooser(monkeypatch):
+    # Gating once and searching on only the leaves the gate names gives the
+    # words of gating every leaf's candidates in turn, with the same count
+    # of candidates taken for each leaf.
+    cases = _chooser_cases()
     assert len(cases) >= 2000
     searches = []
 
@@ -761,9 +789,40 @@ def test_homogenize_matches_the_per_leaf_gated_chooser(monkeypatch):
     assert {(4, 5), (5, 6), (7, 9), (9, 12), (4, 7)} <= searched_on
 
 
+def test_plumbing_discs_and_crossings_matches_plumbing_words():
+    # Twirling, turning and plumbing the disc map and the crossing order,
+    # then reading the word off, gives the word, disc map and crossing order
+    # of doing all three to band words, for each leaf's first candidate and
+    # for a random one of its first three.
+    rng = random.Random(22)
+    cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
+    cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
+    cases += _chooser_cases()
+    plumbed = later = 0  # plumbing steps; leaves past their first candidate
+    for d in cases:
+        st = analyze(d)
+        steps = decompose_generalized_flat(d)
+        options = [list(itertools.islice(realizations(
+            leaf.fatgraph, leaf.circle_map[leaf.circles[0] if shared < 0 else shared]), 3))
+            for leaf, shared in steps]
+        for pick in ([0] * len(steps), [rng.randrange(len(found)) for found in options]):
+            realized, by_words = [], []
+            for (leaf, _shared), found, k in zip(steps, options, pick):
+                pos, order = found[k]
+                cids = [leaf.crossings[i] for i in order]
+                realized.append((pos, cids))
+                by_words.append((reference.realization_word(leaf.fatgraph, pos, order), pos, cids))
+            assert pipeline._plumbed(st, steps, realized) == reference.plumbed_by_words(st, steps, by_words)
+            plumbed += len(steps) - 1
+            later += sum(k > 0 for k in pick)
+    assert plumbed >= 4900 and later >= 1000
+
+
 def test_turn_until_matches_the_one_turn_loop():
     # Random words with distinct letter tags; the wanted order is a rotation
-    # of the shared letters, or a shuffle of them that may be none.
+    # of the shared letters, or a shuffle of them that may be none.  The
+    # library turns the tags alone; the reference's word-side turn, which
+    # ``plumbed_by_words`` uses, turns the word with them.
     rng = random.Random(31)
     for _ in range(2000):
         w = random_bkl_word(rng, max_strands=5, max_len=9)
@@ -780,9 +839,12 @@ def test_turn_until_matches_the_one_turn_loop():
             expected = reference.turn_until(*args)
         except pipeline.SoundnessError:
             with pytest.raises(pipeline.SoundnessError, match="cannot align the piece"):
-                pipeline._turn_until(*args)
+                reference.turn_word_until(*args)
+            with pytest.raises(pipeline.SoundnessError, match="cannot align the piece"):
+                pipeline._turn_until(*args[1:])
         else:
-            assert pipeline._turn_until(*args) == expected
+            assert reference.turn_word_until(*args) == expected
+            assert pipeline._turn_until(*args[1:]) == expected[1]
 
 
 def test_single_crossing_leaves_do_not_order_the_stacking():

@@ -425,6 +425,9 @@ def test_grammar_errors_and_inference():
     assert parse_word("b(1,4)").strands == 4
     assert parse_word("e").strands == 1
     assert isinstance(parse_word("e", kind="bkl"), BKLWord)
+    # ``kind`` chooses only the empty word's type: letters keep theirs.
+    assert parse_word("s1 s2", kind="bkl") == ArtinWord(3, [(1, 1), (2, 1)])
+    assert parse_word("b(1,2)", kind="artin") == BKLWord(2, [(1, 2, 1)])
 
 
 def test_generator_indices_and_strands_are_bounded():
