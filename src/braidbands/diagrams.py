@@ -35,6 +35,15 @@ class DiagramError(ValueError):
     """Raised when a PD code violates the diagram invariants."""
 
 
+# Seifert smoothing by crossing sign, in the slots 0-3 of an entry (a, b, c, d):
+# the (in, out) slot pairs it joins, positive a->d, b->c and negative a->b,
+# d->c, and the two slots whose faces it merges into the channel between them.
+_SMOOTHED = {1: ((0, 3), (1, 2)), -1: ((0, 1), (3, 2))}
+_CHANNEL = {1: (1, 3), -1: (0, 2)}
+# The over-strand's (in, out) slots; the under-strand runs 0 -> 2 at every crossing.
+_OVER = {1: (1, 3), -1: (3, 1)}
+
+
 @dataclass(frozen=True)
 class Diagram:
     """A PD-coded oriented link diagram plus a count of free unknot components."""
@@ -234,25 +243,19 @@ def _structure_of(d: Diagram) -> DiagramStructure:
     components = tuple(_cycles_of(succ))
     signs = tuple(over_dir)
 
-    # Seifert smoothing: positive pairs a->d, b->c; negative pairs a->b, d->c.
+    # Seifert smoothing.  An arc's head occurrence (its in slot) carries the
+    # face left of the arc's orientation, its tail occurrence the face right.
     smooth: dict[int, int] = {}
-    step_crossing: dict[int, int] = {}
-    for idx, (a, b, c, dd) in enumerate(d.crossings):
-        if signs[idx] > 0:
-            smooth[a] = dd
-            smooth[b] = c
-            step_crossing[a] = idx
-            step_crossing[b] = idx
-        else:
-            smooth[a] = b
-            smooth[dd] = c
-            step_crossing[a] = idx
-            step_crossing[dd] = idx
+    head_occ: dict[int, tuple[int, int]] = {}
+    tail_occ: dict[int, tuple[int, int]] = {}
+    for idx, entry in enumerate(d.crossings):
+        for i, o in _SMOOTHED[signs[idx]]:
+            smooth[entry[i]] = entry[o]
+            head_occ[entry[i]] = (idx, i)
+            tail_occ[entry[o]] = (idx, o)
     circles = tuple(_cycles_of(smooth))
     circle_of = {arc: ci for ci, cyc in enumerate(circles) for arc in cyc}
-    passages = tuple(
-        tuple([step_crossing[arc] for arc in cyc if arc in step_crossing]) for cyc in circles
-    )
+    passages = tuple(tuple([head_occ[arc][0] for arc in cyc]) for cyc in circles)
 
     edges = []
     for idx, (a, b, c, dd) in enumerate(d.crossings):
@@ -306,12 +309,9 @@ def _structure_of(d: Diagram) -> DiagramStructure:
     uf = _UnionFind(range(face_count))
     channel = []
     for idx in range(len(d.crossings)):
-        if signs[idx] > 0:
-            uf.union(face_of[(idx, 1)], face_of[(idx, 3)])
-            channel.append(face_of[(idx, 1)])
-        else:
-            uf.union(face_of[(idx, 0)], face_of[(idx, 2)])
-            channel.append(face_of[(idx, 0)])
+        s1, s2 = _CHANNEL[signs[idx]]
+        uf.union(face_of[(idx, s1)], face_of[(idx, s2)])
+        channel.append(face_of[(idx, s1)])
     region_ids: dict[int, int] = {}
     region_of_face = []
     for f in range(face_count):
@@ -323,20 +323,7 @@ def _structure_of(d: Diagram) -> DiagramStructure:
     if region_count != len(circles) + n_graph_components:
         raise DiagramError("smoothed region count mismatch (embedding error)")
 
-    # Sides of each circle.  The head occurrence of an arc (its under-in or
-    # over-in slot) carries the face left of the arc's orientation.
-    head_occ: dict[int, tuple[int, int]] = {}
-    tail_occ: dict[int, tuple[int, int]] = {}
-    for idx, (a, b, c, dd) in enumerate(d.crossings):
-        head_occ[a] = (idx, 0)
-        tail_occ[c] = (idx, 2)
-        if signs[idx] > 0:
-            head_occ[b] = (idx, 1)
-            tail_occ[dd] = (idx, 3)
-        else:
-            head_occ[dd] = (idx, 3)
-            tail_occ[b] = (idx, 1)
-
+    # Sides of each circle, read at its arcs' head and tail occurrences.
     circle_left = []
     circle_right = []
     for cyc in circles:
@@ -568,24 +555,16 @@ def subdiagram(d: Diagram, crossing_ids: Iterable[int], keep_free_circles: bool 
 
     # Merge arcs across each removed crossing along its Seifert smoothing.
     uf = _UnionFind(st.succ)
-    for idx, (a, b, c, dd) in enumerate(d.crossings):
-        if idx in keep:
-            continue
-        if st.signs[idx] > 0:
-            uf.union(a, dd)
-            uf.union(b, c)
-        else:
-            uf.union(a, b)
-            uf.union(dd, c)
+    for idx, entry in enumerate(d.crossings):
+        if idx not in keep:
+            for i, o in _SMOOTHED[st.signs[idx]]:
+                uf.union(entry[i], entry[o])
 
     succ: dict = {}
     for idx in keep:
-        a, b, c, dd = d.crossings[idx]
-        succ[uf.find(a)] = uf.find(c)
-        if st.signs[idx] > 0:
-            succ[uf.find(b)] = uf.find(dd)
-        else:
-            succ[uf.find(dd)] = uf.find(b)
+        entry = d.crossings[idx]
+        for i, o in ((0, 2), _OVER[st.signs[idx]]):
+            succ[uf.find(entry[i])] = uf.find(entry[o])
     entries = [tuple([uf.find(x) for x in d.crossings[idx]]) for idx in keep]
 
     kept_circles = {st.circle_of[arc] for idx in keep for arc in d.crossings[idx]}

@@ -183,6 +183,8 @@ class _State:
 
 
 def _materialize(surface: BraidedSurface, star: Star) -> _State:
+    if not 1 <= star.center <= surface.discs:
+        raise StarError("center disc out of range")
     bands = {k: _Band(l, r, e, len(surface.bands) - k) for k, (l, r, e) in enumerate(surface.bands)}
     order: list[list] = [[] for _ in range(surface.discs + 1)]
     for bid, band in bands.items():
@@ -299,10 +301,7 @@ def _insert_ends(state: _State, bid: int) -> None:
 
 def check_star(surface: BraidedSurface, star: Star) -> None:
     """Raise StarError when the star is not an embedded transverse star."""
-    if not 1 <= star.center <= surface.discs:
-        raise StarError("center disc out of range")
-    state = _materialize(surface, star)
-    _check_state(state)
+    _check_state(_materialize(surface, star))
 
 
 def _check_state(state: _State) -> None:
@@ -438,28 +437,21 @@ def _landing_slots(state: _State, disc: int, h: int, above: bool) -> list[int]:
 
     The midpoints are exact when every height is even.
     """
+    sign = 1 if above else -1
     occupied = sorted({band.h for band, _b in state.order[disc]}
-                      | {r.tip_h for r in state.rays if r.tip_disc == disc})
+                      | {r.tip_h for r in state.rays if r.tip_disc == disc}, reverse=not above)
     out: list[int] = []
-    if above:
-        side = [x for x in occupied if x > h]
-        prev = h
-        for x in side:
+    prev = h
+    for x in occupied:
+        if (x - h) * sign > 0:
             out.append(_div(prev + x, 2))
             prev = x
-        out.append(prev + state.scale)
-    else:
-        side = [x for x in occupied if x < h]
-        prev = h
-        for x in reversed(side):
-            out.append(_div(prev + x, 2))
-            prev = x
-        out.append(prev - state.scale)
+    out.append(prev + sign * state.scale)
     return out
 
 
-def _remove_loose_once(state: _State, ray_index: int) -> int:
-    """Retract one loose crossing; returns the ray retracted.
+def _remove_loose_once(state: _State, ray_index: int) -> None:
+    """Retract one loose crossing of the ray ``ray_index``.
 
     The tip pulls back through the last band and lands beside the far
     region; when arcs of other rays hug that region the tip slides outward
@@ -490,7 +482,7 @@ def _remove_loose_once(state: _State, ray_index: int) -> int:
         ray.tip_h = candidate
         try:
             _check_state(state)
-            return ray_index
+            return
         except StarError:
             continue
     ray.steps.append(old_step)
@@ -528,8 +520,9 @@ def _minimize_state(state: _State) -> bool:
 # The reduction step
 # ---------------------------------------------------------------------------
 
-def _transfer_region(state: _State, bid: int, end: str, bridge: int) -> None:
-    """Re-route ray arcs tied to a band end that is about to change disc.
+def _transfer_region(state: _State, bid: int, end: str, bridge: int) -> int:
+    """Re-route ray arcs tied to a band end that is about to change disc;
+    returns the disc across the bridge band, where the end goes.
 
     Every disc arc with exactly one endpoint on the moving region gains a
     crossing through the bridge band; slack cleanup afterwards cancels the
@@ -562,6 +555,24 @@ def _transfer_region(state: _State, bid: int, end: str, bridge: int) -> None:
                 k += 2
             else:
                 k += 1
+    return bridge_band.end_disc(far)
+
+
+def _slide_end(state: _State, bid: int, h: int, end: Optional[str], bridge: int) -> None:
+    """Move band ``bid`` to height ``h``, first sliding its ``end``, unless
+    that is None, over the ``bridge`` band to the bridge's other disc."""
+    _drop_ends(state, bid)
+    band = state.bands[bid]
+    if end is not None:
+        disc = _transfer_region(state, bid, end, bridge)
+        if end == L:
+            band.l = disc
+        else:
+            band.r = disc
+        if not band.l < band.r:
+            raise StarError("slide produced an inverted band")
+    band.h = h
+    _insert_ends(state, bid)
 
 
 def _twirl_state(state: _State, times: int) -> None:
@@ -601,10 +612,7 @@ def _pick_ray(state: _State) -> int:
             for j, other in enumerate(state.rays)
             if j != idx and other.tip_disc == ray.tip_disc and lo < other.tip_h < hi
         )
-        regions_inside = sum(
-            1 for band, _b in state.order[ray.tip_disc] if lo < band.h < hi
-        )
-        candidates.append((tips_inside, regions_inside, idx))
+        candidates.append((tips_inside, _tail_sides(state, ray)[0], idx))
     if not candidates:
         raise StarError("no long ray to reduce")
     candidates.sort()
@@ -684,56 +692,34 @@ def _reduce_state(state: _State) -> None:
     state.bands[new_id] = _Band(x0, x0 + 1, 1, h_new)
     _insert_ends(state, new_id)
 
-    # Step 3: carry the span above the fresh band, preserving order.
-    step_count = len(btau) + 1
+    # Step 3: carry the span above the fresh band, preserving order; the
+    # ends at the tip disc slide over the fresh band.
     for k, bid in enumerate(btau):
-        _drop_ends(state, bid)
         band = state.bands[bid]
-        band.h = h_new + _div((h_tip - h_new) * (len(btau) - k), step_count)
-        if band.l == x0:
-            _transfer_region(state, bid, L, new_id)
-            band.l = x0 + 1
-            if band.l > band.r:
-                raise StarError("slide produced an inverted band")
-        elif band.r == x0:
-            _transfer_region(state, bid, R, new_id)
-            band.r = x0 + 1
-            band.l, band.r = min(band.l, band.r), max(band.l, band.r)
-        _insert_ends(state, bid)
+        end = L if band.l == x0 else R if band.r == x0 else None
+        _slide_end(state, bid, h_new + _div((h_tip - h_new) * (len(btau) - k), len(btau) + 1),
+                   end, new_id)
     _remove_slack(state)
 
     # Step 4: slide the crossed band over the fresh one.
-    _drop_ends(state, b0)
-    _transfer_region(state, b0, L, new_id)
-    band0.l = x0 + 1
-    if band0.l > band0.r:
-        raise StarError("crossed band inverted during the slide")
-    band0.h = _div(h_new + min(state.bands[b].h for b in btau), 2)
-    _insert_ends(state, b0)
+    _slide_end(state, b0, _div(h_new + min(state.bands[b].h for b in btau), 2), L, new_id)
     _remove_slack(state)
 
     # Step 5: the chosen ray is loose at the fresh band; retract it.
     ray = state.rays[idx]
     if not (ray.steps and ray.steps[-1][0] == new_id and _ray_loose(state, ray)):
         raise StarError("reduction invariant broken before the first retraction")
-    if _remove_loose_once(state, idx) != idx:
-        raise StarError("another ray blocked the first retraction")
+    _remove_loose_once(state, idx)
 
     # Step 6: slide the fresh band over the crossed band.
-    _drop_ends(state, new_id)
-    _transfer_region(state, new_id, R, b0)
-    fresh = state.bands[new_id]
-    fresh.r = band0.r
-    fresh.h = _div(band0.h + min(state.bands[b].h for b in btau), 2)
-    _insert_ends(state, new_id)
+    _slide_end(state, new_id, _div(band0.h + min(state.bands[b].h for b in btau), 2), R, b0)
     _remove_slack(state)
 
     # Step 7: the ray is loose again at the crossed band; retract.
     ray = state.rays[idx]
     if not (ray.steps and ray.steps[-1][0] == b0 and _ray_loose(state, ray)):
         raise StarError("reduction invariant broken before the second retraction")
-    if _remove_loose_once(state, idx) != idx:
-        raise StarError("another ray blocked the second retraction")
+    _remove_loose_once(state, idx)
     _remove_slack(state)
 
     if mirrored:

@@ -10,6 +10,8 @@ unlinked neighbouring bands, slides move a band over a neighbour sharing a
 disc, twirls rotate the disc order cyclically, turns move the lowest band
 to the top, and the two normalizations flip the surface upside down or
 mirror it left to right.  A count of twirls or turns is one rotation.
+A slide down is a slide up conjugated by inversion of the two-letter word:
+it inverts the pair, slides the inverse up and inverts the result back.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .words import BKLWord, permutation_of
+from .words import MAX_WORD_LETTERS, BKLWord, permutation_of
 
 
 class MoveError(ValueError):
@@ -68,6 +70,8 @@ class BraidedSurface:
             bands = [(b["l"], b["r"], b["e"]) for b in data.get("bands", [])]
             if type(data["discs"]) is not int or any(type(x) is not int for band in bands for x in band):
                 raise TypeError("discs and band ends must be integers")
+            if data["discs"] > MAX_WORD_LETTERS:  # a list per disc would exhaust memory
+                raise ValueError(f"more than {MAX_WORD_LETTERS} discs")
             return BraidedSurface(data["discs"], bands)
         except (KeyError, TypeError, ValueError) as exc:
             raise MoveError("from_json", "surface", f"malformed: {exc!r}") from exc
@@ -133,16 +137,23 @@ def deflate(s: BraidedSurface, band_index: int) -> BraidedSurface:
     return BraidedSurface(s.discs - 1, bands)
 
 
+def _rewrite_pair(s: BraidedSurface, position: int, kind: str, rewrite,
+                  refusal: str = "pair matches no slide pattern") -> BraidedSurface:
+    """``s`` with the bands at ``position`` and below it replaced by ``rewrite``'s pair."""
+    if not 0 <= position < len(s.bands) - 1:
+        raise MoveError(kind, position, "no adjacent pair there")
+    new_pair = rewrite(s.bands[position], s.bands[position + 1])
+    if new_pair is None:
+        raise MoveError(kind, position, refusal)
+    bands = list(s.bands)
+    bands[position], bands[position + 1] = new_pair
+    return BraidedSurface(s.discs, bands)
+
+
 def slip(s: BraidedSurface, position: int) -> BraidedSurface:
     """Exchange the heights of two consecutive unlinked bands."""
-    if not 0 <= position < len(s.bands) - 1:
-        raise MoveError("slip", position, "no adjacent pair there")
-    a, b = s.bands[position], s.bands[position + 1]
-    if not _bands_commute(a, b):
-        raise MoveError("slip", position, "bands are linked")
-    bands = list(s.bands)
-    bands[position], bands[position + 1] = b, a
-    return BraidedSurface(s.discs, bands)
+    return _rewrite_pair(s, position, "slip", lambda a, b: (b, a) if _bands_commute(a, b) else None,
+                         "bands are linked")
 
 
 def _slide_up_pair(upper, lower):
@@ -163,44 +174,28 @@ def _slide_up_pair(upper, lower):
     return None
 
 
-def _slide_down_pair(upper, lower):
-    """Inverse rewriting: slide the upper band down under its neighbour."""
+def _inverse_pair(upper, lower):
+    """The two-letter word ``upper lower`` inverted: ``lower^-1 upper^-1``."""
     (l1, r1, e1), (l2, r2, e2) = upper, lower
-    if r1 == r2 and l1 < l2 and e2 == 1:
-        i, j, k = l1, l2, r2  # (ik)^{±1} (jk)^{+1} -> (jk)^{+1} (ij)^{±1}
-        return (j, k, 1), (i, j, e1)
-    if l1 == l2 and r1 > r2 and e2 == -1:
-        i, j, k = l1, r2, r1  # (ik)^{±1} (ij)^{-1} -> (ij)^{-1} (jk)^{±1}
-        return (i, j, -1), (j, k, e1)
-    if l1 == r2 and e2 == 1:
-        i, j, k = l2, r2, r1  # (jk)^{±1} (ij)^{+1} -> (ij)^{+1} (ik)^{±1}
-        return (i, j, 1), (i, k, e1)
-    if r1 == l2 and e2 == -1:
-        i, j, k = l1, r1, r2  # (ij)^{±1} (jk)^{-1} -> (jk)^{-1} (ik)^{±1}
-        return (j, k, -1), (i, k, e1)
-    return None
+    return (l2, r2, -e2), (l1, r1, -e1)
+
+
+def _slide_down_pair(upper, lower):
+    """Inverse rewriting: slide the upper band down under its neighbour.
+
+    It is the slide up conjugated by inversion: ``a b = c d`` holds exactly
+    when ``b^-1 a^-1 = d^-1 c^-1`` does.
+    """
+    up = _slide_up_pair(*_inverse_pair(upper, lower))
+    return None if up is None else _inverse_pair(*up)
 
 
 def slide_up(s: BraidedSurface, position: int) -> BraidedSurface:
-    if not 0 <= position < len(s.bands) - 1:
-        raise MoveError("slide_up", position, "no adjacent pair there")
-    new_pair = _slide_up_pair(s.bands[position], s.bands[position + 1])
-    if new_pair is None:
-        raise MoveError("slide_up", position, "pair matches no slide pattern")
-    bands = list(s.bands)
-    bands[position], bands[position + 1] = new_pair
-    return BraidedSurface(s.discs, bands)
+    return _rewrite_pair(s, position, "slide_up", _slide_up_pair)
 
 
 def slide_down(s: BraidedSurface, position: int) -> BraidedSurface:
-    if not 0 <= position < len(s.bands) - 1:
-        raise MoveError("slide_down", position, "no adjacent pair there")
-    new_pair = _slide_down_pair(s.bands[position], s.bands[position + 1])
-    if new_pair is None:
-        raise MoveError("slide_down", position, "pair matches no slide pattern")
-    bands = list(s.bands)
-    bands[position], bands[position + 1] = new_pair
-    return BraidedSurface(s.discs, bands)
+    return _rewrite_pair(s, position, "slide_down", _slide_down_pair)
 
 
 def twirl(s: BraidedSurface, times: int = 1) -> BraidedSurface:

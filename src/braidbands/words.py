@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 
 class WordError(ValueError):
@@ -80,87 +80,76 @@ def _inverse_letters(letters: tuple) -> tuple:
     return tuple([flipped[x] for x in reversed(letters)])
 
 
+_W = TypeVar("_W", bound="_Word")
+
+
 @dataclass(frozen=True)
-class ArtinWord:
+class _Word:
+    """A word on ``strands`` strands.  A subclass names its letters: ``_valid``
+    tests a letter, ``_coerce`` makes a tuple of ints of one, and
+    ``_range_error`` words the refusal of a coerced letter out of range."""
+
+    strands: int
+    letters: tuple
+
+    def __init__(self, strands: int, letters: Iterable[tuple] = ()):
+        if strands < 1:
+            raise WordError(f"strand count must be >= 1, got {strands}")
+        letters = tuple(letters)
+        valid = self._valid
+        checked = _first_of_each(letters, lambda x: valid(x, strands))
+        if checked is None:
+            checked = tuple([self._coerce(x) for x in letters])
+            for x in checked:
+                _check_sign(x[-1])
+                if not valid(x, strands):
+                    raise WordError(self._range_error(x, strands))
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", checked)
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def inverse(self: _W) -> _W:
+        return type(self)(self.strands, _inverse_letters(self.letters))
+
+    def concat(self: _W, other: _W) -> _W:
+        if other.strands != self.strands:
+            raise WordError("strand counts differ")
+        return type(self)(self.strands, self.letters + other.letters)
+
+    def __str__(self) -> str:
+        return format_word(self)
+
+
+class ArtinWord(_Word):
     """A word in the Artin generators of the braid group on ``strands`` strands."""
 
-    strands: int
-    letters: tuple[tuple[int, int], ...]
+    _coerce = staticmethod(_artin_letter)
 
-    def __init__(self, strands: int, letters: Iterable[tuple[int, int]] = ()):
-        if strands < 1:
-            raise WordError(f"strand count must be >= 1, got {strands}")
-        letters = tuple(letters)
-        checked = _first_of_each(
-            letters,
-            lambda x: type(x) is tuple and len(x) == 2 and type(x[0]) is int
-            and type(x[1]) is int and x[1] in (1, -1) and 1 <= x[0] <= strands - 1,
-        )
-        if checked is None:
-            checked = tuple([_artin_letter(x) for x in letters])
-            for i, e in checked:
-                _check_sign(e)
-                if not 1 <= i <= strands - 1:
-                    raise WordError(f"generator index {i} out of range for {strands} strands")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", checked)
+    @staticmethod
+    def _valid(x, strands: int) -> bool:
+        return (type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
+                and x[1] in (1, -1) and 1 <= x[0] <= strands - 1)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def inverse(self) -> "ArtinWord":
-        return ArtinWord(self.strands, _inverse_letters(self.letters))
-
-    def concat(self, other: "ArtinWord") -> "ArtinWord":
-        if other.strands != self.strands:
-            raise WordError("strand counts differ")
-        return ArtinWord(self.strands, self.letters + other.letters)
-
-    def __str__(self) -> str:
-        return format_word(self)
+    @staticmethod
+    def _range_error(x, strands: int) -> str:
+        return f"generator index {x[0]} out of range for {strands} strands"
 
 
-@dataclass(frozen=True)
-class BKLWord:
+class BKLWord(_Word):
     """A word in the band generators on ``strands`` strands; letters ``(r, s, sign)``."""
 
-    strands: int
-    letters: tuple[tuple[int, int, int], ...]
+    _coerce = staticmethod(_band_letter)
 
-    def __init__(self, strands: int, letters: Iterable[tuple[int, int, int]] = ()):
-        if strands < 1:
-            raise WordError(f"strand count must be >= 1, got {strands}")
-        letters = tuple(letters)
-        checked = _first_of_each(
-            letters,
-            lambda x: type(x) is tuple and len(x) == 3 and type(x[0]) is int
-            and type(x[1]) is int and type(x[2]) is int and x[2] in (1, -1)
-            and 1 <= x[0] < x[1] <= strands,
-        )
-        if checked is None:
-            checked = tuple([_band_letter(x) for x in letters])
-            for r, s, e in checked:
-                _check_sign(e)
-                if not 1 <= r < s <= strands:
-                    raise WordError(
-                        f"band generator ({r},{s}) out of range for {strands} strands"
-                    )
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", checked)
+    @staticmethod
+    def _valid(x, strands: int) -> bool:
+        return (type(x) is tuple and len(x) == 3 and type(x[0]) is int and type(x[1]) is int
+                and type(x[2]) is int and x[2] in (1, -1) and 1 <= x[0] < x[1] <= strands)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def inverse(self) -> "BKLWord":
-        return BKLWord(self.strands, _inverse_letters(self.letters))
-
-    def concat(self, other: "BKLWord") -> "BKLWord":
-        if other.strands != self.strands:
-            raise WordError("strand counts differ")
-        return BKLWord(self.strands, self.letters + other.letters)
-
-    def __str__(self) -> str:
-        return format_word(self)
+    @staticmethod
+    def _range_error(x, strands: int) -> str:
+        return f"band generator ({x[0]},{x[1]}) out of range for {strands} strands"
 
 
 Word = Union[ArtinWord, BKLWord]

@@ -16,10 +16,13 @@ nesting depth 0 for the best one.  A connected diagram's fatgraph is read off
 its Seifert circles' traversal orders directly.  A star reduction round-trips
 through frozen ``(surface, star)`` pairs between steps, a disc's band order
 is a scan of every band, sorted, and a star state's embeddedness is checked
-on explicit chords with tagged endpoints.  Twirls and turns are applied one
-move at a time, on surfaces and on star states, a disc relabelling moves the
-bands first and rebuilds every disc's order after, and a leaf is turned one
-letter at a time until it lines up.  Diagram validity and ray classes are
+on explicit chords with tagged endpoints.  A retracted tip's landing
+candidates are scanned above and below in two written-out branches, and a
+slide down is its own table of patterns, not a slide up conjugated by
+inversion.  Twirls and turns are applied one move at a time, on surfaces
+and on star states, a disc relabelling moves the bands first and rebuilds
+every disc's order after, and a leaf is turned one letter at a time until
+it lines up.  Diagram validity and ray classes are
 read off ``analyze`` and a materialized state.  Plumbing acts on band words:
 the running word is twirled, each piece's word turned and the two plumbed by
 a shuffle pattern, with the disc map and the crossing list carried beside and
@@ -55,6 +58,7 @@ from braidbands.stars import (
     R,
     Star,
     StarError,
+    _div,
     _materialize,
     _ray_loose,
     _slack_step,
@@ -597,6 +601,29 @@ def reductions_by_freezing(surface: BraidedSurface, star: Star):
         yield surface, star
 
 
+def landing_slots(state: _State, disc: int, h: int, above: bool) -> list[int]:
+    """``stars._landing_slots`` with the two sides written out: candidate tip
+    heights beside ``h``, nearest first."""
+    occupied = sorted({band.h for band, _b in state.order[disc]}
+                      | {r.tip_h for r in state.rays if r.tip_disc == disc})
+    out: list[int] = []
+    if above:
+        side = [x for x in occupied if x > h]
+        prev = h
+        for x in side:
+            out.append(_div(prev + x, 2))
+            prev = x
+        out.append(prev + state.scale)
+    else:
+        side = [x for x in occupied if x < h]
+        prev = h
+        for x in reversed(side):
+            out.append(_div(prev + x, 2))
+            prev = x
+        out.append(prev - state.scale)
+    return out
+
+
 def order_on_disc_scan(state: _State, d: int) -> list[tuple]:
     """Bands with an end on disc ``d`` as ``(band, id)`` pairs, highest first."""
     out = [(band, bid) for bid, band in state.bands.items() if d in (band.l, band.r)]
@@ -691,6 +718,29 @@ def classify_ray(surface: BraidedSurface, star: Star, ray_index: int) -> RayClas
     state = _materialize(surface, star)
     ray = state.rays[ray_index]
     return RayClass(bool(ray.steps), _slack_step(ray) is not None, _ray_loose(state, ray))
+
+
+# ---------------------------------------------------------------------------
+# Slides
+# ---------------------------------------------------------------------------
+
+def slide_down_pair(upper, lower):
+    """``surfaces._slide_down_pair`` as its own patterns: slide the upper
+    band down under its neighbour, or None."""
+    (l1, r1, e1), (l2, r2, e2) = upper, lower
+    if r1 == r2 and l1 < l2 and e2 == 1:
+        i, j, k = l1, l2, r2  # (ik)^{±1} (jk)^{+1} -> (jk)^{+1} (ij)^{±1}
+        return (j, k, 1), (i, j, e1)
+    if l1 == l2 and r1 > r2 and e2 == -1:
+        i, j, k = l1, r2, r1  # (ik)^{±1} (ij)^{-1} -> (ij)^{-1} (jk)^{±1}
+        return (i, j, -1), (j, k, e1)
+    if l1 == r2 and e2 == 1:
+        i, j, k = l2, r2, r1  # (jk)^{±1} (ij)^{+1} -> (ij)^{+1} (ik)^{±1}
+        return (i, j, 1), (i, k, e1)
+    if r1 == l2 and e2 == -1:
+        i, j, k = l1, r1, r2  # (ij)^{±1} (jk)^{-1} -> (jk)^{-1} (ik)^{±1}
+        return (j, k, -1), (i, k, e1)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,35 @@ def test_oversized_generator_index_is_exit_2():
         assert code == 2 and "internal error" not in err, (argv, err)
 
 
+def test_surface_with_too_many_discs_is_exit_2(tmp_path):
+    # A list per disc of 10^18 discs raised MemoryError, an internal error.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"discs": 10**18, "bands": []}))
+    code, err = _exit_code(["surface", "genus", str(path)])
+    assert code == 2 and "more than 1000000 discs" in err, err
+
+
+SURFACE_MOVES = st.sampled_from(("twirl", "turn", "mirror", "flip_vertical", "slip,0",
+                                 "slide_up,0", "slide_down,1", "deflate,0", "inflate,1,+",
+                                 "inflate,2,-,1"))
+DISC_COUNTS = st.one_of(st.integers(-3, 2 * 10**6), st.just(10**18))
+
+
+@settings(max_examples=40, deadline=None)
+@given(DISC_COUNTS, st.lists(st.fixed_dictionaries({"l": st.integers(-1, 5), "r": st.integers(-1, 5),
+                                                    "e": st.sampled_from((1, -1, 0))}), max_size=4),
+       SURFACE_MOVES)
+@example(10**6, [], "twirl")
+@example(10**6 + 1, [], "twirl")
+def test_surface_json_exits_0_1_or_2(tmp_path_factory, discs, bands, move):
+    path = tmp_path_factory.mktemp("surface") / "surface.json"
+    path.write_text(json.dumps({"discs": discs, "bands": bands}))
+    for argv in (["surface", "genus", str(path)], ["surface", "apply", str(path), "--move", move]):
+        code, err = _exit_code(argv)
+        assert code in (0, 1, 2), (argv, discs, bands, err)
+        assert "internal error" not in err and "Traceback" not in err
+
+
 # JSON input files for the malformed-input cases, by name.
 CLI_FILES = {
     "list": [1, 2],

@@ -27,6 +27,7 @@ from corpus import random_homogeneous_surface, random_star, valid_star_instances
 from reference import (
     check_state_by_chords,
     classify_ray,
+    landing_slots,
     order_on_disc_scan,
     reductions_by_freezing,
     relabel_discs,
@@ -55,6 +56,16 @@ def test_check_star_rejects_bad_rays():
         check_star(GOLDEN_SURFACE, Star(3, [Ray((), 1, 9)]))
     with pytest.raises(StarError):
         check_star(GOLDEN_SURFACE, Star(9, []))
+
+
+@pytest.mark.parametrize("center", [0, 3, 99, -1])
+def test_every_entry_point_checks_the_center(center):
+    s = from_word(parse_word("b(1,2) b(1,2)", strands=2))
+    star = Star(center, [Ray(((0, "L", "R"),), 2, 0)])
+    for entry in (check_star, minimize, reduce_step, reduce_to_disc,
+                  lambda s, star: next(reductions(s, star))):
+        with pytest.raises(StarError, match="^center disc out of range$"):
+            entry(s, star)
 
 
 def test_delta_b_counts():
@@ -477,6 +488,30 @@ def test_check_state_matches_the_chord_check_through_every_reduction(compared_ch
     for _line in _pinned_star_lines(seed=20261018, valid=1000):
         pass
     assert compared_checks["passed"] >= 5000 and compared_checks["raised"] >= 1000
+
+
+def test_landing_scan_matches_the_reference(monkeypatch):
+    # Every landing scan made while the pinned corpus is drawn, minimized and
+    # reduced, and while the refused corpus is refused, matches the scan with
+    # its two sides written out.
+    scan = stars._landing_slots
+    calls = {True: 0, False: 0}
+
+    def compared(state, disc, h, above):
+        out = scan(state, disc, h, above)
+        assert out == landing_slots(state, disc, h, above)
+        calls[above] += 1
+        return out
+
+    monkeypatch.setattr(stars, "_landing_slots", compared)
+    for _line in _pinned_star_lines(seed=20261018, valid=1000):
+        pass
+    for case in json.loads(REFUSED_STARS.read_text()):
+        s = BraidedSurface.from_json(json.dumps(case["surface"]))
+        star = Star.from_json(json.dumps(case["star"]))
+        with pytest.raises(StarError):
+            reduce_to_disc(s, star)
+    assert calls[True] >= 2500 and calls[False] >= 2500
 
 
 # Two slack steps that enter and leave band 0 by one end, (0, "R", "R") and

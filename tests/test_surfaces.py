@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from braidbands.surfaces import (
     word_twirl,
     MoveError,
 )
-from braidbands.words import braids_equal, closure_components, is_homogeneous, parse_word
+from braidbands.words import MAX_WORD_LETTERS, braids_equal, closure_components, is_homogeneous, parse_word
 
 import reference
 from corpus import WORD_SURFACE_GOLDEN, random_bkl_word
@@ -124,6 +125,26 @@ def test_slides_preserve_braid_and_invert():
                 checked += 1
 
 
+def test_slide_down_matches_its_own_patterns():
+    # slide_down is slide_up conjugated by inversion; on every ordered pair
+    # of band letters on up to 7 strands it gives the hand-written slide
+    # down's pair, or refuses where that matches no pattern.
+    for n in range(2, 8):
+        letters = [(l, r, e) for l in range(1, n) for r in range(l + 1, n + 1) for e in (1, -1)]
+        defined = 0
+        for upper in letters:
+            for lower in letters:
+                expected = reference.slide_down_pair(upper, lower)
+                s = BraidedSurface(n, (upper, lower))
+                if expected is None:
+                    with pytest.raises(MoveError, match="pair matches no slide pattern"):
+                        slide_down(s, 0)
+                else:
+                    assert slide_down(s, 0).bands == expected, (upper, lower)
+                    defined += 1
+    assert defined == 280  # at n = 7
+
+
 def test_flip_vertical_involution_and_reverse():
     rng = random.Random(15)
     for _ in range(100):
@@ -195,3 +216,13 @@ def test_svg_smoke():
 def test_json_round_trip():
     s = from_word(parse_word("b(1,3) b(1,2)^-1", strands=3))
     assert BraidedSurface.from_json(s.to_json()) == s
+
+
+def test_from_json_bounds_the_disc_count():
+    # More discs than a word has letters would make the genus, the star
+    # reduction and the SVG build a list or a shape per disc.
+    text = json.dumps({"discs": MAX_WORD_LETTERS, "bands": []})
+    assert BraidedSurface.from_json(text).discs == MAX_WORD_LETTERS
+    for discs in (MAX_WORD_LETTERS + 1, 10**18):
+        with pytest.raises(MoveError, match=f"more than {MAX_WORD_LETTERS} discs"):
+            BraidedSurface.from_json(json.dumps({"discs": discs, "bands": []}))

@@ -305,6 +305,22 @@ def test_parsed_letters_are_shared():
     assert new > 0
 
 
+def test_word_operations_keep_the_presentation():
+    a = ArtinWord(3, [(1, 1), (2, -1)])
+    b = BKLWord(3, [(1, 3, 1), (2, 3, -1)])
+    for w in (a, b):
+        assert type(w.inverse()) is type(w) and type(w.concat(w)) is type(w)
+        assert w.inverse().inverse() == w and len(w.concat(w)) == 2 * len(w)
+        with pytest.raises(WordError, match="strand counts differ"):
+            w.concat(type(w)(4))
+    assert repr(a) == "ArtinWord(strands=3, letters=((1, 1), (2, -1)))"
+    assert str(a.inverse()) == "s2 s1^-1" and str(b.inverse()) == "b(2,3) b(1,3)^-1"
+    # Only empty words have equal fields in both presentations; they differ.
+    artin, band = ArtinWord(2), BKLWord(2)
+    assert (artin.strands, artin.letters) == (band.strands, band.letters)
+    assert artin != band and band != artin
+
+
 def test_constructors_coerce_letters():
     a = ArtinWord(3, [[1, True], (2.0, -1), (1, 1)])
     assert a.letters == ((1, 1), (2, -1), (1, 1))
