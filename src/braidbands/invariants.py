@@ -11,16 +11,16 @@ word (a disc per strand, a band per letter).  Both surfaces are fatgraphs,
 so a cycle is a closed walk of bands: (edge, +1) runs from the edge's first
 end to its second, (edge, -1) back.
 
-Both builders write 2V = S - X:
+Both builders write 2V = S - X, where S = T + R for the twist term T:
 
 * X(a, b) is the intersection number of a with b pushed to its own left
   inside the surface.  It depends only on the cyclic order of the band ends
   at each disc: a chord p -> q and the pushed chord p' -> q' cross where
   their ends interleave.
 * S = V + V^T.  Each half-twisted band of sign e that a and b run along
-  adds -e * a_e * b_e, where a_e is +1 or -1 as a runs along it.  Inside
-  one smoothed region of a diagram the discs and bands lie flat and that
-  is all of S.  Two cycles in different regions share at most one circle,
+  adds -e * a_e * b_e to T, where a_e is +1 or -1 as a runs along it.
+  Inside one smoothed region of a diagram the discs and bands lie flat
+  and R is 0.  Two cycles in different regions share at most one circle,
   and the surface is a Murasugi sum along its disc: V(a, b) = -X(a, b) if a
   lies on the positive side of the disc and 0 if b does (Gabai, *The
   Murasugi sum is a natural geometric operation*, 1983).  Seifert's
@@ -28,7 +28,11 @@ Both builders write 2V = S - X:
   the diagram's link, and each gives its own matrix.  On a braided surface,
   seen along the axis of the stack, a band from disc r to disc s lies
   across discs r + 1 to s and crosses there each chord whose span in word
-  order holds its letter; each crossing adds -a_e.
+  order holds its letter; each crossing adds -a_e to R.
+
+A surface's own builder computes 2V - T = R - X, to which ``_twists`` adds
+T.  ``homogenize``'s gate compares 2V - T unhalved: its word's letters
+carry their crossings' signs, so both surfaces have one T over its cycles.
 
 Since the Alexander polynomial is det(V^T - tV) up to a unit, equal
 matrices give equal polynomials, and the signature of V + V^T changes sign
@@ -455,10 +459,8 @@ def alexander_from_diagram(d: Diagram) -> Laurent:
 # ---------------------------------------------------------------------------
 
 def _passages(cycles, ends) -> dict:
-    """Each vertex's passages: (cycle index, edge in, edge out) per visit.
-
-    ``ends[edge]`` is the edge's (first end, second end).
-    """
+    """Each vertex's passages, (cycle index, edge in, edge out) per visit;
+    ``ends[edge]`` is the edge's (first end, second end)."""
     at: dict = {}
     for i, cycle in enumerate(cycles):
         edge_in, way_in = cycle[-1]
@@ -471,8 +473,8 @@ def _passages(cycles, ends) -> dict:
     return at
 
 
-def _twists(cycles, twice: list[list[int]], signs) -> None:
-    """Add the half twists of the bands shared by each cycle pair to 2V."""
+def _twists(cycles, twice: list[list[int]], signs) -> list[list[int]]:
+    """Add T, the half twists of the bands shared by each cycle pair, to 2V - T."""
     users: dict = {}
     for i, cycle in enumerate(cycles):
         for edge, way in cycle:
@@ -483,6 +485,7 @@ def _twists(cycles, twice: list[list[int]], signs) -> None:
             row = twice[i]
             for j, b in pairs:
                 row[j] -= e * a * b
+    return twice
 
 
 def _halved(twice: list[list[int]]) -> list[list[int]]:
@@ -499,16 +502,17 @@ def diagram_seifert_matrix(d: Diagram, cycles, ranks=None) -> list[list[int]]:
     disc is the one in the region on the circle's left or, given ``ranks``,
     the one of higher rank.
     """
+    return _halved(_twists(cycles, _diagram_rest(d, cycles, ranks), analyze(d).signs))
+
+
+def _diagram_rest(d: Diagram, cycles, ranks=None) -> list[list[int]]:
+    """2V - T of ``diagram_seifert_matrix(d, cycles, ranks)``."""
     st = analyze(d)
-    ends = [(u, v) for u, v, _s, _c in st.graph.edges]
     regions = [st.crossing_region[cycle[0][0]] for cycle in cycles]
-    g = len(cycles)
-    twice = [[0] * g for _ in range(g)]
-    _twists(cycles, twice, st.signs)
-    for v, visits in _passages(cycles, ends).items():
+    twice = [[0] * len(cycles) for _ in cycles]
+    for v, visits in _passages(cycles, [edge[:2] for edge in st.graph.edges]).items():
         deg = len(st.passages[v])
         place = {cid: k for k, cid in enumerate(st.passages[v])}
-        left = st.circle_left[v]
         spots = [(i, place[edge_in], place[edge_out]) for i, edge_in, edge_out in visits]
         for i, p, q in spots:
             span = (q - p) % deg
@@ -519,9 +523,9 @@ def diagram_seifert_matrix(d: Diagram, cycles, ranks=None) -> list[list[int]]:
                     continue
                 if regions[i] == regions[j]:
                     row[j] -= x
-                elif (ranks[i] > ranks[j]) if ranks else (regions[i] == left):
+                elif (ranks[i] > ranks[j]) if ranks else (regions[i] == st.circle_left[v]):
                     row[j] -= 2 * x
-    return _halved(twice)
+    return twice
 
 
 def word_seifert_matrix(w: BKLWord, cycles) -> list[list[int]]:
@@ -531,11 +535,14 @@ def word_seifert_matrix(w: BKLWord, cycles) -> list[list[int]]:
     (k, -1) back.  Each disc's band ends are in word order, so letter
     indices modulo the word length give their cyclic order.
     """
+    return _halved(_twists(cycles, _word_rest(w, cycles), [e for _r, _s, e in w.letters]))
+
+
+def _word_rest(w: BKLWord, cycles) -> list[list[int]]:
+    """2V - T of ``word_seifert_matrix(w, cycles)``."""
     letters = w.letters
     length = len(letters)
-    g = len(cycles)
-    twice = [[0] * g for _ in range(g)]
-    _twists(cycles, twice, [e for _r, _s, e in letters])
+    twice = [[0] * len(cycles) for _ in cycles]
     # Letter k, run in direction a by cycle i, passes discs r + 1 .. s.
     passing: dict = {}
     for i, cycle in enumerate(cycles):
@@ -548,7 +555,11 @@ def word_seifert_matrix(w: BKLWord, cycles) -> list[list[int]]:
             span = (q - p) % length
             row = twice[i]
             for j, p2, q2 in visits:
-                row[j] -= (0 < (p2 - p) % length <= span) - ((q2 - p) % length < span)
+                if 0 < (p2 - p) % length <= span:
+                    if (q2 - p) % length >= span:
+                        row[j] -= 1
+                elif (q2 - p) % length < span:
+                    row[j] += 1
             # The bands across this disc cross the chord p -> q where their
             # letter lies between its ends; an end letter counts on one side
             # only, since the pushed-off chord runs beside its band.
@@ -556,6 +567,8 @@ def word_seifert_matrix(w: BKLWord, cycles) -> list[list[int]]:
                 t = (k - p) % length
                 if t < span:
                     twice[j][i] -= a
-                if 0 < t <= span:
+                    if t:
+                        row[j] -= a
+                elif t == span and span:
                     row[j] -= a
-    return _halved(twice)
+    return twice

@@ -20,18 +20,18 @@ the piece.  Plumbing, twirls and turns act on a map from circles to discs
 and an order of crossings, and the word is read off them once.  A piece
 is read off the input diagram's one structure, not built as a diagram of
 its own.
-Soundness is not assumed: the input diagram's integer Seifert matrix is
-built once, over the fundamental cycles of one spanning tree of its Seifert
-graph, and the finished word's braided surface is compared with it, and
-its closure's component count with the diagram's.  The surfaces share one
-fatgraph, so the cycles name the same basis of first homology on both, and
-the matrices are compared entry by entry.  Each leaf takes its first
-realization.  Plumbing is a Murasugi sum, and twirls and turns are
-isotopies, so a leaf's block of the word's matrix, its rows and columns
-over the cycles through its crossings, is the matrix of the leaf's own
-surface.  When the comparison fails, only the leaves whose blocks differ
-take their next realization, and the word is plumbed and compared again,
-until it passes.
+Soundness is not assumed: the finished word's letters must carry their
+crossings' signs, its closure the diagram's component count, and its
+braided surface the diagram's Seifert form over the fundamental cycles of
+one spanning tree of the Seifert graph.  The surfaces share one fatgraph,
+so the cycles name one basis of first homology on both, and with equal
+signs the twist terms T agree: 2V - T is compared entry by entry.  Each
+leaf takes its first realization.  Plumbing is a Murasugi sum, and twirls
+and turns are isotopies, so a leaf's block of the word's matrix, its rows
+and columns over the cycles through its crossings, is the matrix of the
+leaf's own surface.  When the comparison fails, only the leaves whose
+blocks differ take their next realization, and the word is plumbed and
+compared again, until it passes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .diagrams import (
     link_components,
     subdiagram,
 )
-from .invariants import diagram_seifert_matrix, word_seifert_matrix
+from .invariants import _diagram_rest, _word_rest
 from .words import BKLWord, closure_components
 
 
@@ -447,13 +447,13 @@ def homogenize(d: Diagram) -> BKLWord:
     order, and plumbed in by the shuffle that reproduces that order.  The
     moves act on the circles' discs and the crossings' order, and the word
     is read off them.  Each leaf takes its first realization, and the word
-    is gated against ``d``.  Plumbing, twirls and turns keep each leaf's
-    block of the word's Seifert matrix, so a failed gate names the leaves
-    whose blocks differ: only those take their next realization, and the
-    word is plumbed and gated again.  A named leaf out of realizations
-    raises ``PipelineError``; a mismatch naming no leaf, or a leaf that kept
-    its realization, raises ``SoundnessError``.  A split diagram gives the
-    direct sum of its parts' words, and a free unknot a bare disc.
+    is gated against ``d`` on 2V - T.  Plumbing, twirls and turns keep each
+    leaf's block of it, so a failed gate names the leaves whose blocks
+    differ: only those take their next realization, and the word is plumbed
+    and gated again.  A named leaf out of realizations raises
+    ``PipelineError``; a wrongly signed letter, a mismatch naming no leaf or
+    a leaf that kept its realization, ``SoundnessError``.  A split diagram
+    gives the direct sum of its parts' words, and a free unknot a bare disc.
     """
     return _homogenize(d)[0]
 
@@ -481,7 +481,7 @@ def _homogenize(d: Diagram):
     ends = [(u, v) for u, v, _s, _c in st.graph.edges]
     cycles = _fundamental_cycles(len(st.circles), ends)
     rank = _plumbing_ranks(st, steps)
-    target = diagram_seifert_matrix(d, cycles, [rank[cycle[0][0]] for cycle in cycles])
+    target = _diagram_rest(d, cycles, [rank[cycle[0][0]] for cycle in cycles])
     components = link_components(d)
     starts = [leaf.circles[0] if shared < 0 else shared for leaf, shared in steps]
     searches = [realizations(leaf.fatgraph, leaf.circle_map[start])
@@ -498,8 +498,10 @@ def _homogenize(d: Diagram):
             pos, order = found
             realized[k] = (pos, [steps[k][0].crossings[i] for i in order])
         word, disc_of, letter_cids = _plumbed(st, steps, realized)
+        if any(letter[2] != st.signs[c] for letter, c in zip(word.letters, letter_cids)):
+            raise SoundnessError("plumbed word's letter signs differ from its crossings'")
         mapped = _carried(ends, cycles, disc_of, {c: k for k, c in enumerate(letter_cids)})
-        seifert = word_seifert_matrix(word, mapped)
+        seifert = _word_rest(word, mapped)
         if seifert == target and closure_components(word) == components:
             return word, steps
         # The leaves whose rows and columns differ take their next candidate.

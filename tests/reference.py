@@ -28,7 +28,9 @@ the running word is twirled, each piece's word turned and the two plumbed by
 a shuffle pattern, with the disc map and the crossing list carried beside and
 checked against the letters.  ``homogenize`` chooses each leaf's realization
 by gating every candidate against the leaf's own block and the component
-count of the leaf's own diagram.
+count of the leaf's own diagram.  Each Seifert builder is one body per
+surface that adds its twist term and halves; the library builds the twist
+term apart, so that its gate can leave it out.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from braidbands.diagrams import (
     link_components,
     subdiagram,
 )
-from braidbands.invariants import diagram_seifert_matrix, word_seifert_matrix
 from braidbands.laurent import Laurent
 from braidbands.pipeline import Fatgraph, PipelineError, SoundnessError, _disc_positions
 from braidbands.plumbing import ShufflePattern, plumb
@@ -315,6 +316,93 @@ def signature(m: list[list[int]]) -> int:
                 for r in range(n):
                     a[r][i] -= f * a[r][k]
     return total
+
+
+# ---------------------------------------------------------------------------
+# Seifert matrices: one body per surface, each adding its own twist term
+# ---------------------------------------------------------------------------
+
+def _passages(cycles, ends) -> dict:
+    """Each vertex's passages: (cycle index, edge in, edge out) per visit."""
+    at: dict = {}
+    for i, cycle in enumerate(cycles):
+        edge_in, way_in = cycle[-1]
+        for edge, way in cycle:
+            v = ends[edge_in][way_in > 0]
+            if v != ends[edge][way < 0]:
+                raise ValueError(f"cycle {i} is not a closed walk")
+            at.setdefault(v, []).append((i, edge_in, edge))
+            edge_in, way_in = edge, way
+    return at
+
+
+def _add_twists(cycles, twice: list[list[int]], signs) -> None:
+    users: dict = {}
+    for i, cycle in enumerate(cycles):
+        for edge, way in cycle:
+            users.setdefault(edge, []).append((i, way))
+    for edge, pairs in users.items():
+        e = signs[edge]
+        for i, a in pairs:
+            row = twice[i]
+            for j, b in pairs:
+                row[j] -= e * a * b
+
+
+def diagram_seifert_matrix(d: Diagram, cycles, ranks=None) -> list[list[int]]:
+    """``invariants.diagram_seifert_matrix`` with the twist term built in."""
+    st = analyze(d)
+    ends = [(u, v) for u, v, _s, _c in st.graph.edges]
+    regions = [st.crossing_region[cycle[0][0]] for cycle in cycles]
+    g = len(cycles)
+    twice = [[0] * g for _ in range(g)]
+    _add_twists(cycles, twice, st.signs)
+    for v, visits in _passages(cycles, ends).items():
+        deg = len(st.passages[v])
+        place = {cid: k for k, cid in enumerate(st.passages[v])}
+        left = st.circle_left[v]
+        spots = [(i, place[edge_in], place[edge_out]) for i, edge_in, edge_out in visits]
+        for i, p, q in spots:
+            span = (q - p) % deg
+            row = twice[i]
+            for j, p2, q2 in spots:
+                x = (0 < (p2 - p) % deg <= span) - ((q2 - p) % deg < span)
+                if not x:
+                    continue
+                if regions[i] == regions[j]:
+                    row[j] -= x
+                elif (ranks[i] > ranks[j]) if ranks else (regions[i] == left):
+                    row[j] -= 2 * x
+    return [[x >> 1 for x in row] for row in twice]
+
+
+def word_seifert_matrix(w: BKLWord, cycles) -> list[list[int]]:
+    """``invariants.word_seifert_matrix`` with the twist term built in and
+    each pair's chord and band-across-disc tests as two-sided comparisons."""
+    letters = w.letters
+    length = len(letters)
+    g = len(cycles)
+    twice = [[0] * g for _ in range(g)]
+    _add_twists(cycles, twice, [e for _r, _s, e in letters])
+    passing: dict = {}
+    for i, cycle in enumerate(cycles):
+        for k, a in cycle:
+            for disc in range(letters[k][0] + 1, letters[k][1] + 1):
+                passing.setdefault(disc, []).append((k, i, a))
+    for disc, visits in _passages(cycles, letters).items():
+        over = passing.get(disc, ())
+        for i, p, q in visits:
+            span = (q - p) % length
+            row = twice[i]
+            for j, p2, q2 in visits:
+                row[j] -= (0 < (p2 - p) % length <= span) - ((q2 - p) % length < span)
+            for k, j, a in over:
+                t = (k - p) % length
+                if t < span:
+                    twice[j][i] -= a
+                if 0 < t <= span:
+                    row[j] -= a
+    return [[x >> 1 for x in row] for row in twice]
 
 
 def permutation_of(w: Word) -> Permutation:

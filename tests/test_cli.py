@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from braidbands import pipeline, stars
 from braidbands.cli import run
 from braidbands.diagrams import closure_diagram
-from braidbands.words import parse_word
+from braidbands.words import BKLWord, parse_word
 
 from corpus import FIG8, K5_2, K9_43, TREFOIL, disjoint_union
 
@@ -313,6 +313,62 @@ def test_surface_json_exits_0_1_or_2(tmp_path_factory, discs, bands, move):
         assert "internal error" not in err and "Traceback" not in err
 
 
+JSON_JUNK = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.text(max_size=3))
+ANY_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.just(10**18), JSON_JUNK),
+    lambda inner: st.one_of(st.lists(inner, max_size=2), st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=4,
+)
+
+
+@st.composite
+def diagram_objects(draw):
+    """Diagram JSON objects: rows of four labels in [-2, 2c + 2], each label
+    of 1..2c twice in shuffled slots, or a golden knot's rows; then maybe
+    one edit, a label, a float, boolean or string, a short row or a long
+    one; and maybe an ``unknots`` value of any type."""
+    mode = draw(st.sampled_from(("paired", "random", "golden")))
+    if mode == "golden":
+        rows = [list(x) for x in draw(st.sampled_from((TREFOIL, FIG8, K5_2))).crossings]
+    else:
+        c = draw(st.integers(0, 6))
+        if mode == "paired":
+            slots = draw(st.permutations([a for a in range(1, 2 * c + 1) for _twice in (0, 1)]))
+            rows = [slots[k:k + 4] for k in range(0, 4 * c, 4)]
+        else:
+            label = st.integers(-2, 2 * c + 2)
+            rows = draw(st.lists(st.lists(label, min_size=4, max_size=4), min_size=c, max_size=c))
+    label = st.integers(-2, 2 * len(rows) + 2)
+    if rows and draw(st.booleans()):
+        row, slot = rows[draw(st.integers(0, len(rows) - 1))], draw(st.integers(0, 3))
+        edit = draw(st.sampled_from(("label", "junk", "short", "long")))
+        if edit == "short":
+            del row[slot]
+        elif edit == "long":
+            row.insert(slot, draw(label))
+        else:
+            row[slot] = draw(label if edit == "label" else JSON_JUNK)
+    obj = {"crossings": rows}
+    if draw(st.booleans()):
+        obj["unknots"] = draw(st.one_of(st.integers(-2, 3), ANY_JSON))
+    return obj
+
+
+@settings(max_examples=120, deadline=None)
+@given(diagram_objects())
+@example({"crossings": [list(x) for x in TREFOIL.crossings], "unknots": 10**18})
+@example({"crossings": [list(x) for x in TREFOIL.crossings], "unknots": [1]})
+def test_diagram_json_exits_0_1_or_2(tmp_path_factory, obj):
+    path = str(tmp_path_factory.mktemp("diagram") / "diagram.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    for argv in (["homogenize", path], ["diagram", "seifert", path], ["diagram", "homogeneous", path],
+                 ["diagram", "primitive-flat", path], ["invariant", "components", "--diagram", path]):
+        code, err = _exit_code(argv)
+        assert code in (0, 1, 2), (argv, obj, err)
+        assert "internal error" not in err and "Traceback" not in err
+
+
 # JSON input files for the malformed-input cases, by name.
 CLI_FILES = {
     "list": [1, 2],
@@ -388,3 +444,22 @@ def test_plumbing_bookkeeping_failure_is_exit_3(tmp_path, capsys, monkeypatch, b
     monkeypatch.setattr(pipeline, "_cut_at", broken(pipeline._cut_at))
     assert run(["homogenize", str(path)]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_letter_sign_fault_is_exit_3(tmp_path, capsys, monkeypatch):
+    # A letter whose sign is not its crossing's is a plumbing bug: exit 3
+    # at once, not exit 2 after every leaf runs out of candidates.
+    path = tmp_path / "granny.json"
+    path.write_text(closure_diagram(parse_word("s1^3 s2^3", strands=3)).to_json())
+    plumbed = pipeline._plumbed
+
+    def flipped(*args):
+        word, disc_of, letter_cids = plumbed(*args)
+        (r, s, e), *rest = word.letters
+        return BKLWord(word.strands, [(r, s, -e), *rest]), disc_of, letter_cids
+
+    monkeypatch.setattr(pipeline, "_plumbed", flipped)
+    assert run(["homogenize", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "plumbed word's letter signs differ from its crossings'" in err
+    assert "no braided realization" not in err

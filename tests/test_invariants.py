@@ -6,8 +6,12 @@ from hypothesis import given, settings, strategies as st
 from braidbands import pipeline
 from braidbands.laurent import Laurent
 from braidbands.invariants import (
+    _diagram_rest,
     _fox_minor,
+    _halved,
+    _twists,
     _wirtinger_rows,
+    _word_rest,
     alexander_from_braid,
     alexander_from_diagram,
     diagram_seifert_matrix,
@@ -24,7 +28,14 @@ from braidbands.words import (
     is_homogeneous,
     parse_word,
 )
-from braidbands.diagrams import Diagram, DiagramError, analyze, closure_diagram, link_components
+from braidbands.diagrams import (
+    Diagram,
+    DiagramError,
+    analyze,
+    closure_diagram,
+    is_homogeneous_diagram,
+    link_components,
+)
 from braidbands.invariants import _PRIMES, _poly_det, _prime_above
 
 import reference
@@ -394,16 +405,25 @@ def _connected_closures(seed: int, count: int):
 
 
 def _final_gate_matrices(d: Diagram, monkeypatch):
-    """Both sides of the last Seifert comparison ``homogenize(d)`` makes."""
+    """Both sides of the last Seifert comparison ``homogenize(d)`` makes, as
+    Seifert matrices: each doubled twist-free form with its twist term
+    added back, halved."""
     seen = {}
-    for name, fn in (("diagram", diagram_seifert_matrix), ("word", word_seifert_matrix)):
-        monkeypatch.setattr(
-            pipeline, f"{name}_seifert_matrix",
-            lambda *args, fn=fn, name=name: seen.__setitem__(name, fn(*args)) or seen[name],
-        )
-    pipeline.homogenize(d)
+
+    def spy(name, fn):
+        def built(x, cycles, *ranks):
+            seen[name] = (x, cycles, fn(x, cycles, *ranks))
+            return seen[name][2]
+        return built
+
+    for name, fn in (("diagram", _diagram_rest), ("word", _word_rest)):
+        monkeypatch.setattr(pipeline, f"_{name}_rest", spy(name, fn))
+    w = pipeline.homogenize(d)
     monkeypatch.undo()
-    return seen["diagram"], seen["word"]
+    (_d, d_cycles, d_rest), (word, w_cycles, w_rest) = seen["diagram"], seen["word"]
+    assert _d is d and word is w
+    return (_halved(_twists(d_cycles, [row[:] for row in d_rest], analyze(d).signs)),
+            _halved(_twists(w_cycles, [row[:] for row in w_rest], [e for _r, _s, e in w.letters])))
 
 
 def test_seifert_matrices_golden(monkeypatch):
@@ -415,6 +435,88 @@ def test_seifert_matrices_golden(monkeypatch):
     assert _final_gate_matrices(FIG8, monkeypatch) == ([[1, 1], [0, -1]],) * 2
     assert diagram_seifert_matrix(TREFOIL, _diagram_basis(TREFOIL)) == [[-1, 0], [-1, -1]]
     assert word_seifert_matrix(parse_word("b(1,2)^3", strands=2), [((1, 1), (0, -1))]) == [[-1]]
+
+
+def _assert_builders_match(x, cycles, *ranks, simple=True) -> None:
+    """``x``'s public Seifert builder, a diagram's or a band word's, equals
+    the one-body reference, and so does its doubled twist-free form plus
+    ``_twists``, halved; over ``simple`` cycles that sum is the reference
+    matrix doubled."""
+    if isinstance(x, Diagram):
+        public, ref, rest, signs = (diagram_seifert_matrix, reference.diagram_seifert_matrix,
+                                    _diagram_rest, analyze(x).signs)
+    else:
+        public, ref, rest, signs = (word_seifert_matrix, reference.word_seifert_matrix,
+                                    _word_rest, [e for _r, _s, e in x.letters])
+    expected = ref(x, cycles, *ranks)
+    assert public(x, cycles, *ranks) == expected
+    twice = _twists(cycles, rest(x, cycles, *ranks), signs)
+    assert _halved(twice) == expected
+    assert twice == [[2 * v for v in row] for row in expected] or not simple
+
+
+def test_seifert_builders_match_the_references(monkeypatch):
+    # On the golden knots, connected closures and pseudoalternating
+    # diagrams, unranked and, when homogeneous, ranked by plumbing step; on
+    # the words homogenize returns, over the basis its gate carried to them
+    # and over the word's own; and on the band forms of the closures' words.
+    closures = list(_connected_closures(seed=35, count=120))
+    cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43] + [d for _w, d in closures]
+    cases += [d for d, _word in pseudoalternating_diagrams(seed=4243, count=100)]
+    gated = []
+    word_rest = pipeline._word_rest
+    monkeypatch.setattr(pipeline, "_word_rest", lambda w, cycles: gated.append(cycles) or word_rest(w, cycles))
+    words = 0
+    for d in cases:
+        basis = _diagram_basis(d)
+        _assert_builders_match(d, basis)
+        if not is_homogeneous_diagram(d).homogeneous:
+            continue
+        ranks = pipeline._plumbing_ranks(analyze(d), pipeline.decompose_generalized_flat(d))
+        _assert_builders_match(d, basis, [ranks[cycle[0][0]] for cycle in basis])
+        w = pipeline.homogenize(d)
+        _assert_builders_match(w, gated[-1])
+        _assert_builders_match(w, _word_basis(w))
+        words += 1
+    assert words >= 100
+    for w, d in closures:
+        ends = [e[:2] for e in analyze(d).graph.edges]
+        disc_of = {}
+        for (u, v), (i, e) in zip(ends, w.letters):
+            disc_of[u], disc_of[v] = (i + 1, i) if e > 0 else (i, i + 1)
+        band = artin_to_bkl(w)
+        letter_of = {k: k for k in range(len(ends))}
+        _assert_builders_match(band, reference.carried(ends, _diagram_basis(d), band, disc_of, letter_of))
+
+
+BAND_LETTERS = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(1, n - 1), st.integers(1, n - 1), st.sampled_from((1, -1)))
+        .map(lambda t: (t[0], t[0] + 1 + (t[1] - 1) % (n - t[0]), t[2])),
+        max_size=16,
+    ))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(BAND_LETTERS, st.lists(st.tuples(st.integers(1, 5), st.sampled_from((1, -1))), max_size=16))
+def test_seifert_builders_match_the_references_on_random_inputs(band, artin):
+    # Band words also over closed walks that turn back: along a letter and
+    # back, and around a basis cycle and back.
+    w = BKLWord(*band)
+    if incidence_connected(from_word(w)):
+        basis = _word_basis(w)
+        _assert_builders_match(w, basis)
+        walks = [((k, 1), (k, -1)) for k in range(len(w.letters))]
+        walks += [cycle + tuple([(k, -way) for k, way in reversed(cycle)]) for cycle in basis]
+        _assert_builders_match(w, basis + walks, simple=False)
+    d = closure_diagram(ArtinWord(6, artin))
+    if d.crossings and not d.unknots and len(set(analyze(d).circle_component)) == 1:
+        basis = _diagram_basis(d)
+        _assert_builders_match(d, basis)
+        if is_homogeneous_diagram(d).homogeneous:
+            ranks = pipeline._plumbing_ranks(analyze(d), pipeline.decompose_generalized_flat(d))
+            _assert_builders_match(d, basis, [ranks[cycle[0][0]] for cycle in basis])
 
 
 def test_seifert_signature_changes_sign_under_mirroring():

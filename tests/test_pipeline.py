@@ -554,16 +554,17 @@ def test_homogenize_split_diagrams_with_free_unknots():
 
 
 def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
-    # One cycle basis, one plumbing ranking and one diagram-side Seifert
-    # matrix per connected diagram.  When every leaf's first candidate is
+    # One cycle basis, one plumbing ranking and one diagram-side twist-free
+    # form per connected diagram.  When every leaf's first candidate is
     # right, the finished word is the one band word and the one word-side
-    # matrix built; otherwise each round of repair plumbs and builds the
+    # form built; otherwise each round of repair plumbs and builds the
     # word once more, so a leaf that takes the most candidates sets the
-    # count.  Neither Alexander engine runs.
+    # count.  Neither Alexander engine runs, and no twist term T is built:
+    # the gate compares 2V - T, whose T is the same on both sides.
     alexander_calls, diagram_sides, word_sides, searches = [], [], [], []
-    bases, rankings, band_words = [], [], []
-    band_word_init = BKLWord.__init__
-    diagram_side, word_side = pipeline.diagram_seifert_matrix, pipeline.word_seifert_matrix
+    bases, rankings, band_words, twists = [], [], [], []
+    band_word_init, add_twists = BKLWord.__init__, invariants._twists
+    diagram_side, word_side = pipeline._diagram_rest, pipeline._word_rest
     fundamental_cycles, plumbing_ranks = pipeline._fundamental_cycles, pipeline._plumbing_ranks
 
     def counted_realizations(*args, **kwargs):
@@ -577,15 +578,16 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
         for name in ("alexander_from_diagram", "alexander_from_braid"):
             monkeypatch.setattr(module, name, lambda *a: alexander_calls.append(a), raising=False)
     monkeypatch.setattr(
-        pipeline, "diagram_seifert_matrix", lambda d, *a: diagram_sides.append(d) or diagram_side(d, *a)
+        pipeline, "_diagram_rest", lambda d, *a: diagram_sides.append(d) or diagram_side(d, *a)
     )
     monkeypatch.setattr(
-        pipeline, "word_seifert_matrix", lambda w, *a: word_sides.append(w) or word_side(w, *a)
+        pipeline, "_word_rest", lambda w, *a: word_sides.append(w) or word_side(w, *a)
     )
     monkeypatch.setattr(pipeline, "_fundamental_cycles", lambda *a: bases.append(a) or fundamental_cycles(*a))
     monkeypatch.setattr(pipeline, "_plumbing_ranks", lambda *a: rankings.append(a) or plumbing_ranks(*a))
     monkeypatch.setattr(pipeline, "realizations", counted_realizations)
     monkeypatch.setattr(BKLWord, "__init__", lambda w, *a: band_words.append(w) or band_word_init(w, *a))
+    monkeypatch.setattr(invariants, "_twists", lambda *a: twists.append(a) or add_twists(*a))
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
     first_right = 0
@@ -604,21 +606,55 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
             assert len(word_sides) == len(band_words) == max(searches)
             assert word_sides[-1] is w and band_words[-1] is w
     assert first_right == len(cases) - 1  # all but 5_2's one leaf
-    assert alexander_calls == []
+    assert alexander_calls == [] and twists == []
+    word_seifert_matrix(parse_word("b(1,2)^3", strands=2), [((1, 1), (0, -1))])
+    assert len(twists) == 1  # the public builders still add it
+
+
+# A homogeneous closure on four strands of three leaves.
+FOUR_STRANDS = closure_diagram(parse_word("s1^2 s2^-1 s3^3 s2^-1 s1", strands=4))
+
+
+@pytest.mark.parametrize("d", [TREFOIL, FIG8, closure_diagram(parse_word("s1^3 s2^3", strands=3)),
+                               FOUR_STRANDS], ids=["trefoil", "fig8", "granny", "four_strands"])
+def test_letter_sign_fault_is_a_soundness_error_at_once(monkeypatch, d):
+    # The gate leaves out the twist terms only because each letter carries
+    # its crossing's sign.  A letter that does not is a plumbing bug, not a
+    # wrong candidate: it raises before any leaf takes a second one.
+    plumbed, searches = pipeline._plumbed, []
+
+    def flipped(*args):
+        word, disc_of, letter_cids = plumbed(*args)
+        (r, s, e), *rest = word.letters
+        return BKLWord(word.strands, [(r, s, -e), *rest]), disc_of, letter_cids
+
+    def counted_realizations(*args, **kwargs):
+        leaf = len(searches)
+        searches.append(0)
+        for found in realizations(*args, **kwargs):
+            searches[leaf] += 1
+            yield found
+
+    monkeypatch.setattr(pipeline, "_plumbed", flipped)
+    monkeypatch.setattr(pipeline, "realizations", counted_realizations)
+    with pytest.raises(pipeline.SoundnessError, match="plumbed word's letter signs differ from its crossings'"):
+        homogenize(d)
+    assert searches == [1] * len(decompose_generalized_flat(d))
 
 
 def _faulted_first(monkeypatch, d, faulted, searches, only=()):
     """Patch ``realizations`` so that its call k yields its first candidate
     ``faulted[k % len(faulted)]`` extra times, then its candidates unless
-    that index is in ``only``, and ``word_seifert_matrix`` so that each
-    extra copy shifts its leaf's block of the word's matrix.  The leaves are
-    those of ``d``, and ``searches`` counts the candidates each call yields.
+    that index is in ``only``, and ``_word_rest`` so that each extra copy
+    shifts its leaf's block of the word's doubled twist-free form.  The
+    leaves are those of ``d``, and ``searches`` counts the candidates each
+    call yields.
     """
     steps = decompose_generalized_flat(d)
     cycles, _target = _gate_target(d, steps)
     firsts = [pipeline._leaf_cycles(leaf, cycles)[0] for leaf, _shared in steps]
     assert len(faulted) == len(steps)
-    word_side = pipeline.word_seifert_matrix
+    word_side = pipeline._word_rest
 
     def candidates(fat, start):
         leaf = len(searches)
@@ -639,7 +675,7 @@ def _faulted_first(monkeypatch, d, faulted, searches, only=()):
         return v
 
     monkeypatch.setattr(pipeline, "realizations", candidates)
-    monkeypatch.setattr(pipeline, "word_seifert_matrix", shifted)
+    monkeypatch.setattr(pipeline, "_word_rest", shifted)
 
 
 @pytest.mark.parametrize(
@@ -658,9 +694,9 @@ def test_failed_gate_searches_on_only_the_leaves_it_names(monkeypatch, faulted):
     expected = homogenize(K9_43)
     assert len(decompose_generalized_flat(K9_43)) == 3
     searches, word_sides = [], []
-    word_side = pipeline.word_seifert_matrix
+    word_side = pipeline._word_rest
     monkeypatch.setattr(
-        pipeline, "word_seifert_matrix", lambda w, *a: word_sides.append(w) or word_side(w, *a)
+        pipeline, "_word_rest", lambda w, *a: word_sides.append(w) or word_side(w, *a)
     )
     _faulted_first(monkeypatch, K9_43, faulted, searches)
     assert homogenize(K9_43) == expected
@@ -692,7 +728,7 @@ def test_block_change_of_a_kept_leaf_is_exit_3(tmp_path, capsys, monkeypatch):
     steps = decompose_generalized_flat(K9_43)
     cycles, _target = _gate_target(K9_43, steps)
     i = pipeline._leaf_cycles(steps[2][0], cycles)[0]
-    word_side = pipeline.word_seifert_matrix
+    word_side = pipeline._word_rest
     builds, searches = [], []
 
     def drifting(w, mapped):
@@ -702,7 +738,7 @@ def test_block_change_of_a_kept_leaf_is_exit_3(tmp_path, capsys, monkeypatch):
             v[i][i] += 1
         return v
 
-    monkeypatch.setattr(pipeline, "word_seifert_matrix", drifting)
+    monkeypatch.setattr(pipeline, "_word_rest", drifting)
     _faulted_first(monkeypatch, K9_43, (1, 0, 0), searches)
     with pytest.raises(pipeline.SoundnessError, match="plumbed word does not match"):
         homogenize(K9_43)
@@ -718,14 +754,14 @@ def test_mismatch_outside_every_leaf_block_is_exit_3(tmp_path, capsys, monkeypat
     steps = decompose_generalized_flat(K9_43)
     cycles, _target = _gate_target(K9_43, steps)
     i, j = (pipeline._leaf_cycles(leaf, cycles)[0] for leaf, _shared in (steps[0], steps[2]))
-    word_side = pipeline.word_seifert_matrix
+    word_side = pipeline._word_rest
 
     def off_block(w, mapped):
         v = word_side(w, mapped)
         v[i][j] += 1
         return v
 
-    monkeypatch.setattr(pipeline, "word_seifert_matrix", off_block)
+    monkeypatch.setattr(pipeline, "_word_rest", off_block)
     with pytest.raises(pipeline.SoundnessError, match="plumbed word does not match"):
         homogenize(K9_43)
     path = tmp_path / "k9_43.json"
