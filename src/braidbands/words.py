@@ -10,11 +10,13 @@ positions address individual crossings.  Two presentations coexist:
 
 Letters are immutable tuples of ints and are shared, not copied: the word
 constructors check each distinct letter once and replace every letter by
-the first letter of the word equal to it, ``parse_word`` makes one tuple
-per distinct letter, and handle reduction reuses the letters of its input.
-A word with a letter that fails the check, or that cannot be hashed, is
-coerced and checked letter by letter instead, so an error names the first
-bad letter of the word.
+the first letter of the word equal to it, and handle reduction reuses the
+letters of its input.  A word with a letter that fails the check, or that
+cannot be hashed, is coerced and checked letter by letter instead, so an
+error names the first bad letter of the word.  ``parse_word`` and
+``bkl_to_artin`` work once per distinct token or band letter: each makes
+one tuple per distinct letter, range-checks each distinct letter once and
+joins the letters without hashing each again.
 
 Equality of braid elements is decided by handle reduction, a terminating
 rewriting procedure on Artin words.  It runs as one loop on two stacks: a
@@ -30,7 +32,11 @@ and the reduct's codes are turned back into the input's own letters.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import iadd, itemgetter
 from typing import Iterable, Sequence, TypeVar, Union
 
 
@@ -42,6 +48,11 @@ def _check_sign(sign: int) -> int:
     if sign not in (1, -1):
         raise WordError(f"sign must be +1 or -1, got {sign!r}")
     return sign
+
+
+def _check_strands(strands: int) -> None:
+    if strands < 1:
+        raise WordError(f"strand count must be >= 1, got {strands}")
 
 
 def _artin_letter(letter) -> tuple[int, int]:
@@ -93,8 +104,7 @@ class _Word:
     letters: tuple
 
     def __init__(self, strands: int, letters: Iterable[tuple] = ()):
-        if strands < 1:
-            raise WordError(f"strand count must be >= 1, got {strands}")
+        _check_strands(strands)
         letters = tuple(letters)
         valid = self._valid
         checked = _first_of_each(letters, lambda x: valid(x, strands))
@@ -106,6 +116,24 @@ class _Word:
                     raise WordError(self._range_error(x, strands))
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "letters", checked)
+
+    @classmethod
+    def _checked(cls: type[_W], strands: int, distinct: Iterable[tuple], letters: tuple) -> _W:
+        """The word of ``letters``: tuples of ints with signs +-1, equal ones one tuple.
+
+        Only the letters of ``distinct``, each distinct letter once, are
+        range-checked, and ``letters`` is not hashed again.  The error is
+        ``__init__``'s; with ``distinct`` in first-occurrence order it names
+        the first bad letter of the word.
+        """
+        _check_strands(strands)
+        for x in distinct:
+            if not cls._valid(x, strands):
+                raise WordError(cls._range_error(x, strands))
+        word = object.__new__(cls)
+        object.__setattr__(word, "strands", strands)
+        object.__setattr__(word, "letters", letters)
+        return word
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -209,15 +237,18 @@ def bkl_to_artin(w: BKLWord) -> ArtinWord:
     The band generator on strands ``(r, s)`` equals ``C^-1 a C`` where ``a``
     is the Artin generator ``s - 1`` and ``C`` is the descending product of
     Artin generators ``s - 2, ..., r``.  Conjugation contributes nothing to
-    the exponent sum, so translation preserves it.
+    the exponent sum, so translation preserves it.  Each distinct band
+    letter is expanded once, into letters shared across the expansions.
     """
-    letters: list[tuple[int, int]] = []
-    for r, s, e in w.letters:
-        conj = list(range(s - 2, r - 1, -1))
-        letters.extend((j, -1) for j in reversed(conj))
-        letters.append((s - 1, e))
-        letters.extend((j, 1) for j in conj)
-    return ArtinWord(w.strands, tuple(letters))
+    shared: dict[tuple, tuple] = {}
+    expansion = {}
+    for x in set(w.letters):
+        r, s, e = x
+        conj = range(s - 2, r - 1, -1)
+        letters = [*[(j, -1) for j in reversed(conj)], (s - 1, e), *[(j, 1) for j in conj]]
+        expansion[x] = tuple([shared.setdefault(y, y) for y in letters])
+    letters = tuple(reduce(iadd, map(expansion.__getitem__, w.letters), []))
+    return ArtinWord._checked(w.strands, shared, letters)
 
 
 def _generator_signs(w: Word) -> dict:
@@ -402,37 +433,37 @@ def braids_equal(u: Word, v: Word) -> bool:
 
 MAX_WORD_LETTERS = 10**6  # longest word, exponents expanded, that parse_word accepts
 _INDEX_DIGITS = len(str(MAX_WORD_LETTERS)) + 1  # an index with this many digits is above it
-_ARTIN_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
-_BKL_TOKEN = re.compile(r"^b\((\d+),(\d+)\)(?:\^(-?\d+))?$")
+# \d is the Unicode category Nd, whose digits int() reads.
+_TOKEN = re.compile(r"(?:s(\d+)|b\((\d+),(\d+)\))(?:\^(-?)(\d+))?")
 
 
-def _parse_token(token: str, shared: dict) -> tuple[bool, tuple, int]:
-    """(band?, unit letter, count) of one token; equal letters come from ``shared``."""
-    m = _ARTIN_TOKEN.match(token)
-    band = m is None
-    if band:
-        m = _BKL_TOKEN.match(token)
-        if m is None:
-            raise WordError(f"cannot parse token {token!r}")
-    *indices, power = m.groups()
-    k = 1
-    if power:
-        digits = power.lstrip("-").lstrip("0")
+def _index(digits: str) -> int:
+    """The value of an index, read from at most _INDEX_DIGITS significant
+    digits: enough to show that it is above MAX_WORD_LETTERS, never the
+    thousands of digits that int() refuses with a ValueError."""
+    return int(digits.lstrip("0")[:_INDEX_DIGITS] or "0")
+
+
+def _parse_token(token: str) -> tuple[tuple, int]:
+    """(unit letter, count) of one token other than ``e``."""
+    m = _TOKEN.fullmatch(token)
+    if m is None:
+        raise WordError(f"cannot parse token {token!r}")
+    i, r, s, minus, power = m.groups()
+    count = 1
+    if power is not None:
+        digits = power.lstrip("0")
         # More digits than MAX_WORD_LETTERS has is too long a run, and int()
         # would refuse a string of thousands of digits with a ValueError.
         if len(digits) > len(str(MAX_WORD_LETTERS)):
             raise WordError(f"word longer than {MAX_WORD_LETTERS} letters at token {token!r}")
-        k = int(digits or "0") * (-1 if power[0] == "-" else 1)
-    if k == 0:
-        raise WordError(f"zero exponent in token {token!r}")
-    # int() sees at most _INDEX_DIGITS significant digits of an index: enough
-    # to show that it is above MAX_WORD_LETTERS, never thousands of them.
-    letter = [int(x) if len(x) < _INDEX_DIGITS else int(x.lstrip("0")[:_INDEX_DIGITS] or "0")
-              for x in indices]
+        count = int(digits or "0")
+        if count == 0:
+            raise WordError(f"zero exponent in token {token!r}")
+    letter = (_index(i),) if r is None else (_index(r), _index(s))
     if max(letter) > MAX_WORD_LETTERS:
         raise WordError(f"generator index above {MAX_WORD_LETTERS} in token {token!r}")
-    letter = tuple(letter + [1 if k > 0 else -1])
-    return band, shared.setdefault(letter, letter), abs(k)
+    return (*letter, -1 if minus else 1), count
 
 
 def parse_word(text: str, strands: int | None = None, kind: str | None = None) -> Word:
@@ -444,41 +475,67 @@ def parse_word(text: str, strands: int | None = None, kind: str | None = None) -
     ``strands`` is omitted it is inferred as one plus the largest strand
     index used (1 for the empty word).  ``kind`` forces ``"artin"`` or
     ``"bkl"`` output for the empty word.
+
+    The error raised is the first of these: ``strands`` above the bound;
+    the first token in word order that is malformed (an exponent of more
+    than 7 digits, a zero exponent and an index above the bound included)
+    or at which the word passes ``MAX_WORD_LETTERS`` letters, so an
+    overflow before a malformed token is the one reported; mixed Artin and
+    band tokens; a strand count below 1; the first letter in word order out
+    of range for the strand count.
+
+    Each distinct token is parsed once, into one shared letter and a count.
+    The length is checked from the counts before any letter is expanded,
+    and each distinct letter is range-checked once.
     """
     if strands is not None and strands > MAX_WORD_LETTERS:
         raise WordError(f"more than {MAX_WORD_LETTERS} strands")
-    artin: list[tuple[int, int]] = []
-    bkl: list[tuple[int, int, int]] = []
-    tokens: dict[str, tuple[bool, tuple, int]] = {}  # token -> (band?, letter, count)
-    shared: dict[tuple, tuple] = {}  # one tuple object per distinct letter
-    for token in text.split():
-        if token == "e":
+    tokens = text.split()
+    runs: dict[str, tuple] = {"e": ()}  # token -> its letters; (letter,) until the length is checked
+    counts: dict[str, int] = {"e": 0}
+    shared: dict[tuple, tuple] = {}  # one tuple per distinct letter, in first-occurrence order
+    failure = None
+    for token in dict.fromkeys(tokens):
+        if token in runs:
             continue
-        parsed = tokens.get(token)
-        if parsed is None:
-            parsed = tokens[token] = _parse_token(token, shared)
-        band, letter, count = parsed
-        if len(artin) + len(bkl) + count > MAX_WORD_LETTERS:
-            raise WordError(f"word longer than {MAX_WORD_LETTERS} letters at token {token!r}")
-        (bkl if band else artin).extend([letter] * count)
-    if artin and bkl:
+        try:
+            letter, counts[token] = _parse_token(token)
+        except WordError as exc:
+            # The tokens before the first bad one can still be too many letters.
+            failure = exc
+            del tokens[tokens.index(token):]
+            break
+        runs[token] = (shared.setdefault(letter, letter),)
+    # No token has more letters than the longest run, so the sum is only
+    # needed when the tokens times that run can pass the bound.
+    if (len(tokens) * max(counts.values()) > MAX_WORD_LETTERS
+            and sum(map(counts.__getitem__, tokens)) > MAX_WORD_LETTERS):
+        running = list(accumulate(map(counts.__getitem__, tokens)))
+        token = tokens[bisect_right(running, MAX_WORD_LETTERS)]
+        raise WordError(f"word longer than {MAX_WORD_LETTERS} letters at token {token!r}")
+    if failure is not None:
+        raise failure
+    sizes = set(map(len, shared))  # 2 for Artin letters, 3 for band letters
+    if len(sizes) > 1:
         raise WordError("word mixes Artin and band tokens")
-    if bkl or (kind == "bkl" and not artin):
-        n = strands if strands is not None else max((s for _, s, _ in bkl), default=1)
-        return BKLWord(n, tuple(bkl))
-    n = strands if strands is not None else (max((i for i, _ in artin), default=0) + 1)
-    return ArtinWord(n, tuple(artin))
+    if 3 in sizes or (kind == "bkl" and not sizes):
+        cls, n = BKLWord, max(map(itemgetter(1), shared), default=1)
+    else:
+        cls, n = ArtinWord, max(map(itemgetter(0), shared), default=0) + 1
+    for token, count in counts.items():
+        if count > 1:
+            runs[token] *= count
+    # One pass in C: each token's run is appended in place to one list.
+    letters = tuple(reduce(iadd, map(runs.__getitem__, tokens), []))
+    return cls._checked(n if strands is None else strands, shared, letters)
 
 
 def format_word(w: Word) -> str:
     """Inverse of :func:`parse_word`, one token per unit letter."""
     if not w.letters:
         return "e"
-    parts = []
     if isinstance(w, ArtinWord):
-        for i, e in w.letters:
-            parts.append(f"s{i}" if e > 0 else f"s{i}^-1")
+        token = {x: f"s{x[0]}" if x[1] > 0 else f"s{x[0]}^-1" for x in set(w.letters)}
     else:
-        for r, s, e in w.letters:
-            parts.append(f"b({r},{s})" if e > 0 else f"b({r},{s})^-1")
-    return " ".join(parts)
+        token = {x: f"b({x[0]},{x[1]})" if x[2] > 0 else f"b({x[0]},{x[1]})^-1" for x in set(w.letters)}
+    return " ".join(map(token.__getitem__, w.letters))

@@ -30,12 +30,15 @@ checked against the letters.  ``homogenize`` chooses each leaf's realization
 by gating every candidate against the leaf's own block and the component
 count of the leaf's own diagram.  Each Seifert builder is one body per
 surface that adds its twist term and halves; the library builds the twist
-term apart, so that its gate can leave it out.
+term apart, so that its gate can leave it out.  Words are parsed token by
+token, with two regular expressions and a running length, and a band word
+is translated to Artin letters one band letter at a time.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -69,7 +72,15 @@ from braidbands.stars import (
     reduce_step,
 )
 from braidbands.surfaces import BraidedSurface, from_word, to_word, word_turn, word_twirl
-from braidbands.words import ArtinWord, BKLWord, Permutation, Word, bkl_to_artin, closure_components
+from braidbands.words import (
+    MAX_WORD_LETTERS,
+    ArtinWord,
+    BKLWord,
+    Permutation,
+    Word,
+    WordError,
+    closure_components,
+)
 
 Matrix = list[list[Laurent]]
 
@@ -403,6 +414,74 @@ def word_seifert_matrix(w: BKLWord, cycles) -> list[list[int]]:
                 if 0 < t <= span:
                     row[j] -= a
     return [[x >> 1 for x in row] for row in twice]
+
+
+_INDEX_DIGITS = len(str(MAX_WORD_LETTERS)) + 1
+_ARTIN_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
+_BKL_TOKEN = re.compile(r"^b\((\d+),(\d+)\)(?:\^(-?\d+))?$")
+
+
+def _parse_token(token: str, shared: dict) -> tuple[bool, tuple, int]:
+    """(band?, unit letter, count) of one token; equal letters come from ``shared``."""
+    m = _ARTIN_TOKEN.match(token)
+    band = m is None
+    if band:
+        m = _BKL_TOKEN.match(token)
+        if m is None:
+            raise WordError(f"cannot parse token {token!r}")
+    *indices, power = m.groups()
+    k = 1
+    if power:
+        digits = power.lstrip("-").lstrip("0")
+        if len(digits) > len(str(MAX_WORD_LETTERS)):
+            raise WordError(f"word longer than {MAX_WORD_LETTERS} letters at token {token!r}")
+        k = int(digits or "0") * (-1 if power[0] == "-" else 1)
+    if k == 0:
+        raise WordError(f"zero exponent in token {token!r}")
+    letter = [int(x) if len(x) < _INDEX_DIGITS else int(x.lstrip("0")[:_INDEX_DIGITS] or "0")
+              for x in indices]
+    if max(letter) > MAX_WORD_LETTERS:
+        raise WordError(f"generator index above {MAX_WORD_LETTERS} in token {token!r}")
+    letter = tuple(letter + [1 if k > 0 else -1])
+    return band, shared.setdefault(letter, letter), abs(k)
+
+
+def parse_word(text: str, strands: int | None = None, kind: str | None = None) -> Word:
+    """The token grammar read token by token, each run extended as it is read."""
+    if strands is not None and strands > MAX_WORD_LETTERS:
+        raise WordError(f"more than {MAX_WORD_LETTERS} strands")
+    artin: list[tuple[int, int]] = []
+    bkl: list[tuple[int, int, int]] = []
+    tokens: dict[str, tuple[bool, tuple, int]] = {}
+    shared: dict[tuple, tuple] = {}
+    for token in text.split():
+        if token == "e":
+            continue
+        parsed = tokens.get(token)
+        if parsed is None:
+            parsed = tokens[token] = _parse_token(token, shared)
+        band, letter, count = parsed
+        if len(artin) + len(bkl) + count > MAX_WORD_LETTERS:
+            raise WordError(f"word longer than {MAX_WORD_LETTERS} letters at token {token!r}")
+        (bkl if band else artin).extend([letter] * count)
+    if artin and bkl:
+        raise WordError("word mixes Artin and band tokens")
+    if bkl or (kind == "bkl" and not artin):
+        n = strands if strands is not None else max((s for _, s, _ in bkl), default=1)
+        return BKLWord(n, tuple(bkl))
+    n = strands if strands is not None else (max((i for i, _ in artin), default=0) + 1)
+    return ArtinWord(n, tuple(artin))
+
+
+def bkl_to_artin(w: BKLWord) -> ArtinWord:
+    """Each band letter expanded in turn into its conjugate Artin word."""
+    letters: list[tuple[int, int]] = []
+    for r, s, e in w.letters:
+        conj = list(range(s - 2, r - 1, -1))
+        letters.extend((j, -1) for j in reversed(conj))
+        letters.append((s - 1, e))
+        letters.extend((j, 1) for j in conj)
+    return ArtinWord(w.strands, tuple(letters))
 
 
 def permutation_of(w: Word) -> Permutation:

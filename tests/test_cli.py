@@ -11,7 +11,7 @@ from braidbands.cli import run
 from braidbands.diagrams import closure_diagram
 from braidbands.words import BKLWord, parse_word
 
-from corpus import FIG8, K5_2, K9_43, TREFOIL, disjoint_union
+from corpus import FIG8, K5_2, K9_43, TREFOIL, disjoint_union, random_homogeneous_surface, random_star
 
 
 @pytest.fixture
@@ -366,6 +366,79 @@ def test_diagram_json_exits_0_1_or_2(tmp_path_factory, obj):
                  ["diagram", "primitive-flat", path], ["invariant", "components", "--diagram", path]):
         code, err = _exit_code(argv)
         assert code in (0, 1, 2), (argv, obj, err)
+        assert "internal error" not in err and "Traceback" not in err
+
+
+# Move strings: a move name, valid or not, with 0-4 parameters that may be
+# out of range, huge, signed, empty or not numbers at all.
+MOVE_NAMES = st.sampled_from(("twirl", "turn", "mirror", "flip-vertical", "flip_vertical", "slip",
+                              "slide-up", "slide_up", "slide-down", "deflate", "inflate", "spin", ""))
+MOVE_PARAMETERS = st.one_of(st.integers(-3, 8).map(str), st.sampled_from(("+", "-", "+1", "-1", "", "x", "1.5",
+                                                                           str(10**18), "9" * 5000)))
+MOVE_STRINGS = st.one_of(
+    st.tuples(MOVE_NAMES, st.lists(MOVE_PARAMETERS, max_size=4)).map(lambda t: ",".join([t[0], *t[1]])),
+    st.text(alphabet="abdefgilnoprstuvw_-,+0123456789 ", max_size=16),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("b(1,2) b(1,3) b(1,2)", "b(1,2)^-3", "e", "b(2,4) b(1,3)^-1")), MOVE_STRINGS)
+@example("b(1,2) b(1,3) b(1,2)", "inflate,1,+," + "9" * 5000)
+@example("b(1,2) b(1,3) b(1,2)", "slip," + str(10**18))
+def test_surface_move_strings_exit_0_1_or_2(tmp_path_factory, word, move):
+    path = tmp_path_factory.mktemp("surface") / "surface.json"
+    code, out, _err = _call(["surface", "from-word", "--json", "--strands", "4", "--", word])
+    assert code == 0
+    path.write_text(out)
+    for argv in (["surface", "apply", str(path), "--move", move],
+                 ["surface", "apply", str(path), "--json", "--move", move]):
+        code, err = _exit_code(argv)
+        assert code in (0, 1, 2), (argv, err)
+        assert "internal error" not in err and "Traceback" not in err
+
+
+@st.composite
+def star_objects(draw):
+    """A surface and star JSON: a star walked along the bands of a random
+    homogeneous surface, as its JSON object, then maybe one edit of the
+    center, a ray, a step, a tip or the whole object, in range or not,
+    junk or any JSON value."""
+    rng = draw(st.randoms(use_true_random=False))
+    surface = random_homogeneous_surface(rng)
+    obj = json.loads(random_star(rng, surface).to_json())
+    edit = draw(st.sampled_from(("none", "center", "tip", "step", "side", "drop", "ray", "whole")))
+    value = draw(st.one_of(st.integers(-2, surface.discs + 3), st.just(10**18), ANY_JSON))
+    ray = obj["rays"][0]
+    if edit == "center":
+        obj["center"] = value
+    elif edit == "tip":
+        ray["tip"][draw(st.sampled_from(("disc", "gap")))] = value
+    elif edit == "step" and ray["steps"]:
+        ray["steps"][0][0] = value
+    elif edit == "side" and ray["steps"]:
+        ray["steps"][0][draw(st.integers(1, 2))] = draw(st.sampled_from(("L", "R", "X", "")))
+    elif edit == "drop":
+        target = draw(st.sampled_from((ray, obj)))
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif edit == "ray":
+        obj["rays"].append(value)
+    elif edit == "whole":
+        obj = value
+    return surface.to_json(), obj
+
+
+@settings(max_examples=120, deadline=None)
+@given(star_objects())
+@example(('{"discs": 3, "bands": [{"l": 1, "r": 2, "e": 1}, {"l": 1, "r": 3, "e": 1}, {"l": 1, "r": 2, "e": 1}]}',
+          {"center": 3, "rays": [{"steps": [[1, "R", "L"]], "tip": {"disc": 1, "gap": 3}}]}))
+def test_star_json_exits_0_1_or_2(tmp_path_factory, pair):
+    surface, star = pair
+    folder = tmp_path_factory.mktemp("star")
+    (folder / "surface.json").write_text(surface)
+    (folder / "star.json").write_text(json.dumps(star))
+    for flags in ([], ["--trace"], ["--json"]):
+        code, err = _exit_code(["star", "reduce", str(folder / "surface.json"), str(folder / "star.json"), *flags])
+        assert code in (0, 1, 2), (surface, star, err)
         assert "internal error" not in err and "Traceback" not in err
 
 

@@ -1,9 +1,10 @@
 import itertools
 import random
 import re
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidbands import words
 from braidbands.words import (
@@ -35,6 +36,11 @@ from corpus import (
     random_bkl_word,
     scrambled,
 )
+
+# Unicode decimal digits (category Nd) that both \d and str.isdecimal accept.
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+_MALFORMED = ("s", "s1^", "s1^+1", "s1^2^3", "b(1,2", "b(1,2,3)", "b(,2)", "s1_0")
 
 
 def test_word_validation():
@@ -459,3 +465,131 @@ def test_generator_indices_and_strands_are_bounded():
     assert parse_word("s" + "0" * 5000 + "7").letters == ((7, 1),)
     assert parse_word("b(1,1000000)").strands == 1000000
     assert parse_word("s1", strands=1000000).strands == 1000000
+
+
+def _numeral(draw, value: int) -> str:
+    """``value``'s decimal digits with 0-3 leading zeros, in ASCII or other Nd digits."""
+    text = "0" * draw(st.integers(0, 3)) + str(value)
+    return text.translate(draw(st.sampled_from([{}, _ARABIC_INDIC, _FULLWIDTH])))
+
+
+# Indices and runs past the bounds and zero exponents are drawn rarely, so
+# that most words parse and most examples stay small.
+_INDICES = st.sampled_from([*range(13)] * 3 + [10**6, 10**6 + 1, 10**8])
+_POWERS = st.sampled_from([*range(1, 5)] * 8 + [0, 999_999, 10**6, 10**6 + 1, 12_345_678])
+
+
+@st.composite
+def _tokens(draw, shapes):
+    shape = draw(st.sampled_from(shapes))
+    if shape == "e":
+        return "e"
+    if shape == "malformed":
+        return draw(st.sampled_from(_MALFORMED))
+    if shape == "artin":
+        token = "s" + _numeral(draw, draw(_INDICES))
+    else:
+        r, s = draw(_INDICES), draw(_INDICES)
+        if draw(st.booleans()):
+            r, s = sorted((r, s))
+        token = f"b({_numeral(draw, r)},{_numeral(draw, s)})"
+    if draw(st.booleans()):
+        token += "^" + draw(st.sampled_from(["", "-"])) + _numeral(draw, draw(_POWERS))
+    return token
+
+
+@st.composite
+def _texts(draw):
+    """Artin, band or mixed tokens, with some ``e`` and malformed ones, between
+    runs of the separators tab, newline, \\x1c and space."""
+    kinds = draw(st.sampled_from([["artin"], ["band"], ["artin", "band"]]))
+    shapes = kinds * (12 // len(kinds)) + ["e", "malformed"]
+    separators = st.text(alphabet="\t\n\x1c ", min_size=1, max_size=2)
+    parts = [draw(st.sampled_from(["", " ", "\n"]))]
+    for token in draw(st.lists(_tokens(shapes), max_size=8)):
+        parts += [token, draw(separators)]
+    return "".join(parts)
+
+
+def _parsed_or_message(parse, text, strands, kind):
+    try:
+        return parse(text, strands, kind)
+    except WordError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts(), st.none() | st.integers(-1, 12), st.sampled_from([None, "artin", "bkl"]))
+# The word passes 10^6 letters before a malformed token, after one, and
+# before a token of the other kind, or reaches 10^6 exactly before a
+# malformed one: the first error in word order wins.
+@example("s1^1000000 s1 x", None, None)
+@example("s1 x s1^1000000", None, None)
+@example("s1^1000000 s2 b(1,2)", None, None)
+@example("b(1,2)^999999 b(1,2)^-1 s1^+1 s1", 3, None)
+def test_parse_word_matches_reference(text, strands, kind):
+    want = _parsed_or_message(reference.parse_word, text, strands, kind)
+    got = _parsed_or_message(parse_word, text, strands, kind)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert type(got) is type(want) and got.strands == want.strands and got.letters == want.letters
+    assert len({id(x) for x in got.letters}) == len(set(got.letters))
+
+
+def test_long_malformed_tokens_are_refused_in_linear_time():
+    # A pattern that matched leading zeros apart from the other digits,
+    # 0*(\d+), backtracked cubically on the band token: 14 s at 1,000 zeros.
+    zeros = "0" * 2000
+    for token in ("s" + zeros + "x", "s1^-" + zeros + "x", "b(" + zeros + "," + zeros + "x"):
+        start = time.perf_counter()
+        with pytest.raises(WordError, match="cannot parse token"):
+            parse_word(token)
+        assert time.perf_counter() - start < 1, token[:8]
+
+
+@st.composite
+def _band_words(draw, max_strands=16, max_size=40):
+    n = draw(st.integers(2, max_strands))
+    band = st.integers(1, n - 1).flatmap(
+        lambda r: st.tuples(st.just(r), st.integers(r + 1, n), st.sampled_from((1, -1)))
+    )
+    return BKLWord(n, draw(st.lists(band, max_size=max_size)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_band_words())
+def test_bkl_to_artin_matches_reference(w):
+    got = bkl_to_artin(w)
+    assert type(got) is ArtinWord and got == reference.bkl_to_artin(w)
+    assert len({id(x) for x in got.letters}) == len(set(got.letters))
+
+
+@st.composite
+def _words(draw):
+    if draw(st.booleans()):
+        return draw(_band_words(max_strands=8))
+    n = draw(st.integers(2, 8))
+    artin = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    return ArtinWord(n, draw(st.lists(artin, max_size=40)))
+
+
+def _round_trips(w):
+    kind = "bkl" if isinstance(w, BKLWord) else None
+    return parse_word(format_word(w), strands=w.strands, kind=kind) == w
+
+
+@settings(max_examples=200, deadline=None)
+@given(_words())
+def test_format_word_round_trips(w):
+    assert _round_trips(w)
+
+
+def test_format_word_round_trips_long_words():
+    rng = random.Random(23)
+    n = 12
+    artin = ArtinWord(n, [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(10**5)])
+    pairs = [sorted(rng.sample(range(1, n + 1), 2)) for _ in range(10**5)]
+    band = BKLWord(n, [(r, s, rng.choice((1, -1))) for r, s in pairs])
+    for w in (artin, band):
+        assert _round_trips(w)
