@@ -25,10 +25,9 @@ mutate its dicts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from .words import ArtinWord
+from .words import ArtinWord, _Value
 
 
 class DiagramError(ValueError):
@@ -44,13 +43,11 @@ _CHANNEL = {1: (1, 3), -1: (0, 2)}
 _OVER = {1: (1, 3), -1: (3, 1)}
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(_Value):
     """A PD-coded oriented link diagram plus a count of free unknot components."""
 
-    crossings: tuple[tuple[int, int, int, int], ...]
-    unknots: int = 0
-    _structure: DiagramStructure | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("crossings", "unknots", "_structure")
+    _fields = ("crossings", "unknots")  # _structure, analyze's cache, is not compared
 
     def __init__(self, crossings: Iterable[Sequence[int]] = (), unknots: int = 0):
         entries = tuple([tuple([int(x) for x in entry]) for entry in crossings])
@@ -61,6 +58,7 @@ class Diagram:
             raise DiagramError("unknot count must be >= 0")
         object.__setattr__(self, "crossings", entries)
         object.__setattr__(self, "unknots", int(unknots))
+        object.__setattr__(self, "_structure", None)
 
     @property
     def crossing_count(self) -> int:
@@ -94,8 +92,10 @@ def _build_successors(d: Diagram) -> tuple[dict[int, int], list[int]]:
 
     succ maps each arc to the next arc along the link.  The under-strand
     contributes a -> c at every crossing; over pairs are oriented first by
-    bijection constraints and then by the label-successor convention.  The
-    over direction doubles as the crossing sign: +1 means b -> d.
+    bijection constraints and then, on a component that never passes under,
+    by the convention that labels run up by one along a component and wrap
+    from its largest label to its smallest.  The over direction doubles as
+    the crossing sign: +1 means b -> d.
     """
     n_arcs = 2 * len(d.crossings)
     succ: dict[int, int] = {}
@@ -112,6 +112,7 @@ def _build_successors(d: Diagram) -> tuple[dict[int, int], list[int]]:
 
     over_dir: dict[int, int] = {}
     unresolved = set(range(len(d.crossings)))
+    component = None  # root per arc label, built at the first fallback
     while unresolved:
         progressed = False
         for idx in sorted(unresolved):
@@ -135,10 +136,18 @@ def _build_successors(d: Diagram) -> tuple[dict[int, int], list[int]]:
         # Fall back to the numbering convention for one crossing, then re-propagate.
         idx = min(unresolved)
         a, b, c, dd = d.crossings[idx]
-        if dd == b % n_arcs + 1:
+        if component is None:  # the link components: cycles of the a-c and b-d pairings
+            uf = _UnionFind(range(1, n_arcs + 1))
+            for a0, b0, c0, d0 in d.crossings:
+                uf.union(a0, c0)
+                uf.union(b0, d0)
+            component = [uf.find(x) for x in range(n_arcs + 1)]
+        labels = [x for x in range(1, n_arcs + 1) if component[x] == component[b]]
+        lo, hi = labels[0], labels[-1]
+        if dd == (lo if b == hi else b + 1):
             link(b, dd, f"crossing {idx} over-strand")
             over_dir[idx] = 1
-        elif b == dd % n_arcs + 1:
+        elif b == (lo if dd == hi else dd + 1):
             link(dd, b, f"crossing {idx} over-strand")
             over_dir[idx] = -1
         else:
@@ -189,30 +198,20 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-@dataclass(frozen=True)
-class SeifertGraph:
+class SeifertGraph(_Value):
     """Signed multigraph: one vertex per Seifert circle, one edge per crossing."""
 
-    vertex_count: int
-    edges: tuple[tuple[int, int, int, int], ...]  # (u, v, sign, crossing id)
+    __slots__ = ("vertex_count", "edges")  # edges: (u, v, sign, crossing id)
 
 
-@dataclass(frozen=True)
-class DiagramStructure:
+class DiagramStructure(_Value):
     """Derived combinatorial data of a valid diagram."""
 
-    succ: dict[int, int]
-    signs: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]  # arc cycles along the link
-    circles: tuple[tuple[int, ...], ...]  # arc cycles after smoothing
-    circle_of: dict[int, int]
-    passages: tuple[tuple[int, ...], ...]  # crossing ids along each circle
-    graph: SeifertGraph
-    region_count: int
-    circle_left: tuple[int, ...]  # region left of each circle's traversal
-    circle_right: tuple[int, ...]
-    circle_component: tuple[int, ...]  # connected component id per circle
-    crossing_region: tuple[int, ...]  # region of the channel at each crossing
+    # components and circles: arc cycles along the link and after smoothing; passages: crossing
+    # ids along each circle; circle_left, circle_right and circle_component: the regions left and
+    # right of each circle's traversal and its connected component; crossing_region: each crossing's channel.
+    __slots__ = ("succ", "signs", "components", "circles", "circle_of", "passages", "graph",
+                 "region_count", "circle_left", "circle_right", "circle_component", "crossing_region")
 
 
 def analyze(d: Diagram) -> DiagramStructure:
@@ -365,10 +364,8 @@ def seifert_decompose(d: Diagram):
 # Blocks (biconnected components) of the Seifert multigraph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    cut_vertices: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, int, int, int], ...], ...]  # edge tuples per block
+class BlockDecomposition(_Value):
+    __slots__ = ("cut_vertices", "blocks")  # blocks: edge tuples per block
 
 
 def blocks(g: SeifertGraph) -> BlockDecomposition:
@@ -428,11 +425,8 @@ def blocks(g: SeifertGraph) -> BlockDecomposition:
     return BlockDecomposition(tuple(sorted(cut)), tuple(out_blocks))
 
 
-@dataclass(frozen=True)
-class BlockReport:
-    homogeneous: bool
-    mixed_blocks: tuple[int, ...]
-    decomposition: BlockDecomposition
+class BlockReport(_Value):
+    __slots__ = ("homogeneous", "mixed_blocks", "decomposition")
 
     def __bool__(self) -> bool:
         return self.homogeneous

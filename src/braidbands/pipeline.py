@@ -37,7 +37,6 @@ compared again, until it passes.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
 from .diagrams import (
     Diagram,
@@ -49,7 +48,7 @@ from .diagrams import (
     subdiagram,
 )
 from .invariants import _diagram_rest, _word_rest
-from .words import BKLWord, closure_components
+from .words import BKLWord, _Value, closure_components
 
 
 class PipelineError(ValueError):
@@ -68,13 +67,16 @@ NO_MATCH = "no braided realization matches the diagram's Seifert matrix ({} cand
 # Fatgraphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fatgraph:
+class Fatgraph(_Value):
     """Signed ribbon graph with page-counterclockwise cyclic orders."""
 
-    vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]  # (u, v, sign), u != v
-    orders: tuple[tuple[tuple[int, int], ...], ...]  # per vertex: (edge id, end)
+    __slots__ = ("vertex_count", "edges", "orders")
+
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int, int], ...],
+                 orders: tuple[tuple[tuple[int, int], ...], ...]):
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)  # (u, v, sign), u != v
+        object.__setattr__(self, "orders", orders)  # per vertex: (edge id, end)
 
     def degree(self, v: int) -> int:
         return len(self.orders[v])
@@ -217,20 +219,25 @@ def realizations(fat: Fatgraph, start_vertex: int = 0):
 # Pipeline operations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlumbLeaf:
+class PlumbLeaf(_Value):
     """One block of ``source``'s Seifert graph, read off ``source``'s structure.
 
     Its fatgraph (edge k for crossing ``crossings[k]``) is that of
     ``diagram``, the source with the other crossings smoothed and their
-    circles dropped, which is built on request.
+    circles dropped, which is built on request.  Equality and the hash
+    leave out ``circle_map`` and ``fatgraph``.
     """
 
-    source: Diagram
-    crossings: tuple[int, ...]  # crossing ids in the source diagram
-    circles: tuple[int, ...]  # circle ids in the source diagram
-    circle_map: dict[int, int] = field(compare=False)  # source circle -> fatgraph vertex
-    fatgraph: Fatgraph = field(compare=False)
+    __slots__ = ("source", "crossings", "circles", "circle_map", "fatgraph")
+    _compared = ("source", "crossings", "circles")
+
+    def __init__(self, source: Diagram, crossings: tuple[int, ...], circles: tuple[int, ...],
+                 circle_map: dict[int, int], fatgraph: Fatgraph):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "crossings", crossings)  # crossing ids in the source diagram
+        object.__setattr__(self, "circles", circles)  # circle ids in the source diagram
+        object.__setattr__(self, "circle_map", circle_map)  # source circle -> fatgraph vertex
+        object.__setattr__(self, "fatgraph", fatgraph)
 
     @property
     def diagram(self) -> Diagram:

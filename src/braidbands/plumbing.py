@@ -10,21 +10,19 @@ disc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from .words import BKLWord
+from .words import BKLWord, _Value
 
 
 class PlumbingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ShufflePattern:
+class ShufflePattern(_Value):
     """A sequence over {1, 2} recording which word supplies each letter."""
 
-    marks: tuple[int, ...]
+    __slots__ = ("marks",)
 
     def __init__(self, marks: Iterable[int]):
         marks = tuple([int(m) for m in marks])

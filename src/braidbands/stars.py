@@ -29,13 +29,13 @@ band and tip heights straight into per-disc chords.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import bisect
 import json
 import math
-from typing import Iterable, Iterator, Optional, Union
+from collections.abc import Iterable, Iterator
 
 from .surfaces import BraidedSurface
+from .words import _Record, _Value
 
 
 class StarError(ValueError):
@@ -45,24 +45,22 @@ class StarError(ValueError):
 L, R = "L", "R"
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(_Value):
     """Band crossings from the center outward plus the tip gap."""
 
-    steps: tuple[tuple[int, str, str], ...]  # (band index, enter end, exit end)
-    tip_disc: int
-    tip_gap: int
+    __slots__ = ("steps", "tip_disc", "tip_gap")
 
-    def __post_init__(self):
-        for band, enter, exit_ in self.steps:
+    def __init__(self, steps: tuple[tuple[int, str, str], ...], tip_disc: int, tip_gap: int):
+        for band, enter, exit_ in steps:  # (band index, enter end, exit end)
             if enter not in (L, R) or exit_ not in (L, R):
                 raise StarError("step ends must be 'L' or 'R'")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "tip_disc", tip_disc)
+        object.__setattr__(self, "tip_gap", tip_gap)
 
 
-@dataclass(frozen=True)
-class Star:
-    center: int
-    rays: tuple[Ray, ...]
+class Star(_Value):
+    __slots__ = ("center", "rays")
 
     def __init__(self, center: int, rays: Iterable[Ray] = ()):
         object.__setattr__(self, "center", int(center))
@@ -126,26 +124,24 @@ def _div(a: int, b: int) -> int:
     return q
 
 
-@dataclass
-class _Band:
-    l: int
-    r: int
-    e: int
-    h: int
+class _Band(_Record):
+    __slots__ = ("l", "r", "e", "h")
+
+    def __init__(self, l: int, r: int, e: int, h: int):
+        self.l, self.r, self.e, self.h = l, r, e, h
 
     def end_disc(self, end: str) -> int:
         return self.l if end == L else self.r
 
 
-@dataclass
-class _Ray:
-    steps: list[list]  # [band id, enter end, exit end]
-    tip_disc: int
-    tip_h: int
+class _Ray(_Record):
+    __slots__ = ("steps", "tip_disc", "tip_h")
+
+    def __init__(self, steps: list[list], tip_disc: int, tip_h: int):
+        self.steps, self.tip_disc, self.tip_h = steps, tip_disc, tip_h  # steps: [band id, enter end, exit end]
 
 
-@dataclass
-class _State:
+class _State(_Record):
     """Bands and rays under reduction, ordered by integer heights.
 
     Every stored height (``_Band.h``, ``_Ray.tip_h``) is ``scale`` times the
@@ -166,13 +162,12 @@ class _State:
     discs moves each disc's list to its new index whole.
     """
 
-    discs: int
-    bands: dict[int, _Band]
-    center: int
-    rays: list[_Ray]
-    next_id: int
-    scale: int
-    order: list[list[tuple[_Band, int]]]
+    __slots__ = ("discs", "bands", "center", "rays", "next_id", "scale", "order")
+
+    def __init__(self, discs: int, bands: dict[int, _Band], center: int, rays: list[_Ray],
+                 next_id: int, scale: int, order: list[list[tuple[_Band, int]]]):
+        self.discs, self.bands, self.center, self.rays = discs, bands, center, rays
+        self.next_id, self.scale, self.order = next_id, scale, order
 
     def rescale(self, q: int) -> None:
         for band in self.bands.values():
@@ -352,14 +347,14 @@ def _check_state(state: _State) -> None:
 # Classification
 # ---------------------------------------------------------------------------
 
-def delta_b(obj: Union[Ray, Star, _Ray, _State]) -> int:
+def delta_b(obj: Ray | Star | _Ray | _State) -> int:
     """Number of band crossings of a ray, or their sum over a star."""
     if isinstance(obj, (Star, _State)):
         return sum(len(r.steps) for r in obj.rays)
     return len(obj.steps)
 
 
-def _slack_step(ray: _Ray) -> Optional[tuple[int, int, list]]:
+def _slack_step(ray: _Ray) -> tuple[int, int, list] | None:
     """First slack arc of a ray as (start, stop, replacement steps), or None.
 
     A step entering and leaving its band through the same end is dropped;
@@ -558,7 +553,7 @@ def _transfer_region(state: _State, bid: int, end: str, bridge: int) -> int:
     return bridge_band.end_disc(far)
 
 
-def _slide_end(state: _State, bid: int, h: int, end: Optional[str], bridge: int) -> None:
+def _slide_end(state: _State, bid: int, h: int, end: str | None, bridge: int) -> None:
     """Move band ``bid`` to height ``h``, first sliding its ``end``, unless
     that is None, over the ``bridge`` band to the bridge's other disc."""
     _drop_ends(state, bid)

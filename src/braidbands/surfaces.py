@@ -17,10 +17,9 @@ it inverts the pair, slides the inverse up and inverts the result back.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
-from .words import MAX_WORD_LETTERS, BKLWord, permutation_of
+from .words import MAX_WORD_LETTERS, BKLWord, _Value, permutation_of
 
 
 class MoveError(ValueError):
@@ -33,12 +32,10 @@ class MoveError(ValueError):
         super().__init__(f"{kind} at {position}: {reason}")
 
 
-@dataclass(frozen=True)
-class BraidedSurface:
+class BraidedSurface(_Value):
     """Discs 1..n left to right; bands (l, r, sign) from highest to lowest."""
 
-    discs: int
-    bands: tuple[tuple[int, int, int], ...]
+    __slots__ = ("discs", "bands")
 
     def __init__(self, discs: int, bands: Iterable[tuple[int, int, int]] = ()):
         bands = tuple([(int(l), int(r), int(e)) for l, r, e in bands])
@@ -85,15 +82,15 @@ def to_word(s: BraidedSurface) -> BKLWord:
     return BKLWord(s.discs, s.bands)
 
 
-@dataclass(frozen=True)
-class MoveSpec:
+class MoveSpec(_Value):
     """A move kind with exactly the parameters the kind requires."""
 
-    kind: str
-    position: Optional[int] = None  # pair index (slip, slides) or band index (deflate)
-    strand: Optional[int] = None  # inflate
-    sign: Optional[int] = None  # inflate
-    height: Optional[int] = None  # inflate insertion index, default 0 (top)
+    __slots__ = ("kind", "position", "strand", "sign", "height")
+
+    def __init__(self, kind: str, position: int | None = None,  # pair (slip, slides), band (deflate)
+                 strand: int | None = None, sign: int | None = None,  # inflate
+                 height: int | None = None):  # inflate insertion index, default 0 (top)
+        super().__init__(kind, position, strand, sign, height)
 
 
 def _bands_commute(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:

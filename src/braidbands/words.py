@@ -33,15 +33,64 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import accumulate
 from operator import iadd, itemgetter
-from typing import Iterable, Sequence, TypeVar, Union
 
 
 class WordError(ValueError):
     """Raised for malformed words, tokens, or mismatched strand counts."""
+
+
+class _Record:
+    """Slots with a dataclass's ``repr`` of ``_fields`` (by default the slots;
+    a subclass with none keeps its base's) and ``==`` of ``_compared`` (by
+    default ``_fields``).  The generic ``__init__`` takes the slots in order."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        if cls.__dict__.get("__slots__"):
+            cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+            cls._compared = cls.__dict__.get("_compared", cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} arguments")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """A frozen ``_Record``, hashed as the tuple of its compared fields; its
+    constructors set its slots with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle restore the slots here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 def _check_sign(sign: int) -> int:
@@ -91,17 +140,12 @@ def _inverse_letters(letters: tuple) -> tuple:
     return tuple([flipped[x] for x in reversed(letters)])
 
 
-_W = TypeVar("_W", bound="_Word")
-
-
-@dataclass(frozen=True)
-class _Word:
+class _Word(_Value):
     """A word on ``strands`` strands.  A subclass names its letters: ``_valid``
     tests a letter, ``_coerce`` makes a tuple of ints of one, and
     ``_range_error`` words the refusal of a coerced letter out of range."""
 
-    strands: int
-    letters: tuple
+    __slots__ = ("strands", "letters")
 
     def __init__(self, strands: int, letters: Iterable[tuple] = ()):
         _check_strands(strands)
@@ -118,7 +162,7 @@ class _Word:
         object.__setattr__(self, "letters", checked)
 
     @classmethod
-    def _checked(cls: type[_W], strands: int, distinct: Iterable[tuple], letters: tuple) -> _W:
+    def _checked(cls, strands: int, distinct: Iterable[tuple], letters: tuple) -> _Word:
         """The word of ``letters``: tuples of ints with signs +-1, equal ones one tuple.
 
         Only the letters of ``distinct``, each distinct letter once, are
@@ -138,10 +182,10 @@ class _Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def inverse(self: _W) -> _W:
+    def inverse(self) -> _Word:
         return type(self)(self.strands, _inverse_letters(self.letters))
 
-    def concat(self: _W, other: _W) -> _W:
+    def concat(self, other: _Word) -> _Word:
         if other.strands != self.strands:
             raise WordError("strand counts differ")
         return type(self)(self.strands, self.letters + other.letters)
@@ -153,6 +197,7 @@ class _Word:
 class ArtinWord(_Word):
     """A word in the Artin generators of the braid group on ``strands`` strands."""
 
+    __slots__ = ()
     _coerce = staticmethod(_artin_letter)
 
     @staticmethod
@@ -168,6 +213,7 @@ class ArtinWord(_Word):
 class BKLWord(_Word):
     """A word in the band generators on ``strands`` strands; letters ``(r, s, sign)``."""
 
+    __slots__ = ()
     _coerce = staticmethod(_band_letter)
 
     @staticmethod
@@ -180,14 +226,13 @@ class BKLWord(_Word):
         return f"band generator ({x[0]},{x[1]}) out of range for {strands} strands"
 
 
-Word = Union[ArtinWord, BKLWord]
+Word = ArtinWord | BKLWord
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """A bijection of ``{1..n}`` stored as the image tuple ``image[k-1]``."""
 
-    image: tuple[int, ...]
+    __slots__ = ("image",)
 
     def __init__(self, image: Sequence[int]):
         image = tuple([int(x) for x in image])
@@ -262,12 +307,13 @@ def _generator_signs(w: Word) -> dict:
     return signs
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
+class HomogeneityReport(_Value):
     """Outcome of a homogeneity check; ``mixed`` lists offending generators."""
 
-    homogeneous: bool
-    mixed: tuple = ()
+    __slots__ = ("homogeneous", "mixed")
+
+    def __init__(self, homogeneous: bool, mixed: tuple = ()):
+        super().__init__(homogeneous, mixed)
 
     def __bool__(self) -> bool:
         return self.homogeneous
@@ -433,8 +479,8 @@ def braids_equal(u: Word, v: Word) -> bool:
 
 MAX_WORD_LETTERS = 10**6  # longest word, exponents expanded, that parse_word accepts
 _INDEX_DIGITS = len(str(MAX_WORD_LETTERS)) + 1  # an index with this many digits is above it
-# \d is the Unicode category Nd, whose digits int() reads.
-_TOKEN = re.compile(r"(?:s(\d+)|b\((\d+),(\d+)\))(?:\^(-?)(\d+))?")
+# Digits are ASCII only: \d without re.ASCII would admit every Unicode digit.
+_TOKEN = re.compile(r"(?:s(\d+)|b\((\d+),(\d+)\))(?:\^(-?)(\d+))?", re.ASCII)
 
 
 def _index(digits: str) -> int:

@@ -417,8 +417,8 @@ def word_seifert_matrix(w: BKLWord, cycles) -> list[list[int]]:
 
 
 _INDEX_DIGITS = len(str(MAX_WORD_LETTERS)) + 1
-_ARTIN_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
-_BKL_TOKEN = re.compile(r"^b\((\d+),(\d+)\)(?:\^(-?\d+))?$")
+_ARTIN_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$", re.ASCII)
+_BKL_TOKEN = re.compile(r"^b\((\d+),(\d+)\)(?:\^(-?\d+))?$", re.ASCII)
 
 
 def _parse_token(token: str, shared: dict) -> tuple[bool, tuple, int]:

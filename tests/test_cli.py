@@ -80,6 +80,15 @@ def test_diagram_commands(tmp_path, capsys, trefoil_file):
     assert run(["diagram", "seifert", str(tmp_path / "missing.json")]) == 2
 
 
+def test_component_that_never_passes_under(tmp_path, capsys):
+    # A 3-component unlink whose component 1-2-3-4 only passes over: labels
+    # wrap at its own largest label, 4, not at the diagram's, 8.
+    unlink = tmp_path / "unlink.json"
+    unlink.write_text('{"crossings": [[6,1,5,4],[8,3,7,4],[5,1,6,2],[7,3,8,2]]}')
+    assert run(["invariant", "components", "--diagram", str(unlink)]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+
+
 def test_surface_commands(tmp_path, capsys):
     assert run(["surface", "from-word", "b(1,3) b(1,2)", "--json"]) == 0
     surf = capsys.readouterr().out
@@ -170,6 +179,9 @@ def test_invariant_commands(capsys, trefoil_file):
 
 def test_invalid_word_is_exit_2(capsys):
     assert run(["braid", "exponent-sum", "nonsense"]) == 2
+    for argv in (["s٠٠٠٠٠٠٠٠7", "--strands", "9"], ["s1^٠٠٠٠٠٠٠2"]):
+        assert run(["braid", "exponent-sum", *argv]) == 2
+        assert f"cannot parse token {argv[0]!r}" in capsys.readouterr().err
     assert run(["braid", "equal", f"s1^{2**62}", "s1", "--strands", "3"]) == 2
     assert f"s1^{2**62}" in capsys.readouterr().err
 

@@ -116,6 +116,17 @@ def test_empty_diagram():
     assert link_components(Diagram((), unknots=3)) == 3
 
 
+def test_components_that_never_pass_under_are_oriented_by_their_labels():
+    # A 3-component unlink whose component {1..4}, then {3..6}, passes only
+    # over: its labels run up and wrap from its own largest to its smallest.
+    # Its mirror, b and d swapped, orients the first crossing b -> d.
+    for crossings, over_only in (([[6, 1, 5, 4], [8, 3, 7, 4], [5, 1, 6, 2], [7, 3, 8, 2]], (1, 2, 3, 4)),
+                                 ([[2, 3, 1, 6], [8, 5, 7, 6], [1, 3, 2, 4], [7, 5, 8, 4]], (3, 4, 5, 6))):
+        for d in (Diagram(crossings), Diagram([[a, dd, c, b] for a, b, c, dd in crossings])):
+            assert link_components(d) == 3 and validate(d).ok
+            assert over_only in analyze(d).components
+
+
 def test_nesting_and_primitive_flat():
     assert reference.nesting_forest(TREFOIL).max_depth == 0
     assert all(p == -1 for p in reference.nesting_forest(TREFOIL).parent)

@@ -56,6 +56,9 @@ def test_check_star_rejects_bad_rays():
         check_star(GOLDEN_SURFACE, Star(3, [Ray((), 1, 9)]))
     with pytest.raises(StarError):
         check_star(GOLDEN_SURFACE, Star(9, []))
+    for ends in (("X", "R"), ("L", "l")):
+        with pytest.raises(StarError, match="step ends must be 'L' or 'R'"):
+            Ray(((0, *ends),), 1, 0)
 
 
 @pytest.mark.parametrize("center", [0, 3, 99, -1])

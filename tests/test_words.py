@@ -37,7 +37,7 @@ from corpus import (
     scrambled,
 )
 
-# Unicode decimal digits (category Nd) that both \d and str.isdecimal accept.
+# Unicode decimal digits (category Nd) other than ASCII, which the grammar refuses.
 _ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 _FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
 _MALFORMED = ("s", "s1^", "s1^+1", "s1^2^3", "b(1,2", "b(1,2,3)", "b(,2)", "s1_0")
@@ -468,13 +468,14 @@ def test_generator_indices_and_strands_are_bounded():
 
 
 def _numeral(draw, value: int) -> str:
-    """``value``'s decimal digits with 0-3 leading zeros, in ASCII or other Nd digits."""
+    """``value``'s decimal digits with 0-3 leading zeros, in ASCII or, one time
+    in 20, in other Nd digits (a token with those is malformed)."""
     text = "0" * draw(st.integers(0, 3)) + str(value)
-    return text.translate(draw(st.sampled_from([{}, _ARABIC_INDIC, _FULLWIDTH])))
+    return text.translate(draw(st.sampled_from([{}] * 38 + [_ARABIC_INDIC, _FULLWIDTH])))
 
 
-# Indices and runs past the bounds and zero exponents are drawn rarely, so
-# that most words parse and most examples stay small.
+# Indices and runs past the bounds, zero exponents and non-ASCII digits are
+# drawn rarely, so that many words parse and most examples stay small.
 _INDICES = st.sampled_from([*range(13)] * 3 + [10**6, 10**6 + 1, 10**8])
 _POWERS = st.sampled_from([*range(1, 5)] * 8 + [0, 999_999, 10**6, 10**6 + 1, 12_345_678])
 
@@ -535,6 +536,14 @@ def test_parse_word_matches_reference(text, strands, kind):
         return
     assert type(got) is type(want) and got.strands == want.strands and got.letters == want.letters
     assert len({id(x) for x in got.letters}) == len(set(got.letters))
+
+
+def test_digits_are_ascii_only():
+    # Arabic-Indic zeros before an index or an exponent once read as part of
+    # its value ("generator index 0 out of range", "word longer than ...").
+    for text, strands in (("s٠٠٠٠٠٠٠٠7", 9), ("s1^٠٠٠٠٠٠٠2", None), ("b(１,２)", None)):
+        with pytest.raises(WordError, match=re.escape(f"cannot parse token {text!r}")):
+            parse_word(text, strands)
 
 
 def test_long_malformed_tokens_are_refused_in_linear_time():
