@@ -15,16 +15,18 @@ slides trades a crossing of an essential ray for a fresh disc-band pair
 while keeping the word homogeneous and the boundary link fixed.
 
 A whole reduction runs on one mutable state, built once from the input and
-frozen back into a surface and a star once at the end.  Each disc keeps its
-bands in height order inside that state, as bare ``(band, id)`` pairs: the
-side of an end is read off the band.  Before and after each step the
-heights are re-spread to the order that freezing and rebuilding the state
-would give, so the result is the same as stepping through frozen
-``(surface, star)`` pairs.  Twirls, flips, mirrors and inflations all
-renumber discs through ``_relabel_discs``, which evaluates the bijection
-once per disc into a table and moves each disc's list whole; k twirls are
-one rotation.  Embeddedness is checked by one walk over each ray that reads
-band and tip heights straight into per-disc chords.
+frozen back into a surface and a star once at the end.  The state keeps
+band orders only for the discs that hold a band end, as bare ``(band, id)``
+pairs in height order: the side of an end is read off the band.  Every
+pass over the state touches bands, tips and the center, never every disc,
+so a step's cost does not grow with the disc count.  Before and after each
+step the heights are re-spread to the order that freezing and rebuilding
+the state would give, so the result is the same as stepping through
+frozen ``(surface, star)`` pairs.  A step's flip, mirror, twirl and
+inflation are one composed relabelling through ``_relabel_discs``, which
+moves each occupied disc's list whole.  Slack leaves each ray in one stack
+pass.  Embeddedness is checked by one walk over each ray that reads band
+and tip heights straight into per-disc chords.
 """
 
 from __future__ import annotations
@@ -154,18 +156,19 @@ class _State(_Record):
     that splits a gap first multiplies every height by enough
     (``rescale``) for the split to land on integers.
 
-    ``order[d]`` lists the bands with an end on disc ``d`` as bare
-    ``(band, id)`` pairs, highest first; the end is ``L`` if ``band.l == d``
-    and ``R`` otherwise.  It holds the bands themselves, so rescaling and
-    re-spreading, which keep the height order, keep it valid; the helpers
-    that move a band end or change a height update it, and relabelling
-    discs moves each disc's list to its new index whole.
+    ``order`` maps each disc with a band end, and no other, to those bands
+    as bare ``(band, id)`` pairs, highest first; the end is ``L`` if
+    ``band.l == d`` and ``R`` otherwise.  Read it as ``order.get(d, ())``.
+    It holds the bands themselves, so rescaling and re-spreading, which keep
+    the height order, keep it valid; the helpers that move a band end or
+    change a height update it, and relabelling discs moves each list to its
+    new key whole.
     """
 
     __slots__ = ("discs", "bands", "center", "rays", "next_id", "scale", "order")
 
     def __init__(self, discs: int, bands: dict[int, _Band], center: int, rays: list[_Ray],
-                 next_id: int, scale: int, order: list[list[tuple[_Band, int]]]):
+                 next_id: int, scale: int, order: dict[int, list[tuple[_Band, int]]]):
         self.discs, self.bands, self.center, self.rays = discs, bands, center, rays
         self.next_id, self.scale, self.order = next_id, scale, order
 
@@ -181,10 +184,10 @@ def _materialize(surface: BraidedSurface, star: Star) -> _State:
     if not 1 <= star.center <= surface.discs:
         raise StarError("center disc out of range")
     bands = {k: _Band(l, r, e, len(surface.bands) - k) for k, (l, r, e) in enumerate(surface.bands)}
-    order: list[list] = [[] for _ in range(surface.discs + 1)]
+    order: dict[int, list] = {}
     for bid, band in bands.items():
-        order[band.l].append((band, bid))
-        order[band.r].append((band, bid))
+        order.setdefault(band.l, []).append((band, bid))
+        order.setdefault(band.r, []).append((band, bid))
     state = _State(surface.discs, bands, star.center, [], len(surface.bands), 1, order)
     for ray in star.rays:
         for bid, _e, _x in ray.steps:
@@ -219,7 +222,7 @@ def _spread(state: _State, gaps: list[tuple[int, int]]) -> None:
 
 
 def _tip_gap(state: _State, ray: _Ray) -> int:
-    return sum(1 for band, _b in state.order[ray.tip_disc] if band.h > ray.tip_h)
+    return sum(1 for band, _b in state.order.get(ray.tip_disc, ()) if band.h > ray.tip_h)
 
 
 def _renormalize(state: _State) -> None:
@@ -230,7 +233,7 @@ def _renormalize(state: _State) -> None:
 def _gap_bounds(state: _State, disc: int, gap: int) -> tuple[int, int]:
     if not 1 <= disc <= state.discs:
         raise StarError(f"no disc {disc}")
-    regions = state.order[disc]
+    regions = state.order.get(disc, ())
     if not 0 <= gap <= len(regions):
         raise StarError(f"gap {gap} out of range on disc {disc}")
     if not regions:
@@ -252,13 +255,13 @@ def _freeze(state: _State) -> tuple[BraidedSurface, Star]:
 
 
 def _relabel_discs(state: _State, f) -> None:
-    """Carry the state, each disc's band order included, along a bijection
-    ``f`` of its discs, evaluated once per disc.  A band whose ends change
-    order swaps ``l`` and ``r``, and every ray step through it flips both
-    its end labels.  Each disc's list moves to its new index unchanged."""
-    old = state.order
-    to = [0, *map(f, range(1, len(old)))]
-    state.center = to[state.center]
+    """Carry the state along a bijection ``f`` of its discs, evaluated only
+    at the discs with a band end, the tips and the center.  A band whose
+    ends change order swaps ``l`` and ``r``, and every ray step through it
+    flips both its end labels.  Each disc's list moves to its new key
+    unchanged."""
+    to = {d: f(d) for d in state.order}
+    state.center = f(state.center)
     swapped = set()
     for bid, band in state.bands.items():
         l, r = to[band.l], to[band.r]
@@ -267,15 +270,13 @@ def _relabel_discs(state: _State, f) -> None:
             swapped.add(bid)
         band.l, band.r = l, r
     for ray in state.rays:
-        ray.tip_disc = to[ray.tip_disc]
+        ray.tip_disc = f(ray.tip_disc)
         if swapped:
             for step in ray.steps:
                 if step[0] in swapped:
                     step[1] = R if step[1] == L else L
                     step[2] = R if step[2] == L else L
-    state.order = [[] for _ in range(state.discs + 1)]
-    for d in range(1, len(old)):
-        state.order[to[d]] = old[d]
+    state.order = {to[d]: ends for d, ends in state.order.items()}
 
 
 def _drop_ends(state: _State, bid: int) -> None:
@@ -287,7 +288,7 @@ def _drop_ends(state: _State, bid: int) -> None:
 def _insert_ends(state: _State, bid: int) -> None:
     band = state.bands[bid]
     for d in (band.l, band.r):
-        bisect.insort(state.order[d], (band, bid), key=lambda t: -t[0].h)
+        bisect.insort(state.order.setdefault(d, []), (band, bid), key=lambda t: -t[0].h)
 
 
 # ---------------------------------------------------------------------------
@@ -354,22 +355,11 @@ def delta_b(obj: Ray | Star | _Ray | _State) -> int:
     return len(obj.steps)
 
 
-def _slack_step(ray: _Ray) -> tuple[int, int, list] | None:
-    """First slack arc of a ray as (start, stop, replacement steps), or None.
-
-    A step entering and leaving its band through the same end is dropped;
-    two consecutive steps through one band, the second entering where the
-    first left, merge into one.
-    """
-    for k, (_bid, enter, exit_) in enumerate(ray.steps):
-        if enter == exit_:
-            return k, k + 1, []
-    for k in range(len(ray.steps) - 1):
-        b1, e1, x1 = ray.steps[k]
-        b2, e2, x2 = ray.steps[k + 1]
-        if b1 == b2 and x1 == e2:
-            return k, k + 2, [[b1, e1, x2]]
-    return None
+def _has_slack(ray: _Ray) -> bool:
+    """Whether ``_remove_slack`` would take a step off the ray."""
+    steps = ray.steps
+    return any(e == x for _b, e, x in steps) or any(
+        b1 == b2 and x1 == e2 for (b1, _e1, x1), (b2, e2, _x2) in zip(steps, steps[1:]))
 
 
 def _tail_sides(state: _State, ray: _Ray) -> tuple[int, int]:
@@ -378,7 +368,7 @@ def _tail_sides(state: _State, ray: _Ray) -> tuple[int, int]:
     h_c = state.bands[bid].h
     lo, hi = min(h_c, ray.tip_h), max(h_c, ray.tip_h)
     between = outside = 0
-    for band, b in state.order[ray.tip_disc]:
+    for band, b in state.order.get(ray.tip_disc, ()):
         if b == bid:
             continue
         if lo < band.h < hi:
@@ -412,19 +402,27 @@ def _ray_loose_removable(state: _State, ray: _Ray) -> bool:
 # Minimization: slack and loose removal
 # ---------------------------------------------------------------------------
 
-def _remove_slack_once(state: _State) -> bool:
+def _remove_slack(state: _State) -> bool:
+    """Bring every ray to its slack normal form; whether any step went.
+
+    Steps through one band compose like arrows between its two ends, so one
+    stack pass per ray reaches the unique normal form: a step entering where
+    the stacked step through its band left folds into it, and a step that
+    enters and leaves by one end goes."""
+    changed = False
     for ray in state.rays:
-        slack = _slack_step(ray)
-        if slack is not None:
-            start, stop, replacement = slack
-            ray.steps[start:stop] = replacement
-            return True
-    return False
-
-
-def _remove_slack(state: _State) -> None:
-    while _remove_slack_once(state):
-        pass
+        out: list[list] = []
+        for step in ray.steps:
+            bid, enter, exit_ = step
+            if out and out[-1][0] == bid and out[-1][2] == enter:
+                enter = out.pop()[1]
+                step = [bid, enter, exit_]
+            if enter != exit_:
+                out.append(step)
+        if len(out) != len(ray.steps):
+            ray.steps = out
+            changed = True
+    return changed
 
 
 def _landing_slots(state: _State, disc: int, h: int, above: bool) -> list[int]:
@@ -433,7 +431,7 @@ def _landing_slots(state: _State, disc: int, h: int, above: bool) -> list[int]:
     The midpoints are exact when every height is even.
     """
     sign = 1 if above else -1
-    occupied = sorted({band.h for band, _b in state.order[disc]}
+    occupied = sorted({band.h for band, _b in state.order.get(disc, ())}
                       | {r.tip_h for r in state.rays if r.tip_disc == disc}, reverse=not above)
     out: list[int] = []
     prev = h
@@ -497,9 +495,7 @@ def _minimize_state(state: _State) -> bool:
     """Remove slack and loose arcs to a fixpoint; whether any was removed."""
     changed = False
     while True:
-        if _remove_slack_once(state):
-            changed = True
-            continue
+        changed |= _remove_slack(state)
         loose = next(
             (k for k, ray in enumerate(state.rays) if _ray_loose_removable(state, ray)),
             None,
@@ -570,27 +566,43 @@ def _slide_end(state: _State, bid: int, h: int, end: str | None, bridge: int) ->
     _insert_ends(state, bid)
 
 
-def _twirl_state(state: _State, times: int) -> None:
-    """``times`` twirls as one relabelling: disc d becomes d - times, mod n."""
-    _relabel_discs(state, lambda d: (d - 1 - times) % state.discs + 1)
+def _normalize(state: _State, ray: _Ray) -> tuple[int, bool]:
+    """Steps 0 and 2 of ``_reduce_state`` as one disc relabelling; returns
+    the tip disc and whether the state was mirrored.
 
+    Upside down when the tail points down (heights and disc order reverse,
+    twist signs stay; heights alone would not be an isotopy), mirrored when
+    the crossed band is negative (disc order and twist signs reverse), the
+    two disc reversals cancelling when both apply; then a twirl wraps the
+    band's left disc round to n and an inflation adds an empty disc after
+    the tip disc.
+    """
+    band0 = state.bands[ray.steps[-1][0]]
+    n = state.discs
+    flip = ray.tip_h < band0.h
+    if flip:
+        for band in state.bands.values():
+            band.h = -band.h
+        for r in state.rays:
+            r.tip_h = -r.tip_h
+        for ends in state.order.values():
+            ends.reverse()
+    mirror = band0.e != 1
+    if mirror:
+        for band in state.bands.values():
+            band.e = -band.e
+    reverse = flip != mirror  # one disc reversal, or two that cancel
+    left = n + 1 - band0.r if reverse else band0.l
+    exits_right = (ray.steps[-1][2] == R) != reverse
+    times = left if exits_right else 0  # the band's left disc wraps round to n
 
-def _upside_down_state(state: _State) -> None:
-    # Rotation about the front-back axis: heights and disc order both
-    # reverse, twist signs stay.  Reversing heights alone is not an isotopy.
-    for band in state.bands.values():
-        band.h = -band.h
-    for ray in state.rays:
-        ray.tip_h = -ray.tip_h
-    _relabel_discs(state, lambda d: state.discs + 1 - d)
-    for ends in state.order:
-        ends.reverse()
+    def g(d: int) -> int:
+        return ((n + 1 - d if reverse else d) - 1 - times) % n + 1
 
-
-def _mirror_state(state: _State) -> None:
-    _relabel_discs(state, lambda d: state.discs + 1 - d)
-    for band in state.bands.values():
-        band.e = -band.e
+    x0 = min(g(band0.l), g(band0.r))
+    state.discs += 1
+    _relabel_discs(state, lambda d: g(d) + (g(d) > x0))
+    return x0, mirror
 
 
 def _pick_ray(state: _State) -> int:
@@ -637,30 +649,19 @@ def _reduce_state(state: _State) -> None:
     before = delta_b(state)
     if before == 0:
         raise StarError("star already lies in the discs")
-    if any(
-        _slack_step(ray) is not None or _ray_loose_removable(state, ray) for ray in state.rays
-    ):
+    if any(_has_slack(ray) or _ray_loose_removable(state, ray) for ray in state.rays):
         raise StarError("star is not minimal")
 
     idx = _pick_ray(state)
 
-    # Step 0: normalize so the tail points up, the crossed band is positive
-    # and the tip disc is its left disc.  Flips and twirls are isotopies;
-    # mirroring is not, so a negative crossed band is handled by running the
-    # whole construction inside a mirror sandwich and mirroring back at the
-    # end.
+    # Step 0: one relabelling makes the tail point up, the crossed band
+    # positive and the tip disc its left disc, and inflates step 2's disc.
+    # Mirroring is not an isotopy, so a negative crossed band runs the whole
+    # construction inside a mirror sandwich.
     ray = state.rays[idx]
     b0 = ray.steps[-1][0]
-    if ray.tip_h < state.bands[b0].h:
-        _upside_down_state(state)
-    mirrored = state.bands[b0].e != 1
-    if mirrored:
-        _mirror_state(state)
-    if ray.steps[-1][2] == R:
-        _twirl_state(state, state.bands[b0].l)  # its left disc wraps round to n
-
+    x0, mirrored = _normalize(state, ray)
     band0 = state.bands[b0]
-    x0 = band0.l
 
     # Step 1: bands across the tail span; the ones at the tip disc exist
     # because the ray is not loose.
@@ -674,12 +675,7 @@ def _reduce_state(state: _State) -> None:
     state.rescale(4 * (len(btau) + 1))
     h_tip = ray.tip_h
 
-    # Step 2: inflate positively at the tip disc, just above the span.
-    def f(d: int) -> int:
-        return d if d <= x0 else d + 1
-
-    state.discs += 1
-    _relabel_discs(state, f)
+    # Step 2: a positive band from the tip disc to the fresh one, above the span.
     top = max(state.bands[b].h for b in btau)
     new_id = state.next_id
     state.next_id += 1
@@ -718,7 +714,9 @@ def _reduce_state(state: _State) -> None:
     _remove_slack(state)
 
     if mirrored:
-        _mirror_state(state)
+        _relabel_discs(state, lambda d: state.discs + 1 - d)
+        for band in state.bands.values():
+            band.e = -band.e
     _check_state(state)
     if delta_b(state) >= before:
         raise StarError("reduction failed to decrease the crossing count")

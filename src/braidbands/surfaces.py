@@ -67,7 +67,7 @@ class BraidedSurface(_Value):
             bands = [(b["l"], b["r"], b["e"]) for b in data.get("bands", [])]
             if type(data["discs"]) is not int or any(type(x) is not int for band in bands for x in band):
                 raise TypeError("discs and band ends must be integers")
-            if data["discs"] > MAX_WORD_LETTERS:  # a list per disc would exhaust memory
+            if data["discs"] > MAX_WORD_LETTERS:  # caps per-disc work, as in the genus
                 raise ValueError(f"more than {MAX_WORD_LETTERS} discs")
             return BraidedSurface(data["discs"], bands)
         except (KeyError, TypeError, ValueError) as exc:

@@ -16,7 +16,9 @@ nesting depth 0 for the best one.  A connected diagram's fatgraph is read off
 its Seifert circles' traversal orders directly.  A star reduction round-trips
 through frozen ``(surface, star)`` pairs between steps, a disc's band order
 is a scan of every band, sorted, and a star state's embeddedness is checked
-on explicit chords with tagged endpoints.  A retracted tip's landing
+on explicit chords with tagged endpoints.  Slack leaves a star state one
+edit at a time, each search starting again from the first ray, and a
+reduction step's flip, mirror, twirl and inflation are four relabellings.  A retracted tip's landing
 candidates are scanned above and below in two written-out branches, and a
 slide down is its own table of patterns, not a slide up conjugated by
 inversion.  Twirls and turns are applied one move at a time, on surfaces
@@ -65,7 +67,8 @@ from braidbands.stars import (
     _div,
     _materialize,
     _ray_loose,
-    _slack_step,
+    _relabel_discs,
+    _Ray,
     _State,
     delta_b,
     minimize,
@@ -771,7 +774,7 @@ def reductions_by_freezing(surface: BraidedSurface, star: Star):
 def landing_slots(state: _State, disc: int, h: int, above: bool) -> list[int]:
     """``stars._landing_slots`` with the two sides written out: candidate tip
     heights beside ``h``, nearest first."""
-    occupied = sorted({band.h for band, _b in state.order[disc]}
+    occupied = sorted({band.h for band, _b in state.order.get(disc, ())}
                       | {r.tip_h for r in state.rays if r.tip_disc == disc})
     out: list[int] = []
     if above:
@@ -884,7 +887,7 @@ class RayClass:
 def classify_ray(surface: BraidedSurface, star: Star, ray_index: int) -> RayClass:
     state = _materialize(surface, star)
     ray = state.rays[ray_index]
-    return RayClass(bool(ray.steps), _slack_step(ray) is not None, _ray_loose(state, ray))
+    return RayClass(bool(ray.steps), slack_step(ray) is not None, _ray_loose(state, ray))
 
 
 # ---------------------------------------------------------------------------
@@ -938,9 +941,10 @@ def turn_once(s: BraidedSurface) -> BraidedSurface:
 
 def relabel_order(state: _State, f) -> None:
     """Rebuild each disc's band order along a disc relabelling ``f`` that the
-    bands have already followed, pair by pair."""
-    order: list[list] = [[] for _ in range(state.discs + 1)]
-    for d, ends in enumerate(state.order):
+    bands have already followed, pair by pair; a disc without bands gets no
+    key."""
+    order: dict[int, list] = {}
+    for d, ends in state.order.items():
         if ends:
             order[f(d)] = [(band, bid) for band, bid in ends]
     state.order = order
@@ -1005,6 +1009,54 @@ def reverse_discs(state: _State) -> None:
     relabel_order(state, lambda d: n + 1 - d)
 
 
+def twirl_state(state: _State, times: int) -> None:
+    """``times`` twirls as one relabelling: disc d becomes d - times, mod n."""
+    _relabel_discs(state, lambda d: (d - 1 - times) % state.discs + 1)
+
+
+def upside_down_state(state: _State) -> None:
+    """Rotation about the front-back axis: heights and disc order both
+    reverse, twist signs stay."""
+    for band in state.bands.values():
+        band.h = -band.h
+    for ray in state.rays:
+        ray.tip_h = -ray.tip_h
+    _relabel_discs(state, lambda d: state.discs + 1 - d)
+    for ends in state.order.values():
+        ends.reverse()
+
+
+def mirror_state(state: _State) -> None:
+    """Disc order and twist signs reverse."""
+    _relabel_discs(state, lambda d: state.discs + 1 - d)
+    for band in state.bands.values():
+        band.e = -band.e
+
+
+def inflate_state(state: _State, x0: int) -> None:
+    """A fresh empty disc right of disc ``x0``."""
+    state.discs += 1
+    _relabel_discs(state, lambda d: d if d <= x0 else d + 1)
+
+
+def normalize_by_single_moves(state: _State, ray: _Ray) -> tuple[int, bool]:
+    """``stars._normalize`` one move at a time: upside down when the tail
+    points down, mirrored when the crossed band is negative, twirled when
+    the ray leaves that band by its right end, then inflated at the tip disc.
+    Returns the tip disc and whether the state was mirrored."""
+    b0 = ray.steps[-1][0]
+    if ray.tip_h < state.bands[b0].h:
+        upside_down_state(state)
+    mirrored = state.bands[b0].e != 1
+    if mirrored:
+        mirror_state(state)
+    if ray.steps[-1][2] == R:
+        twirl_state(state, state.bands[b0].l)
+    x0 = state.bands[b0].l
+    inflate_state(state, x0)
+    return x0, mirrored
+
+
 def turn_until(word: BKLWord, cids: list[int], at_shared: set, want: list[int]):
     """Turn ``word`` one letter at a time until its letters in ``at_shared``
     read ``want``; ``cids`` tag its letters and turn with them."""
@@ -1014,6 +1066,48 @@ def turn_until(word: BKLWord, cids: list[int], at_shared: set, want: list[int]):
         word = to_word(turn_once(from_word(word)))
         cids = [cids[-1]] + cids[:-1]
     raise SoundnessError("cannot align the piece with the shared circle's cyclic order")
+
+
+# ---------------------------------------------------------------------------
+# Slack, one edit at a time
+# ---------------------------------------------------------------------------
+
+def slack_step(ray: _Ray) -> tuple[int, int, list] | None:
+    """First slack arc of a ray as (start, stop, replacement steps), or None.
+
+    A step entering and leaving its band through the same end is dropped;
+    two consecutive steps through one band, the second entering where the
+    first left, merge into one.
+    """
+    for k, (_bid, enter, exit_) in enumerate(ray.steps):
+        if enter == exit_:
+            return k, k + 1, []
+    for k in range(len(ray.steps) - 1):
+        b1, e1, x1 = ray.steps[k]
+        b2, e2, x2 = ray.steps[k + 1]
+        if b1 == b2 and x1 == e2:
+            return k, k + 2, [[b1, e1, x2]]
+    return None
+
+
+def remove_slack_once(state: _State) -> bool:
+    """Make the first slack edit of the first ray that has one."""
+    for ray in state.rays:
+        slack = slack_step(ray)
+        if slack is not None:
+            start, stop, replacement = slack
+            ray.steps[start:stop] = replacement
+            return True
+    return False
+
+
+def remove_slack_by_restarts(state: _State) -> bool:
+    """``stars._remove_slack`` as the fixpoint of single edits, each search
+    starting again from the first ray; whether any step went."""
+    changed = False
+    while remove_slack_once(state):
+        changed = True
+    return changed
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,11 +29,16 @@ from reference import (
     check_state_by_chords,
     classify_ray,
     landing_slots,
+    mirror_state,
+    normalize_by_single_moves,
     order_on_disc_scan,
     reductions_by_freezing,
     relabel_discs,
+    remove_slack_by_restarts,
     reverse_discs,
+    twirl_state,
     twirl_state_once,
+    upside_down_state,
 )
 
 # sha256 of every check_star verdict, minimize result, reductions step and
@@ -367,11 +373,13 @@ def _ends(pairs, d: int) -> list:
 
 
 def _assert_order_matches_scan(state) -> None:
-    assert len(state.order) == state.discs + 1 and not state.order[0]
+    # Keys are discs 1..n with a band end; an absent disc has no bands.
+    assert all(1 <= d <= state.discs and ends for d, ends in state.order.items())
     for d in range(1, state.discs + 1):
-        stored = _ends(state.order[d], d)
+        ends = state.order.get(d, [])
+        stored = _ends(ends, d)
         assert stored == _ends(order_on_disc_scan(state, d), d)
-        assert all(band is state.bands[bid] for band, bid in state.order[d])
+        assert all(band is state.bands[bid] for band, bid in ends)
         assert all(state.bands[bid].end_disc(side) == d for _h, bid, side in stored)
 
 
@@ -382,21 +390,20 @@ def test_stored_disc_order_follows_every_mutation(monkeypatch):
 
     def checked_remove_slack(state):
         _assert_order_matches_scan(state)
-        remove_slack(state)
+        return remove_slack(state)
 
     monkeypatch.setattr(stars, "_remove_slack", checked_remove_slack)
     checked = 0
     for s, star in valid_star_instances(seed=4242, count=80):
         state = stars._materialize(s, star)
         _assert_order_matches_scan(state)
-        for mutate in (lambda state: stars._twirl_state(state, 1), stars._upside_down_state,
-                       stars._mirror_state):
+        for mutate in (lambda state: twirl_state(state, 1), upside_down_state, mirror_state):
             mutate(state)
             _assert_order_matches_scan(state)
         # Two twirls as one, and a relabelling that reverses every band.
         n = state.discs
         for mutate, one_by_one in (
-            (lambda state: stars._twirl_state(state, 2),
+            (lambda state: twirl_state(state, 2),
              lambda state: [twirl_state_once(state) for _ in range(2)]),
             (lambda state: stars._relabel_discs(state, lambda d: n + 1 - d), reverse_discs),
         ):
@@ -405,6 +412,7 @@ def test_stored_disc_order_follows_every_mutation(monkeypatch):
             mutate(state)
             _assert_order_matches_scan(state)
             assert stars._freeze(state) == stars._freeze(expected)
+            assert state.order == expected.order
         state.discs += 1
         stars._relabel_discs(state, lambda d: d if d < 2 else d + 1)  # an inflation at disc 1
         _assert_order_matches_scan(state)
@@ -422,10 +430,12 @@ def test_counted_twirl_state_matches_single_twirls():
     for s, star in valid_star_instances(seed=77, count=60):
         for k in range(2 * s.discs + 1):
             state, expected = stars._materialize(s, star), stars._materialize(s, star)
-            stars._twirl_state(state, k)
+            twirl_state(state, k)
             for _ in range(k):
                 twirl_state_once(expected)
+            _assert_order_matches_scan(state)
             assert stars._freeze(state) == stars._freeze(expected)
+            assert state.order == expected.order
 
 
 def test_reduce_to_disc_materializes_and_freezes_once(monkeypatch):
@@ -549,9 +559,67 @@ def test_relabel_discs_matches_moving_the_bands_first():
                 (r.steps, r.tip_disc, r.tip_h) for r in expected.rays
             ]
             assert stars._freeze(state) == stars._freeze(expected)
+            assert state.order == expected.order
     # The reversal swaps band 0's ends and flips both labels of each step.
     state = stars._materialize(*_SAME_END_STEP)
     stars._relabel_discs(state, lambda d: 4 - d)
     assert [ray.steps for ray in state.rays] == [
         [[0, "L", "L"], [1, "R", "L"]], [[0, "R", "R"]]
     ]
+
+
+def _slack_state(rays):
+    return stars._State(1, {}, 1, [stars._Ray([list(step) for step in steps], 1, 0) for steps in rays],
+                        0, 1, {})
+
+
+_STEPS = st.lists(st.tuples(st.integers(0, 2), st.sampled_from("LR"), st.sampled_from("LR")), max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_STEPS, min_size=1, max_size=4))
+@example([[(0, "L", "R"), (0, "R", "L")]])  # cancels to nothing
+@example([[(0, "L", "R"), (1, "R", "L"), (1, "L", "R"), (0, "R", "L"), (2, "L", "L")]])
+@example([[(0, "L", "R"), (0, "R", "R"), (0, "R", "L"), (0, "L", "R")], []])
+def test_one_pass_slack_normal_form_matches_the_restart_loop(rays):
+    state, expected = _slack_state(rays), _slack_state(rays)
+    assert stars._remove_slack(state) == remove_slack_by_restarts(expected)
+    assert [ray.steps for ray in state.rays] == [ray.steps for ray in expected.rays]
+    assert not any(stars._has_slack(ray) for ray in state.rays)
+
+
+def test_normalize_matches_the_single_moves():
+    # Flip, mirror and twirl each apply or not; all eight cases occur.
+    cases: dict[tuple, int] = {}
+    for s, star in valid_star_instances(seed=2718, count=120):
+        for k, ray in enumerate(star.rays):
+            if not ray.steps:
+                continue
+            state, expected = stars._materialize(s, star), stars._materialize(s, star)
+            live = state.rays[k]
+            band = state.bands[live.steps[-1][0]]
+            flip, mirror = live.tip_h < band.h, band.e != 1
+            case = (flip, mirror, (live.steps[-1][2] == "R") != (flip != mirror))
+            cases[case] = cases.get(case, 0) + 1
+            assert stars._normalize(state, live) == normalize_by_single_moves(expected, expected.rays[k])
+            _assert_order_matches_scan(state)
+            assert stars._freeze(state) == stars._freeze(expected)
+            assert state == expected
+    assert len(cases) == 8 and min(cases.values()) >= 10
+
+
+@pytest.mark.parametrize("discs", [10**4, 10**6])
+def test_golden_star_costs_nothing_per_disc(discs):
+    # The golden reduction on a surface with many empty discs: the same
+    # answer, and a traced peak far below one list per disc.
+    s = BraidedSurface(discs, GOLDEN_SURFACE.bands)
+    tracemalloc.start()
+    try:
+        s2, star2 = reduce_to_disc(s, GOLDEN_STAR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = discs + 1
+    assert s2 == BraidedSurface(n, ((1, 3, 1), (2, n, 1), (3, n, 1), (1, 2, 1)))
+    assert star2 == Star(n, [Ray((), n, 1)])
+    assert peak < 64 * 1024
