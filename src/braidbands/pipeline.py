@@ -180,6 +180,11 @@ def realizations(fat: Fatgraph, start_vertex: int = 0):
     exact rule for the order to add no cycle.
     """
     fat.check()
+    yield from _realizations(fat, start_vertex)
+
+
+def _realizations(fat: Fatgraph, start_vertex: int):
+    """``realizations`` of a fatgraph known to pass ``Fatgraph.check``."""
     n = fat.vertex_count
     if not 0 <= start_vertex < n:
         raise PipelineError("start vertex out of range")
@@ -491,7 +496,8 @@ def _homogenize(d: Diagram):
     target = _diagram_rest(d, cycles, [rank[cycle[0][0]] for cycle in cycles])
     components = link_components(d)
     starts = [leaf.circles[0] if shared < 0 else shared for leaf, shared in steps]
-    searches = [realizations(leaf.fatgraph, leaf.circle_map[start])
+    # _leaf builds each fatgraph from the analysed diagram, so it needs no check.
+    searches = [_realizations(leaf.fatgraph, leaf.circle_map[start])
                 for (leaf, _shared), start in zip(steps, starts)]
     tried = [0] * len(steps)
     realized: list = [None] * len(steps)

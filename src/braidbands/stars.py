@@ -84,27 +84,37 @@ class Star(_Value):
 
     @staticmethod
     def from_json(text: str) -> "Star":
+        """The star of ``{"center": c, "rays": [{"steps": [[band, enter, exit], ...],
+        "tip": {"disc": d, "gap": g}}, ...]}``.
+
+        Each value is checked once, ray by ray: one loop over a ray's steps
+        checks that each has three entries and an integer band, then the
+        tip's disc and gap are checked, then ``Ray``'s constructor checks
+        the step ends; the center comes last.  The first failure in that
+        order raises, as a ``StarError``.
+        """
         data = json.loads(text)
         if not isinstance(data, dict):
             raise StarError("a star must be a JSON object")
-
-        def whole(x) -> int:
-            if type(x) is not int:
-                raise TypeError(f"expected an integer, got {x!r}")
-            return x
-
         try:
-            rays = [
-                Ray(
-                    tuple([(whole(b), e, x) for b, e, x in r.get("steps", [])]),
-                    whole(r["tip"]["disc"]),
-                    whole(r["tip"]["gap"]),
-                )
-                for r in data.get("rays", [])
-            ]
-            return Star(whole(data["center"]), rays)
+            rays = []
+            for r in data.get("rays", []):
+                steps = []
+                for b, e, x in r.get("steps", []):
+                    if type(b) is not int:
+                        raise TypeError(f"expected an integer, got {b!r}")
+                    steps.append((b, e, x))
+                tip = r["tip"]
+                rays.append(Ray(tuple(steps), _whole(tip["disc"]), _whole(tip["gap"])))
+            return Star(_whole(data["center"]), rays)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise StarError(f"malformed star: {exc!r}") from exc
+
+
+def _whole(x) -> int:
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -60,16 +60,38 @@ class BraidedSurface(_Value):
 
     @staticmethod
     def from_json(text: str) -> "BraidedSurface":
+        """The surface of ``{"discs": n, "bands": [{"l": l, "r": r, "e": e}, ...]}``.
+
+        One pass over the bands checks that each end is an integer and each
+        band in range for ``n``, and the surface is built from the values as
+        read, with no second coercion.  A band out of range, or ``n`` below
+        1, is refused by the constructor, so the error is the first of: a
+        band that is not an object with all three ends, a missing ``discs``,
+        a value that is not an integer (a bool or a float included), ``n``
+        above ``MAX_WORD_LETTERS``, ``n`` below 1, the first band out of range.
+        """
         data = json.loads(text)
         if not isinstance(data, dict):
             raise MoveError("from_json", "surface", "not a JSON object")
         try:
-            bands = [(b["l"], b["r"], b["e"]) for b in data.get("bands", [])]
-            if type(data["discs"]) is not int or any(type(x) is not int for band in bands for x in band):
+            bands = tuple([(b["l"], b["r"], b["e"]) for b in data.get("bands", [])])
+            discs = data["discs"]
+            if type(discs) is not int:
                 raise TypeError("discs and band ends must be integers")
-            if data["discs"] > MAX_WORD_LETTERS:  # caps per-disc work, as in the genus
+            in_range = discs >= 1
+            for l, r, e in bands:
+                if type(l) is not int or type(r) is not int or type(e) is not int:
+                    raise TypeError("discs and band ends must be integers")
+                if not 1 <= l < r <= discs or e not in (1, -1):
+                    in_range = False
+            if discs > MAX_WORD_LETTERS:  # caps per-disc work, as in the genus
                 raise ValueError(f"more than {MAX_WORD_LETTERS} discs")
-            return BraidedSurface(data["discs"], bands)
+            if not in_range:
+                return BraidedSurface(discs, bands)  # raises the constructor's error
+            surface = object.__new__(BraidedSurface)
+            object.__setattr__(surface, "discs", discs)
+            object.__setattr__(surface, "bands", bands)
+            return surface
         except (KeyError, TypeError, ValueError) as exc:
             raise MoveError("from_json", "surface", f"malformed: {exc!r}") from exc
 

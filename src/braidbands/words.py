@@ -13,10 +13,11 @@ constructors check each distinct letter once and replace every letter by
 the first letter of the word equal to it, and handle reduction reuses the
 letters of its input.  A word with a letter that fails the check, or that
 cannot be hashed, is coerced and checked letter by letter instead, so an
-error names the first bad letter of the word.  ``parse_word`` and
-``bkl_to_artin`` work once per distinct token or band letter: each makes
-one tuple per distinct letter, range-checks each distinct letter once and
-joins the letters without hashing each again.
+error names the first bad letter of the word.  ``parse_word`` parses each
+distinct token once per process, up to ``TOKEN_MEMO_SIZE`` tokens, and
+``bkl_to_artin`` expands each distinct band letter once per word: each makes
+one tuple per distinct letter, range-checks the distinct letters by their
+extremes and joins the letters without hashing each again.
 
 Equality of braid elements is decided by handle reduction, a terminating
 rewriting procedure on Artin words.  It runs as one loop on two stacks: a
@@ -34,9 +35,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import iadd, itemgetter
+from operator import iadd, itemgetter, lt
 
 
 class WordError(ValueError):
@@ -162,18 +163,20 @@ class _Word(_Value):
         object.__setattr__(self, "letters", checked)
 
     @classmethod
-    def _checked(cls, strands: int, distinct: Iterable[tuple], letters: tuple) -> _Word:
+    def _checked(cls, strands: int, distinct: dict, letters: tuple) -> _Word:
         """The word of ``letters``: tuples of ints with signs +-1, equal ones one tuple.
 
         Only the letters of ``distinct``, each distinct letter once, are
-        range-checked, and ``letters`` is not hashed again.  The error is
-        ``__init__``'s; with ``distinct`` in first-occurrence order it names
-        the first bad letter of the word.
+        range-checked, by their extremes, and ``letters`` is not hashed
+        again.  If that check fails, each letter is checked in turn, so the
+        error is ``__init__``'s; with ``distinct`` in first-occurrence order
+        it names the first bad letter of the word.
         """
         _check_strands(strands)
-        for x in distinct:
-            if not cls._valid(x, strands):
-                raise WordError(cls._range_error(x, strands))
+        if not cls._in_range(distinct, strands):
+            for x in distinct:
+                if not cls._valid(x, strands):
+                    raise WordError(cls._range_error(x, strands))
         word = object.__new__(cls)
         object.__setattr__(word, "strands", strands)
         object.__setattr__(word, "letters", letters)
@@ -206,6 +209,12 @@ class ArtinWord(_Word):
                 and x[1] in (1, -1) and 1 <= x[0] <= strands - 1)
 
     @staticmethod
+    def _in_range(distinct, strands: int) -> bool:
+        """Whether letters of ints with signs +-1 all have ``1 <= i <= strands - 1``."""
+        i = itemgetter(0)
+        return not distinct or (min(map(i, distinct)) >= 1 and max(map(i, distinct)) < strands)
+
+    @staticmethod
     def _range_error(x, strands: int) -> str:
         return f"generator index {x[0]} out of range for {strands} strands"
 
@@ -220,6 +229,13 @@ class BKLWord(_Word):
     def _valid(x, strands: int) -> bool:
         return (type(x) is tuple and len(x) == 3 and type(x[0]) is int and type(x[1]) is int
                 and type(x[2]) is int and x[2] in (1, -1) and 1 <= x[0] < x[1] <= strands)
+
+    @staticmethod
+    def _in_range(distinct, strands: int) -> bool:
+        """Whether letters of ints with signs +-1 all have ``1 <= r < s <= strands``."""
+        r, s = itemgetter(0), itemgetter(1)
+        return not distinct or (min(map(r, distinct)) >= 1 and max(map(s, distinct)) <= strands
+                                and all(map(lt, map(r, distinct), map(s, distinct))))
 
     @staticmethod
     def _range_error(x, strands: int) -> str:
@@ -490,7 +506,7 @@ def _index(digits: str) -> int:
     return int(digits.lstrip("0")[:_INDEX_DIGITS] or "0")
 
 
-def _parse_token(token: str) -> tuple[tuple, int]:
+def _read_token(token: str) -> tuple[tuple, int]:
     """(unit letter, count) of one token other than ``e``."""
     m = _TOKEN.fullmatch(token)
     if m is None:
@@ -512,6 +528,18 @@ def _parse_token(token: str) -> tuple[tuple, int]:
     return (*letter, -1 if minus else 1), count
 
 
+# The parses of the last TOKEN_MEMO_SIZE distinct tokens up to
+# MEMO_TOKEN_CHARS long are kept.  The words one process reads use a few
+# hundred distinct tokens (108 in all 1,176 words of the braid benchmark's
+# corpus), so this holds them all, and the full memo takes at most 1.5 MB.
+# A token without leading zeros has at most 27 characters, such as
+# b(1000000,1000000)^-1000000; a longer one is read each time, and a token
+# that raises is not kept.
+TOKEN_MEMO_SIZE = 4096
+MEMO_TOKEN_CHARS = 32
+_parse_token = lru_cache(maxsize=TOKEN_MEMO_SIZE)(_read_token)
+
+
 def parse_word(text: str, strands: int | None = None, kind: str | None = None) -> Word:
     """Parse the token grammar: ``s<i>``, ``b(<r>,<s>)``, optional ``^<k>``, ``e``.
 
@@ -530,9 +558,10 @@ def parse_word(text: str, strands: int | None = None, kind: str | None = None) -
     band tokens; a strand count below 1; the first letter in word order out
     of range for the strand count.
 
-    Each distinct token is parsed once, into one shared letter and a count.
-    The length is checked from the counts before any letter is expanded,
-    and each distinct letter is range-checked once.
+    Each distinct token is parsed once per process, into one letter and a
+    count, up to ``TOKEN_MEMO_SIZE`` tokens; a token that fails is parsed
+    again each time.  The length is checked from the counts before any
+    letter is expanded, and the distinct letters are range-checked at once.
     """
     if strands is not None and strands > MAX_WORD_LETTERS:
         raise WordError(f"more than {MAX_WORD_LETTERS} strands")
@@ -544,8 +573,9 @@ def parse_word(text: str, strands: int | None = None, kind: str | None = None) -
     for token in dict.fromkeys(tokens):
         if token in runs:
             continue
+        parse = _parse_token if len(token) <= MEMO_TOKEN_CHARS else _read_token
         try:
-            letter, counts[token] = _parse_token(token)
+            letter, counts[token] = parse(token)
         except WordError as exc:
             # The tokens before the first bad one can still be too many letters.
             failure = exc

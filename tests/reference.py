@@ -34,12 +34,15 @@ count of the leaf's own diagram.  Each Seifert builder is one body per
 surface that adds its twist term and halves; the library builds the twist
 term apart, so that its gate can leave it out.  Words are parsed token by
 token, with two regular expressions and a running length, and a band word
-is translated to Artin letters one band letter at a time.
+is translated to Artin letters one band letter at a time.  The surface and
+star readers type-check every value in a pass of its own and build through
+the checking constructors.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +65,7 @@ from braidbands.stars import (
     _CENTER,
     L,
     R,
+    Ray,
     Star,
     StarError,
     _div,
@@ -74,7 +78,7 @@ from braidbands.stars import (
     minimize,
     reduce_step,
 )
-from braidbands.surfaces import BraidedSurface, from_word, to_word, word_turn, word_twirl
+from braidbands.surfaces import BraidedSurface, MoveError, from_word, to_word, word_turn, word_twirl
 from braidbands.words import (
     MAX_WORD_LETTERS,
     ArtinWord,
@@ -474,6 +478,47 @@ def parse_word(text: str, strands: int | None = None, kind: str | None = None) -
         return BKLWord(n, tuple(bkl))
     n = strands if strands is not None else (max((i for i, _ in artin), default=0) + 1)
     return ArtinWord(n, tuple(artin))
+
+
+def surface_from_json(text: str) -> BraidedSurface:
+    """``BraidedSurface.from_json``, type-checking every value before the constructor coerces it."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise MoveError("from_json", "surface", "not a JSON object")
+    try:
+        bands = [(b["l"], b["r"], b["e"]) for b in data.get("bands", [])]
+        if type(data["discs"]) is not int or any(type(x) is not int for band in bands for x in band):
+            raise TypeError("discs and band ends must be integers")
+        if data["discs"] > MAX_WORD_LETTERS:
+            raise ValueError(f"more than {MAX_WORD_LETTERS} discs")
+        return BraidedSurface(data["discs"], bands)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MoveError("from_json", "surface", f"malformed: {exc!r}") from exc
+
+
+def star_from_json(text: str) -> Star:
+    """``Star.from_json``, checking each integer through a function call."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise StarError("a star must be a JSON object")
+
+    def whole(x) -> int:
+        if type(x) is not int:
+            raise TypeError(f"expected an integer, got {x!r}")
+        return x
+
+    try:
+        rays = [
+            Ray(
+                tuple([(whole(b), e, x) for b, e, x in r.get("steps", [])]),
+                whole(r["tip"]["disc"]),
+                whole(r["tip"]["gap"]),
+            )
+            for r in data.get("rays", [])
+        ]
+        return Star(whole(data["center"]), rays)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StarError(f"malformed star: {exc!r}") from exc
 
 
 def bkl_to_artin(w: BKLWord) -> ArtinWord:

@@ -30,6 +30,7 @@ from braidbands.invariants import (
 from braidbands.pipeline import (
     Fatgraph,
     PipelineError,
+    _realizations,
     decompose_generalized_flat,
     homogenize,
     primitive_flat_to_bkl,
@@ -149,6 +150,25 @@ def test_fatgraph_iso_detects_rotation_and_reflection():
     assert not fatgraphs_isomorphic(base, twisted)
     signed = fatgraph_of_word(parse_word("b(1,2)^-3", strands=2))
     assert not fatgraphs_isomorphic(base, signed)
+
+
+def test_realizations_checks_its_fatgraph():
+    # The public enumeration refuses a malformed fatgraph at its first
+    # candidate.  homogenize enumerates without the check, because the
+    # fatgraphs _leaf builds from an analysed diagram pass it.
+    base = fatgraph_of_word(parse_word("b(1,2) b(1,3)^-1", strands=3))
+    for fat, message in (
+        (Fatgraph(3, base.edges, (base.orders[0], base.orders[0], base.orders[2])), "listed at wrong vertex"),
+        (Fatgraph(3, base.edges, (base.orders[0], (), base.orders[2])), "missing edge ends"),
+        (Fatgraph(2, ((0, 0, 1),), (((0, 0), (0, 1)), ())), "must join distinct vertices"),
+    ):
+        with pytest.raises(PipelineError, match=message):
+            next(realizations(fat))
+    cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43, WHEELS[4]]
+    cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
+    for d in cases:
+        for leaf, _shared in decompose_generalized_flat(d):
+            leaf.fatgraph.check()
 
 
 def test_realize_word_round_trips_fatgraph():
@@ -570,7 +590,7 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
     def counted_realizations(*args, **kwargs):
         leaf = len(searches)
         searches.append(0)
-        for found in realizations(*args, **kwargs):
+        for found in _realizations(*args, **kwargs):
             searches[leaf] += 1
             yield found
 
@@ -585,7 +605,7 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
     )
     monkeypatch.setattr(pipeline, "_fundamental_cycles", lambda *a: bases.append(a) or fundamental_cycles(*a))
     monkeypatch.setattr(pipeline, "_plumbing_ranks", lambda *a: rankings.append(a) or plumbing_ranks(*a))
-    monkeypatch.setattr(pipeline, "realizations", counted_realizations)
+    monkeypatch.setattr(pipeline, "_realizations", counted_realizations)
     monkeypatch.setattr(BKLWord, "__init__", lambda w, *a: band_words.append(w) or band_word_init(w, *a))
     monkeypatch.setattr(invariants, "_twists", lambda *a: twists.append(a) or add_twists(*a))
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
@@ -631,19 +651,19 @@ def test_letter_sign_fault_is_a_soundness_error_at_once(monkeypatch, d):
     def counted_realizations(*args, **kwargs):
         leaf = len(searches)
         searches.append(0)
-        for found in realizations(*args, **kwargs):
+        for found in _realizations(*args, **kwargs):
             searches[leaf] += 1
             yield found
 
     monkeypatch.setattr(pipeline, "_plumbed", flipped)
-    monkeypatch.setattr(pipeline, "realizations", counted_realizations)
+    monkeypatch.setattr(pipeline, "_realizations", counted_realizations)
     with pytest.raises(pipeline.SoundnessError, match="plumbed word's letter signs differ from its crossings'"):
         homogenize(d)
     assert searches == [1] * len(decompose_generalized_flat(d))
 
 
 def _faulted_first(monkeypatch, d, faulted, searches, only=()):
-    """Patch ``realizations`` so that its call k yields its first candidate
+    """Patch ``_realizations`` so that its call k yields its first candidate
     ``faulted[k % len(faulted)]`` extra times, then its candidates unless
     that index is in ``only``, and ``_word_rest`` so that each extra copy
     shifts its leaf's block of the word's doubled twist-free form.  The
@@ -659,11 +679,11 @@ def _faulted_first(monkeypatch, d, faulted, searches, only=()):
     def candidates(fat, start):
         leaf = len(searches)
         searches.append(0)
-        first = next(realizations(fat, start))
+        first = next(_realizations(fat, start))
         for _ in range(faulted[leaf % len(faulted)]):
             searches[leaf] += 1
             yield first
-        for found in () if leaf % len(faulted) in only else realizations(fat, start):
+        for found in () if leaf % len(faulted) in only else _realizations(fat, start):
             searches[leaf] += 1
             yield found
 
@@ -674,7 +694,7 @@ def _faulted_first(monkeypatch, d, faulted, searches, only=()):
                 v[firsts[k]][firsts[k]] += 1
         return v
 
-    monkeypatch.setattr(pipeline, "realizations", candidates)
+    monkeypatch.setattr(pipeline, "_realizations", candidates)
     monkeypatch.setattr(pipeline, "_word_rest", shifted)
 
 
@@ -807,11 +827,11 @@ def test_homogenize_matches_the_per_leaf_gated_chooser(monkeypatch):
     def counted_realizations(*args, **kwargs):
         leaf = len(searches)
         searches.append(0)
-        for found in realizations(*args, **kwargs):
+        for found in _realizations(*args, **kwargs):
             searches[leaf] += 1
             yield found
 
-    monkeypatch.setattr(pipeline, "realizations", counted_realizations)
+    monkeypatch.setattr(pipeline, "_realizations", counted_realizations)
     searched_on = set()  # (discs, bands) of leaves taking more than one candidate
     for d in cases:
         searches.clear()
@@ -960,11 +980,11 @@ def test_homogenize_wheels(monkeypatch, size, tried, expected):
     seen = []
 
     def counted_realizations(*args, **kwargs):
-        for found in realizations(*args, **kwargs):
+        for found in _realizations(*args, **kwargs):
             seen.append(found)
             yield found
 
-    monkeypatch.setattr(pipeline, "realizations", counted_realizations)
+    monkeypatch.setattr(pipeline, "_realizations", counted_realizations)
     w = homogenize(d)
     assert format_word(w) == expected and w.strands == size + 1
     assert len(seen) == tried

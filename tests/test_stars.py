@@ -24,6 +24,7 @@ from braidbands.stars import (
 from braidbands.surfaces import BraidedSurface, from_word, to_word
 from braidbands.words import closure_components, is_homogeneous, parse_word
 
+import reference
 from corpus import random_homogeneous_surface, random_star, valid_star_instances
 from reference import (
     check_state_by_chords,
@@ -52,6 +53,87 @@ GOLDEN_STAR = Star(3, [Ray(((1, "R", "L"),), 1, 3)])
 def test_star_json_round_trip():
     text = GOLDEN_STAR.to_json()
     assert Star.from_json(text) == GOLDEN_STAR
+
+
+# Integers in and out of range, and the JSON values that are no integer.
+_STAR_VALUES = st.sampled_from([*range(-1, 5)] * 4 + [10**6, True, False, 1.0, "1", None, []])
+_STAR_ENDS = st.sampled_from(["L", "R"] * 10 + ["X", "l", 1, None, ["L"]])
+
+
+@st.composite
+def _star_objects(draw):
+    """Star JSON, mostly well formed: a key can be missing, a step the wrong
+    length and any value of the wrong type."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([[], 3, "star", None, [{"center": 1}]]))
+
+    def whole():
+        return draw(st.integers(0, 4)) if draw(st.booleans()) else draw(_STAR_VALUES)
+
+    data = {}
+    if draw(st.integers(0, 9)):
+        data["center"] = whole()
+    if draw(st.integers(0, 14)) == 0:
+        data["rays"] = draw(st.sampled_from([5, "ab", {"tip": 1}, None]))
+    elif draw(st.integers(0, 9)):
+        rays = []
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.integers(0, 19)) == 0:
+                rays.append(draw(st.sampled_from([[1, 2], 3, "ray", None])))
+                continue
+            ray = {}
+            if draw(st.integers(0, 14)) == 0:
+                ray["steps"] = draw(st.sampled_from([4, "LR", None, {"a": 1}]))
+            elif draw(st.integers(0, 9)):
+                steps = []
+                for _ in range(draw(st.integers(0, 4))):
+                    if draw(st.integers(0, 19)) == 0:
+                        steps.append(draw(st.sampled_from([[1, "L"], [1, "L", "R", "R"], 7, "abc", None])))
+                    else:
+                        steps.append([whole(), draw(_STAR_ENDS), draw(_STAR_ENDS)])
+                ray["steps"] = steps
+            if draw(st.integers(0, 14)) == 0:
+                ray["tip"] = draw(st.sampled_from([[1, 0], "tip", 2, None]))
+            elif draw(st.integers(0, 14)):
+                ray["tip"] = {key: whole() for key in ("disc", "gap") if draw(st.integers(0, 14))}
+            rays.append(ray)
+        data["rays"] = rays
+    return data
+
+
+def _read_or_error(read, text):
+    try:
+        return read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_star_objects().map(json.dumps))
+@example('{"center": true, "rays": []}')
+@example('{"center": 1.0, "rays": []}')
+@example('{"center": 1, "rays": [{"steps": [[false, "L", "R"]], "tip": {"disc": 1, "gap": 0}}]}')
+@example('{"center": 1, "rays": [{"steps": [[0, "L", "X"]], "tip": {"disc": 1, "gap": 0}}]}')  # bad step end
+@example('{"center": 1, "rays": [{"steps": [[0, "L", "X"]], "tip": {"disc": 1.5, "gap": 0}}]}')
+@example('{"center": 1, "rays": [{"steps": [[0, "L", "X"], [1, "R"]], "tip": {"disc": 1, "gap": 0}}]}')
+@example('{"center": 1, "rays": [{"steps": [["0", "L", "R"], [1, "R"]], "tip": {"disc": 1, "gap": 0}}]}')
+@example('{"center": 1, "rays": [{"steps": [[0, "L", "X"]], "tip": {"disc": 1, "gap": 0}},'
+         ' {"steps": [[null, "L", "R"]], "tip": {"disc": 1, "gap": 0}}]}')
+@example('{"center": 1, "rays": [{"steps": [], "tip": {"gap": 0}}]}')
+@example('{"center": 1, "rays": [{"steps": []}]}')
+@example('{"rays": [{"steps": [[0, "X", "L"]], "tip": {"disc": 1, "gap": 0}}]}')
+@example('{"center": 1, "rays": ["ray"]}')
+@example('[{"center": 1}]')
+@example('{"center": 3, "rays": [{"steps": [[1, "R", "L"]], "tip": {"disc": 1, "gap": 3}}]}')
+def test_star_from_json_matches_reference(text):
+    # One loop per ray checks its steps' shape and bands; the reference calls
+    # a function per integer.  The same star, or the same first error.
+    want = _read_or_error(reference.star_from_json, text)
+    got = _read_or_error(Star.from_json, text)
+    assert got == want
+    if isinstance(want, Star):
+        assert type(got.rays) is tuple and all(type(ray.steps) is tuple for ray in got.rays)
+        assert [ray.steps for ray in got.rays] == [ray.steps for ray in want.rays]
 
 
 def test_check_star_rejects_bad_rays():

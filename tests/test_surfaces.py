@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidbands.surfaces import (
     BraidedSurface,
@@ -226,3 +226,69 @@ def test_from_json_bounds_the_disc_count():
     for discs in (MAX_WORD_LETTERS + 1, 10**18):
         with pytest.raises(MoveError, match=f"more than {MAX_WORD_LETTERS} discs"):
             BraidedSurface.from_json(json.dumps({"discs": discs, "bands": []}))
+
+
+# Integers in and out of range, and the JSON values that are no integer.
+_SURFACE_VALUES = st.sampled_from([*range(-1, 7)] * 4 + [0, 10**6, 10**6 + 1, 10**18,
+                                                         True, False, 2.0, "2", None, [1]])
+
+
+@st.composite
+def _surface_objects(draw):
+    """Surface JSON, mostly well formed: a key can be missing and any value
+    can be of the wrong type or out of range."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([[], 3, "surface", None, [{"discs": 1}]]))
+    data = {}
+    if draw(st.integers(0, 9)):
+        data["discs"] = draw(st.sampled_from([*range(1, 7)] * 6)) if draw(st.booleans()) else draw(_SURFACE_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        data["bands"] = draw(st.sampled_from([5, "ab", {"l": 1}, None]))
+    elif draw(st.integers(0, 9)):
+        bands = []
+        for _ in range(draw(st.integers(0, 5))):
+            if draw(st.integers(0, 19)) == 0:
+                bands.append(draw(st.sampled_from([[1, 2, 1], 3, "x", None])))
+                continue
+            band = {}
+            for key in "lre":
+                if draw(st.integers(0, 29)):
+                    band[key] = draw(st.integers(1, 6)) if draw(st.booleans()) else draw(_SURFACE_VALUES)
+            bands.append(band)
+        data["bands"] = bands
+    return data
+
+
+def _read_or_error(read, text):
+    try:
+        return read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_surface_objects().map(json.dumps))
+@example('{"discs": true, "bands": []}')
+@example('{"discs": 3, "bands": [{"l": 1, "r": 2.0, "e": 1}]}')
+@example('{"discs": 3, "bands": [{"l": 1, "r": 2, "e": false}]}')
+@example('{"discs": 3, "bands": [{"l": 2, "r": 5, "e": 1}, {"l": 1, "r": "2", "e": 1}]}')  # non-integer after out of range
+@example('{"discs": 3, "bands": [{"l": 1, "r": 2, "e": 2}, {"l": 2, "r": 5, "e": 1}]}')
+@example('{"discs": 1000001, "bands": [{"l": 1, "r": 2, "e": 1}]}')
+@example('{"discs": 1000001, "bands": [{"l": 1, "r": 2, "e": 1.5}]}')
+@example('{"discs": 1000001, "bands": [{"l": 3, "r": 2, "e": 1}]}')
+@example('{"discs": 0, "bands": [{"l": 1, "r": 2, "e": 1}]}')
+@example('{"discs": -3, "bands": []}')
+@example('{"bands": [{"l": 1, "r": 2, "e": 1}]}')
+@example('{"discs": 3, "bands": [{"l": 1, "e": 1}]}')
+@example('{"discs": 3, "bands": [{"l": 1, "r": 2.5, "e": 1}, {"l": 1, "r": 2}]}')
+@example('[{"discs": 3}]')
+@example('{"discs": 4, "bands": [{"l": 1, "r": 3, "e": 1}, {"l": 2, "r": 4, "e": -1}]}')
+def test_from_json_matches_reference(text):
+    # The one-pass reader builds the surface from the values it checked; the
+    # reference type-checks them all before its constructor coerces them.
+    want = _read_or_error(reference.surface_from_json, text)
+    got = _read_or_error(BraidedSurface.from_json, text)
+    assert got == want
+    if isinstance(want, BraidedSurface):
+        assert type(got) is BraidedSurface and type(got.bands) is tuple
+        assert all(type(x) is int for band in got.bands for x in band)

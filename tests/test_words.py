@@ -530,12 +530,50 @@ def _parsed_or_message(parse, text, strands, kind):
 @example("b(1,2)^999999 b(1,2)^-1 s1^+1 s1", 3, None)
 def test_parse_word_matches_reference(text, strands, kind):
     want = _parsed_or_message(reference.parse_word, text, strands, kind)
-    got = _parsed_or_message(parse_word, text, strands, kind)
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert type(got) is type(want) and got.strands == want.strands and got.letters == want.letters
-    assert len({id(x) for x in got.letters}) == len(set(got.letters))
+    for _ in range(2):  # the second parse reads the tokens the first left in the memo
+        got = _parsed_or_message(parse_word, text, strands, kind)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert type(got) is type(want) and got.strands == want.strands and got.letters == want.letters
+        assert len({id(x) for x in got.letters}) == len(set(got.letters))
+
+
+def test_token_memo_keeps_no_failure():
+    # A token that raises is read again each time and leaves nothing in the
+    # memo; nor does a token longer than any without leading zeros.
+    words._parse_token.cache_clear()
+    for token in (*_MALFORMED, "s0^0", "s1^12345678", "b(1,1000001)", "s1" + "0" * 5000 + "x"):
+        messages = {_parsed_or_message(parse_word, f"e {token}", None, None) for _ in range(2)}
+        assert len(messages) == 1 and messages.pop().endswith(f"token {token!r}")
+    long = "s" + "0" * words.MEMO_TOKEN_CHARS + "7"
+    assert parse_word(long).letters == parse_word(long).letters == ((7, 1),)
+    assert words._parse_token.cache_info().currsize == 0
+    parse_word("s1 s1^2 s01")
+    assert words._parse_token.cache_info().currsize == 3
+
+
+def test_token_memo_is_bounded():
+    words._parse_token.cache_clear()
+    text = " ".join(f"s{i}" for i in range(1, 10**4 + 1))
+    w = parse_word(text)
+    assert len(w) == 10**4 and w.strands == 10**4 + 1
+    assert words._parse_token.cache_info().currsize == words.TOKEN_MEMO_SIZE
+    assert parse_word(text) == w  # every token missed again: the newest pushed out the oldest
+    assert words._parse_token.cache_info().currsize == words.TOKEN_MEMO_SIZE
+
+
+def test_words_share_one_tuple_per_letter_with_the_memo_warm():
+    # Equal letters from different tokens ("s1", "s1^2", "s01") are one tuple
+    # in each word, whether the tokens were read for it or read from the memo.
+    texts = ("s1 s1^2 s01 s2^-1 s02^-2 s1^001", "b(1,3) b(01,3)^2 b(1,03) b(2,4)^-1 b(2,4)^-2",
+             " ".join(format_word(random_artin_word(random.Random(k), 8, 40)) for k in range(20)))
+    for warm in (False, True):
+        if not warm:
+            words._parse_token.cache_clear()
+        for text in texts:
+            w = parse_word(text)
+            assert len({id(x) for x in w.letters}) == len(set(w.letters)), (warm, text[:20])
 
 
 def test_digits_are_ascii_only():
