@@ -27,6 +27,13 @@ inflation are one composed relabelling through ``_relabel_discs``, which
 moves each occupied disc's list whole.  Slack leaves each ray in one stack
 pass.  Embeddedness is checked by one walk over each ray that reads band
 and tip heights straight into per-disc chords.
+
+Slack and looseness are properties of one ray: its own steps and tip, the
+bands and the center, never another ray.  A retraction moves only its own
+ray and scales every height by one factor, and popping a ray's last step
+leaves a slack-free ray slack-free.  So minimization clears slack once and
+then minimizes the rays one after another, and a reduction step, which
+starts minimal, removes slack only from the rays a slide rerouted.
 """
 
 from __future__ import annotations
@@ -120,9 +127,6 @@ def _whole(x) -> int:
 # ---------------------------------------------------------------------------
 # Internal state: bands with stable ids and integer heights
 # ---------------------------------------------------------------------------
-
-_CENTER = ("center",)
-
 
 def _div(a: int, b: int) -> int:
     """``a / b`` for heights the state's scale makes divisible.
@@ -412,15 +416,15 @@ def _ray_loose_removable(state: _State, ray: _Ray) -> bool:
 # Minimization: slack and loose removal
 # ---------------------------------------------------------------------------
 
-def _remove_slack(state: _State) -> bool:
-    """Bring every ray to its slack normal form; whether any step went.
+def _remove_slack(rays: Iterable[_Ray]) -> bool:
+    """Bring each of ``rays`` to its slack normal form; whether any step went.
 
     Steps through one band compose like arrows between its two ends, so one
     stack pass per ray reaches the unique normal form: a step entering where
     the stacked step through its band left folds into it, and a step that
     enters and leaves by one end goes."""
     changed = False
-    for ray in state.rays:
+    for ray in rays:
         out: list[list] = []
         for step in ray.steps:
             bid, enter, exit_ = step
@@ -438,18 +442,27 @@ def _remove_slack(state: _State) -> bool:
 def _landing_slots(state: _State, disc: int, h: int, above: bool) -> list[int]:
     """Candidate tip heights beside ``h``, nearest first, on one side.
 
-    The midpoints are exact when every height is even.
+    A candidate is the midpoint between consecutive band or tip heights on
+    the landing side, so only the heights beyond ``h`` on that side are
+    sorted.  The midpoints are exact when every height is even.  A landing
+    is checked against the other rays, and they are slack-free whenever a
+    retraction runs: minimization clears every ray before its first
+    retraction, and a reduction step clears each ray a slide re-routed,
+    the only rays that can gain slack.  So the landings are those that
+    whole-state slack passes would give.
     """
-    sign = 1 if above else -1
-    occupied = sorted({band.h for band, _b in state.order.get(disc, ())}
-                      | {r.tip_h for r in state.rays if r.tip_disc == disc}, reverse=not above)
+    occupied = {band.h for band, _b in state.order.get(disc, ())}
+    occupied.update(r.tip_h for r in state.rays if r.tip_disc == disc)
+    if above:
+        beyond = sorted(x for x in occupied if x > h)
+    else:
+        beyond = sorted((x for x in occupied if x < h), reverse=True)
     out: list[int] = []
     prev = h
-    for x in occupied:
-        if (x - h) * sign > 0:
-            out.append(_div(prev + x, 2))
-            prev = x
-    out.append(prev + sign * state.scale)
+    for x in beyond:
+        out.append(_div(prev + x, 2))
+        prev = x
+    out.append(prev + (state.scale if above else -state.scale))
     return out
 
 
@@ -502,34 +515,42 @@ def minimize(surface: BraidedSurface, star: Star) -> Star:
 
 
 def _minimize_state(state: _State) -> bool:
-    """Remove slack and loose arcs to a fixpoint; whether any was removed."""
-    changed = False
-    while True:
-        changed |= _remove_slack(state)
-        loose = next(
-            (k for k, ray in enumerate(state.rays) if _ray_loose_removable(state, ray)),
-            None,
-        )
-        if loose is None:
-            _check_state(state)
-            return changed
-        _remove_loose_once(state, loose)
-        changed = True
+    """Remove slack and loose arcs to a fixpoint; whether any was removed.
+
+    Slack goes from every ray first, so that each landing is checked against
+    slack-free rays.  Then each ray in turn retracts while it is loose.
+    Looseness depends only on the ray's own steps and tip, the bands and the
+    center, and a retraction moves only its own ray and scales every height
+    alike: so no earlier ray becomes loose again, and the retractions come
+    in the order a rescan from the first ray would give.  Popping a
+    slack-free ray's last step leaves it slack-free, and the last landing
+    was checked on the final state, so neither pass is repeated.
+    """
+    changed = _remove_slack(state.rays)
+    retracted = False
+    for k, ray in enumerate(state.rays):
+        while _ray_loose_removable(state, ray):
+            _remove_loose_once(state, k)
+            retracted = True
+    if not retracted:
+        _check_state(state)
+    return changed or retracted
 
 
 # ---------------------------------------------------------------------------
 # The reduction step
 # ---------------------------------------------------------------------------
 
-def _transfer_region(state: _State, bid: int, end: str, bridge: int) -> int:
+def _transfer_region(state: _State, bid: int, end: str, bridge: int) -> tuple[int, list[_Ray]]:
     """Re-route ray arcs tied to a band end that is about to change disc;
-    returns the disc across the bridge band, where the end goes.
+    returns the disc across the bridge band, where the end goes, and the
+    rays that were re-routed, in ray order.
 
     Every disc arc with exactly one endpoint on the moving region gains a
     crossing through the bridge band; slack cleanup afterwards cancels the
-    detours of arcs whose both endpoints travel.
+    detours of arcs whose both endpoints travel.  The center and the tips
+    never move, so only a ray with a step through ``bid`` can change.
     """
-    moving = ("region", bid, end)
     old_disc = state.bands[bid].end_disc(end)
     bridge_band = state.bands[bridge]
     if bridge_band.l == old_disc:
@@ -538,34 +559,34 @@ def _transfer_region(state: _State, bid: int, end: str, bridge: int) -> int:
         near, far = R, L
     else:
         raise StarError("bridge band does not reach the moving region's disc")
+    rerouted = []
     for ray in state.rays:
-        k = 0
-        while k <= len(ray.steps):
-            prev_pt = _CENTER if k == 0 else ("region", ray.steps[k - 1][0], ray.steps[k - 1][2])
-            next_pt = (
-                ("tip",) if k == len(ray.steps) else ("region", ray.steps[k][0], ray.steps[k][1])
-            )
-            prev_moves = prev_pt == moving
-            next_moves = next_pt == moving
+        out: list[list] = []
+        prev_moves = False  # the center never moves
+        for step in ray.steps:
+            next_moves = step[0] == bid and step[1] == end
             if prev_moves != next_moves:
-                if prev_moves:
-                    # Ray sits on the new disc after the move; bridge back.
-                    ray.steps.insert(k, [bridge, far, near])
-                else:
-                    ray.steps.insert(k, [bridge, near, far])
-                k += 2
-            else:
-                k += 1
-    return bridge_band.end_disc(far)
+                # Leaving the moving region, the ray sits on the new disc; bridge back.
+                out.append([bridge, far, near] if prev_moves else [bridge, near, far])
+            out.append(step)
+            prev_moves = step[0] == bid and step[2] == end
+        if prev_moves:  # the tip never moves
+            out.append([bridge, far, near])
+        if len(out) != len(ray.steps):
+            ray.steps = out
+            rerouted.append(ray)
+    return bridge_band.end_disc(far), rerouted
 
 
-def _slide_end(state: _State, bid: int, h: int, end: str | None, bridge: int) -> None:
+def _slide_end(state: _State, bid: int, h: int, end: str | None, bridge: int) -> list[_Ray]:
     """Move band ``bid`` to height ``h``, first sliding its ``end``, unless
-    that is None, over the ``bridge`` band to the bridge's other disc."""
+    that is None, over the ``bridge`` band to the bridge's other disc;
+    returns the rays the slide re-routed."""
     _drop_ends(state, bid)
     band = state.bands[bid]
+    rerouted: list[_Ray] = []
     if end is not None:
-        disc = _transfer_region(state, bid, end, bridge)
+        disc, rerouted = _transfer_region(state, bid, end, bridge)
         if end == L:
             band.l = disc
         else:
@@ -574,6 +595,7 @@ def _slide_end(state: _State, bid: int, h: int, end: str | None, bridge: int) ->
             raise StarError("slide produced an inverted band")
     band.h = h
     _insert_ends(state, bid)
+    return rerouted
 
 
 def _normalize(state: _State, ray: _Ray) -> tuple[int, bool]:
@@ -694,17 +716,21 @@ def _reduce_state(state: _State) -> None:
     _insert_ends(state, new_id)
 
     # Step 3: carry the span above the fresh band, preserving order; the
-    # ends at the tip disc slide over the fresh band.
+    # ends at the tip disc slide over the fresh band.  The star was minimal
+    # and the relabelling kept it so, and a retraction leaves a slack-free
+    # ray slack-free; so after a slide only the rays it re-routed can hold
+    # slack.  A ray re-routed twice here is cleared twice, the second time
+    # to no effect.
+    rerouted = []
     for k, bid in enumerate(btau):
         band = state.bands[bid]
         end = L if band.l == x0 else R if band.r == x0 else None
-        _slide_end(state, bid, h_new + _div((h_tip - h_new) * (len(btau) - k), len(btau) + 1),
-                   end, new_id)
-    _remove_slack(state)
+        rerouted += _slide_end(state, bid, h_new + _div((h_tip - h_new) * (len(btau) - k), len(btau) + 1),
+                               end, new_id)
+    _remove_slack(rerouted)
 
     # Step 4: slide the crossed band over the fresh one.
-    _slide_end(state, b0, _div(h_new + min(state.bands[b].h for b in btau), 2), L, new_id)
-    _remove_slack(state)
+    _remove_slack(_slide_end(state, b0, _div(h_new + min(state.bands[b].h for b in btau), 2), L, new_id))
 
     # Step 5: the chosen ray is loose at the fresh band; retract it.
     ray = state.rays[idx]
@@ -713,15 +739,13 @@ def _reduce_state(state: _State) -> None:
     _remove_loose_once(state, idx)
 
     # Step 6: slide the fresh band over the crossed band.
-    _slide_end(state, new_id, _div(band0.h + min(state.bands[b].h for b in btau), 2), R, b0)
-    _remove_slack(state)
+    _remove_slack(_slide_end(state, new_id, _div(band0.h + min(state.bands[b].h for b in btau), 2), R, b0))
 
     # Step 7: the ray is loose again at the crossed band; retract.
     ray = state.rays[idx]
     if not (ray.steps and ray.steps[-1][0] == b0 and _ray_loose(state, ray)):
         raise StarError("reduction invariant broken before the second retraction")
     _remove_loose_once(state, idx)
-    _remove_slack(state)
 
     if mirrored:
         _relabel_discs(state, lambda d: state.discs + 1 - d)

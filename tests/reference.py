@@ -17,7 +17,10 @@ its Seifert circles' traversal orders directly.  A star reduction round-trips
 through frozen ``(surface, star)`` pairs between steps, a disc's band order
 is a scan of every band, sorted, and a star state's embeddedness is checked
 on explicit chords with tagged endpoints.  Slack leaves a star state one
-edit at a time, each search starting again from the first ray, and a
+edit at a time, each search starting again from the first ray.  A star
+state is minimized by restarts, every ray rescanned after each retraction,
+and a reduction step removes slack from every ray after each slide and
+retraction; a slide's transfer tags every point of a ray.  A
 reduction step's flip, mirror, twirl and inflation are four relabellings.  A retracted tip's landing
 candidates are scanned above and below in two written-out branches, and a
 slide down is its own table of patterns, not a slide up conjugated by
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from braidbands import pipeline
+from braidbands import pipeline, stars
 from braidbands.diagrams import (
     Diagram,
     DiagramError,
@@ -62,7 +65,6 @@ from braidbands.laurent import Laurent
 from braidbands.pipeline import Fatgraph, PipelineError, SoundnessError, _disc_positions
 from braidbands.plumbing import ShufflePattern, plumb
 from braidbands.stars import (
-    _CENTER,
     L,
     R,
     Ray,
@@ -818,7 +820,8 @@ def reductions_by_freezing(surface: BraidedSurface, star: Star):
 
 def landing_slots(state: _State, disc: int, h: int, above: bool) -> list[int]:
     """``stars._landing_slots`` with the two sides written out: candidate tip
-    heights beside ``h``, nearest first."""
+    heights beside ``h``, nearest first.  Every height on the disc is sorted,
+    not only those beyond ``h`` on the landing side."""
     occupied = sorted({band.h for band, _b in state.order.get(disc, ())}
                       | {r.tip_h for r in state.rays if r.tip_disc == disc})
     out: list[int] = []
@@ -837,6 +840,134 @@ def landing_slots(state: _State, disc: int, h: int, above: bool) -> list[int]:
             prev = x
         out.append(prev - state.scale)
     return out
+
+
+def minimize_state_by_restarts(state: _State) -> bool:
+    """``stars._minimize_state`` as a restart loop: slack leaves every ray,
+    then the first loose ray, scanning from the first, retracts once, and
+    both start again until no ray is loose; whether anything was removed."""
+    changed = False
+    while True:
+        changed |= stars._remove_slack(state.rays)
+        loose = next(
+            (k for k, ray in enumerate(state.rays) if stars._ray_loose_removable(state, ray)),
+            None,
+        )
+        if loose is None:
+            stars._check_state(state)
+            return changed
+        stars._remove_loose_once(state, loose)
+        changed = True
+
+
+_CENTER = ("center",)
+
+
+def transfer_region(state: _State, bid: int, end: str, bridge: int) -> int:
+    """``stars._transfer_region`` with every point of a ray as a tagged tuple,
+    steps inserted into the ray's own list, and no report of the rays it
+    re-routed; returns the disc where the moving end goes."""
+    moving = ("region", bid, end)
+    old_disc = state.bands[bid].end_disc(end)
+    bridge_band = state.bands[bridge]
+    if bridge_band.l == old_disc:
+        near, far = L, R
+    elif bridge_band.r == old_disc:
+        near, far = R, L
+    else:
+        raise StarError("bridge band does not reach the moving region's disc")
+    for ray in state.rays:
+        k = 0
+        while k <= len(ray.steps):
+            prev_pt = _CENTER if k == 0 else ("region", ray.steps[k - 1][0], ray.steps[k - 1][2])
+            next_pt = (
+                ("tip",) if k == len(ray.steps) else ("region", ray.steps[k][0], ray.steps[k][1])
+            )
+            prev_moves = prev_pt == moving
+            next_moves = next_pt == moving
+            if prev_moves != next_moves:
+                if prev_moves:
+                    ray.steps.insert(k, [bridge, far, near])
+                else:
+                    ray.steps.insert(k, [bridge, near, far])
+                k += 2
+            else:
+                k += 1
+    return bridge_band.end_disc(far)
+
+
+def slide_end(state: _State, bid: int, h: int, end: str | None, bridge: int) -> None:
+    """``stars._slide_end`` through ``transfer_region``."""
+    stars._drop_ends(state, bid)
+    band = state.bands[bid]
+    if end is not None:
+        disc = transfer_region(state, bid, end, bridge)
+        if end == L:
+            band.l = disc
+        else:
+            band.r = disc
+        if not band.l < band.r:
+            raise StarError("slide produced an inverted band")
+    band.h = h
+    stars._insert_ends(state, bid)
+
+
+def reduce_state_by_whole_passes(state: _State) -> None:
+    """``stars._reduce_state`` with slack removed from every ray after each
+    slide step and after the second retraction, and slides through
+    ``slide_end``."""
+    signs: dict[tuple[int, int], int] = {}
+    for band in state.bands.values():
+        if signs.setdefault((band.l, band.r), band.e) != band.e:
+            raise StarError("surface word is not homogeneous")
+    before = delta_b(state)
+    if before == 0:
+        raise StarError("star already lies in the discs")
+    if any(stars._has_slack(ray) or stars._ray_loose_removable(state, ray) for ray in state.rays):
+        raise StarError("star is not minimal")
+    idx = stars._pick_ray(state)
+    ray = state.rays[idx]
+    b0 = ray.steps[-1][0]
+    x0, mirrored = stars._normalize(state, ray)
+    band0 = state.bands[b0]
+    btau = [bid for bid, b in state.bands.items() if band0.h < b.h < ray.tip_h]
+    btau.sort(key=lambda bid: -state.bands[bid].h)
+    if not any(state.bands[b].l == x0 or state.bands[b].r == x0 for b in btau):
+        raise StarError("chosen ray's span carries no band at the tip disc")
+    state.rescale(4 * (len(btau) + 1))
+    h_tip = ray.tip_h
+    top = max(state.bands[b].h for b in btau)
+    new_id = state.next_id
+    state.next_id += 1
+    h_new = _div(top + h_tip, 2)
+    state.bands[new_id] = stars._Band(x0, x0 + 1, 1, h_new)
+    stars._insert_ends(state, new_id)
+    for k, bid in enumerate(btau):
+        band = state.bands[bid]
+        end = L if band.l == x0 else R if band.r == x0 else None
+        slide_end(state, bid, h_new + _div((h_tip - h_new) * (len(btau) - k), len(btau) + 1),
+                  end, new_id)
+    stars._remove_slack(state.rays)
+    slide_end(state, b0, _div(h_new + min(state.bands[b].h for b in btau), 2), L, new_id)
+    stars._remove_slack(state.rays)
+    ray = state.rays[idx]
+    if not (ray.steps and ray.steps[-1][0] == new_id and _ray_loose(state, ray)):
+        raise StarError("reduction invariant broken before the first retraction")
+    stars._remove_loose_once(state, idx)
+    slide_end(state, new_id, _div(band0.h + min(state.bands[b].h for b in btau), 2), R, b0)
+    stars._remove_slack(state.rays)
+    ray = state.rays[idx]
+    if not (ray.steps and ray.steps[-1][0] == b0 and _ray_loose(state, ray)):
+        raise StarError("reduction invariant broken before the second retraction")
+    stars._remove_loose_once(state, idx)
+    stars._remove_slack(state.rays)
+    if mirrored:
+        _relabel_discs(state, lambda d: state.discs + 1 - d)
+        for band in state.bands.values():
+            band.e = -band.e
+    stars._check_state(state)
+    if delta_b(state) >= before:
+        raise StarError("reduction failed to decrease the crossing count")
 
 
 def order_on_disc_scan(state: _State, d: int) -> list[tuple]:

@@ -27,9 +27,11 @@ from braidbands.invariants import (
     diagram_seifert_matrix,
     word_seifert_matrix,
 )
+from braidbands.laurent import Laurent
 from braidbands.pipeline import (
     Fatgraph,
     PipelineError,
+    SoundnessError,
     _realizations,
     decompose_generalized_flat,
     homogenize,
@@ -1003,6 +1005,30 @@ def test_homogenize_wheel_of_ten():
     w = homogenize(d)
     assert w.strands == 11 and len(w.letters) == 15
     assert closure_components(w) == link_components(d) == 2
+
+
+# A 9-crossing alternating 2-component link, the medial map of a plane graph
+# rather than the closure of a braid word.
+ALTERNATING_NINE = Diagram([
+    [18, 1, 5, 4], [12, 9, 13, 10], [10, 5, 11, 6], [3, 14, 4, 13], [1, 18, 2, 17],
+    [6, 11, 7, 12], [16, 7, 17, 8], [8, 15, 9, 16], [14, 3, 15, 2],
+])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SoundnessError,
+    reason="the leaves are plumbed in diagrams.blocks' order, which stacks no Seifert "
+    "surface of this diagram, while other orders of the same leaves do (ROADMAP item 18)",
+)
+def test_homogenize_alternating_link_of_nine():
+    d = ALTERNATING_NINE
+    delta = Laurent({0: -1, 1: 8, 2: -17, 3: 17, 4: -8, 5: 1})
+    assert is_homogeneous_diagram(d).homogeneous and link_components(d) == 2
+    assert alexander_from_diagram(d) == delta
+    w = homogenize(d)
+    assert closure_components(w) == 2
+    assert alexander_from_braid(w) == delta
 
 
 def test_homogenize_derives_each_structure_once(monkeypatch):

@@ -30,13 +30,16 @@ from reference import (
     check_state_by_chords,
     classify_ray,
     landing_slots,
+    minimize_state_by_restarts,
     mirror_state,
     normalize_by_single_moves,
     order_on_disc_scan,
+    reduce_state_by_whole_passes,
     reductions_by_freezing,
     relabel_discs,
     remove_slack_by_restarts,
     reverse_discs,
+    transfer_region,
     twirl_state,
     twirl_state_once,
     upside_down_state,
@@ -466,15 +469,17 @@ def _assert_order_matches_scan(state) -> None:
 
 
 def test_stored_disc_order_follows_every_mutation(monkeypatch):
-    # Inside a step, every slack cleanup comes after the fresh band's
-    # insertion or a slide of steps 3, 4 or 6; check the order there too.
-    remove_slack = stars._remove_slack
+    # Inside a step, check the order after the fresh band's insertion and
+    # each slide of steps 3, 4 and 6 too: every slide follows the insertion.
+    slide_end = stars._slide_end
 
-    def checked_remove_slack(state):
+    def checked_slide_end(state, *args):
         _assert_order_matches_scan(state)
-        return remove_slack(state)
+        rerouted = slide_end(state, *args)
+        _assert_order_matches_scan(state)
+        return rerouted
 
-    monkeypatch.setattr(stars, "_remove_slack", checked_remove_slack)
+    monkeypatch.setattr(stars, "_slide_end", checked_slide_end)
     checked = 0
     for s, star in valid_star_instances(seed=4242, count=80):
         state = stars._materialize(s, star)
@@ -665,7 +670,7 @@ _STEPS = st.lists(st.tuples(st.integers(0, 2), st.sampled_from("LR"), st.sampled
 @example([[(0, "L", "R"), (0, "R", "R"), (0, "R", "L"), (0, "L", "R")], []])
 def test_one_pass_slack_normal_form_matches_the_restart_loop(rays):
     state, expected = _slack_state(rays), _slack_state(rays)
-    assert stars._remove_slack(state) == remove_slack_by_restarts(expected)
+    assert stars._remove_slack(state.rays) == remove_slack_by_restarts(expected)
     assert [ray.steps for ray in state.rays] == [ray.steps for ray in expected.rays]
     assert not any(stars._has_slack(ray) for ray in state.rays)
 
@@ -705,3 +710,130 @@ def test_golden_star_costs_nothing_per_disc(discs):
     assert s2 == BraidedSurface(n, ((1, 3, 1), (2, n, 1), (3, n, 1), (1, 2, 1)))
     assert star2 == Star(n, [Ray((), n, 1)])
     assert peak < 64 * 1024
+
+
+def _stepwise(s, star, minimize_state, reduce_state) -> list:
+    """``_reduce_states`` run with these two functions: each minimization's
+    ``changed`` flag and frozen pair, and each step's frozen pair, ending
+    with the message of the ``StarError`` that stopped it, if any."""
+    out: list = []
+    try:
+        state = stars._materialize(s, star)
+        out.append((minimize_state(state), stars._freeze(state)))
+        while delta_b(state):
+            stars._renormalize(state)
+            reduce_state(state)
+            out.append(stars._freeze(state))
+            stars._renormalize(state)
+            out.append((minimize_state(state), stars._freeze(state)))
+    except StarError as exc:
+        out.append(str(exc))
+    return out
+
+
+def _assert_matches_whole_state_passes(s, star) -> list:
+    """The per-ray minimization and reduction against the restart loop, the
+    whole-state slack passes, the tagged transfer and the landing scan that
+    sorts every height; returns the reference's steps."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stars, "_landing_slots", landing_slots)
+        expected = _stepwise(s, star, minimize_state_by_restarts, reduce_state_by_whole_passes)
+    assert _stepwise(s, star, stars._minimize_state, stars._reduce_state) == expected
+    return expected
+
+
+def test_per_ray_passes_match_the_whole_state_passes_on_valid_stars():
+    changed = steps = 0
+    for s, star in valid_star_instances(seed=1729, count=400):
+        out = _assert_matches_whole_state_passes(s, star)
+        changed += out[0][0] if isinstance(out[0], tuple) else 0
+        steps += (len(out) - 1) // 2
+    assert changed >= 200 and steps >= 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowded_stars())
+@example(_TIPS_OUT_OF_RAY_ORDER)
+def test_per_ray_passes_match_the_whole_state_passes_on_crowded_stars(case):
+    _assert_matches_whole_state_passes(*case)
+
+
+def test_per_ray_passes_match_the_whole_state_passes_on_refused_stars():
+    for case in json.loads(REFUSED_STARS.read_text()):
+        s = BraidedSurface.from_json(json.dumps(case["surface"]))
+        star = Star.from_json(json.dumps(case["star"]))
+        assert _assert_matches_whole_state_passes(s, star)[-1] == case["message"]
+
+
+def _same_up_to_scale(h_before: int, before, h_after: int, after) -> bool:
+    return h_after * before.scale == h_before * after.scale
+
+
+def _locality_corpus():
+    """Live states from the seeded valid stars and the pinned corpus, through
+    every minimization and reduction step."""
+    for s, star in valid_star_instances(seed=99, count=150):
+        try:
+            reduce_to_disc(s, star)
+        except StarError:
+            pass
+    for _line in _pinned_star_lines(seed=20261018, valid=150):
+        pass
+
+
+def test_a_retraction_moves_only_its_own_ray(monkeypatch):
+    # The per-ray minimization rests on this: retracting ray k changes no
+    # band and no other ray's steps, tip or looseness, and scales every
+    # height by one factor.
+    retract = stars._remove_loose_once
+    calls = {"landed": 0, "refused": 0}
+
+    def checked(state, k):
+        before = copy.deepcopy(state)
+        loose = [stars._ray_loose_removable(state, ray) for ray in state.rays]
+        try:
+            retract(state, k)
+            calls["landed"] += 1
+        except StarError:
+            calls["refused"] += 1
+            raise
+        finally:
+            assert state.bands.keys() == before.bands.keys()
+            for bid, band in state.bands.items():
+                old = before.bands[bid]
+                assert (band.l, band.r, band.e) == (old.l, old.r, old.e)
+                assert _same_up_to_scale(old.h, before, band.h, state)
+            assert {d: [bid for _b, bid in ends] for d, ends in state.order.items()} == {
+                d: [bid for _b, bid in ends] for d, ends in before.order.items()}
+            for j, (ray, old) in enumerate(zip(state.rays, before.rays)):
+                if j != k:
+                    assert (ray.steps, ray.tip_disc) == (old.steps, old.tip_disc)
+                    assert _same_up_to_scale(old.tip_h, before, ray.tip_h, state)
+                    assert stars._ray_loose_removable(state, ray) == loose[j]
+
+    monkeypatch.setattr(stars, "_remove_loose_once", checked)
+    _locality_corpus()
+    assert calls["landed"] >= 800 and calls["refused"] >= 5
+
+
+def test_a_slide_reports_exactly_the_rays_it_reroutes(monkeypatch):
+    # Each transfer equals the tagged reference, and the rays it reports are
+    # those whose steps changed.
+    transfer = stars._transfer_region
+    calls = {"rerouted": 0, "kept": 0}
+
+    def checked(state, bid, end, bridge):
+        expected = copy.deepcopy(state)
+        before = [copy.deepcopy(ray.steps) for ray in state.rays]
+        disc, rerouted = transfer(state, bid, end, bridge)
+        assert disc == transfer_region(expected, bid, end, bridge)
+        assert [ray.steps for ray in state.rays] == [ray.steps for ray in expected.rays]
+        changed = [ray for ray, steps in zip(state.rays, before) if ray.steps != steps]
+        assert [id(ray) for ray in rerouted] == [id(ray) for ray in changed]
+        calls["rerouted"] += len(rerouted)
+        calls["kept"] += len(state.rays) - len(rerouted)
+        return disc, rerouted
+
+    monkeypatch.setattr(stars, "_transfer_region", checked)
+    _locality_corpus()
+    assert calls["rerouted"] >= 300 and calls["kept"] >= 1500
