@@ -22,14 +22,10 @@ from . import diagrams, invariants, pipeline, plumbing, stars, surfaces, words
 OK, FALSE, INVALID, INTERNAL = 0, 1, 2, 3
 
 
-def _load_diagram(path: str) -> diagrams.Diagram:
+def _load(path: str, cls):
+    """The ``cls`` read by its ``from_json`` from the file at ``path``."""
     with open(path) as fh:
-        return diagrams.Diagram.from_json(fh.read())
-
-
-def _load_surface(path: str) -> surfaces.BraidedSurface:
-    with open(path) as fh:
-        return surfaces.BraidedSurface.from_json(fh.read())
+        return cls.from_json(fh.read())
 
 
 def _word(text: str, strands):
@@ -49,17 +45,25 @@ def _emit(args, payload, text=None):
         print(payload if text is None else text)
 
 
+def _emit_word(args, w: words.Word):
+    _emit(args, {"word": words.format_word(w), "strands": w.strands}, words.format_word(w))
+    return OK
+
+
+def _emit_surface(args, s: surfaces.BraidedSurface):
+    if args.svg:
+        with open(args.svg, "w") as fh:
+            fh.write(surfaces.render_svg(s))
+    _emit(args, json.loads(s.to_json()), s.to_json())
+    return OK
+
+
 # -- braid ------------------------------------------------------------------
 
 def _braid_translate(args):
     w = _word(args.word, args.strands)
-    if isinstance(w, words.ArtinWord):
-        out = words.artin_to_bkl(w)
-    else:
-        out = words.bkl_to_artin(w)
-    _emit(args, {"word": words.format_word(out), "strands": out.strands},
-          words.format_word(out))
-    return OK
+    out = words.artin_to_bkl(w) if isinstance(w, words.ArtinWord) else words.bkl_to_artin(w)
+    return _emit_word(args, out)
 
 
 def _braid_check_homogeneous(args):
@@ -80,7 +84,8 @@ def _braid_equal(args):
 
 def _braid_components(args):
     w = _word(args.word, args.strands)
-    perm, comps = words.permutation_and_components(w)
+    perm = words.permutation_of(w)
+    comps = perm.cycle_count()
     _emit(args, {"permutation": list(perm.image), "components": comps},
           f"permutation {list(perm.image)}, {comps} component(s)")
     return OK
@@ -88,14 +93,15 @@ def _braid_components(args):
 
 def _braid_exponent_sum(args):
     w = _word(args.word, args.strands)
-    _emit(args, {"exponent_sum": words.exponent_sum(w)}, words.exponent_sum(w))
+    total = words.exponent_sum(w)
+    _emit(args, {"exponent_sum": total}, total)
     return OK
 
 
 # -- diagram ----------------------------------------------------------------
 
 def _diagram_seifert(args):
-    d = _load_diagram(args.file)
+    d = _load(args.file, diagrams.Diagram)
     circles, bands, graph = diagrams.seifert_decompose(d)
     payload = {
         "circles": [list(c) for c in circles],
@@ -106,7 +112,7 @@ def _diagram_seifert(args):
 
 
 def _diagram_homogeneous(args):
-    d = _load_diagram(args.file)
+    d = _load(args.file, diagrams.Diagram)
     report = diagrams.is_homogeneous_diagram(d)
     payload = {
         "homogeneous": report.homogeneous,
@@ -121,7 +127,7 @@ def _diagram_homogeneous(args):
 
 
 def _diagram_primitive_flat(args):
-    d = _load_diagram(args.file)
+    d = _load(args.file, diagrams.Diagram)
     flat = diagrams.is_primitive_flat(d)
     _emit(args, {"primitive_flat": flat}, "primitive flat" if flat else "not primitive flat")
     return OK if flat else FALSE
@@ -130,46 +136,51 @@ def _diagram_primitive_flat(args):
 # -- surface ----------------------------------------------------------------
 
 def _surface_from_word(args):
-    s = surfaces.from_word(_band_word(args.word, args.strands))
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(surfaces.render_svg(s))
-    _emit(args, json.loads(s.to_json()), s.to_json())
-    return OK
+    return _emit_surface(args, surfaces.from_word(_band_word(args.word, args.strands)))
 
 
 _INFLATE_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 
 
-def _parse_move(text: str) -> surfaces.MoveSpec:
-    parts = text.split(",")
-    kind = parts[0].replace("-", "_")
-    if kind in ("twirl", "turn", "flip_vertical", "mirror") and len(parts) == 1:
-        return surfaces.MoveSpec(kind)
-    if kind in ("slip", "slide_up", "slide_down", "deflate") and len(parts) == 2:
-        return surfaces.MoveSpec(kind, position=int(parts[1]))
-    if kind == "inflate" and len(parts) in (3, 4):
-        strand = int(parts[1])
-        sign = _INFLATE_SIGNS.get(parts[2])
-        if sign is None:
-            raise ValueError(f"inflate sign must be +, +1, 1, -, or -1, got {parts[2]!r}")
-        height = int(parts[3]) if len(parts) > 3 else 0
-        return surfaces.MoveSpec(kind, strand=strand, sign=sign, height=height)
-    raise ValueError(f"unknown move or wrong parameter count: {text!r}")
+def _inflate_sign(text: str) -> int:
+    if text not in _INFLATE_SIGNS:
+        raise ValueError(f"inflate sign must be +, +1, 1, -, or -1, got {text!r}")
+    return _INFLATE_SIGNS[text]
+
+
+# Each move kind: its ``surfaces`` function and a parser per parameter.
+# Only inflate's last parameter, the height, may be left out (default 0).
+_MOVES = {
+    "twirl": (surfaces.twirl, ()),
+    "turn": (surfaces.turn, ()),
+    "flip_vertical": (surfaces.flip_vertical, ()),
+    "mirror": (surfaces.mirror, ()),
+    "slip": (surfaces.slip, (int,)),
+    "slide_up": (surfaces.slide_up, (int,)),
+    "slide_down": (surfaces.slide_down, (int,)),
+    "deflate": (surfaces.deflate, (int,)),
+    "inflate": (surfaces.inflate, (int, _inflate_sign, int)),
+}
+
+
+def _parse_move(text: str):
+    """The move ``text`` names, as a function of the surface it applies to."""
+    kind, *params = text.split(",")
+    move, parsers = _MOVES.get(kind.replace("-", "_"), (None, ()))
+    shortest = len(parsers) - (move is surfaces.inflate)
+    if move is None or not shortest <= len(params) <= len(parsers):
+        raise ValueError(f"unknown move or wrong parameter count: {text!r}")
+    values = [parse(p) for parse, p in zip(parsers, params)]
+    return lambda s: move(s, *values)
 
 
 def _surface_apply(args):
-    s = _load_surface(args.file)
-    s = surfaces.apply_move(s, _parse_move(args.move))
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(surfaces.render_svg(s))
-    _emit(args, json.loads(s.to_json()), s.to_json())
-    return OK
+    s = _load(args.file, surfaces.BraidedSurface)  # a bad file is reported before a bad move
+    return _emit_surface(args, _parse_move(args.move)(s))
 
 
 def _surface_genus(args):
-    s = _load_surface(args.file)
+    s = _load(args.file, surfaces.BraidedSurface)
     chi, mu, genus = surfaces.euler_genus(s)
     _emit(args, {"euler": chi, "boundary_components": mu, "genus": genus},
           f"euler {chi}, boundary components {mu}, genus {genus}")
@@ -179,9 +190,8 @@ def _surface_genus(args):
 # -- stars ------------------------------------------------------------------
 
 def _star_reduce(args):
-    s = _load_surface(args.surface)
-    with open(args.star) as fh:
-        star = stars.Star.from_json(fh.read())
+    s = _load(args.surface, surfaces.BraidedSurface)
+    star = _load(args.star, stars.Star)
     stars.check_star(s, star)
     trace = []
     for s, star in stars.reductions(s, star):
@@ -205,10 +215,7 @@ def _plumb(args):
     w1 = _band_word(args.word1, args.strands1)
     w2 = _band_word(args.word2, args.strands2)
     pattern = plumbing.ShufflePattern.parse(args.pattern) if args.pattern else None
-    out = plumbing.plumb(w1, w2, pattern)
-    _emit(args, {"word": words.format_word(out), "strands": out.strands},
-          words.format_word(out))
-    return OK
+    return _emit_word(args, plumbing.plumb(w1, w2, pattern))
 
 
 def _deplumb(args):
@@ -225,7 +232,7 @@ def _deplumb(args):
 
 
 def _homogenize(args):
-    d = _load_diagram(args.file)
+    d = _load(args.file, diagrams.Diagram)
     word, steps = pipeline._homogenize(d)
     payload = {"word": words.format_word(word), "strands": word.strands}
     if args.tree:
@@ -244,7 +251,7 @@ def _homogenize(args):
 def _invariant_word_or_diagram(args):
     if args.word is not None:
         return _word(args.word, args.strands)
-    return _load_diagram(args.diagram)
+    return _load(args.diagram, diagrams.Diagram)
 
 
 def _invariant_alexander(args):
@@ -278,27 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     braid = sub.add_parser("braid").add_subparsers(dest="sub", required=True)
-    t = braid.add_parser("translate", parents=[common])
-    t.add_argument("word")
-    t.add_argument("--strands", type=int)
-    t.set_defaults(func=_braid_translate)
-    c = braid.add_parser("check-homogeneous", parents=[common])
-    c.add_argument("word")
-    c.add_argument("--strands", type=int)
-    c.set_defaults(func=_braid_check_homogeneous)
-    e = braid.add_parser("equal", parents=[common])
-    e.add_argument("word1")
-    e.add_argument("word2")
-    e.add_argument("--strands", type=int)
-    e.set_defaults(func=_braid_equal)
-    k = braid.add_parser("components", parents=[common])
-    k.add_argument("word")
-    k.add_argument("--strands", type=int)
-    k.set_defaults(func=_braid_components)
-    x = braid.add_parser("exponent-sum", parents=[common])
-    x.add_argument("word")
-    x.add_argument("--strands", type=int)
-    x.set_defaults(func=_braid_exponent_sum)
+    for name, fn in (("translate", _braid_translate),
+                     ("check-homogeneous", _braid_check_homogeneous),
+                     ("equal", _braid_equal),
+                     ("components", _braid_components),
+                     ("exponent-sum", _braid_exponent_sum)):
+        b = braid.add_parser(name, parents=[common])
+        for operand in ("word1", "word2") if fn is _braid_equal else ("word",):
+            b.add_argument(operand)
+        b.add_argument("--strands", type=int)
+        b.set_defaults(func=fn)
 
     diagram = sub.add_parser("diagram").add_subparsers(dest="sub", required=True)
     for name, fn in (("seifert", _diagram_seifert),

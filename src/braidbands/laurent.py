@@ -102,9 +102,6 @@ class Laurent(_Value):
                 sign = "-" if c < 0 else ""
                 power = "t" if k == 1 else f"t^{k}"
                 term = f"{sign}{mag}{power}"
-                if c < 0:
-                    parts.append(term)
-                    continue
             parts.append(term)
         out = parts[0]
         for p in parts[1:]:

@@ -392,24 +392,26 @@ def _tail_sides(state: _State, ray: _Ray) -> tuple[int, int]:
     return between, outside
 
 
-def _ray_loose(state: _State, ray: _Ray) -> bool:
+def _ray_loose(state: _State, ray: _Ray) -> str | None:
+    """The band-free side of a ray's tail on the tip disc: "between" the
+    crossed band and the tip, else "outside" them; None when the ray is not
+    long or neither side is free."""
     if not ray.steps:
-        return False
+        return None
     between, outside = _tail_sides(state, ray)
-    return not between or not outside
+    return "between" if not between else "outside" if not outside else None
 
 
-def _ray_loose_removable(state: _State, ray: _Ray) -> bool:
-    """Loose rays whose free side can actually be swept in this model.
+def _ray_loose_removable(state: _State, ray: _Ray) -> str | None:
+    """``_ray_loose``'s side for loose rays whose free side can actually be
+    swept in this model, else None.
 
     When only the side wrapping the disc's back is band-free and the star's
     center sits on the same disc, the center fan occupies that side and the
     pull is blocked; such rays are reduced by the inflation step instead.
     """
-    if not ray.steps:
-        return False
-    between, outside = _tail_sides(state, ray)
-    return (not between or not outside) and (state.center != ray.tip_disc or not between)
+    side = _ray_loose(state, ray)
+    return None if side == "outside" and state.center == ray.tip_disc else side
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +468,9 @@ def _landing_slots(state: _State, disc: int, h: int, above: bool) -> list[int]:
     return out
 
 
-def _remove_loose_once(state: _State, ray_index: int) -> None:
-    """Retract one loose crossing of the ray ``ray_index``.
+def _remove_loose_once(state: _State, ray_index: int, side: str) -> None:
+    """Retract one loose crossing of the ray ``ray_index``, whose tail has
+    the band-free ``side`` that ``_ray_loose`` reported.
 
     The tip pulls back through the last band and lands beside the far
     region; when arcs of other rays hug that region the tip slides outward
@@ -476,20 +479,12 @@ def _remove_loose_once(state: _State, ray_index: int) -> None:
     """
     state.rescale(2)  # every height even, so the landing midpoints are exact
     ray = state.rays[ray_index]
-    if not ray.steps:
-        raise StarError("ray is not long")
-    between, outside = _tail_sides(state, ray)
-    if between and outside:
-        raise StarError("ray is not loose")
     bid, enter, _exit = ray.steps[-1]
     band = state.bands[bid]
     h_c = band.h
     # The free side determines along which rail the tip pulls back: a free
     # side above the coccyx emerges below the far region and vice versa.
-    if not between:
-        above_free = ray.tip_h > h_c
-    else:
-        above_free = ray.tip_h < h_c
+    above_free = ray.tip_h > h_c if side == "between" else ray.tip_h < h_c
     far_disc = band.end_disc(enter)
     old_step = ray.steps.pop()
     old_disc, old_h = ray.tip_disc, ray.tip_h
@@ -529,8 +524,8 @@ def _minimize_state(state: _State) -> bool:
     changed = _remove_slack(state.rays)
     retracted = False
     for k, ray in enumerate(state.rays):
-        while _ray_loose_removable(state, ray):
-            _remove_loose_once(state, k)
+        while (side := _ray_loose_removable(state, ray)) is not None:
+            _remove_loose_once(state, k, side)
             retracted = True
     if not retracted:
         _check_state(state)
@@ -681,7 +676,7 @@ def _reduce_state(state: _State) -> None:
     before = delta_b(state)
     if before == 0:
         raise StarError("star already lies in the discs")
-    if any(_has_slack(ray) or _ray_loose_removable(state, ray) for ray in state.rays):
+    if any(_has_slack(ray) or _ray_loose_removable(state, ray) is not None for ray in state.rays):
         raise StarError("star is not minimal")
 
     idx = _pick_ray(state)
@@ -733,25 +728,26 @@ def _reduce_state(state: _State) -> None:
     _remove_slack(_slide_end(state, b0, _div(h_new + min(state.bands[b].h for b in btau), 2), L, new_id))
 
     # Step 5: the chosen ray is loose at the fresh band; retract it.
-    ray = state.rays[idx]
-    if not (ray.steps and ray.steps[-1][0] == new_id and _ray_loose(state, ray)):
+    side = _ray_loose(state, state.rays[idx])
+    if side is None or state.rays[idx].steps[-1][0] != new_id:
         raise StarError("reduction invariant broken before the first retraction")
-    _remove_loose_once(state, idx)
+    _remove_loose_once(state, idx, side)
 
     # Step 6: slide the fresh band over the crossed band.
     _remove_slack(_slide_end(state, new_id, _div(band0.h + min(state.bands[b].h for b in btau), 2), R, b0))
 
     # Step 7: the ray is loose again at the crossed band; retract.
-    ray = state.rays[idx]
-    if not (ray.steps and ray.steps[-1][0] == b0 and _ray_loose(state, ray)):
+    side = _ray_loose(state, state.rays[idx])
+    if side is None or state.rays[idx].steps[-1][0] != b0:
         raise StarError("reduction invariant broken before the second retraction")
-    _remove_loose_once(state, idx)
+    _remove_loose_once(state, idx, side)
 
+    # Step 7's landing was checked.  The mirror renames discs and flips
+    # signs and end labels together, so it keeps the same chords embedded.
     if mirrored:
         _relabel_discs(state, lambda d: state.discs + 1 - d)
         for band in state.bands.values():
             band.e = -band.e
-    _check_state(state)
     if delta_b(state) >= before:
         raise StarError("reduction failed to decrease the crossing count")
 

@@ -104,17 +104,6 @@ def to_word(s: BraidedSurface) -> BKLWord:
     return BKLWord(s.discs, s.bands)
 
 
-class MoveSpec(_Value):
-    """A move kind with exactly the parameters the kind requires."""
-
-    __slots__ = ("kind", "position", "strand", "sign", "height")
-
-    def __init__(self, kind: str, position: int | None = None,  # pair (slip, slides), band (deflate)
-                 strand: int | None = None, sign: int | None = None,  # inflate
-                 height: int | None = None):  # inflate insertion index, default 0 (top)
-        super().__init__(kind, position, strand, sign, height)
-
-
 def _bands_commute(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
     # Non-separation of the two strand pairs; shared endpoints do not commute.
     (r1, s1, _), (r2, s2, _) = a, b
@@ -237,25 +226,6 @@ def mirror(s: BraidedSurface) -> BraidedSurface:
     n = s.discs
     bands = [(n + 1 - r, n + 1 - l, -e) for l, r, e in s.bands]
     return BraidedSurface(n, bands)
-
-
-_DISPATCH = {
-    "slip": lambda s, m: slip(s, m.position),
-    "slide_up": lambda s, m: slide_up(s, m.position),
-    "slide_down": lambda s, m: slide_down(s, m.position),
-    "deflate": lambda s, m: deflate(s, m.position),
-    "inflate": lambda s, m: inflate(s, m.strand, m.sign, m.height or 0),
-    "twirl": lambda s, m: twirl(s),
-    "turn": lambda s, m: turn(s),
-    "flip_vertical": lambda s, m: flip_vertical(s),
-    "mirror": lambda s, m: mirror(s),
-}
-
-
-def apply_move(s: BraidedSurface, move: MoveSpec) -> BraidedSurface:
-    if move.kind not in _DISPATCH:
-        raise MoveError(move.kind, move.position, "unknown move kind")
-    return _DISPATCH[move.kind](s, move)
 
 
 def incidence_connected(s: BraidedSurface) -> bool:

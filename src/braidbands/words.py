@@ -363,12 +363,6 @@ def permutation_of(w: Word) -> Permutation:
     return Permutation(tuple(image))
 
 
-def permutation_and_components(w: Word) -> tuple[Permutation, int]:
-    """The permutation of ``w`` and the component count of its closure."""
-    perm = permutation_of(w)
-    return perm, perm.cycle_count()
-
-
 def closure_components(w: Word) -> int:
     return permutation_of(w).cycle_count()
 

@@ -850,13 +850,14 @@ def minimize_state_by_restarts(state: _State) -> bool:
     while True:
         changed |= stars._remove_slack(state.rays)
         loose = next(
-            (k for k, ray in enumerate(state.rays) if stars._ray_loose_removable(state, ray)),
+            ((k, side) for k, ray in enumerate(state.rays)
+             if (side := stars._ray_loose_removable(state, ray)) is not None),
             None,
         )
         if loose is None:
             stars._check_state(state)
             return changed
-        stars._remove_loose_once(state, loose)
+        stars._remove_loose_once(state, *loose)
         changed = True
 
 
@@ -923,7 +924,8 @@ def reduce_state_by_whole_passes(state: _State) -> None:
     before = delta_b(state)
     if before == 0:
         raise StarError("star already lies in the discs")
-    if any(stars._has_slack(ray) or stars._ray_loose_removable(state, ray) for ray in state.rays):
+    if any(stars._has_slack(ray) or stars._ray_loose_removable(state, ray) is not None
+           for ray in state.rays):
         raise StarError("star is not minimal")
     idx = stars._pick_ray(state)
     ray = state.rays[idx]
@@ -951,15 +953,17 @@ def reduce_state_by_whole_passes(state: _State) -> None:
     slide_end(state, b0, _div(h_new + min(state.bands[b].h for b in btau), 2), L, new_id)
     stars._remove_slack(state.rays)
     ray = state.rays[idx]
-    if not (ray.steps and ray.steps[-1][0] == new_id and _ray_loose(state, ray)):
+    side = _ray_loose(state, ray)
+    if not (ray.steps and ray.steps[-1][0] == new_id and side is not None):
         raise StarError("reduction invariant broken before the first retraction")
-    stars._remove_loose_once(state, idx)
+    stars._remove_loose_once(state, idx, side)
     slide_end(state, new_id, _div(band0.h + min(state.bands[b].h for b in btau), 2), R, b0)
     stars._remove_slack(state.rays)
     ray = state.rays[idx]
-    if not (ray.steps and ray.steps[-1][0] == b0 and _ray_loose(state, ray)):
+    side = _ray_loose(state, ray)
+    if not (ray.steps and ray.steps[-1][0] == b0 and side is not None):
         raise StarError("reduction invariant broken before the second retraction")
-    stars._remove_loose_once(state, idx)
+    stars._remove_loose_once(state, idx, side)
     stars._remove_slack(state.rays)
     if mirrored:
         _relabel_discs(state, lambda d: state.discs + 1 - d)
@@ -1003,23 +1007,28 @@ def _point_height(state: _State, point) -> Optional[int]:
     return None  # center
 
 
-def check_state_by_chords(state: _State) -> None:
-    """``stars._check_state`` on explicit chords: every ray's chords are built
-    first, then each disc's chords are tested pair by pair, skipping pairs
-    that share an endpoint, in the order their first chord appeared."""
+def chords_by_disc(state: _State) -> dict[int, tuple[list, list]]:
+    """Every ray's chords, built before any is grouped, as each disc's fan
+    heights (the chords from the center) and its other chords' sorted
+    height pairs, discs in the order their first chord appeared."""
     all_chords = []
     for ray in state.rays:
         all_chords.extend(_ray_chords(state, ray))
-    by_disc: dict[int, list] = {}
-    for chord in all_chords:
-        by_disc.setdefault(chord[0], []).append(chord)
-    for disc, chords in by_disc.items():
-        fan = [_point_height(state, q) for _d, p, q in chords if p == _CENTER]
-        boundary = [
-            tuple(sorted((_point_height(state, p), _point_height(state, q))))
-            for _d, p, q in chords
-            if p != _CENTER
-        ]
+    by_disc: dict[int, tuple[list, list]] = {}
+    for disc, p, q in all_chords:
+        fan, boundary = by_disc.setdefault(disc, ([], []))
+        if p == _CENTER:
+            fan.append(_point_height(state, q))
+        else:
+            boundary.append(tuple(sorted((_point_height(state, p), _point_height(state, q)))))
+    return by_disc
+
+
+def check_state_by_chords(state: _State) -> None:
+    """``stars._check_state`` on explicit chords: each disc's chords from
+    ``chords_by_disc`` are tested pair by pair, skipping pairs that share
+    an endpoint."""
+    for disc, (fan, boundary) in chords_by_disc(state).items():
         for i, (s1, s2) in enumerate(boundary):
             for t1, t2 in boundary[i + 1 :]:
                 if {s1, s2} & {t1, t2}:
@@ -1063,7 +1072,7 @@ class RayClass:
 def classify_ray(surface: BraidedSurface, star: Star, ray_index: int) -> RayClass:
     state = _materialize(surface, star)
     ray = state.rays[ray_index]
-    return RayClass(bool(ray.steps), slack_step(ray) is not None, _ray_loose(state, ray))
+    return RayClass(bool(ray.steps), slack_step(ray) is not None, _ray_loose(state, ray) is not None)
 
 
 # ---------------------------------------------------------------------------

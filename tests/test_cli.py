@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidbands import pipeline, stars
+from braidbands import pipeline, stars, surfaces
 from braidbands.cli import run
 from braidbands.diagrams import closure_diagram
 from braidbands.words import BKLWord, parse_word
@@ -107,6 +107,35 @@ def test_surface_commands(tmp_path, capsys):
         assert run(["surface", "apply", str(path), "--move", f"inflate,1,{sign}", "--json"]) == 0
         bands = json.loads(capsys.readouterr().out)["bands"]
         assert sum(b["e"] for b in bands) == 2 + band_sign  # two positive bands plus the new one
+
+
+# A surface on which every move applies at some position; each --move
+# string beside its surfaces function and that function's parameters.
+MOVE_SURFACE = surfaces.from_word(parse_word("b(1,2) b(3,4) b(2,3) b(1,2) b(4,5)", strands=5))
+MOVE_CASES = [
+    ("twirl", surfaces.twirl, ()),
+    ("turn", surfaces.turn, ()),
+    ("flip-vertical", surfaces.flip_vertical, ()),
+    ("mirror", surfaces.mirror, ()),
+    ("slip,3", surfaces.slip, (3,)),
+    ("slide-up,1", surfaces.slide_up, (1,)),
+    ("slide-down,2", surfaces.slide_down, (2,)),
+    ("deflate,4", surfaces.deflate, (4,)),
+    *[(f"inflate,2,{text}{height}", surfaces.inflate, (2, sign, *args))
+      for text, sign in (("+", 1), ("+1", 1), ("1", 1), ("-", -1), ("-1", -1))
+      for height, args in (("", ()), (",3", (3,)))],
+]
+
+
+@pytest.mark.parametrize("move, function, params", MOVE_CASES, ids=[case[0] for case in MOVE_CASES])
+def test_each_move_is_its_surfaces_function(tmp_path, move, function, params):
+    path = tmp_path / "surface.json"
+    path.write_text(MOVE_SURFACE.to_json())
+    code, out, err = _call(["surface", "apply", str(path), "--json", "--move", move])
+    assert code == 0, err
+    expected = function(MOVE_SURFACE, *params)
+    assert expected != MOVE_SURFACE
+    assert json.loads(out) == json.loads(expected.to_json())
 
 
 def _golden_star_files(tmp_path, capsys) -> list[str]:

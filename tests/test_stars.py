@@ -28,6 +28,7 @@ import reference
 from corpus import random_homogeneous_surface, random_star, valid_star_instances
 from reference import (
     check_state_by_chords,
+    chords_by_disc,
     classify_ray,
     landing_slots,
     minimize_state_by_restarts,
@@ -590,6 +591,41 @@ def test_check_state_matches_the_chord_check_through_every_reduction(compared_ch
     assert compared_checks["passed"] >= 5000 and compared_checks["raised"] >= 1000
 
 
+def test_the_mirror_relabelling_keeps_every_chord(monkeypatch):
+    # No embeddedness check follows a mirrored step: step 7's landing check
+    # saw the same chords that the finished step has, each on the disc the
+    # mirror renames it to.
+    normalize, relabel, reduce_state = stars._normalize, stars._relabel_discs, stars._reduce_state
+    mirror = {"next": False, "expected": None, "seen": 0}
+
+    def noting_the_mirror(state, ray):
+        x0, mirror["next"] = normalize(state, ray)
+        return x0, mirror["next"]
+
+    def renaming_the_chords(state, f):
+        if mirror["next"]:  # the relabelling after a mirrored step 0
+            mirror["next"] = False
+            assert all(f(d) == state.discs + 1 - d for d in state.order)
+            mirror["expected"] = {f(d): chords for d, chords in chords_by_disc(state).items()}
+        relabel(state, f)
+
+    def compared(state):
+        mirror["next"], mirror["expected"] = False, None
+        reduce_state(state)
+        if mirror["expected"] is not None:
+            # A ray left hopping between discs is an assertion, not a refusal.
+            assert _check_outcome(chords_by_disc, state) is None
+            assert chords_by_disc(state) == mirror["expected"]
+            mirror["seen"] += 1
+
+    monkeypatch.setattr(stars, "_normalize", noting_the_mirror)
+    monkeypatch.setattr(stars, "_relabel_discs", renaming_the_chords)
+    monkeypatch.setattr(stars, "_reduce_state", compared)
+    for _line in _pinned_star_lines(seed=20261018, valid=1000):
+        pass
+    assert mirror["seen"] >= 700
+
+
 def test_landing_scan_matches_the_reference(monkeypatch):
     # Every landing scan made while the pinned corpus is drawn, minimized and
     # reduced, and while the refused corpus is refused, matches the scan with
@@ -788,11 +824,11 @@ def test_a_retraction_moves_only_its_own_ray(monkeypatch):
     retract = stars._remove_loose_once
     calls = {"landed": 0, "refused": 0}
 
-    def checked(state, k):
+    def checked(state, k, side):
         before = copy.deepcopy(state)
         loose = [stars._ray_loose_removable(state, ray) for ray in state.rays]
         try:
-            retract(state, k)
+            retract(state, k, side)
             calls["landed"] += 1
         except StarError:
             calls["refused"] += 1

@@ -6,8 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from braidbands.surfaces import (
     BraidedSurface,
-    MoveSpec,
-    apply_move,
     deflate,
     euler_genus,
     flip_vertical,
@@ -198,14 +196,6 @@ def test_euler_genus():
     assert not incidence_connected(disconnected)
     with pytest.raises(ValueError):
         euler_genus(disconnected)
-
-
-def test_apply_move_dispatch():
-    s = from_word(parse_word("b(1,2) b(2,3)", strands=3))
-    assert apply_move(s, MoveSpec("turn")) == turn(s)
-    assert apply_move(s, MoveSpec("inflate", strand=2, sign=1, height=0)) == inflate(s, 2, 1, 0)
-    with pytest.raises(MoveError):
-        apply_move(s, MoveSpec("unknown"))
 
 
 def test_svg_smoke():

@@ -14,7 +14,7 @@ from braidbands.laurent import Laurent
 from braidbands.pipeline import Fatgraph, decompose_generalized_flat
 from braidbands.plumbing import ShufflePattern
 from braidbands.stars import Ray, Star, _Band, _materialize, _Ray
-from braidbands.surfaces import BraidedSurface, MoveSpec
+from braidbands.surfaces import BraidedSurface
 from braidbands.words import ArtinWord, BKLWord, Permutation, homogeneity_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -47,8 +47,6 @@ FROZEN = [
     (lambda: ShufflePattern((1, 2, 1)), ((1, 2, 1),), "ShufflePattern(marks=(1, 2, 1))"),
     (lambda: BraidedSurface(2, [(1, 2, -1)]), (2, ((1, 2, -1),)),
      "BraidedSurface(discs=2, bands=((1, 2, -1),))"),
-    (lambda: MoveSpec("inflate", strand=2, sign=1), ("inflate", None, 2, 1, None),
-     "MoveSpec(kind='inflate', position=None, strand=2, sign=1, height=None)"),
     (lambda: Ray(((0, "L", "R"),), 2, 0), (((0, "L", "R"),), 2, 0),
      "Ray(steps=((0, 'L', 'R'),), tip_disc=2, tip_gap=0)"),
     (lambda: Star(1, [Ray((), 2, 0)]), (1, (Ray((), 2, 0),)),

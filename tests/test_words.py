@@ -23,7 +23,6 @@ from braidbands.words import (
     is_homogeneous,
     is_trivial_braid,
     parse_word,
-    permutation_and_components,
     permutation_of,
 )
 
@@ -90,12 +89,12 @@ def test_homogeneity():
 
 
 def test_permutation_and_components():
-    perm, comps = permutation_and_components(parse_word("s1", 2))
-    assert perm.image == (2, 1) and comps == 1
-    perm, comps = permutation_and_components(ArtinWord(3))
-    assert perm.image == (1, 2, 3) and comps == 3
-    perm, comps = permutation_and_components(WORD_948_BKL)
-    assert comps == 1 and sorted(perm.cycles()[0]) == [1, 2, 3, 4]
+    perm = permutation_of(parse_word("s1", 2))
+    assert perm.image == (2, 1) and perm.cycle_count() == 1
+    perm = permutation_of(ArtinWord(3))
+    assert perm.image == (1, 2, 3) and perm.cycle_count() == 3
+    perm = permutation_of(WORD_948_BKL)
+    assert perm.cycle_count() == 1 and sorted(perm.cycles()[0]) == [1, 2, 3, 4]
     assert closure_components(WORD_948_ARTIN) == 1
 
 
