@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 
-from .words import ArtinWord, _Value
+from .words import MAX_WORD_LETTERS, ArtinWord, _Value
 
 
 class DiagramError(ValueError):
@@ -71,6 +71,9 @@ class Diagram(_Value):
 
     @staticmethod
     def from_json(text: str) -> "Diagram":
+        """The diagram of ``{"crossings": [[a, b, c, d], ...], "unknots": k}``.  It has
+        at most 2c Seifert circles, so bounding k + 2c by ``MAX_WORD_LETTERS``
+        keeps its homogenized word within ``parse_word``'s strand bound."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise DiagramError("a diagram must be a JSON object")
@@ -78,6 +81,8 @@ class Diagram(_Value):
             crossings, unknots = data.get("crossings", []), data.get("unknots", 0)
             if type(unknots) is not int or any(type(x) is not int for entry in crossings for x in entry):
                 raise TypeError("crossing arcs and unknots must be integers")
+            if unknots + 2 * len(crossings) > MAX_WORD_LETTERS:
+                raise ValueError(f"unknots plus twice the crossings exceed MAX_WORD_LETTERS ({MAX_WORD_LETTERS})")
             return Diagram(crossings, unknots)
         except (TypeError, ValueError) as exc:
             raise DiagramError(f"malformed diagram: {exc}") from exc

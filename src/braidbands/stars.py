@@ -24,9 +24,11 @@ step the heights are re-spread to the order that freezing and rebuilding
 the state would give, so the result is the same as stepping through
 frozen ``(surface, star)`` pairs.  A step's flip, mirror, twirl and
 inflation are one composed relabelling through ``_relabel_discs``, which
-moves each occupied disc's list whole.  Slack leaves each ray in one stack
-pass.  Embeddedness is checked by one walk over each ray that reads band
-and tip heights straight into per-disc chords.
+moves each occupied disc's list whole.  The bands across the chosen ray's
+tail are carried in one pass: one walk re-routes every ray, and only two
+discs' lists change.  Slack leaves each ray in one stack pass.
+Embeddedness is checked by one walk over each ray that reads band and tip
+heights straight into per-disc chords.
 
 Slack and looseness are properties of one ray: its own steps and tip, the
 bands and the center, never another ray.  A retraction moves only its own
@@ -536,17 +538,18 @@ def _minimize_state(state: _State) -> bool:
 # The reduction step
 # ---------------------------------------------------------------------------
 
-def _transfer_region(state: _State, bid: int, end: str, bridge: int) -> tuple[int, list[_Ray]]:
-    """Re-route ray arcs tied to a band end that is about to change disc;
-    returns the disc across the bridge band, where the end goes, and the
-    rays that were re-routed, in ray order.
+def _transfer_region(state: _State, moving: dict[int, str], bridge: int) -> tuple[int, list[_Ray]]:
+    """Re-route ray arcs tied to the band ends, all on one disc, that are
+    about to change disc (``moving`` maps each band to its end); returns the
+    disc across the bridge band, where the ends go, and the rays that were
+    re-routed, in ray order.
 
-    Every disc arc with exactly one endpoint on the moving region gains a
-    crossing through the bridge band; slack cleanup afterwards cancels the
-    detours of arcs whose both endpoints travel.  The center and the tips
-    never move, so only a ray with a step through ``bid`` can change.
+    Every disc arc with exactly one endpoint on a moving region gains a
+    crossing through the bridge band; an arc with both endpoints on moving
+    regions travels with them.  The center and the tips never move, so only
+    a ray with a step through a moving band can change.
     """
-    old_disc = state.bands[bid].end_disc(end)
+    old_disc = next(state.bands[bid].end_disc(end) for bid, end in moving.items())
     bridge_band = state.bands[bridge]
     if bridge_band.l == old_disc:
         near, far = L, R
@@ -559,12 +562,12 @@ def _transfer_region(state: _State, bid: int, end: str, bridge: int) -> tuple[in
         out: list[list] = []
         prev_moves = False  # the center never moves
         for step in ray.steps:
-            next_moves = step[0] == bid and step[1] == end
-            if prev_moves != next_moves:
+            moved = moving.get(step[0])
+            if prev_moves != (moved == step[1]):
                 # Leaving the moving region, the ray sits on the new disc; bridge back.
                 out.append([bridge, far, near] if prev_moves else [bridge, near, far])
             out.append(step)
-            prev_moves = step[0] == bid and step[2] == end
+            prev_moves = moved == step[2]
         if prev_moves:  # the tip never moves
             out.append([bridge, far, near])
         if len(out) != len(ray.steps):
@@ -573,24 +576,44 @@ def _transfer_region(state: _State, bid: int, end: str, bridge: int) -> tuple[in
     return bridge_band.end_disc(far), rerouted
 
 
-def _slide_end(state: _State, bid: int, h: int, end: str | None, bridge: int) -> list[_Ray]:
-    """Move band ``bid`` to height ``h``, first sliding its ``end``, unless
-    that is None, over the ``bridge`` band to the bridge's other disc;
-    returns the rays the slide re-routed."""
+def _move_end(band: _Band, end: str, disc: int) -> None:
+    band.l, band.r = (disc, band.r) if end == L else (band.l, disc)
+    if not band.l < band.r:
+        raise StarError("slide produced an inverted band")
+
+
+def _slide_end(state: _State, bid: int, h: int, end: str, bridge: int) -> list[_Ray]:
+    """Slide band ``bid``'s ``end`` over the ``bridge`` band to the bridge's
+    other disc and move the band to height ``h``; returns the rays the
+    slide re-routed."""
     _drop_ends(state, bid)
     band = state.bands[bid]
-    rerouted: list[_Ray] = []
-    if end is not None:
-        disc, rerouted = _transfer_region(state, bid, end, bridge)
-        if end == L:
-            band.l = disc
-        else:
-            band.r = disc
-        if not band.l < band.r:
-            raise StarError("slide produced an inverted band")
+    disc, rerouted = _transfer_region(state, {bid: end}, bridge)
+    _move_end(band, end, disc)
     band.h = h
     _insert_ends(state, bid)
     return rerouted
+
+
+def _carry_span(state: _State, btau: list[int], x0: int, h_new: int, h_tip: int, new_id: int) -> None:
+    """Step 3 of ``_reduce_state`` in one pass: the span ``btau``, highest
+    first, moves into (h_new, h_tip) in order, and its ends at the tip disc
+    ``x0`` slide over the fresh band to ``x0 + 1``, re-routing the rays in
+    one walk.  No other band lies strictly between ``band0.h`` and ``h_tip``
+    (a band at exactly ``h_tip`` is outside the span and stays above it), so
+    no other disc's order changes: ``x0`` loses the moved ends, and
+    ``x0 + 1`` gets them above the fresh band.
+    """
+    bands = state.bands
+    moving = {bid: L if bands[bid].l == x0 else R for bid in btau if x0 in (bands[bid].l, bands[bid].r)}
+    disc, _rerouted = _transfer_region(state, moving, new_id)
+    for k, bid in enumerate(btau):
+        band = bands[bid]
+        band.h = h_new + _div((h_tip - h_new) * (len(btau) - k), len(btau) + 1)
+        if bid in moving:
+            _move_end(band, moving[bid], disc)
+    state.order[x0] = [end for end in state.order[x0] if end[1] not in moving]
+    state.order[disc] = [(bands[bid], bid) for bid in moving] + state.order[disc]
 
 
 def _normalize(state: _State, ray: _Ray) -> tuple[int, bool]:
@@ -628,7 +651,7 @@ def _normalize(state: _State, ray: _Ray) -> tuple[int, bool]:
 
     x0 = min(g(band0.l), g(band0.r))
     state.discs += 1
-    _relabel_discs(state, lambda d: g(d) + (g(d) > x0))
+    _relabel_discs(state, lambda d: (e := g(d)) + (e > x0))  # g once per disc
     return x0, mirror
 
 
@@ -710,19 +733,13 @@ def _reduce_state(state: _State) -> None:
     state.bands[new_id] = _Band(x0, x0 + 1, 1, h_new)
     _insert_ends(state, new_id)
 
-    # Step 3: carry the span above the fresh band, preserving order; the
-    # ends at the tip disc slide over the fresh band.  The star was minimal
-    # and the relabelling kept it so, and a retraction leaves a slack-free
-    # ray slack-free; so after a slide only the rays it re-routed can hold
-    # slack.  A ray re-routed twice here is cleared twice, the second time
-    # to no effect.
-    rerouted = []
-    for k, bid in enumerate(btau):
-        band = state.bands[bid]
-        end = L if band.l == x0 else R if band.r == x0 else None
-        rerouted += _slide_end(state, bid, h_new + _div((h_tip - h_new) * (len(btau) - k), len(btau) + 1),
-                               end, new_id)
-    _remove_slack(rerouted)
+    # Step 3: carry the whole span above the fresh band in one pass.  The
+    # star was minimal and the relabelling kept it so.  The carry leaves it
+    # slack-free: its one walk adds single steps through the fresh band,
+    # which no ray crossed before, between a ray's steps.  A retraction
+    # leaves a slack-free ray slack-free, so after a later slide only the
+    # rays it re-routed can hold slack.
+    _carry_span(state, btau, x0, h_new, h_tip, new_id)
 
     # Step 4: slide the crossed band over the fresh one.
     _remove_slack(_slide_end(state, b0, _div(h_new + min(state.bands[b].h for b in btau), 2), L, new_id))

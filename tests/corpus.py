@@ -143,6 +143,18 @@ WHEELS = {
 }
 
 
+def ring(m: int) -> Diagram:
+    """The ring R_m, m even: m Seifert circles in a cycle, each joined to the
+    next by one positive crossing, every edge oriented from its even circle
+    to its odd one.  It is positive, primitive flat and homogeneous."""
+    edges = tuple([(k, k + 1, 1) if k % 2 == 0 else ((k + 1) % m, k, 1) for k in range(m)])
+    orders: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for eid, (u, v, _s) in enumerate(edges):
+        orders[u].append((eid, 0))
+        orders[v].append((eid, 1))
+    return flat_diagram(Fatgraph(m, edges, tuple([tuple(o) for o in orders])))
+
+
 def random_bkl_word(rng: random.Random, max_strands=5, max_len=8, homogeneous=False) -> BKLWord:
     n = rng.randint(2, max_strands)
     sign_of: dict = {}
@@ -368,3 +380,10 @@ def handle_reduction_words(seed: int, count: int, lengths=(1, 80), strands=(2, 1
             v[p:p] = [x, x, y, y, (i, -1), (i, -1), (i + 1, -1), (i + 1, -1)]
         v = scrambled(rng, n, v, length // 2)
         yield ArtinWord(n, u).concat(ArtinWord(n, v).inverse()), kind < 3
+
+
+def wide_span_star(n: int) -> tuple[BraidedSurface, Star]:
+    """The star on ``b(1,2)^n`` whose one ray crosses the second-lowest band
+    and ends just below the top band: its tail spans the n - 3 bands between
+    (n >= 4), which one reduction step carries over the fresh band."""
+    return BraidedSurface(2, [(1, 2, 1)] * n), Star(1, [Ray(((n - 2, "L", "R"),), 2, 1)])

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from braidbands import pipeline, stars, surfaces
 from braidbands.cli import run
 from braidbands.diagrams import closure_diagram
-from braidbands.words import BKLWord, parse_word
+from braidbands.words import MAX_WORD_LETTERS, BKLWord, parse_word
 
 from corpus import FIG8, K5_2, K9_43, TREFOIL, disjoint_union, random_homogeneous_surface, random_star
 
@@ -191,6 +191,26 @@ def test_homogenize_command(tmp_path, capsys, trefoil_file):
     assert json.loads(capsys.readouterr().out)["strands"] == 5
     assert run(["homogenize", str(split), "--tree"]) == 2
     assert "--tree needs a connected diagram" in capsys.readouterr().err
+
+
+def test_diagram_size_is_bounded_by_the_word_bound(tmp_path, capsys):
+    # The trefoil has 3 crossings, so unknots + 6 may reach MAX_WORD_LETTERS:
+    # the word comes back on at most that many strands, and parse_word takes
+    # it.  One unknot more is refused before any work, naming the bound.
+    path = tmp_path / "trefoil.json"
+    crossings = [list(x) for x in TREFOIL.crossings]
+    path.write_text(json.dumps({"crossings": crossings, "unknots": MAX_WORD_LETTERS - 6}))
+    assert run(["homogenize", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["strands"] == MAX_WORD_LETTERS - 4
+    assert parse_word(data["word"], strands=data["strands"]).strands == MAX_WORD_LETTERS - 4
+    for unknots in (MAX_WORD_LETTERS - 5, 10**12):
+        path.write_text(json.dumps({"crossings": crossings, "unknots": unknots}))
+        assert run(["homogenize", str(path)]) == 2
+        assert "MAX_WORD_LETTERS (1000000)" in capsys.readouterr().err
+    path.write_text(json.dumps({"crossings": [[1, 2, 3, 4]] * (MAX_WORD_LETTERS // 2 + 1)}))
+    assert run(["diagram", "seifert", str(path)]) == 2
+    assert "MAX_WORD_LETTERS" in capsys.readouterr().err
 
 
 def test_invariant_commands(capsys, trefoil_file):

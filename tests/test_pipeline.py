@@ -60,6 +60,7 @@ from corpus import (
     pseudoalternating_diagrams,
     random_artin_word,
     random_bkl_word,
+    ring,
 )
 from reference import validate
 
@@ -969,6 +970,19 @@ def test_homogenize_words_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_WORDS_SHA256
 
 
+def _counted_homogenize(monkeypatch, d):
+    """``homogenize(d)`` and the number of candidates it tried."""
+    seen = []
+
+    def counted_realizations(*args, **kwargs):
+        for found in _realizations(*args, **kwargs):
+            seen.append(found)
+            yield found
+
+    monkeypatch.setattr(pipeline, "_realizations", counted_realizations)
+    return homogenize(d), len(seen)
+
+
 @pytest.mark.parametrize("size, tried, expected", [
     (4, 5, "b(2,3) b(1,2) b(3,4) b(3,5) b(1,5) b(1,4)"),
     (6, 94, "b(1,2) b(5,6) b(5,7) b(3,7) b(2,3) b(1,6) b(4,5) b(1,4) b(3,4)"),
@@ -979,18 +993,38 @@ def test_homogenize_wheels(monkeypatch, size, tried, expected):
     # passes, so the words pin the gate's rejections as well as its choice.
     d = WHEELS[size]
     assert set(analyze(d).signs) == {1} and is_primitive_flat(d) and is_homogeneous_diagram(d).homogeneous
-    seen = []
-
-    def counted_realizations(*args, **kwargs):
-        for found in _realizations(*args, **kwargs):
-            seen.append(found)
-            yield found
-
-    monkeypatch.setattr(pipeline, "_realizations", counted_realizations)
-    w = homogenize(d)
+    w, count = _counted_homogenize(monkeypatch, d)
     assert format_word(w) == expected and w.strands == size + 1
-    assert len(seen) == tried
+    assert count == tried
     assert alexander_from_braid(w) == alexander_from_diagram(d)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
+def test_homogenize_rings(monkeypatch, m):
+    # A ring is one leaf of m circles.  Its first accepted candidate is
+    # 2^(m/2) - 1: cut 0 on the first half of the discs, cut 1 on the
+    # second, the last such combination the enumerator tries.
+    d = ring(m)
+    assert set(analyze(d).signs) == {1} and is_primitive_flat(d) and is_homogeneous_diagram(d).homogeneous
+    w, tried = _counted_homogenize(monkeypatch, d)
+    assert tried == 2 ** (m // 2) - 1
+    assert w.strands == len(w.letters) == m
+    assert closure_components(w) == link_components(d) == 2
+    assert alexander_from_braid(w) == alexander_from_diagram(d)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PipelineError,
+    reason="rings up to R_24 first match at candidate 2^(m/2) - 1; R_26 finds no match within "
+    "REALIZATION_LIMIT (4,096), where a direct cut rule would need one candidate (ROADMAP item 11)",
+)
+def test_homogenize_ring_of_26():
+    d = ring(26)
+    assert is_primitive_flat(d) and is_homogeneous_diagram(d).homogeneous
+    w = homogenize(d)
+    assert w.strands == len(w.letters) == 26
+    assert closure_components(w) == link_components(d) == 2
 
 
 @pytest.mark.xfail(

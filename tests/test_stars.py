@@ -25,7 +25,7 @@ from braidbands.surfaces import BraidedSurface, from_word, to_word
 from braidbands.words import closure_components, is_homogeneous, parse_word
 
 import reference
-from corpus import random_homogeneous_surface, random_star, valid_star_instances
+from corpus import random_homogeneous_surface, random_star, valid_star_instances, wide_span_star
 from reference import (
     check_state_by_chords,
     chords_by_disc,
@@ -470,17 +470,19 @@ def _assert_order_matches_scan(state) -> None:
 
 
 def test_stored_disc_order_follows_every_mutation(monkeypatch):
-    # Inside a step, check the order after the fresh band's insertion and
-    # each slide of steps 3, 4 and 6 too: every slide follows the insertion.
-    slide_end = stars._slide_end
+    # Inside a step, check the order after the fresh band's insertion, the
+    # carry of step 3 and the slides of steps 4 and 6 too: the carry and
+    # every slide follow the insertion.
+    def order_checked(move):
+        def wrapped(state, *args):
+            _assert_order_matches_scan(state)
+            out = move(state, *args)
+            _assert_order_matches_scan(state)
+            return out
+        return wrapped
 
-    def checked_slide_end(state, *args):
-        _assert_order_matches_scan(state)
-        rerouted = slide_end(state, *args)
-        _assert_order_matches_scan(state)
-        return rerouted
-
-    monkeypatch.setattr(stars, "_slide_end", checked_slide_end)
+    monkeypatch.setattr(stars, "_slide_end", order_checked(stars._slide_end))
+    monkeypatch.setattr(stars, "_carry_span", order_checked(stars._carry_span))
     checked = 0
     for s, star in valid_star_instances(seed=4242, count=80):
         state = stars._materialize(s, star)
@@ -801,6 +803,51 @@ def test_per_ray_passes_match_the_whole_state_passes_on_refused_stars():
         assert _assert_matches_whole_state_passes(s, star)[-1] == case["message"]
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 10, 40, 300])
+def test_wide_span_stars_match_the_whole_state_passes(n):
+    # The reference slides the span's n - 3 bands one at a time.
+    _changed, (_surface, star) = _assert_matches_whole_state_passes(*wide_span_star(n))[-1]
+    assert star == Star(3, [Ray((), 3, n - 1)])
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_a_step_walks_each_ray_once_per_transfer(monkeypatch, n):
+    # One step of the wide-span star carries n - 3 bands.  It walks the
+    # rays in three transfers, the carry's and steps 4 and 6's, and
+    # rebuilds a disc's list only for the fresh band and those two slides,
+    # whatever n is.
+    calls = {"_transfer_region": 0, "_drop_ends": 0, "_insert_ends": 0, "_reduce_state": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(stars, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(stars, name, counted)
+    s, star = reduce_to_disc(*wide_span_star(n))
+    assert star == Star(3, [Ray((), 3, n - 1)]) and len(s.bands) == n + 1
+    assert calls == {"_transfer_region": 3, "_drop_ends": 2, "_insert_ends": 3, "_reduce_state": 1}
+
+
+def test_a_band_at_the_tip_height_stays_above_the_carried_span(monkeypatch):
+    # A band off the tip disc may sit at exactly the chosen tip's height.
+    # It is outside the span, and the carry leaves it above every carried
+    # band, in every disc's order.
+    carry = stars._carry_span
+    seen = {"carries": 0, "at_tip": 0}
+
+    def checked(state, btau, x0, h_new, h_tip, new_id):
+        at_tip = [band for band in state.bands.values() if band.h == h_tip]
+        assert all(band.l != x0 and band.r != x0 for band in at_tip)
+        carry(state, btau, x0, h_new, h_tip, new_id)
+        assert all(band.h == h_tip > state.bands[bid].h for band in at_tip for bid in btau)
+        _assert_order_matches_scan(state)
+        seen["carries"] += 1
+        seen["at_tip"] += bool(at_tip)
+
+    monkeypatch.setattr(stars, "_carry_span", checked)
+    _locality_corpus()
+    assert seen["carries"] >= 300 and seen["at_tip"] >= 40
+
+
 def _same_up_to_scale(h_before: int, before, h_after: int, after) -> bool:
     return h_after * before.scale == h_before * after.scale
 
@@ -853,19 +900,31 @@ def test_a_retraction_moves_only_its_own_ray(monkeypatch):
 
 
 def test_a_slide_reports_exactly_the_rays_it_reroutes(monkeypatch):
-    # Each transfer equals the tagged reference, and the rays it reports are
-    # those whose steps changed.
+    # Each transfer's reported rays are those whose steps changed.  A
+    # one-band transfer (steps 4 and 6) equals the tagged reference.  Step
+    # 3's one-walk transfer of the whole span equals the reference's
+    # transfers band by band, then slack: it leaves no slack to clear.
     transfer = stars._transfer_region
-    calls = {"rerouted": 0, "kept": 0}
+    calls = {"rerouted": 0, "kept": 0, "carried": 0, "detours": 0}
 
-    def checked(state, bid, end, bridge):
+    def checked(state, moving, bridge):
         expected = copy.deepcopy(state)
         before = [copy.deepcopy(ray.steps) for ray in state.rays]
-        disc, rerouted = transfer(state, bid, end, bridge)
-        assert disc == transfer_region(expected, bid, end, bridge)
-        assert [ray.steps for ray in state.rays] == [ray.steps for ray in expected.rays]
+        disc, rerouted = transfer(state, moving, bridge)
+        for bid, end in moving.items():
+            assert disc == transfer_region(expected, bid, end, bridge)
         changed = [ray for ray, steps in zip(state.rays, before) if ray.steps != steps]
         assert [id(ray) for ray in rerouted] == [id(ray) for ray in changed]
+        if len(moving) == 1:
+            assert [ray.steps for ray in state.rays] == [ray.steps for ray in expected.rays]
+        else:
+            # Band by band, an arc between two moving ends gains a detour
+            # over the bridge and back, which slack cancels.
+            calls["carried"] += 1
+            calls["detours"] += sum(len(ray.steps) < len(slid.steps)
+                                    for ray, slid in zip(state.rays, expected.rays))
+            stars._remove_slack(expected.rays)
+            assert [ray.steps for ray in state.rays] == [ray.steps for ray in expected.rays]
         calls["rerouted"] += len(rerouted)
         calls["kept"] += len(state.rays) - len(rerouted)
         return disc, rerouted
@@ -873,3 +932,4 @@ def test_a_slide_reports_exactly_the_rays_it_reroutes(monkeypatch):
     monkeypatch.setattr(stars, "_transfer_region", checked)
     _locality_corpus()
     assert calls["rerouted"] >= 300 and calls["kept"] >= 1500
+    assert calls["carried"] >= 100 and calls["detours"] >= 5
