@@ -192,7 +192,6 @@ def _surface_genus(args):
 def _star_reduce(args):
     s = _load(args.surface, surfaces.BraidedSurface)
     star = _load(args.star, stars.Star)
-    stars.check_star(s, star)
     trace = []
     for s, star in stars.reductions(s, star):
         trace.append({"word": words.format_word(surfaces.to_word(s)), "delta_b": stars.delta_b(star)})

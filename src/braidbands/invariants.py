@@ -30,9 +30,9 @@ Both builders write 2V = S - X, where S = T + R for the twist term T:
   across discs r + 1 to s and crosses there each chord whose span in word
   order holds its letter; each crossing adds -a_e to R.
 
-A surface's own builder computes 2V - T = R - X, to which ``_twists`` adds
-T.  ``homogenize``'s gate compares 2V - T unhalved: its word's letters
-carry their crossings' signs, so both surfaces have one T over its cycles.
+Each surface has its own builder of R, ``_intersections`` builds X for both
+and ``_seifert`` adds T.  ``homogenize``'s gate compares R alone: signs fix
+T, and the discs' cyclic orders X, which it checks on its word first.
 
 Since the Alexander polynomial is det(V^T - tV) up to a unit, equal
 matrices give equal polynomials, and the signature of V + V^T changes sign
@@ -473,8 +473,9 @@ def _passages(cycles, ends) -> dict:
     return at
 
 
-def _twists(cycles, twice: list[list[int]], signs) -> list[list[int]]:
-    """Add T, the half twists of the bands shared by each cycle pair, to 2V - T."""
+def _seifert(cycles, sides: list[list[int]], x: list[list[int]], signs) -> list[list[int]]:
+    """V = (R - X + T) / 2, T the half twists of the bands each cycle pair shares."""
+    twice = [[a - b for a, b in zip(r, s)] for r, s in zip(sides, x)]
     users: dict = {}
     for i, cycle in enumerate(cycles):
         for edge, way in cycle:
@@ -485,11 +486,27 @@ def _twists(cycles, twice: list[list[int]], signs) -> list[list[int]]:
             row = twice[i]
             for j, b in pairs:
                 row[j] -= e * a * b
-    return twice
+    return [[v >> 1 for v in row] for row in twice]
 
 
-def _halved(twice: list[list[int]]) -> list[list[int]]:
-    return [[x >> 1 for x in row] for row in twice]
+def _intersections(count: int, discs) -> list[list[int]]:
+    """X over ``count`` cycles, from each disc, its positions m and its visits
+    (cycle, position in, position out), in the disc's cyclic order mod m."""
+    x = [[0] * count for _ in range(count)]
+    for _disc, m, visits in discs:
+        for i, p, q in visits:
+            span = (q - p) % m
+            row = x[i]
+            for j, p2, q2 in visits:
+                row[j] += (0 < (p2 - p) % m <= span) - ((q2 - p) % m < span)
+    return x
+
+
+def _circle_visits(st, cycles):
+    """Each circle, its degree and its visits (cycle, place in, place out)."""
+    for v, visits in _passages(cycles, [edge[:2] for edge in st.graph.edges]).items():
+        place = {cid: k for k, cid in enumerate(st.passages[v])}
+        yield v, len(place), [(i, place[edge_in], place[edge_out]) for i, edge_in, edge_out in visits]
 
 
 def diagram_seifert_matrix(d: Diagram, cycles, ranks=None) -> list[list[int]]:
@@ -502,30 +519,30 @@ def diagram_seifert_matrix(d: Diagram, cycles, ranks=None) -> list[list[int]]:
     disc is the one in the region on the circle's left or, given ``ranks``,
     the one of higher rank.
     """
-    return _halved(_twists(cycles, _diagram_rest(d, cycles, ranks), analyze(d).signs))
+    st = analyze(d)
+    x = _intersections(len(cycles), _circle_visits(st, cycles))
+    return _seifert(cycles, _diagram_sides(d, cycles, ranks), x, st.signs)
 
 
-def _diagram_rest(d: Diagram, cycles, ranks=None) -> list[list[int]]:
-    """2V - T of ``diagram_seifert_matrix(d, cycles, ranks)``."""
+def _diagram_sides(d: Diagram, cycles, ranks=None) -> list[list[int]]:
+    """R of ``diagram_seifert_matrix(d, cycles, ranks)``, the stacking: 0 in a
+    region; across regions -x where cycle i lies on the positive side of the
+    shared disc and +x where j does, x their chords' crossing there."""
     st = analyze(d)
     regions = [st.crossing_region[cycle[0][0]] for cycle in cycles]
-    twice = [[0] * len(cycles) for _ in cycles]
-    for v, visits in _passages(cycles, [edge[:2] for edge in st.graph.edges]).items():
-        deg = len(st.passages[v])
-        place = {cid: k for k, cid in enumerate(st.passages[v])}
-        spots = [(i, place[edge_in], place[edge_out]) for i, edge_in, edge_out in visits]
+    sides = [[0] * len(cycles) for _ in cycles]
+    for v, m, spots in _circle_visits(st, cycles):
+        kinds = {regions[i] for i, _p, _q in spots}
+        apart = {r: [spot for spot in spots if regions[spot[0]] != r] for r in kinds}
         for i, p, q in spots:
-            span = (q - p) % deg
-            row = twice[i]
-            for j, p2, q2 in spots:
-                x = (0 < (p2 - p) % deg <= span) - ((q2 - p) % deg < span)
-                if not x:
-                    continue
-                if regions[i] == regions[j]:
-                    row[j] -= x
-                elif (ranks[i] > ranks[j]) if ranks else (regions[i] == st.circle_left[v]):
-                    row[j] -= 2 * x
-    return twice
+            span = (q - p) % m
+            row = sides[i]
+            for j, p2, q2 in apart[regions[i]]:
+                x = (0 < (p2 - p) % m <= span) - ((q2 - p) % m < span)
+                if x:
+                    above = (ranks[i] > ranks[j]) if ranks else regions[i] == st.circle_left[v]
+                    row[j] += -x if above else x
+    return sides
 
 
 def word_seifert_matrix(w: BKLWord, cycles) -> list[list[int]]:
@@ -535,14 +552,16 @@ def word_seifert_matrix(w: BKLWord, cycles) -> list[list[int]]:
     (k, -1) back.  Each disc's band ends are in word order, so letter
     indices modulo the word length give their cyclic order.
     """
-    return _halved(_twists(cycles, _word_rest(w, cycles), [e for _r, _s, e in w.letters]))
+    at = _passages(cycles, w.letters)
+    x = _intersections(len(cycles), [(disc, len(w.letters), visits) for disc, visits in at.items()])
+    return _seifert(cycles, _word_sides(w, cycles), x, [e for _r, _s, e in w.letters])
 
 
-def _word_rest(w: BKLWord, cycles) -> list[list[int]]:
-    """2V - T of ``word_seifert_matrix(w, cycles)``."""
+def _word_sides(w: BKLWord, cycles) -> list[list[int]]:
+    """R of ``word_seifert_matrix(w, cycles)``: the bands across each disc."""
     letters = w.letters
     length = len(letters)
-    twice = [[0] * len(cycles) for _ in cycles]
+    sides = [[0] * len(cycles) for _ in cycles]
     # Letter k, run in direction a by cycle i, passes discs r + 1 .. s.
     passing: dict = {}
     for i, cycle in enumerate(cycles):
@@ -553,22 +572,16 @@ def _word_rest(w: BKLWord, cycles) -> list[list[int]]:
         over = passing.get(disc, ())
         for i, p, q in visits:
             span = (q - p) % length
-            row = twice[i]
-            for j, p2, q2 in visits:
-                if 0 < (p2 - p) % length <= span:
-                    if (q2 - p) % length >= span:
-                        row[j] -= 1
-                elif (q2 - p) % length < span:
-                    row[j] += 1
+            row = sides[i]
             # The bands across this disc cross the chord p -> q where their
             # letter lies between its ends; an end letter counts on one side
             # only, since the pushed-off chord runs beside its band.
             for k, j, a in over:
                 t = (k - p) % length
                 if t < span:
-                    twice[j][i] -= a
+                    sides[j][i] -= a
                     if t:
                         row[j] -= a
                 elif t == span and span:
                     row[j] -= a
-    return twice
+    return sides

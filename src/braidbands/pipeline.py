@@ -20,18 +20,18 @@ the piece.  Plumbing, twirls and turns act on a map from circles to discs
 and an order of crossings, and the word is read off them once.  A piece
 is read off the input diagram's one structure, not built as a diagram of
 its own.
-Soundness is not assumed: the finished word's letters must carry their
-crossings' signs, its closure the diagram's component count, and its
-braided surface the diagram's Seifert form over the fundamental cycles of
-one spanning tree of the Seifert graph.  The surfaces share one fatgraph,
-so the cycles name one basis of first homology on both, and with equal
-signs the twist terms T agree: 2V - T is compared entry by entry.  Each
-leaf takes its first realization.  Plumbing is a Murasugi sum, and twirls
-and turns are isotopies, so a leaf's block of the word's matrix, its rows
-and columns over the cycles through its crossings, is the matrix of the
-leaf's own surface.  When the comparison fails, only the leaves whose
-blocks differ take their next realization, and the word is plumbed and
-compared again, until it passes.
+Soundness is not assumed: the finished word's closure must have the
+diagram's component count, and its braided surface the diagram's Seifert
+form over the fundamental cycles of one spanning tree of the Seifert
+graph, a basis of first homology on both.  Signs fix the twist term T and
+the discs' cyclic orders the intersection term X, so both are checked
+first, and then 2V - T + X is compared entry by entry.  Each leaf takes
+its first realization.  Plumbing is a Murasugi sum, and twirls and turns
+are isotopies, so a leaf's block of the word's matrix, its rows and
+columns over the cycles through its crossings, is the matrix of the leaf's
+own surface.  When the comparison fails, only the leaves whose blocks
+differ take their next realization, and the word is plumbed and compared
+again, until it passes.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .diagrams import (
     link_components,
     subdiagram,
 )
-from .invariants import _diagram_rest, _word_rest
+from .invariants import _diagram_sides, _word_sides
 from .words import BKLWord, _Value, closure_components
 
 
@@ -61,6 +61,7 @@ class SoundnessError(Exception):
 
 REALIZATION_LIMIT = 4096  # candidates ``realizations`` yields at most
 NO_MATCH = "no braided realization matches the diagram's Seifert matrix ({} candidates)"
+OUT_OF_ORDER = "plumbed word's band ends are out of their circles' cyclic order"
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +460,14 @@ def homogenize(d: Diagram) -> BKLWord:
     order, and plumbed in by the shuffle that reproduces that order.  The
     moves act on the circles' discs and the crossings' order, and the word
     is read off them.  Each leaf takes its first realization, and the word
-    is gated against ``d`` on 2V - T.  Plumbing, twirls and turns keep each
-    leaf's block of it, so a failed gate names the leaves whose blocks
+    is gated against ``d`` on 2V - T + X.  Plumbing, twirls and turns keep
+    each leaf's block of it, so a failed gate names the leaves whose blocks
     differ: only those take their next realization, and the word is plumbed
     and gated again.  A named leaf out of realizations raises
-    ``PipelineError``; a wrongly signed letter, a mismatch naming no leaf or
-    a leaf that kept its realization, ``SoundnessError``.  A split diagram
-    gives the direct sum of its parts' words, and a free unknot a bare disc.
+    ``PipelineError``; a wrongly signed letter, a disc out of order, a
+    mismatch naming no leaf or a leaf that kept its realization,
+    ``SoundnessError``.  A split diagram gives the direct sum of its parts'
+    words, and a free unknot a bare disc.
     """
     return _homogenize(d)[0]
 
@@ -493,7 +495,8 @@ def _homogenize(d: Diagram):
     ends = [(u, v) for u, v, _s, _c in st.graph.edges]
     cycles = _fundamental_cycles(len(st.circles), ends)
     rank = _plumbing_ranks(st, steps)
-    target = _diagram_rest(d, cycles, [rank[cycle[0][0]] for cycle in cycles])
+    target = _diagram_sides(d, cycles, [rank[cycle[0][0]] for cycle in cycles])
+    after = [dict(zip(order, order[1:] + order[:1])) for order in st.passages]
     components = link_components(d)
     starts = [leaf.circles[0] if shared < 0 else shared for leaf, shared in steps]
     # _leaf builds each fatgraph from the analysed diagram, so it needs no check.
@@ -511,10 +514,10 @@ def _homogenize(d: Diagram):
             pos, order = found
             realized[k] = (pos, [steps[k][0].crossings[i] for i in order])
         word, disc_of, letter_cids = _plumbed(st, steps, realized)
-        if any(letter[2] != st.signs[c] for letter, c in zip(word.letters, letter_cids)):
-            raise SoundnessError("plumbed word's letter signs differ from its crossings'")
+        if fault := _unfaithful(word, letter_cids, disc_of, st.signs, after):
+            raise SoundnessError(fault)
         mapped = _carried(ends, cycles, disc_of, {c: k for k, c in enumerate(letter_cids)})
-        seifert = _word_rest(word, mapped)
+        seifert = _word_sides(word, mapped)
         if seifert == target and closure_components(word) == components:
             return word, steps
         # The leaves whose rows and columns differ take their next candidate.
@@ -556,8 +559,29 @@ def _plumbed(st, steps, realized):
                 disc_of[orig] = piece_pos[leaf.circle_map[orig]] + n - 1
         n += len(leaf.circles) - 1
     bands = [st.graph.edges[c] for c in letter_cids]  # (circle, circle, sign, crossing)
-    letters = [(min(disc_of[u], disc_of[v]), max(disc_of[u], disc_of[v]), s) for u, v, s, _c in bands]
+    pairs = [(disc_of[u], disc_of[v], s) for u, v, s, _c in bands]
+    letters = [(a, b, s) if a < b else (b, a, s) for a, b, s in pairs]
     return BKLWord(n, letters), disc_of, letter_cids
+
+
+def _unfaithful(word: BKLWord, letter_cids, disc_of, signs, after) -> str | None:
+    """The fault, if any, in what the fatgraph fixes: letters' signs, and each
+    disc's letters, in word order, running once around its circle's
+    crossings in their cyclic order, ``after[circle]`` mapping each to the next."""
+    succ = [{}] * (word.strands + 1)
+    for circle, disc in disc_of.items():
+        succ[disc] = after[circle]
+    first, due = [None] * len(succ), [None] * len(succ)
+    for (r, s, e), cid in zip(word.letters, letter_cids):
+        if e != signs[cid]:
+            return "plumbed word's letter signs differ from its crossings'"
+        for disc in (r, s):
+            if due[disc] is None:
+                first[disc] = cid
+            elif due[disc] != cid:
+                return OUT_OF_ORDER
+            due[disc] = succ[disc].get(cid, -1)
+    return None if due == first else OUT_OF_ORDER
 
 
 def _leaf_cycles(leaf: PlumbLeaf, cycles) -> list[int]:

@@ -803,9 +803,11 @@ def reductions(surface: BraidedSurface, star: Star) -> Iterator[tuple[BraidedSur
     order before each step, so the pairs are those of calling ``reduce_step``
     and ``minimize`` on frozen pairs.  Stops once the star misses all bands.
     Every step removes at least one crossing, so more steps than the first
-    minimized star has crossings raise StarError.
+    minimized star has crossings raise StarError.  The star is checked first,
+    as ``check_star`` does, on the state the reduction runs on.
     """
-    for state in _reduce_states(_materialize(surface, star)):
+    _check_state(state := _materialize(surface, star))
+    for state in _reduce_states(state):
         yield _freeze(state)
 
 

@@ -76,6 +76,7 @@ from braidbands.stars import (
     _relabel_discs,
     _Ray,
     _State,
+    check_star,
     delta_b,
     minimize,
     reduce_step,
@@ -339,7 +340,8 @@ def signature(m: list[list[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Seifert matrices: one body per surface, each adding its own twist term
+# Seifert matrices: one body per surface, each adding its own twist term,
+# and each surface's doubled twist-free form 2V - T in one body
 # ---------------------------------------------------------------------------
 
 def _passages(cycles, ends) -> dict:
@@ -367,6 +369,69 @@ def _add_twists(cycles, twice: list[list[int]], signs) -> None:
             row = twice[i]
             for j, b in pairs:
                 row[j] -= e * a * b
+
+
+def _diagram_rest(d: Diagram, cycles, ranks=None) -> list[list[int]]:
+    """2V - T of ``invariants.diagram_seifert_matrix(d, cycles, ranks)`` in
+    one body: the stacking and the intersection terms of every pair of
+    visits at each circle."""
+    st = analyze(d)
+    regions = [st.crossing_region[cycle[0][0]] for cycle in cycles]
+    twice = [[0] * len(cycles) for _ in cycles]
+    for v, visits in _passages(cycles, [edge[:2] for edge in st.graph.edges]).items():
+        deg = len(st.passages[v])
+        place = {cid: k for k, cid in enumerate(st.passages[v])}
+        spots = [(i, place[edge_in], place[edge_out]) for i, edge_in, edge_out in visits]
+        for i, p, q in spots:
+            span = (q - p) % deg
+            row = twice[i]
+            for j, p2, q2 in spots:
+                x = (0 < (p2 - p) % deg <= span) - ((q2 - p) % deg < span)
+                if not x:
+                    continue
+                if regions[i] == regions[j]:
+                    row[j] -= x
+                elif (ranks[i] > ranks[j]) if ranks else (regions[i] == st.circle_left[v]):
+                    row[j] -= 2 * x
+    return twice
+
+
+def _word_rest(w: BKLWord, cycles) -> list[list[int]]:
+    """2V - T of ``invariants.word_seifert_matrix(w, cycles)`` in one body:
+    the intersection term of every pair of visits at each disc and the
+    bands across it."""
+    letters = w.letters
+    length = len(letters)
+    twice = [[0] * len(cycles) for _ in cycles]
+    # Letter k, run in direction a by cycle i, passes discs r + 1 .. s.
+    passing: dict = {}
+    for i, cycle in enumerate(cycles):
+        for k, a in cycle:
+            for disc in range(letters[k][0] + 1, letters[k][1] + 1):
+                passing.setdefault(disc, []).append((k, i, a))
+    for disc, visits in _passages(cycles, letters).items():
+        over = passing.get(disc, ())
+        for i, p, q in visits:
+            span = (q - p) % length
+            row = twice[i]
+            for j, p2, q2 in visits:
+                if 0 < (p2 - p) % length <= span:
+                    if (q2 - p) % length >= span:
+                        row[j] -= 1
+                elif (q2 - p) % length < span:
+                    row[j] += 1
+            # The bands across this disc cross the chord p -> q where their
+            # letter lies between its ends; an end letter counts on one side
+            # only, since the pushed-off chord runs beside its band.
+            for k, j, a in over:
+                t = (k - p) % length
+                if t < span:
+                    twice[j][i] -= a
+                    if t:
+                        row[j] -= a
+                elif t == span and span:
+                    row[j] -= a
+    return twice
 
 
 def diagram_seifert_matrix(d: Diagram, cycles, ranks=None) -> list[list[int]]:
@@ -805,7 +870,9 @@ def fatgraph_of_diagram(d: Diagram) -> Fatgraph:
 
 def reductions_by_freezing(surface: BraidedSurface, star: Star):
     """``stars.reductions`` as public calls on frozen objects: ``minimize``,
-    then ``reduce_step`` and ``minimize`` until no crossing is left."""
+    then ``reduce_step`` and ``minimize`` until no crossing is left, after
+    ``check_star``."""
+    check_star(surface, star)
     star = minimize(surface, star)
     budget = delta_b(star)
     yield surface, star

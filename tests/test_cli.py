@@ -156,6 +156,26 @@ def test_star_reduce_command(tmp_path, capsys):
     assert "delta_b=  0" in out
 
 
+def test_star_reduce_builds_and_checks_the_input_star_once(tmp_path, capsys, monkeypatch):
+    # The command checks the input star on the state the reduction runs on:
+    # one build of it, and a star whose arcs cross is exit 2 with
+    # check_star's message.
+    files = _golden_star_files(tmp_path, capsys)
+    built = []
+    materialize = stars._materialize
+    monkeypatch.setattr(stars, "_materialize", lambda *a: built.append(a) or materialize(*a))
+    assert run(["star", "reduce", *files]) == 0
+    assert len(built) == 1
+    crossed = {"center": 1, "rays": [{"steps": [[2, "L", "R"]], "tip": {"disc": 2, "gap": 1}},
+                                     {"steps": [[0, "L", "R"]], "tip": {"disc": 2, "gap": 1}}]}
+    (tmp_path / "crossed.json").write_text(json.dumps(crossed))
+    surface = surfaces.from_word(parse_word("b(1,2) b(1,3) b(1,2)", strands=3))
+    with pytest.raises(stars.StarError, match="^ray arcs cross inside disc 2$"):
+        stars.check_star(surface, stars.Star.from_json(json.dumps(crossed)))
+    assert run(["star", "reduce", files[0], str(tmp_path / "crossed.json")]) == 2
+    assert "ray arcs cross inside disc 2" in capsys.readouterr().err
+
+
 def test_lost_height_exactness_is_exit_3(tmp_path, capsys, monkeypatch):
     # Star heights are integers that each split of a gap first rescales; a
     # skipped rescale leaves a remainder, which is a bug, not bad input.

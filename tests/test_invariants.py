@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from braidbands import pipeline
 from braidbands.laurent import Laurent
 from braidbands.invariants import (
-    _diagram_rest,
+    _circle_visits,
+    _diagram_sides,
     _fox_minor,
-    _halved,
-    _twists,
+    _intersections,
+    _passages,
     _wirtinger_rows,
-    _word_rest,
+    _word_sides,
     alexander_from_braid,
     alexander_from_diagram,
     diagram_seifert_matrix,
@@ -404,10 +405,35 @@ def _connected_closures(seed: int, count: int):
             yield w, d
 
 
+def _intersection_form(x, cycles) -> list[list[int]]:
+    """X of the surface of ``x``, a diagram or a band word, over ``cycles``."""
+    if isinstance(x, Diagram):
+        return _intersections(len(cycles), _circle_visits(analyze(x), cycles))
+    at = _passages(cycles, x.letters)
+    return _intersections(len(cycles), [(disc, len(x.letters), visits) for disc, visits in at.items()])
+
+
+def _less(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[u - v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _twice(x, cycles, sides: list[list[int]]) -> list[list[int]]:
+    """2V of ``x``'s surface from its stacking term R: R - X, plus the
+    reference's twist term T."""
+    signs = analyze(x).signs if isinstance(x, Diagram) else [e for _r, _s, e in x.letters]
+    twice = _less(sides, _intersection_form(x, cycles))
+    reference._add_twists(cycles, twice, signs)
+    return twice
+
+
+def _halved(twice: list[list[int]]) -> list[list[int]]:
+    return [[v >> 1 for v in row] for row in twice]
+
+
 def _final_gate_matrices(d: Diagram, monkeypatch):
     """Both sides of the last Seifert comparison ``homogenize(d)`` makes, as
-    Seifert matrices: each doubled twist-free form with its twist term
-    added back, halved."""
+    Seifert matrices: each stacking term R less its intersection term X,
+    with its twist term added, halved."""
     seen = {}
 
     def spy(name, fn):
@@ -416,14 +442,13 @@ def _final_gate_matrices(d: Diagram, monkeypatch):
             return seen[name][2]
         return built
 
-    for name, fn in (("diagram", _diagram_rest), ("word", _word_rest)):
-        monkeypatch.setattr(pipeline, f"_{name}_rest", spy(name, fn))
+    for name, fn in (("diagram", _diagram_sides), ("word", _word_sides)):
+        monkeypatch.setattr(pipeline, f"_{name}_sides", spy(name, fn))
     w = pipeline.homogenize(d)
     monkeypatch.undo()
-    (_d, d_cycles, d_rest), (word, w_cycles, w_rest) = seen["diagram"], seen["word"]
+    (_d, d_cycles, d_sides), (word, w_cycles, w_sides) = seen["diagram"], seen["word"]
     assert _d is d and word is w
-    return (_halved(_twists(d_cycles, [row[:] for row in d_rest], analyze(d).signs)),
-            _halved(_twists(w_cycles, [row[:] for row in w_rest], [e for _r, _s, e in w.letters])))
+    return (_halved(_twice(d, d_cycles, d_sides)), _halved(_twice(w, w_cycles, w_sides)))
 
 
 def test_seifert_matrices_golden(monkeypatch):
@@ -439,44 +464,43 @@ def test_seifert_matrices_golden(monkeypatch):
 
 def _assert_builders_match(x, cycles, *ranks, simple=True) -> None:
     """``x``'s public Seifert builder, a diagram's or a band word's, equals
-    the one-body reference, and so does its doubled twist-free form plus
-    ``_twists``, halved; over ``simple`` cycles that sum is the reference
-    matrix doubled."""
+    the one-body reference, and so does its stacking term R less X, plus
+    the reference's T, halved; over ``simple`` cycles that sum is the
+    reference matrix doubled."""
     if isinstance(x, Diagram):
-        public, ref, rest, signs = (diagram_seifert_matrix, reference.diagram_seifert_matrix,
-                                    _diagram_rest, analyze(x).signs)
+        public, ref, sides = diagram_seifert_matrix, reference.diagram_seifert_matrix, _diagram_sides
     else:
-        public, ref, rest, signs = (word_seifert_matrix, reference.word_seifert_matrix,
-                                    _word_rest, [e for _r, _s, e in x.letters])
+        public, ref, sides = word_seifert_matrix, reference.word_seifert_matrix, _word_sides
     expected = ref(x, cycles, *ranks)
     assert public(x, cycles, *ranks) == expected
-    twice = _twists(cycles, rest(x, cycles, *ranks), signs)
+    twice = _twice(x, cycles, sides(x, cycles, *ranks))
     assert _halved(twice) == expected
     assert twice == [[2 * v for v in row] for row in expected] or not simple
 
 
-def test_seifert_builders_match_the_references(monkeypatch):
-    # On the golden knots, connected closures and pseudoalternating
-    # diagrams, unranked and, when homogeneous, ranked by plumbing step; on
-    # the words homogenize returns, over the basis its gate carried to them
-    # and over the word's own; and on the band forms of the closures' words.
+def _builder_cases(monkeypatch):
+    """(surface, cycles) or (diagram, cycles, ranks) for the golden knots, connected closures and
+    pseudoalternating diagrams, unranked and, when homogeneous, ranked by
+    plumbing step; for the words homogenize returns, over the basis its gate
+    carried to them and over the word's own; and for the band forms of the
+    closures' words, over the closures' bases carried to them."""
     closures = list(_connected_closures(seed=35, count=120))
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43] + [d for _w, d in closures]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4243, count=100)]
     gated = []
-    word_rest = pipeline._word_rest
-    monkeypatch.setattr(pipeline, "_word_rest", lambda w, cycles: gated.append(cycles) or word_rest(w, cycles))
+    word_sides = pipeline._word_sides
+    monkeypatch.setattr(pipeline, "_word_sides", lambda w, cycles: gated.append(cycles) or word_sides(w, cycles))
     words = 0
     for d in cases:
         basis = _diagram_basis(d)
-        _assert_builders_match(d, basis)
+        yield d, basis
         if not is_homogeneous_diagram(d).homogeneous:
             continue
         ranks = pipeline._plumbing_ranks(analyze(d), pipeline.decompose_generalized_flat(d))
-        _assert_builders_match(d, basis, [ranks[cycle[0][0]] for cycle in basis])
+        yield d, basis, [ranks[cycle[0][0]] for cycle in basis]
         w = pipeline.homogenize(d)
-        _assert_builders_match(w, gated[-1])
-        _assert_builders_match(w, _word_basis(w))
+        yield w, gated[-1]
+        yield w, _word_basis(w)
         words += 1
     assert words >= 100
     for w, d in closures:
@@ -486,7 +510,33 @@ def test_seifert_builders_match_the_references(monkeypatch):
             disc_of[u], disc_of[v] = (i + 1, i) if e > 0 else (i, i + 1)
         band = artin_to_bkl(w)
         letter_of = {k: k for k in range(len(ends))}
-        _assert_builders_match(band, reference.carried(ends, _diagram_basis(d), band, disc_of, letter_of))
+        yield band, reference.carried(ends, _diagram_basis(d), band, disc_of, letter_of)
+
+
+def _assert_split_matches(x, cycles, *ranks) -> None:
+    """``x``'s stacking term R less its intersection term X is the doubled
+    twist-free form 2V - T that one body computes, entry by entry."""
+    rest, sides = ((reference._diagram_rest, _diagram_sides) if isinstance(x, Diagram)
+                   else (reference._word_rest, _word_sides))
+    assert _less(sides(x, cycles, *ranks), _intersection_form(x, cycles)) == rest(x, cycles, *ranks)
+
+
+def test_seifert_builders_match_the_references(monkeypatch):
+    # On every surface of _builder_cases.
+    for case in _builder_cases(monkeypatch):
+        _assert_builders_match(*case)
+
+
+def test_sides_less_intersections_equal_the_one_body_forms(monkeypatch):
+    # homogenize's gate compares the stacking terms R alone, since its
+    # order check makes X the same on both sides.  R - X must still be the
+    # one-body 2V - T: for diagrams ranked and unranked, and for words
+    # over the carried basis and over their own.
+    surfaces = 0
+    for case in _builder_cases(monkeypatch):
+        _assert_split_matches(*case)
+        surfaces += 1
+    assert surfaces >= 400
 
 
 BAND_LETTERS = st.integers(2, 7).flatmap(
@@ -502,7 +552,8 @@ BAND_LETTERS = st.integers(2, 7).flatmap(
 @given(BAND_LETTERS, st.lists(st.tuples(st.integers(1, 5), st.sampled_from((1, -1))), max_size=16))
 def test_seifert_builders_match_the_references_on_random_inputs(band, artin):
     # Band words also over closed walks that turn back: along a letter and
-    # back, and around a basis cycle and back.
+    # back, and around a basis cycle and back.  R less X is the one-body
+    # 2V - T on these too.
     w = BKLWord(*band)
     if incidence_connected(from_word(w)):
         basis = _word_basis(w)
@@ -510,13 +561,16 @@ def test_seifert_builders_match_the_references_on_random_inputs(band, artin):
         walks = [((k, 1), (k, -1)) for k in range(len(w.letters))]
         walks += [cycle + tuple([(k, -way) for k, way in reversed(cycle)]) for cycle in basis]
         _assert_builders_match(w, basis + walks, simple=False)
+        _assert_split_matches(w, basis + walks)
     d = closure_diagram(ArtinWord(6, artin))
     if d.crossings and not d.unknots and len(set(analyze(d).circle_component)) == 1:
         basis = _diagram_basis(d)
         _assert_builders_match(d, basis)
+        _assert_split_matches(d, basis)
         if is_homogeneous_diagram(d).homogeneous:
             ranks = pipeline._plumbing_ranks(analyze(d), pipeline.decompose_generalized_flat(d))
             _assert_builders_match(d, basis, [ranks[cycle[0][0]] for cycle in basis])
+            _assert_split_matches(d, basis, [ranks[cycle[0][0]] for cycle in basis])
 
 
 def test_seifert_signature_changes_sign_under_mirroring():

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -582,12 +583,15 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
     # right, the finished word is the one band word and the one word-side
     # form built; otherwise each round of repair plumbs and builds the
     # word once more, so a leaf that takes the most candidates sets the
-    # count.  Neither Alexander engine runs, and no twist term T is built:
-    # the gate compares 2V - T, whose T is the same on both sides.
+    # count.  Neither Alexander engine runs, and neither the twist term T
+    # nor the intersection term X is built: the gate compares the stacking
+    # term R = 2V - T + X, whose T and X are the same on both sides once
+    # the word's signs and its discs' cyclic orders are checked.
     alexander_calls, diagram_sides, word_sides, searches = [], [], [], []
-    bases, rankings, band_words, twists = [], [], [], []
-    band_word_init, add_twists = BKLWord.__init__, invariants._twists
-    diagram_side, word_side = pipeline._diagram_rest, pipeline._word_rest
+    bases, rankings, band_words, twists, intersections = [], [], [], [], []
+    band_word_init, seifert = BKLWord.__init__, invariants._seifert
+    build_intersections = invariants._intersections
+    diagram_side, word_side = pipeline._diagram_sides, pipeline._word_sides
     fundamental_cycles, plumbing_ranks = pipeline._fundamental_cycles, pipeline._plumbing_ranks
 
     def counted_realizations(*args, **kwargs):
@@ -601,16 +605,19 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
         for name in ("alexander_from_diagram", "alexander_from_braid"):
             monkeypatch.setattr(module, name, lambda *a: alexander_calls.append(a), raising=False)
     monkeypatch.setattr(
-        pipeline, "_diagram_rest", lambda d, *a: diagram_sides.append(d) or diagram_side(d, *a)
+        pipeline, "_diagram_sides", lambda d, *a: diagram_sides.append(d) or diagram_side(d, *a)
     )
     monkeypatch.setattr(
-        pipeline, "_word_rest", lambda w, *a: word_sides.append(w) or word_side(w, *a)
+        pipeline, "_word_sides", lambda w, *a: word_sides.append(w) or word_side(w, *a)
     )
     monkeypatch.setattr(pipeline, "_fundamental_cycles", lambda *a: bases.append(a) or fundamental_cycles(*a))
     monkeypatch.setattr(pipeline, "_plumbing_ranks", lambda *a: rankings.append(a) or plumbing_ranks(*a))
     monkeypatch.setattr(pipeline, "_realizations", counted_realizations)
     monkeypatch.setattr(BKLWord, "__init__", lambda w, *a: band_words.append(w) or band_word_init(w, *a))
-    monkeypatch.setattr(invariants, "_twists", lambda *a: twists.append(a) or add_twists(*a))
+    monkeypatch.setattr(invariants, "_seifert", lambda *a: twists.append(a) or seifert(*a))
+    monkeypatch.setattr(
+        invariants, "_intersections", lambda *a: intersections.append(a) or build_intersections(*a)
+    )
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
     first_right = 0
@@ -629,27 +636,20 @@ def test_homogenize_gates_each_leaf_and_the_word_once(monkeypatch):
             assert len(word_sides) == len(band_words) == max(searches)
             assert word_sides[-1] is w and band_words[-1] is w
     assert first_right == len(cases) - 1  # all but 5_2's one leaf
-    assert alexander_calls == [] and twists == []
+    assert alexander_calls == [] and twists == [] and intersections == []
     word_seifert_matrix(parse_word("b(1,2)^3", strands=2), [((1, 1), (0, -1))])
-    assert len(twists) == 1  # the public builders still add it
+    assert len(twists) == 1 and len(intersections) == 1  # the public builders still add them
 
 
 # A homogeneous closure on four strands of three leaves.
 FOUR_STRANDS = closure_diagram(parse_word("s1^2 s2^-1 s3^3 s2^-1 s1", strands=4))
 
 
-@pytest.mark.parametrize("d", [TREFOIL, FIG8, closure_diagram(parse_word("s1^3 s2^3", strands=3)),
-                               FOUR_STRANDS], ids=["trefoil", "fig8", "granny", "four_strands"])
-def test_letter_sign_fault_is_a_soundness_error_at_once(monkeypatch, d):
-    # The gate leaves out the twist terms only because each letter carries
-    # its crossing's sign.  A letter that does not is a plumbing bug, not a
-    # wrong candidate: it raises before any leaf takes a second one.
+def _raises_at_first_candidates(monkeypatch, d: Diagram, fault, message: str) -> None:
+    """``homogenize(d)``, with ``fault`` applied to what ``_plumbed`` returns,
+    raises ``SoundnessError`` matching ``message`` before any leaf takes a
+    second candidate."""
     plumbed, searches = pipeline._plumbed, []
-
-    def flipped(*args):
-        word, disc_of, letter_cids = plumbed(*args)
-        (r, s, e), *rest = word.letters
-        return BKLWord(word.strands, [(r, s, -e), *rest]), disc_of, letter_cids
 
     def counted_realizations(*args, **kwargs):
         leaf = len(searches)
@@ -658,18 +658,75 @@ def test_letter_sign_fault_is_a_soundness_error_at_once(monkeypatch, d):
             searches[leaf] += 1
             yield found
 
-    monkeypatch.setattr(pipeline, "_plumbed", flipped)
+    monkeypatch.setattr(pipeline, "_plumbed", lambda *args: fault(*plumbed(*args)))
     monkeypatch.setattr(pipeline, "_realizations", counted_realizations)
-    with pytest.raises(pipeline.SoundnessError, match="plumbed word's letter signs differ from its crossings'"):
+    with pytest.raises(pipeline.SoundnessError, match=message):
         homogenize(d)
     assert searches == [1] * len(decompose_generalized_flat(d))
+
+
+@pytest.mark.parametrize("d", [TREFOIL, FIG8, closure_diagram(parse_word("s1^3 s2^3", strands=3)),
+                               FOUR_STRANDS], ids=["trefoil", "fig8", "granny", "four_strands"])
+def test_letter_sign_fault_is_a_soundness_error_at_once(monkeypatch, d):
+    # The gate leaves out the twist terms only because each letter carries
+    # its crossing's sign.  A letter that does not is a plumbing bug, not a
+    # wrong candidate: it raises before any leaf takes a second one.
+    def flipped(word, disc_of, letter_cids):
+        (r, s, e), *rest = word.letters
+        return BKLWord(word.strands, [(r, s, -e), *rest]), disc_of, letter_cids
+
+    _raises_at_first_candidates(monkeypatch, d, flipped, "plumbed word's letter signs differ from its crossings'")
+
+
+@pytest.mark.parametrize("d", [TREFOIL, FIG8, closure_diagram(parse_word("s1^3 s2^3", strands=3)),
+                               FOUR_STRANDS, K9_43], ids=["trefoil", "fig8", "granny", "four_strands", "k9_43"])
+def test_disc_order_fault_is_a_soundness_error_at_once(tmp_path, capsys, monkeypatch, d):
+    # The gate leaves out the intersection terms X only because each disc's
+    # letters run in its circle's cyclic order.  The first two adjacent
+    # letters that share a disc of three or more letters, swapped with
+    # their signs and crossings, break that order there: a plumbing bug, not
+    # a wrong candidate, so it raises before any leaf takes a second one,
+    # and the CLI exits 3.
+    def swapped(word, disc_of, letter_cids):
+        letters, cids = list(word.letters), list(letter_cids)
+        degree = Counter(disc for r, s, _e in letters for disc in (r, s))
+        k = next(k for k in range(len(letters) - 1)
+                 if any(degree[disc] >= 3 for disc in set(letters[k][:2]) & set(letters[k + 1][:2])))
+        letters[k], letters[k + 1] = letters[k + 1], letters[k]
+        cids[k], cids[k + 1] = cids[k + 1], cids[k]
+        return BKLWord(word.strands, letters), disc_of, cids
+
+    _raises_at_first_candidates(monkeypatch, d, swapped, pipeline.OUT_OF_ORDER)
+    path = tmp_path / "d.json"
+    path.write_text(d.to_json())
+    assert run(["homogenize", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert pipeline.OUT_OF_ORDER in err and "no braided realization" not in err
+
+
+def test_order_check_takes_rotations_and_closes_each_disc(monkeypatch):
+    # A disc's letters may start anywhere in its circle's cyclic order, so a
+    # rotated word passes; letters that follow the order but stop short of
+    # closing it around the circle do not.
+    seen = []
+    unfaithful = pipeline._unfaithful
+    monkeypatch.setattr(pipeline, "_unfaithful", lambda *a: seen.append(a) or unfaithful(*a))
+    for d in (TREFOIL, FIG8, K9_43):
+        homogenize(d)
+        word, cids, disc_of, signs, after = seen[-1]
+        assert unfaithful(word, cids, disc_of, signs, after) is None
+        for k in range(1, len(cids)):
+            turned = BKLWord(word.strands, word.letters[k:] + word.letters[:k])
+            assert unfaithful(turned, cids[k:] + cids[:k], disc_of, signs, after) is None
+        short = BKLWord(word.strands, word.letters[:-1])
+        assert unfaithful(short, cids[:-1], disc_of, signs, after) == pipeline.OUT_OF_ORDER
 
 
 def _faulted_first(monkeypatch, d, faulted, searches, only=()):
     """Patch ``_realizations`` so that its call k yields its first candidate
     ``faulted[k % len(faulted)]`` extra times, then its candidates unless
-    that index is in ``only``, and ``_word_rest`` so that each extra copy
-    shifts its leaf's block of the word's doubled twist-free form.  The
+    that index is in ``only``, and ``_word_sides`` so that each extra copy
+    shifts its leaf's block of the word's stacking term.  The
     leaves are those of ``d``, and ``searches`` counts the candidates each
     call yields.
     """
@@ -677,7 +734,7 @@ def _faulted_first(monkeypatch, d, faulted, searches, only=()):
     cycles, _target = _gate_target(d, steps)
     firsts = [pipeline._leaf_cycles(leaf, cycles)[0] for leaf, _shared in steps]
     assert len(faulted) == len(steps)
-    word_side = pipeline._word_rest
+    word_side = pipeline._word_sides
 
     def candidates(fat, start):
         leaf = len(searches)
@@ -698,7 +755,7 @@ def _faulted_first(monkeypatch, d, faulted, searches, only=()):
         return v
 
     monkeypatch.setattr(pipeline, "_realizations", candidates)
-    monkeypatch.setattr(pipeline, "_word_rest", shifted)
+    monkeypatch.setattr(pipeline, "_word_sides", shifted)
 
 
 @pytest.mark.parametrize(
@@ -717,9 +774,9 @@ def test_failed_gate_searches_on_only_the_leaves_it_names(monkeypatch, faulted):
     expected = homogenize(K9_43)
     assert len(decompose_generalized_flat(K9_43)) == 3
     searches, word_sides = [], []
-    word_side = pipeline._word_rest
+    word_side = pipeline._word_sides
     monkeypatch.setattr(
-        pipeline, "_word_rest", lambda w, *a: word_sides.append(w) or word_side(w, *a)
+        pipeline, "_word_sides", lambda w, *a: word_sides.append(w) or word_side(w, *a)
     )
     _faulted_first(monkeypatch, K9_43, faulted, searches)
     assert homogenize(K9_43) == expected
@@ -751,7 +808,7 @@ def test_block_change_of_a_kept_leaf_is_exit_3(tmp_path, capsys, monkeypatch):
     steps = decompose_generalized_flat(K9_43)
     cycles, _target = _gate_target(K9_43, steps)
     i = pipeline._leaf_cycles(steps[2][0], cycles)[0]
-    word_side = pipeline._word_rest
+    word_side = pipeline._word_sides
     builds, searches = [], []
 
     def drifting(w, mapped):
@@ -761,7 +818,7 @@ def test_block_change_of_a_kept_leaf_is_exit_3(tmp_path, capsys, monkeypatch):
             v[i][i] += 1
         return v
 
-    monkeypatch.setattr(pipeline, "_word_rest", drifting)
+    monkeypatch.setattr(pipeline, "_word_sides", drifting)
     _faulted_first(monkeypatch, K9_43, (1, 0, 0), searches)
     with pytest.raises(pipeline.SoundnessError, match="plumbed word does not match"):
         homogenize(K9_43)
@@ -777,14 +834,14 @@ def test_mismatch_outside_every_leaf_block_is_exit_3(tmp_path, capsys, monkeypat
     steps = decompose_generalized_flat(K9_43)
     cycles, _target = _gate_target(K9_43, steps)
     i, j = (pipeline._leaf_cycles(leaf, cycles)[0] for leaf, _shared in (steps[0], steps[2]))
-    word_side = pipeline._word_rest
+    word_side = pipeline._word_sides
 
     def off_block(w, mapped):
         v = word_side(w, mapped)
         v[i][j] += 1
         return v
 
-    monkeypatch.setattr(pipeline, "_word_rest", off_block)
+    monkeypatch.setattr(pipeline, "_word_sides", off_block)
     with pytest.raises(pipeline.SoundnessError, match="plumbed word does not match"):
         homogenize(K9_43)
     path = tmp_path / "k9_43.json"

@@ -163,6 +163,36 @@ def test_every_entry_point_checks_the_center(center):
             entry(s, star)
 
 
+def test_reductions_refuse_what_check_star_refuses(monkeypatch):
+    # reductions checks the state it builds, as check_star would, before the
+    # first minimization, so a star that is not embedded is refused with
+    # check_star's message and never minimized; an embedded one is built
+    # once.
+    rng = random.Random(3203)
+    refused = 0
+    built = []
+    materialize = stars._materialize
+    monkeypatch.setattr(stars, "_materialize", lambda *a: built.append(a) or materialize(*a))
+    for _ in range(600):
+        s = random_homogeneous_surface(rng, max_n=5, max_b=8)
+        star = random_star(rng, s, max_rays=3, max_steps=4)
+        try:
+            check_star(s, star)
+        except StarError as exc:
+            with pytest.raises(StarError) as caught:
+                next(reductions(s, star))
+            assert str(caught.value) == str(exc)
+            refused += 1
+            continue
+        built.clear()
+        try:
+            next(reductions(s, star))
+        except StarError:  # a refusal of the minimization, ROADMAP item 5
+            pass
+        assert len(built) == 1
+    assert refused >= 100
+
+
 def test_delta_b_counts():
     assert delta_b(GOLDEN_STAR) == 1
     star = Star(1, [Ray((), 1, 0), Ray(((0, "L", "R"),), 2, 0),
