@@ -84,10 +84,8 @@ def _braid_equal(args):
 
 def _braid_components(args):
     w = _word(args.word, args.strands)
-    perm = words.permutation_of(w)
-    comps = perm.cycle_count()
-    _emit(args, {"permutation": list(perm.image), "components": comps},
-          f"permutation {list(perm.image)}, {comps} component(s)")
+    image, comps = list(words.permutation_of(w)), words.closure_components(w)
+    _emit(args, {"permutation": image, "components": comps}, f"permutation {image}, {comps} component(s)")
     return OK
 
 
@@ -101,11 +99,10 @@ def _braid_exponent_sum(args):
 # -- diagram ----------------------------------------------------------------
 
 def _diagram_seifert(args):
-    d = _load(args.file, diagrams.Diagram)
-    circles, bands, graph = diagrams.seifert_decompose(d)
+    st = diagrams.analyze(_load(args.file, diagrams.Diagram))
     payload = {
-        "circles": [list(c) for c in circles],
-        "bands": [{"u": u, "v": v, "sign": s, "crossing": c} for u, v, s, c in bands],
+        "circles": [list(c) for c in st.circles],
+        "bands": [{"u": u, "v": v, "sign": s, "crossing": c} for u, v, s, c in st.graph.edges],
     }
     _emit(args, payload, json.dumps(payload, indent=2))
     return OK

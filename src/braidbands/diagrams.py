@@ -359,12 +359,6 @@ def link_components(d: Diagram) -> int:
     return len(analyze(d).components) + d.unknots
 
 
-def seifert_decompose(d: Diagram):
-    """Return (circles, bands, SeifertGraph) for a valid diagram."""
-    st = analyze(d)
-    return list(st.circles), list(st.graph.edges), st.graph
-
-
 # ---------------------------------------------------------------------------
 # Blocks (biconnected components) of the Seifert multigraph
 # ---------------------------------------------------------------------------
@@ -537,14 +531,13 @@ def closure_diagram(w: ArtinWord) -> Diagram:
     return _renumber(final_entries, final_succ, unknots)
 
 
-def subdiagram(d: Diagram, crossing_ids: Iterable[int], keep_free_circles: bool = True) -> Diagram:
+def subdiagram(d: Diagram, crossing_ids: Iterable[int]) -> Diagram:
     """The diagram obtained by smoothing every crossing not in ``crossing_ids``.
 
     Removing the other crossings' bands from the projection surface leaves
     the boundary re-closed along their smoothings.  Circles that lose all
-    their crossings become free unknot components, or are dropped entirely
-    with ``keep_free_circles=False`` (deplumbing semantics: they belong to
-    the other plumband).
+    their crossings, and ``d``'s free unknots, are dropped (deplumbing
+    semantics: they belong to the other plumband).
     """
     keep = sorted(set(crossing_ids))
     st = analyze(d)
@@ -565,8 +558,4 @@ def subdiagram(d: Diagram, crossing_ids: Iterable[int], keep_free_circles: bool 
         for i, o in ((0, 2), _OVER[st.signs[idx]]):
             succ[uf.find(entry[i])] = uf.find(entry[o])
     entries = [tuple([uf.find(x) for x in d.crossings[idx]]) for idx in keep]
-
-    kept_circles = {st.circle_of[arc] for idx in keep for arc in d.crossings[idx]}
-    extra = len(st.circles) - len(kept_circles) if keep_free_circles else 0
-    unknots = d.unknots if keep_free_circles else 0
-    return _renumber(entries, succ, unknots + extra)
+    return _renumber(entries, succ)

@@ -20,6 +20,9 @@ the piece.  Plumbing, twirls and turns act on a map from circles to discs
 and an order of crossings, and the word is read off them once.  A piece
 is read off the input diagram's one structure, not built as a diagram of
 its own.
+``homogenize`` is the one public path from a diagram to its word: each
+leaf's realizations come from ``_realizations``, at most
+``REALIZATION_LIMIT`` of them per leaf.
 Soundness is not assumed: the finished word's closure must have the
 diagram's component count, and its braided surface the diagram's Seifert
 form over the fundamental cycles of one spanning tree of the Seifert
@@ -43,7 +46,6 @@ from .diagrams import (
     analyze,
     in_one_region,
     is_homogeneous_diagram,
-    is_primitive_flat,
     link_components,
     subdiagram,
 )
@@ -59,7 +61,7 @@ class SoundnessError(Exception):
     """An internal invariant failed: a bug, not invalid input."""
 
 
-REALIZATION_LIMIT = 4096  # candidates ``realizations`` yields at most
+REALIZATION_LIMIT = 4096  # candidates ``_realizations`` yields per leaf at most
 NO_MATCH = "no braided realization matches the diagram's Seifert matrix ({} candidates)"
 OUT_OF_ORDER = "plumbed word's band ends are out of their circles' cyclic order"
 
@@ -78,26 +80,6 @@ class Fatgraph(_Value):
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)  # (u, v, sign), u != v
         object.__setattr__(self, "orders", orders)  # per vertex: (edge id, end)
-
-    def degree(self, v: int) -> int:
-        return len(self.orders[v])
-
-    def check(self) -> None:
-        seen: dict[tuple[int, int], int] = {}
-        for v, order in enumerate(self.orders):
-            for eid, end in order:
-                u0, v0, _s = self.edges[eid]
-                expected = (u0, v0)[end]
-                if expected != v:
-                    raise PipelineError(f"edge end ({eid},{end}) listed at wrong vertex")
-                if (eid, end) in seen:
-                    raise PipelineError(f"edge end ({eid},{end}) listed twice")
-                seen[(eid, end)] = v
-        if len(seen) != 2 * len(self.edges):
-            raise PipelineError("missing edge ends in vertex orders")
-        for u, v, _s in self.edges:
-            if u == v:
-                raise PipelineError("fatgraph edges must join distinct vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +148,7 @@ def _chain_keeps_acyclic(reach: list[int], chain: list[int]) -> bool:
     return True
 
 
-def realizations(fat: Fatgraph, start_vertex: int = 0):
+def _realizations(fat: Fatgraph, start_vertex: int):
     """Yield (disc position map, edge order) realizing the fatgraph.
 
     A realization cuts each vertex's cyclic order so that the resulting
@@ -174,18 +156,14 @@ def realizations(fat: Fatgraph, start_vertex: int = 0):
     order is the band joining its two ends' discs, with the edge's sign.
     Cut combinations are enumerated disc by disc, in a deterministic order,
     up to ``REALIZATION_LIMIT`` candidates; the fatgraph does not determine
-    the braided embedding on its own, so callers pick the realization whose
-    closure passes their invariant gate.  Each disc reads one reachability
-    pass of the height-order graph its predecessors built, and keeps a cut
-    when no edge of the cut's order reaches an edge placed before it, the
-    exact rule for the order to add no cycle.
+    the braided embedding on its own, so ``homogenize`` takes the
+    realizations whose word passes its gate.  Each disc reads one
+    reachability pass of the height-order graph its predecessors built, and
+    keeps a cut when no edge of the cut's order reaches an edge placed
+    before it, the exact rule for the order to add no cycle.  The fatgraph
+    is a leaf's, built by ``_leaf`` from an analysed diagram, so each edge
+    end is listed once, at its own vertex.
     """
-    fat.check()
-    yield from _realizations(fat, start_vertex)
-
-
-def _realizations(fat: Fatgraph, start_vertex: int):
-    """``realizations`` of a fatgraph known to pass ``Fatgraph.check``."""
     n = fat.vertex_count
     if not 0 <= start_vertex < n:
         raise PipelineError("start vertex out of range")
@@ -247,7 +225,7 @@ class PlumbLeaf(_Value):
 
     @property
     def diagram(self) -> Diagram:
-        return subdiagram(self.source, self.crossings, keep_free_circles=False)
+        return subdiagram(self.source, self.crossings)
 
     def to_obj(self):
         piece = self.diagram
@@ -357,18 +335,6 @@ def _plumbing_ranks(st, steps) -> list[int]:
         if all(toward[c] in ok for c, ok in outer_sides.items()):
             return rank
     raise SoundnessError("plumbing order stacks no Seifert surface of the diagram")
-
-
-def primitive_flat_to_bkl(d: Diagram) -> BKLWord:
-    """Single-sign band word for a primitive flat diagram: its ``homogenize`` word.
-
-    Discs correspond to Seifert circles and free unknots, letters to
-    crossings; the word carries the diagram's sign everywhere and passes
-    ``homogenize``'s Seifert-matrix gates.
-    """
-    if not is_primitive_flat(d):
-        raise PipelineError("diagram is not primitive flat")
-    return homogenize(d)
 
 
 def _leaf(d: Diagram, ids: tuple[int, ...], circles: tuple[int, ...]) -> PlumbLeaf:
@@ -483,8 +449,7 @@ def _homogenize(d: Diagram):
             pieces = [Diagram(d.crossings)] if d.crossings else []
         else:
             part_of = [st.circle_component[u] for u, _v, _s, _c in st.graph.edges]
-            pieces = [subdiagram(d, [c for c, p in enumerate(part_of) if p == part],
-                                 keep_free_circles=False) for part in parts]
+            pieces = [subdiagram(d, [c for c, p in enumerate(part_of) if p == part]) for part in parts]
         strands, letters = 0, []
         for w in map(homogenize, pieces):
             letters += [(r + strands, s + strands, e) for r, s, e in w.letters]
@@ -499,7 +464,6 @@ def _homogenize(d: Diagram):
     after = [dict(zip(order, order[1:] + order[:1])) for order in st.passages]
     components = link_components(d)
     starts = [leaf.circles[0] if shared < 0 else shared for leaf, shared in steps]
-    # _leaf builds each fatgraph from the analysed diagram, so it needs no check.
     searches = [_realizations(leaf.fatgraph, leaf.circle_map[start])
                 for (leaf, _shared), start in zip(steps, starts)]
     tried = [0] * len(steps)

@@ -34,44 +34,29 @@ class ShufflePattern(_Value):
     def parse(text: str) -> "ShufflePattern":
         return ShufflePattern(int(ch) for ch in text.strip())
 
-    @staticmethod
-    def sequential(count1: int, count2: int) -> "ShufflePattern":
-        return ShufflePattern((1,) * count1 + (2,) * count2)
-
-    def counts(self) -> tuple[int, int]:
-        return self.marks.count(1), self.marks.count(2)
-
     def __str__(self) -> str:
         return "".join(str(m) for m in self.marks)
-
-
-def relabel_second(w2: BKLWord, n1: int) -> BKLWord:
-    """Shift every strand index of ``w2`` up by ``n1 - 1``."""
-    if n1 < 1:
-        raise PlumbingError("first strand count must be >= 1")
-    off = n1 - 1
-    return BKLWord(w2.strands + off, tuple([(r + off, s + off, e) for r, s, e in w2.letters]))
 
 
 def plumb(w1: BKLWord, w2: BKLWord, pattern: ShufflePattern | Sequence[int] | None = None) -> BKLWord:
     """Interleave ``w1`` with the relabelled ``w2`` according to ``pattern``.
 
     The default pattern is all of ``w1`` followed by all of ``w2``.  The
-    result lives on ``n1 + n2 - 1`` strands and has ``|w1| + |w2|`` letters.
+    result lives on ``n1 + n2 - 1`` strands and has ``|w1| + |w2|`` letters:
+    ``w2``'s strand indices go up by ``n1 - 1``.
     """
     if pattern is None:
-        pattern = ShufflePattern.sequential(len(w1.letters), len(w2.letters))
-    elif not isinstance(pattern, ShufflePattern):
-        pattern = ShufflePattern(pattern)
-    c1, c2 = pattern.counts()
+        pattern = (1,) * len(w1.letters) + (2,) * len(w2.letters)
+    marks = (pattern if isinstance(pattern, ShufflePattern) else ShufflePattern(pattern)).marks
+    c1, c2 = marks.count(1), marks.count(2)
     if c1 != len(w1.letters) or c2 != len(w2.letters):
         raise PlumbingError(
             f"pattern has {c1}+{c2} marks for words of {len(w1.letters)}+{len(w2.letters)} letters"
         )
-    shifted = relabel_second(w2, w1.strands)
+    off = w1.strands - 1
     it1 = iter(w1.letters)
-    it2 = iter(shifted.letters)
-    letters = [next(it1) if m == 1 else next(it2) for m in pattern.marks]
+    it2 = iter([(r + off, s + off, e) for r, s, e in w2.letters])
+    letters = [next(it1) if m == 1 else next(it2) for m in marks]
     return BKLWord(w1.strands + w2.strands - 1, tuple(letters))
 
 

@@ -15,7 +15,10 @@ slides trades a crossing of an essential ray for a fresh disc-band pair
 while keeping the word homogeneous and the boundary link fixed.
 
 A whole reduction runs on one mutable state, built once from the input and
-frozen back into a surface and a star once at the end.  The state keeps
+frozen back into a surface and a star once at the end.  Every public entry
+point builds it through ``_checked``, so ``check_star``, ``minimize``,
+``reductions`` and ``reduce_to_disc`` refuse a star that is not embedded
+with the same message, before any minimization.  The state keeps
 band orders only for the discs that hold a band end, as bare ``(band, id)``
 pairs in height order: the side of an end is read off the band.  Every
 pass over the state touches bands, tips and the center, never every disc,
@@ -313,7 +316,14 @@ def _insert_ends(state: _State, bid: int) -> None:
 
 def check_star(surface: BraidedSurface, star: Star) -> None:
     """Raise StarError when the star is not an embedded transverse star."""
-    _check_state(_materialize(surface, star))
+    _checked(surface, star)
+
+
+def _checked(surface: BraidedSurface, star: Star) -> _State:
+    """The live state of ``star`` on ``surface``, which every entry point
+    starts from, refused as ``check_star`` refuses it."""
+    _check_state(state := _materialize(surface, star))
+    return state
 
 
 def _check_state(state: _State) -> None:
@@ -505,7 +515,7 @@ def _remove_loose_once(state: _State, ray_index: int, side: str) -> None:
 
 def minimize(surface: BraidedSurface, star: Star) -> Star:
     """Fixpoint of slack and loose removal; never increases the crossing count."""
-    state = _materialize(surface, star)
+    state = _checked(surface, star)
     _minimize_state(state)
     _surface, out = _freeze(state)
     return out
@@ -678,20 +688,13 @@ def _pick_ray(state: _State) -> int:
     return candidates[0][2]
 
 
-def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, Star]:
+def _reduce_state(state: _State) -> None:
     """Trade one band crossing for a disc-band pair, keeping homogeneity.
 
     Requires a homogeneous word, a minimal star (no slack or loose rays)
     and at least one crossing.  Adds exactly one disc and one band, and
     strictly decreases the total crossing count.
     """
-    state = _materialize(surface, star)
-    _reduce_state(state)
-    return _freeze(state)
-
-
-def _reduce_state(state: _State) -> None:
-    """``reduce_step`` in place on a live state."""
     signs: dict[tuple[int, int], int] = {}
     for band in state.bands.values():
         if signs.setdefault((band.l, band.r), band.e) != band.e:
@@ -800,14 +803,13 @@ def reductions(surface: BraidedSurface, star: Star) -> Iterator[tuple[BraidedSur
 
     The whole reduction runs on one live state and only the yielded pairs
     are frozen.  Its heights are re-spread to the ``_materialize(*_freeze())``
-    order before each step, so the pairs are those of calling ``reduce_step``
-    and ``minimize`` on frozen pairs.  Stops once the star misses all bands.
+    order before each step, so the pairs are those of reducing one step and
+    minimizing on frozen pairs.  Stops once the star misses all bands.
     Every step removes at least one crossing, so more steps than the first
     minimized star has crossings raise StarError.  The star is checked first,
     as ``check_star`` does, on the state the reduction runs on.
     """
-    _check_state(state := _materialize(surface, star))
-    for state in _reduce_states(state):
+    for state in _reduce_states(_checked(surface, star)):
         yield _freeze(state)
 
 
@@ -815,10 +817,10 @@ def reduce_to_disc(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface,
     """Minimize and reduce until the star misses all bands.
 
     Runs on one live state from one ``_materialize`` to one ``_freeze``,
-    re-spreading its heights before each step as ``reductions`` does; the
-    result is the last pair ``reductions`` yields.
+    checked first as ``check_star`` does and re-spread before each step as
+    ``reductions`` does; the result is the last pair ``reductions`` yields.
     """
-    state = _materialize(surface, star)
+    state = _checked(surface, star)
     for _ in _reduce_states(state):
         pass
     return _freeze(state)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 
-from .words import MAX_WORD_LETTERS, BKLWord, _Value, permutation_of
+from .words import MAX_WORD_LETTERS, BKLWord, _Value, closure_components
 
 
 class MoveError(ValueError):
@@ -207,13 +207,23 @@ def slide_down(s: BraidedSurface, position: int) -> BraidedSurface:
 
 
 def twirl(s: BraidedSurface, times: int = 1) -> BraidedSurface:
-    """Pass the leftmost disc to the rightmost position, ``times`` times over."""
-    return from_word(word_twirl(to_word(s), times))
+    """Pass the leftmost disc to the rightmost position, ``times`` times over;
+    ``s`` itself for a multiple of its disc count."""
+    n = s.discs
+    if times % n == 0:
+        return s
+    bands = []
+    for l, r, e in s.bands:
+        l, r = (l - 1 - times) % n + 1, (r - 1 - times) % n + 1
+        bands.append((l, r, e) if l < r else (r, l, e))
+    return BraidedSurface(n, bands)
 
 
 def turn(s: BraidedSurface, times: int = 1) -> BraidedSurface:
-    """Slide the lowest band round the back to the top, ``times`` times over."""
-    return from_word(word_turn(to_word(s), times))
+    """Slide the lowest band round the back to the top, ``times`` times over;
+    ``s`` itself for a multiple of its band count."""
+    k = -times % len(s.bands) if s.bands else 0
+    return BraidedSurface(s.discs, s.bands[k:] + s.bands[:k]) if k else s
 
 
 def flip_vertical(s: BraidedSurface) -> BraidedSurface:
@@ -247,29 +257,11 @@ def euler_genus(s: BraidedSurface) -> tuple[int, int, int]:
     if not incidence_connected(s):
         raise ValueError("surface is disconnected")
     chi = s.discs - s.band_count
-    mu = permutation_of(to_word(s)).cycle_count()
+    mu = closure_components(to_word(s))
     twice_genus = 2 - chi - mu
     if twice_genus % 2:
         raise ValueError("inconsistent genus computation")
     return chi, mu, twice_genus // 2
-
-
-def word_twirl(w: BKLWord, times: int = 1) -> BKLWord:
-    """``twirl`` on the word's letters; ``w`` itself for a multiple of its strands."""
-    n = w.strands
-    if times % n == 0:
-        return w
-    letters = []
-    for l, r, e in w.letters:
-        l, r = (l - 1 - times) % n + 1, (r - 1 - times) % n + 1
-        letters.append((l, r, e) if l < r else (r, l, e))
-    return BKLWord(n, letters)
-
-
-def word_turn(w: BKLWord, times: int = 1) -> BKLWord:
-    """``turn`` on the word's letters; ``w`` itself for a multiple of its length."""
-    k = -times % len(w.letters) if w.letters else 0
-    return BKLWord(w.strands, w.letters[k:] + w.letters[:k]) if k else w
 
 
 def render_svg(s: BraidedSurface) -> str:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import iadd, itemgetter, lt
@@ -245,48 +245,6 @@ class BKLWord(_Word):
 Word = ArtinWord | BKLWord
 
 
-class Permutation(_Value):
-    """A bijection of ``{1..n}`` stored as the image tuple ``image[k-1]``."""
-
-    __slots__ = ("image",)
-
-    def __init__(self, image: Sequence[int]):
-        image = tuple([int(x) for x in image])
-        if sorted(image) != list(range(1, len(image) + 1)):
-            raise WordError(f"not a permutation of 1..{len(image)}: {image}")
-        object.__setattr__(self, "image", image)
-
-    @property
-    def size(self) -> int:
-        return len(self.image)
-
-    def __call__(self, k: int) -> int:
-        return self.image[k - 1]
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        out = []
-        for start in range(1, self.size + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            k = self(start)
-            while k != start:
-                cyc.append(k)
-                seen.add(k)
-                k = self(k)
-            out.append(tuple(cyc))
-        return out
-
-    def cycle_count(self) -> int:
-        return len(self.cycles())
-
-
 def artin_to_bkl(w: ArtinWord) -> BKLWord:
     """Embed letter for letter: the i-th Artin generator is the band (i, i+1)."""
     return BKLWord(w.strands, tuple([(i, i + 1, e) for i, e in w.letters]))
@@ -346,11 +304,12 @@ def is_homogeneous(w: Word) -> bool:
     return homogeneity_report(w).homogeneous
 
 
-def permutation_of(w: Word) -> Permutation:
-    """Underlying permutation: letters act left to right as position swaps.
+def permutation_of(w: Word) -> tuple[int, ...]:
+    """Underlying permutation of ``{1..n}`` as its image tuple: letters act
+    left to right as position swaps.
 
-    The image sends the strand entering at top position ``k`` to its bottom
-    position; letter signs are irrelevant.
+    Entry ``k - 1`` is the bottom position of the strand entering at top
+    position ``k``; letter signs are irrelevant.
     """
     at = list(range(w.strands + 1))  # at[p] = strand now at position p
     artin = isinstance(w, ArtinWord)
@@ -360,11 +319,20 @@ def permutation_of(w: Word) -> Permutation:
     image = [0] * w.strands
     for p in range(1, w.strands + 1):
         image[at[p] - 1] = p
-    return Permutation(tuple(image))
+    return tuple(image)
 
 
 def closure_components(w: Word) -> int:
-    return permutation_of(w).cycle_count()
+    """The number of cycles of ``w``'s permutation: its closure's components."""
+    image = permutation_of(w)
+    seen = [False] * (w.strands + 1)
+    count = 0
+    for k in range(1, w.strands + 1):
+        count += not seen[k]
+        while not seen[k]:  # walk k's cycle
+            seen[k] = True
+            k = image[k - 1]
+    return count
 
 
 def exponent_sum(w: Word) -> int:

@@ -13,6 +13,7 @@ from braidbands.pipeline import Fatgraph, PipelineError, _disc_positions
 from braidbands.stars import Ray, Star, StarError, check_star
 from braidbands.surfaces import BraidedSurface
 from braidbands.words import ArtinWord, BKLWord, bkl_to_artin, parse_word
+from reference import check_fatgraph
 
 # The inequivalent-presentations example: a 4-strand braid whose closure is
 # the knot 9_48, inhomogeneous as an Artin word but homogeneous in band
@@ -79,7 +80,7 @@ def flat_diagram(fat: Fatgraph) -> Diagram:
     under-in arc.  The emitted PD is validated structurally here and the
     callers' Seifert-matrix gates keep the construction honest.
     """
-    fat.check()
+    check_fatgraph(fat)
     if not fat.edges:
         raise PipelineError("cannot emit a diagram with no crossings")
     _disc_positions(fat, 0)  # connectivity: isolated discs have no PD trace
@@ -96,7 +97,7 @@ def flat_diagram(fat: Fatgraph) -> Diagram:
     for eid, (u, v, sign) in enumerate(fat.edges):
         pu, ku = where[(eid, 0)]
         pv, kv = where[(eid, 1)]
-        du, dv = fat.degree(pu), fat.degree(pv)
+        du, dv = len(fat.orders[pu]), len(fat.orders[pv])
         a_u = (pu, (ku - 1) % du)
         o_u = (pu, ku)
         a_v = (pv, (kv - 1) % dv)

@@ -71,22 +71,22 @@ from braidbands.stars import (
     Star,
     StarError,
     _div,
+    _freeze,
     _materialize,
     _ray_loose,
+    _reduce_state,
     _relabel_discs,
     _Ray,
     _State,
     check_star,
     delta_b,
     minimize,
-    reduce_step,
 )
-from braidbands.surfaces import BraidedSurface, MoveError, from_word, to_word, word_turn, word_twirl
+from braidbands.surfaces import BraidedSurface, MoveError, from_word, to_word, turn, twirl
 from braidbands.words import (
     MAX_WORD_LETTERS,
     ArtinWord,
     BKLWord,
-    Permutation,
     Word,
     WordError,
     closure_components,
@@ -599,7 +599,7 @@ def bkl_to_artin(w: BKLWord) -> ArtinWord:
     return ArtinWord(w.strands, tuple(letters))
 
 
-def permutation_of(w: Word) -> Permutation:
+def permutation_of(w: Word) -> tuple[int, ...]:
     pos = list(range(w.strands + 1))  # pos[k] = current position of strand k
     for letter in w.letters:
         if isinstance(w, ArtinWord):
@@ -612,7 +612,7 @@ def permutation_of(w: Word) -> Permutation:
                 pos[k] = b
             elif pos[k] == b:
                 pos[k] = a
-    return Permutation(tuple(pos[1:]))
+    return tuple(pos[1:])
 
 
 def _free_reduce(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -661,7 +661,7 @@ def handle_reduce(w: ArtinWord) -> ArtinWord:
 def piece(d: Diagram, crossing_ids):
     """A leaf's sub-diagram and the map from source circles to its circles."""
     keep = sorted(set(crossing_ids))
-    sub = subdiagram(d, keep, keep_free_circles=False)
+    sub = subdiagram(d, keep)
     st, pst = analyze(d), analyze(sub)
     circle_map: dict[int, int] = {}
     for k, cid in enumerate(keep):
@@ -683,9 +683,26 @@ def realization_word(fat: Fatgraph, pos, order) -> BKLWord:
     return BKLWord(fat.vertex_count, letters)
 
 
+def check_fatgraph(fat: Fatgraph) -> None:
+    """Refuse a fatgraph unless each edge end is listed once, at its own
+    vertex, and each edge joins two distinct vertices."""
+    seen = set()
+    for v, order in enumerate(fat.orders):
+        for eid, end in order:
+            if fat.edges[eid][end] != v:
+                raise PipelineError(f"edge end ({eid},{end}) listed at wrong vertex")
+            if (eid, end) in seen:
+                raise PipelineError(f"edge end ({eid},{end}) listed twice")
+            seen.add((eid, end))
+    if len(seen) != 2 * len(fat.edges):
+        raise PipelineError("missing edge ends in vertex orders")
+    if any(u == v for u, v, _s in fat.edges):
+        raise PipelineError("fatgraph edges must join distinct vertices")
+
+
 def realizations(fat: Fatgraph, start_vertex: int = 0, limit: int = 4096):
-    """``pipeline.realizations``, checking each cut on a copy of the whole graph."""
-    fat.check()
+    """``pipeline._realizations``, checking each cut on a copy of the whole graph."""
+    check_fatgraph(fat)
     n = fat.vertex_count
     pos = _disc_positions(fat, start_vertex)
     m = len(fat.edges)
@@ -866,6 +883,13 @@ def fatgraph_of_diagram(d: Diagram) -> Fatgraph:
     for ci, passage in enumerate(st.passages):
         orders.append(tuple([end_at[(cid, ci)] for cid in passage]))
     return Fatgraph(len(st.circles), tuple(edges), tuple(orders))
+
+
+def reduce_step(surface: BraidedSurface, star: Star) -> tuple[BraidedSurface, Star]:
+    """One reduction step on frozen objects, as ``stars._reduce_state`` takes it."""
+    state = _materialize(surface, star)
+    _reduce_state(state)
+    return _freeze(state)
 
 
 def reductions_by_freezing(surface: BraidedSurface, star: Star):
@@ -1376,7 +1400,7 @@ def plumbed_by_words(st, steps, realized):
     disc_of = {orig: pos[first_leaf.circle_map[orig]] for orig in first_leaf.circles}
     for (leaf, shared), (piece_word, piece_pos, piece_cids) in zip(steps[1:], realized[1:]):
         twirls = disc_of[shared] % word.strands
-        word = word_twirl(word, twirls)
+        word = to_word(twirl(from_word(word), twirls))
         disc_of = {c: (p - twirls - 1) % word.strands + 1 for c, p in disc_of.items()}
         sigma = st.passages[shared]
         sigma_set = set(sigma)
@@ -1405,7 +1429,7 @@ def turn_word_until(word: BKLWord, cids: list[int], at_shared: set, want: list[i
     if order[m:] + order[:m] != want:
         raise SoundnessError("cannot align the piece with the shared circle's cyclic order")
     cut = at[m] if m else len(cids)  # the turns bring the letters from order[m] on to the top
-    return word_turn(word, len(cids) - cut), cids[cut:] + cids[:cut]
+    return to_word(turn(from_word(word), len(cids) - cut)), cids[cut:] + cids[:cut]
 
 
 def _merge_pattern(mine_cids, piece_cids, schedule, mine_set, theirs_set) -> ShufflePattern:

@@ -44,8 +44,11 @@ def test_braid_equal_on_translated_pair(capsys):
 def test_braid_components_and_exponent(capsys):
     assert run(["braid", "components", "--strands", "4", "--json",
                 "b(3,4) b(2,4) b(2,3) b(1,2)^-1 b(2,4) b(2,3) b(1,2)^-1"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["components"] == 1
+    assert json.loads(capsys.readouterr().out) == {"permutation": [4, 3, 1, 2], "components": 1}
+    assert run(["braid", "components", "--json", "s1 s2 s1^-1 s3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"permutation": [4, 2, 1, 3], "components": 2}
+    assert run(["braid", "components", "s1^3"]) == 0
+    assert capsys.readouterr().out == "permutation [2, 1], 1 component(s)\n"
     assert run(["braid", "exponent-sum", "--json", "s1^3"]) == 0
     assert json.loads(capsys.readouterr().out)["exponent_sum"] == 3
 
@@ -69,12 +72,21 @@ def test_deplumb(capsys):
 
 def test_diagram_commands(tmp_path, capsys, trefoil_file):
     assert run(["diagram", "seifert", trefoil_file, "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert len(data["circles"]) == 2 and len(data["bands"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "circles": [[1, 5, 3], [2, 6, 4]],
+        "bands": [{"u": 0, "v": 1, "sign": 1, "crossing": c} for c in range(3)],
+    }
     assert run(["diagram", "homogeneous", trefoil_file]) == 0
     assert run(["diagram", "primitive-flat", trefoil_file]) == 0
     fig8 = tmp_path / "fig8.json"
     fig8.write_text(FIG8.to_json())
+    capsys.readouterr()
+    assert run(["diagram", "seifert", str(fig8), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "circles": [[1, 5], [2, 8, 6, 4], [3, 7]],
+        "bands": [{"u": 1, "v": 0, "sign": -1, "crossing": 0}, {"u": 1, "v": 0, "sign": -1, "crossing": 1},
+                  {"u": 1, "v": 2, "sign": 1, "crossing": 2}, {"u": 1, "v": 2, "sign": 1, "crossing": 3}],
+    }
     assert run(["diagram", "homogeneous", str(fig8)]) == 0
     assert run(["diagram", "primitive-flat", str(fig8)]) == 1
     assert run(["diagram", "seifert", str(tmp_path / "missing.json")]) == 2

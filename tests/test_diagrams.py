@@ -13,7 +13,6 @@ from braidbands.diagrams import (
     is_homogeneous_diagram,
     is_primitive_flat,
     link_components,
-    seifert_decompose,
     subdiagram,
 )
 from braidbands.words import parse_word
@@ -35,20 +34,19 @@ def test_validate_good_and_bad():
 
 
 def test_trefoil_structure():
-    circles, bands, graph = seifert_decompose(TREFOIL)
-    assert len(circles) == 2
-    assert len(bands) == 3
-    assert all(s == 1 for (_u, _v, s, _c) in bands)
-    assert {frozenset((u, v)) for (u, v, _s, _c) in bands} == {frozenset((0, 1))}
     st = analyze(TREFOIL)
+    assert len(st.circles) == 2
+    assert len(st.graph.edges) == 3
+    assert all(s == 1 for (_u, _v, s, _c) in st.graph.edges)
+    assert {frozenset((u, v)) for (u, v, _s, _c) in st.graph.edges} == {frozenset((0, 1))}
     assert len(st.components) == 1
     assert analyze(TREFOIL) is st  # derived once, then shared
 
 
 def test_fig8_structure():
-    circles, bands, _ = seifert_decompose(FIG8)
-    assert len(circles) == 3
-    assert sorted(s for (_u, _v, s, _c) in bands) == [-1, -1, 1, 1]
+    st = analyze(FIG8)
+    assert len(st.circles) == 3
+    assert sorted(s for (_u, _v, s, _c) in st.graph.edges) == [-1, -1, 1, 1]
 
 
 def test_euler_check_rejects_nonplanar_rotation():
@@ -110,8 +108,8 @@ def test_homogeneity_invariant_under_relabelling():
 
 
 def test_empty_diagram():
-    circles, bands, graph = seifert_decompose(Diagram())
-    assert circles == [] and bands == [] and graph.vertex_count == 0
+    st = analyze(Diagram())
+    assert not st.circles and not st.graph.edges and st.graph.vertex_count == 0
     assert reference.nesting_forest(Diagram()) == reference.NestingForest((), (), ())
     assert link_components(Diagram((), unknots=3)) == 3
 
@@ -169,12 +167,11 @@ def test_subdiagram_smoothing():
     assert validate(sub).ok
     assert sub.crossing_count == 2
     assert link_components(sub) == 2
-    # dropping all crossings of one circle pair
+    # dropping all crossings drops their circles too
     sub0 = subdiagram(TREFOIL, [])
     assert sub0.crossing_count == 0
-    assert sub0.unknots == 2
-    sub0b = subdiagram(TREFOIL, [], keep_free_circles=False)
-    assert sub0b.unknots == 0
+    assert sub0.unknots == 0
+    assert subdiagram(Diagram(TREFOIL.crossings, unknots=2), [0, 1]) == sub
 
 
 def test_subdiagram_blocks_of_composite():
@@ -183,7 +180,7 @@ def test_subdiagram_blocks_of_composite():
     assert report.homogeneous
     for block in report.decomposition.blocks:
         ids = [cid for (_u, _v, _s, cid) in block]
-        piece = subdiagram(granny, ids, keep_free_circles=False)
+        piece = subdiagram(granny, ids)
         assert validate(piece).ok
         assert piece.crossing_count == 3
         assert is_primitive_flat(piece)

@@ -19,7 +19,7 @@ from braidbands.invariants import (
     word_seifert_matrix,
 )
 from braidbands.plumbing import plumb
-from braidbands.surfaces import from_word, incidence_connected, to_word, word_turn, word_twirl
+from braidbands.surfaces import from_word, incidence_connected, to_word, turn, twirl
 from braidbands.surfaces import mirror as mirror_surface
 from braidbands.words import (
     ArtinWord,
@@ -670,9 +670,9 @@ def test_word_seifert_matrix_under_moves_and_plumbing():
         # Twirls and turns are isotopies; carry the basis along.
         kept = [r > 1 for r, _s, _e in w1.letters]  # disc 1 moves past disc n
         twirled = [tuple([(k, way if kept[k] else -way) for k, way in c]) for c in b1]
-        assert word_seifert_matrix(word_twirl(w1), twirled) == v1
+        assert word_seifert_matrix(to_word(twirl(from_word(w1))), twirled) == v1
         turned = [tuple([((k + 1) % len(w1.letters), way) for k, way in c]) for c in b1]
-        assert word_seifert_matrix(word_turn(w1), turned) == v1
+        assert word_seifert_matrix(to_word(turn(from_word(w1))), turned) == v1
         # Plumbing puts w2 on the positive side of the shared disc: the
         # summands keep their matrices and w1's cycles do not link w2's pushoffs.
         marks = [1] * len(w1.letters) + [2] * len(w2.letters)

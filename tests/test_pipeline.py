@@ -19,7 +19,6 @@ from braidbands.diagrams import (
     is_homogeneous_diagram,
     is_primitive_flat,
     link_components,
-    seifert_decompose,
     subdiagram,
 )
 from braidbands.invariants import (
@@ -36,8 +35,6 @@ from braidbands.pipeline import (
     _realizations,
     decompose_generalized_flat,
     homogenize,
-    primitive_flat_to_bkl,
-    realizations,
 )
 from braidbands.words import (
     ArtinWord,
@@ -116,7 +113,7 @@ def fatgraphs_isomorphic(f: Fatgraph, g: Fatgraph) -> bool:
         if v == f.vertex_count:
             return search_rot(0, vmap, {})
         for w in range(g.vertex_count):
-            if w in used or g.degree(w) != f.degree(v):
+            if w in used or len(g.orders[w]) != len(f.orders[v]):
                 continue
             vmap[v] = w
             used.add(w)
@@ -131,7 +128,7 @@ def fatgraphs_isomorphic(f: Fatgraph, g: Fatgraph) -> bool:
 
 def realize_word(fat: Fatgraph, start_vertex: int = 0) -> tuple[BKLWord, dict[int, int]]:
     """First height-consistent realization of the fatgraph (no link gate)."""
-    for pos, order in realizations(fat, start_vertex):
+    for pos, order in _realizations(fat, start_vertex):
         return reference.realization_word(fat, pos, order), pos
     raise PipelineError("fatgraph admits no consistent band heights")
 
@@ -139,7 +136,7 @@ def realize_word(fat: Fatgraph, start_vertex: int = 0) -> tuple[BKLWord, dict[in
 def test_fatgraph_of_word_shape():
     w = parse_word("b(1,2) b(1,3)^-1", strands=3)
     fat = fatgraph_of_word(w)
-    fat.check()
+    reference.check_fatgraph(fat)
     assert fat.vertex_count == 3
     assert fat.edges == ((0, 1, 1), (0, 2, -1))
     assert fat.orders[0] == ((0, 0), (1, 0))
@@ -156,10 +153,10 @@ def test_fatgraph_iso_detects_rotation_and_reflection():
     assert not fatgraphs_isomorphic(base, signed)
 
 
-def test_realizations_checks_its_fatgraph():
-    # The public enumeration refuses a malformed fatgraph at its first
-    # candidate.  homogenize enumerates without the check, because the
-    # fatgraphs _leaf builds from an analysed diagram pass it.
+def test_leaf_fatgraphs_pass_the_fatgraph_check():
+    # The enumeration takes its fatgraph unchecked: the fatgraphs _leaf
+    # builds from an analysed diagram list each edge end once, at its own
+    # vertex, which the reference check refuses otherwise.
     base = fatgraph_of_word(parse_word("b(1,2) b(1,3)^-1", strands=3))
     for fat, message in (
         (Fatgraph(3, base.edges, (base.orders[0], base.orders[0], base.orders[2])), "listed at wrong vertex"),
@@ -167,12 +164,12 @@ def test_realizations_checks_its_fatgraph():
         (Fatgraph(2, ((0, 0, 1),), (((0, 0), (0, 1)), ())), "must join distinct vertices"),
     ):
         with pytest.raises(PipelineError, match=message):
-            next(realizations(fat))
+            reference.check_fatgraph(fat)
     cases = [TREFOIL, TREFOIL_NEG, FIG8, K5_2, K9_43, WHEELS[4]]
     cases += [d for d, _word in pseudoalternating_diagrams(seed=4242, count=25)]
     for d in cases:
         for leaf, _shared in decompose_generalized_flat(d):
-            leaf.fatgraph.check()
+            reference.check_fatgraph(leaf.fatgraph)
 
 
 def test_realize_word_round_trips_fatgraph():
@@ -194,7 +191,7 @@ def test_realize_word_round_trips_fatgraph():
 
 def test_realizations_enumerates_consistently():
     fat = reference.fatgraph_of_diagram(K5_2)
-    words_seen = [reference.realization_word(fat, pos, order) for pos, order in realizations(fat)]
+    words_seen = [reference.realization_word(fat, pos, order) for pos, order in _realizations(fat, 0)]
     assert len(words_seen) >= 2
     assert len({w.letters for w in words_seen}) == len(words_seen)
 
@@ -228,7 +225,7 @@ def _closure_leaf_fatgraphs(seed: int):
 def _assert_same_candidates(fat, start: int, limit=None) -> None:
     try:
         got = [(reference.realization_word(fat, pos, order), pos, order)
-               for pos, order in itertools.islice(realizations(fat, start), limit)]
+               for pos, order in itertools.islice(_realizations(fat, start), limit)]
     except PipelineError:
         with pytest.raises(PipelineError):
             list(reference.realizations(fat, start))
@@ -321,17 +318,17 @@ def test_flat_diagram_rejects_odd_cycles():
 
 
 def test_primitive_flat_to_bkl_examples():
-    w = primitive_flat_to_bkl(TREFOIL)
+    # A primitive flat diagram's band word is its homogenize word.
+    w = homogenize(TREFOIL)
     assert w == parse_word("b(1,2)^3", strands=2)
-    wn = primitive_flat_to_bkl(TREFOIL_NEG)
+    wn = homogenize(TREFOIL_NEG)
     assert wn == parse_word("b(1,2)^-3", strands=2)
     assert alexander_from_braid(wn) == alexander_from_diagram(TREFOIL_NEG)
     one = flat_diagram(fatgraph_of_word(parse_word("b(1,2)", strands=2)))
-    assert primitive_flat_to_bkl(one) == parse_word("b(1,2)", strands=2)
-    with pytest.raises(PipelineError):
-        primitive_flat_to_bkl(FIG8)
-    with pytest.raises(PipelineError):
-        primitive_flat_to_bkl(Diagram())
+    assert is_primitive_flat(one) and homogenize(one) == parse_word("b(1,2)", strands=2)
+    assert is_primitive_flat(Diagram())
+    with pytest.raises(PipelineError, match="no blocks to fold"):
+        homogenize(Diagram())
 
 
 def test_primitive_flat_to_bkl_split_and_with_free_unknots():
@@ -342,17 +339,18 @@ def test_primitive_flat_to_bkl_split_and_with_free_unknots():
     assert {bool(d.unknots) for d in cases} == {True, False} and len(cases) > 50
     for d in cases:
         st = analyze(d)
-        w = primitive_flat_to_bkl(d)
+        w = homogenize(d)
         assert w.strands == len(st.circles) + d.unknots
         assert len(w.letters) == d.crossing_count
         assert len({e for _r, _s, e in w.letters} | set(st.signs)) <= 1
         assert closure_components(w) == link_components(d)
         assert alexander_from_braid(w) == alexander_from_diagram(d)
-    assert primitive_flat_to_bkl(Diagram([], unknots=2)) == BKLWord(2)
+    assert homogenize(Diagram([], unknots=2)) == BKLWord(2)
 
 
 def test_primitive_flat_to_bkl_5_2():
-    w = primitive_flat_to_bkl(K5_2)
+    assert is_primitive_flat(K5_2)
+    w = homogenize(K5_2)
     st = analyze(K5_2)
     assert w.strands == len(st.circles)
     assert len(w.letters) == K5_2.crossing_count
@@ -479,7 +477,7 @@ def test_leaf_block_gives_its_component_count():
             mine = [tuple([(edge_of[c], way) for c, way in cycles[i]])
                     for i in pipeline._leaf_cycles(leaf, cycles)]
             start = leaf.circle_map[leaf.circles[0] if shared < 0 else shared]
-            for pos, order in itertools.islice(realizations(fat, start), 60):
+            for pos, order in itertools.islice(_realizations(fat, start), 60):
                 word = reference.realization_word(fat, pos, order)
                 letter_of = {edge: k for k, edge in enumerate(order)}
                 mapped = pipeline._carried([e[:2] for e in fat.edges], mine, pos, letter_of)
@@ -918,7 +916,7 @@ def test_plumbing_discs_and_crossings_matches_plumbing_words():
     for d in cases:
         st = analyze(d)
         steps = decompose_generalized_flat(d)
-        options = [list(itertools.islice(realizations(
+        options = [list(itertools.islice(_realizations(
             leaf.fatgraph, leaf.circle_map[leaf.circles[0] if shared < 0 else shared]), 3))
             for leaf, shared in steps]
         for pick in ([0] * len(steps), [rng.randrange(len(found)) for found in options]):
@@ -1155,7 +1153,7 @@ def _everything_about(d: Diagram) -> list:
     except PipelineError as exc:
         word = str(exc)
     return [
-        seifert_decompose(d),
+        analyze(d),
         is_homogeneous_diagram(d),
         reference.nesting_forest(d),
         is_primitive_flat(d),

@@ -2,19 +2,21 @@ import random
 
 import pytest
 
-from braidbands.plumbing import PlumbingError, ShufflePattern, deplumb, plumb, relabel_second
+from braidbands.plumbing import PlumbingError, ShufflePattern, deplumb, plumb
 from braidbands.words import BKLWord, braids_equal, bkl_to_artin, is_homogeneous, parse_word
 
 from corpus import PLUMB_RESULT, PLUMB_W1, PLUMB_W2, random_bkl_word
 
 
 def test_relabel_second():
-    assert relabel_second(PLUMB_W2, 3) == parse_word(
+    # Plumbing onto a word with no letters is the second word's strands
+    # shifted up by the first word's strand count less one.
+    assert plumb(BKLWord(3), PLUMB_W2) == parse_word(
         "b(3,6)^-1 b(3,5) b(4,5)^-1 b(3,6)^-1", strands=6
     )
-    assert relabel_second(BKLWord(3), 4) == BKLWord(6)
+    assert plumb(BKLWord(4), BKLWord(3)) == BKLWord(6)
     w = parse_word("b(1,2) b(2,3)", strands=3)
-    assert relabel_second(w, 1) == w
+    assert plumb(BKLWord(1), w) == w
 
 
 def test_plumb_golden():

@@ -17,7 +17,6 @@ from braidbands.stars import (
     check_star,
     delta_b,
     minimize,
-    reduce_step,
     reduce_to_disc,
     reductions,
 )
@@ -35,6 +34,7 @@ from reference import (
     mirror_state,
     normalize_by_single_moves,
     order_on_disc_scan,
+    reduce_step,
     reduce_state_by_whole_passes,
     reductions_by_freezing,
     relabel_discs,
@@ -157,39 +157,44 @@ def test_check_star_rejects_bad_rays():
 def test_every_entry_point_checks_the_center(center):
     s = from_word(parse_word("b(1,2) b(1,2)", strands=2))
     star = Star(center, [Ray(((0, "L", "R"),), 2, 0)])
-    for entry in (check_star, minimize, reduce_step, reduce_to_disc,
-                  lambda s, star: next(reductions(s, star))):
+    for entry in (check_star, minimize, reduce_to_disc, lambda s, star: next(reductions(s, star))):
         with pytest.raises(StarError, match="^center disc out of range$"):
             entry(s, star)
 
 
 def test_reductions_refuse_what_check_star_refuses(monkeypatch):
-    # reductions checks the state it builds, as check_star would, before the
-    # first minimization, so a star that is not embedded is refused with
-    # check_star's message and never minimized; an embedded one is built
-    # once.
+    # Every entry point checks the state it builds, as check_star would,
+    # before the first minimization, so a star that is not embedded is
+    # refused with check_star's message and never minimized; an embedded one
+    # is built once.
     rng = random.Random(3203)
     refused = 0
-    built = []
-    materialize = stars._materialize
+    built, minimized = [], []
+    materialize, minimize_state = stars._materialize, stars._minimize_state
     monkeypatch.setattr(stars, "_materialize", lambda *a: built.append(a) or materialize(*a))
+    monkeypatch.setattr(stars, "_minimize_state", lambda st: minimized.append(st) or minimize_state(st))
+    entries = (lambda s, star: next(reductions(s, star)), minimize, reduce_to_disc)
     for _ in range(600):
         s = random_homogeneous_surface(rng, max_n=5, max_b=8)
         star = random_star(rng, s, max_rays=3, max_steps=4)
+        minimized.clear()
         try:
             check_star(s, star)
         except StarError as exc:
-            with pytest.raises(StarError) as caught:
-                next(reductions(s, star))
-            assert str(caught.value) == str(exc)
+            for entry in entries:
+                with pytest.raises(StarError) as caught:
+                    entry(s, star)
+                assert str(caught.value) == str(exc)
+            assert not minimized
             refused += 1
             continue
-        built.clear()
-        try:
-            next(reductions(s, star))
-        except StarError:  # a refusal of the minimization, ROADMAP item 5
-            pass
-        assert len(built) == 1
+        for entry in entries:
+            built.clear()
+            try:
+                entry(s, star)
+            except StarError:  # a refusal of the minimization, ROADMAP item 5
+                pass
+            assert len(built) == 1
     assert refused >= 100
 
 

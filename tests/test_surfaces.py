@@ -20,8 +20,6 @@ from braidbands.surfaces import (
     to_word,
     turn,
     twirl,
-    word_turn,
-    word_twirl,
     MoveError,
 )
 from braidbands.words import MAX_WORD_LETTERS, braids_equal, closure_components, is_homogeneous, parse_word
@@ -64,19 +62,16 @@ def test_turn_twirl_slide_examples():
 def test_counted_twirl_and_turn_match_single_moves():
     # k moves at once equal k single moves, for every k up to twice the
     # disc count or the band count, on empty and one-disc surfaces too.  A
-    # word rotated by a whole number of turns round is the word itself.
+    # surface rotated by a whole number of turns round is the surface itself.
     rng = random.Random(17)
     surfaces = [BraidedSurface(1), BraidedSurface(4)]
     surfaces += [from_word(random_bkl_word(rng, max_strands=7, max_len=10)) for _ in range(300)]
     for s in surfaces:
         twirled = turned = s
-        w = to_word(s)
         for k in range(2 * max(s.discs, s.band_count) + 1):
             assert twirl(s, k) == twirled and turn(s, k) == turned
-            assert word_twirl(w, k) == to_word(twirled)
-            assert word_turn(w, k) == to_word(turned)
-            assert (word_twirl(w, k) is w) == (k % s.discs == 0)
-            assert (word_turn(w, k) is w) == (not s.bands or k % s.band_count == 0)
+            assert (twirl(s, k) is s) == (k % s.discs == 0)
+            assert (turn(s, k) is s) == (not s.bands or k % s.band_count == 0)
             twirled, turned = reference.twirl_once(twirled), reference.turn_once(turned)
         assert twirl(s) == reference.twirl_once(s) and turn(s) == reference.turn_once(s)
 

@@ -15,7 +15,7 @@ from braidbands.pipeline import Fatgraph, decompose_generalized_flat
 from braidbands.plumbing import ShufflePattern
 from braidbands.stars import Ray, Star, _Band, _materialize, _Ray
 from braidbands.surfaces import BraidedSurface
-from braidbands.words import ArtinWord, BKLWord, Permutation, homogeneity_report
+from braidbands.words import ArtinWord, BKLWord, homogeneity_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HOPF = [[1, 4, 2, 3], [3, 2, 4, 1]]
@@ -33,7 +33,6 @@ FROZEN = [
     (lambda: ArtinWord(3, [(1, 1), (2, -1)]), (3, ((1, 1), (2, -1))),
      "ArtinWord(strands=3, letters=((1, 1), (2, -1)))"),
     (lambda: BKLWord(3, [(1, 3, 1)]), (3, ((1, 3, 1),)), "BKLWord(strands=3, letters=((1, 3, 1),))"),
-    (lambda: Permutation((2, 1, 3)), ((2, 1, 3),), "Permutation(image=(2, 1, 3))"),
     (lambda: homogeneity_report(ArtinWord(3, [(1, 1), (1, -1)])), (False, (1,)),
      "HomogeneityReport(homogeneous=False, mixed=(1,))"),
     (lambda: Diagram(HOPF), (((1, 4, 2, 3), (3, 2, 4, 1)), 0),

@@ -10,7 +10,6 @@ from braidbands import words
 from braidbands.words import (
     ArtinWord,
     BKLWord,
-    Permutation,
     WordError,
     artin_to_bkl,
     bkl_to_artin,
@@ -89,12 +88,10 @@ def test_homogeneity():
 
 
 def test_permutation_and_components():
-    perm = permutation_of(parse_word("s1", 2))
-    assert perm.image == (2, 1) and perm.cycle_count() == 1
-    perm = permutation_of(ArtinWord(3))
-    assert perm.image == (1, 2, 3) and perm.cycle_count() == 3
-    perm = permutation_of(WORD_948_BKL)
-    assert perm.cycle_count() == 1 and sorted(perm.cycles()[0]) == [1, 2, 3, 4]
+    w = parse_word("s1", 2)
+    assert permutation_of(w) == (2, 1) and closure_components(w) == 1
+    assert permutation_of(ArtinWord(3)) == (1, 2, 3) and closure_components(ArtinWord(3)) == 3
+    assert sorted(permutation_of(WORD_948_BKL)) == [1, 2, 3, 4] and closure_components(WORD_948_BKL) == 1
     assert closure_components(WORD_948_ARTIN) == 1
 
 
@@ -404,11 +401,11 @@ def test_grammar_round_trip_random():
 
 
 def test_permutation_type():
-    with pytest.raises(WordError):
-        Permutation((1, 1))
-    p = Permutation((2, 3, 1))
-    assert p.cycle_count() == 1
-    assert Permutation.identity(4).cycle_count() == 4
+    # The permutation is its image tuple; the closure counts its cycles.
+    w = parse_word("b(1,2) b(1,3)", strands=4)
+    assert permutation_of(w) == (2, 3, 1, 4) and type(permutation_of(w)) is tuple
+    assert closure_components(w) == 2
+    assert closure_components(BKLWord(4)) == 4
 
 
 def test_grammar_round_trip():
