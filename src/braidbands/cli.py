@@ -353,17 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_INPUT_ERRORS = (
-    words.WordError,
-    diagrams.DiagramError,
-    surfaces.MoveError,
-    stars.StarError,
-    plumbing.PlumbingError,
-    pipeline.PipelineError,
-    FileNotFoundError,
-    json.JSONDecodeError,
-    ValueError,
-)
+# Every library error for invalid input is a ValueError, as JSON's decoding
+# error is; an unreadable path is an OSError.
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def run(argv=None) -> int:

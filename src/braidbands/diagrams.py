@@ -539,7 +539,8 @@ def subdiagram(d: Diagram, crossing_ids: Iterable[int]) -> Diagram:
     their crossings, and ``d``'s free unknots, are dropped (deplumbing
     semantics: they belong to the other plumband).
     """
-    keep = sorted(set(crossing_ids))
+    kept = set(crossing_ids)
+    keep = sorted(kept)
     st = analyze(d)
     for idx in keep:
         if not 0 <= idx < len(d.crossings):
@@ -548,7 +549,7 @@ def subdiagram(d: Diagram, crossing_ids: Iterable[int]) -> Diagram:
     # Merge arcs across each removed crossing along its Seifert smoothing.
     uf = _UnionFind(st.succ)
     for idx, entry in enumerate(d.crossings):
-        if idx not in keep:
+        if idx not in kept:
             for i, o in _SMOOTHED[st.signs[idx]]:
                 uf.union(entry[i], entry[o])
 

@@ -65,7 +65,11 @@ Engine
 ------
 Both routes end in the determinant of a square matrix of integer
 polynomials in t.  It is computed in plain Python ints by evaluation and
-interpolation; a ``Laurent`` is built only for the final polynomial.
+interpolation.  Every polynomial the engine holds is one dense entry
+``(offset, coefficients)``: the exponent of the first coefficient, then the
+coefficients from there up.  The Wirtinger rows and the Burau columns are
+built in it, and the result is returned as a ``Laurent``, which stores the
+normalized coefficient tuple and nothing else.
 
 * Degree.  The determinant has degree at most D, the smaller of the sum of
   the row degrees and the sum of the column degrees.  The matrix is
@@ -91,13 +95,16 @@ interpolation; a ``Laurent`` is built only for the final polynomial.
   either.
 
 The Wirtinger minor is a pencil A + tB with at most three nonzeros per
-row, so D is at most its size and the elimination stays sparse.  On the
-braid side the running product is kept as dense Laurent coefficient lists:
-a generator rebuilds two neighbouring columns of the product from each
-other.  Both minors end in one routine, which divides each row and then
-each column by the lowest power of t it holds, so every entry is a
-polynomial; the determinant then differs from the minor by a power of t,
-which normalization removes.
+row, so D is at most its size and the elimination stays sparse; a minor
+drops one row and one column of the rows and renumbers the columns after
+it.  On the braid side a generator rebuilds two neighbouring columns of the
+running product from each other.  Both minors end in one routine, which
+divides each row and then each column by the lowest power of t it holds,
+so every entry is a polynomial; the determinant then differs from the
+minor by a unit +-t^k.  The routine normalizes it in place: it drops the
+zero coefficients below the lowest nonzero one (interpolation already
+drops those above the highest) and negates the list when its leading
+coefficient is negative.
 """
 
 from __future__ import annotations
@@ -106,9 +113,10 @@ from .diagrams import Diagram, _UnionFind, analyze
 from .laurent import Laurent
 from .words import ArtinWord, BKLWord, Word, bkl_to_artin
 
-# A dense Laurent entry: (exponent of the first coefficient, coefficients).
-# Entries are never mutated once built, so the zero entry is shared.
+# A dense entry: (exponent of the first coefficient, coefficients).
+# Entries are never mutated once built, so the zero and one entries are shared.
 _ZERO = (0, ())
+_ONE = (0, (1,))
 
 # Known primes for the elimination, increasing: the Mersenne primes 2^q - 1
 # from the first above 2^32 to 2^4423 - 1, and between 2^127 - 1 and
@@ -303,6 +311,8 @@ def _alexander_det(rows: list[dict[int, tuple]]) -> Laurent:
     """Normalized determinant of sparse rows of dense entries with nonzero first coefficients.
 
     Each row, then each column, is first divided by its lowest power of t.
+    The zero coefficients below the lowest nonzero one go, and the result is
+    negated when its leading coefficient is negative.
     """
     row_lo = [min((off for off, _c in row.values()), default=0) for row in rows]
     col_lo: dict[int, int] = {}
@@ -315,7 +325,9 @@ def _alexander_det(rows: list[dict[int, tuple]]) -> Laurent:
             for row, lo in zip(rows, row_lo)
         ]
     )
-    return Laurent.from_list(det).normalized()
+    low = next((k for k, a in enumerate(det) if a), len(det))
+    sign = -1 if det and det[-1] < 0 else 1
+    return Laurent(tuple([sign * a for a in det[low:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +367,7 @@ def alexander_from_braid(w: Word) -> Laurent:
     """
     word = w if isinstance(w, ArtinWord) else bkl_to_artin(w)
     size = word.strands - 1
-    one = (0, (1,))
-    cols = [[one if r == k else _ZERO for r in range(size)] for k in range(size + 1)]
+    cols = [[_ONE if r == k else _ZERO for r in range(size)] for k in range(size + 1)]
     for i, e in word.letters:
         k = i - 1
         left, right = cols[k], cols[k + 1]
@@ -373,7 +384,7 @@ def alexander_from_braid(w: Word) -> Laurent:
     for i in range(size):
         row = {}
         for j in range(size):
-            entry = _combine(((1, 0, cols[j][i]), (-1, 0, one))) if i == j else cols[j][i]
+            entry = _combine(((1, 0, cols[j][i]), (-1, 0, _ONE))) if i == j else cols[j][i]
             if entry[1]:
                 row[j] = entry
         rows.append(row)
@@ -384,13 +395,13 @@ def alexander_from_braid(w: Word) -> Laurent:
 # Fox minor of a diagram: the Wirtinger presentation
 # ---------------------------------------------------------------------------
 
-def _wirtinger_rows(d: Diagram) -> list[dict[int, tuple[int, int]]] | None:
+def _wirtinger_rows(d: Diagram) -> list[dict[int, tuple]] | None:
     """Fox Jacobian of the Wirtinger presentation, abelianized to t.
 
     Arcs between under-passes form the generators (columns) and each
-    crossing contributes one relation (row).  Entry ``(a, b)`` is a + b*t.
-    None when there are more arcs than crossings: some component never
-    passes under, so the link splits.
+    crossing contributes one relation (row) of dense entries.  None when
+    there are more arcs than crossings: some component never passes under,
+    so the link splits.
     """
     st = analyze(d)
     uf = _UnionFind(st.succ)
@@ -403,35 +414,27 @@ def _wirtinger_rows(d: Diagram) -> list[dict[int, tuple[int, int]]] | None:
     rows = []
     for (a, b, c, _dd), sign in zip(d.crossings, st.signs):
         if sign > 0:
-            # relation x_c = x_b x_a x_b^{-1}
-            terms = ((b, 1, -1), (a, 0, 1), (c, -1, 0))
+            # relation x_c = x_b x_a x_b^{-1}: 1 - t at b, t at a, -1 at c
+            terms = ((b, 1, 0), (b, -1, 1), (a, 1, 1), (c, -1, 0))
         else:
-            # relation x_c = x_b^{-1} x_a x_b; row scaled by t
-            terms = ((b, -1, 1), (a, 1, 0), (c, 0, -1))
-        row: dict[int, tuple[int, int]] = {}
-        for arc, const, lin in terms:
+            # relation x_c = x_b^{-1} x_a x_b, scaled by t: t - 1 at b, 1 at a, -t at c
+            terms = ((b, -1, 0), (b, 1, 1), (a, 1, 0), (c, -1, 1))
+        row: dict[int, tuple] = {}
+        for arc, term_sign, shift in terms:
             j = column[uf.find(arc)]
-            c0, c1 = row.get(j, (0, 0))
-            row[j] = (c0 + const, c1 + lin)
-        rows.append(row)
+            row[j] = _combine(((1, 0, row.get(j, _ZERO)), (term_sign, shift, _ONE)))
+        rows.append({j: entry for j, entry in row.items() if entry[1]})
     return rows
 
 
-def _fox_minor(rows: list[dict[int, tuple[int, int]]], drop_row: int, drop_col: int) -> Laurent:
-    minor = []
-    for i, row in enumerate(rows):
-        if i == drop_row:
-            continue
-        entries = {}
-        for j, (const, lin) in row.items():
-            if j == drop_col or not (const or lin):
-                continue
-            if not const:
-                entries[j - (j > drop_col)] = (1, (lin,))
-            else:
-                entries[j - (j > drop_col)] = (0, (const, lin) if lin else (const,))
-        minor.append(entries)
-    return _alexander_det(minor)
+def _fox_minor(rows: list[dict[int, tuple]], drop_row: int, drop_col: int) -> Laurent:
+    return _alexander_det(
+        [
+            {j - (j > drop_col): entry for j, entry in row.items() if j != drop_col}
+            for i, row in enumerate(rows)
+            if i != drop_row
+        ]
+    )
 
 
 def alexander_from_diagram(d: Diagram) -> Laurent:
@@ -443,15 +446,9 @@ def alexander_from_diagram(d: Diagram) -> Laurent:
     components that never pass under) give 0.
     """
     if not d.crossings:
-        if d.unknots == 1:
-            return Laurent.one()
-        return Laurent.zero()
-    if d.unknots:
-        return Laurent.zero()
-    rows = _wirtinger_rows(d)
-    if rows is None:
-        return Laurent.zero()
-    return _fox_minor(rows, 0, 0)
+        return Laurent((1,) if d.unknots == 1 else ())
+    rows = None if d.unknots else _wirtinger_rows(d)
+    return Laurent(()) if rows is None else _fox_minor(rows, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -160,9 +160,11 @@ def _realizations(fat: Fatgraph, start_vertex: int):
     realizations whose word passes its gate.  Each disc reads one
     reachability pass of the height-order graph its predecessors built, and
     keeps a cut when no edge of the cut's order reaches an edge placed
-    before it, the exact rule for the order to add no cycle.  The fatgraph
-    is a leaf's, built by ``_leaf`` from an analysed diagram, so each edge
-    end is listed once, at its own vertex.
+    before it, the exact rule for the order to add no cycle.  The search
+    keeps one entry per disc on its own stacks, not a call frame, so no
+    recursion depth grows with the disc count.  The fatgraph is a leaf's,
+    built by ``_leaf`` from an analysed diagram, so each edge end is listed
+    once, at its own vertex.
     """
     n = fat.vertex_count
     if not 0 <= start_vertex < n:
@@ -172,31 +174,36 @@ def _realizations(fat: Fatgraph, start_vertex: int):
     m = len(fat.edges)
     rings = [[eid for eid, _end in fat.orders[v]] for v in sorted(range(n), key=lambda v: pos[v])]
     adj: list[list[int]] = [[] for _ in range(m)]
+    placed: list[list[int]] = []  # the order cut at each disc before the one being cut
+    cuts = [0]  # the next cut to try at each disc up to the one being cut
+    reaches = [[0] * m]  # and the bit sets its cuts are checked on; disc 1 meets no constraint
     emitted = 0
-
-    def search(idx: int):
-        nonlocal emitted
-        if emitted >= REALIZATION_LIMIT:
-            return
-        if idx == n:
+    while cuts and emitted < REALIZATION_LIMIT:
+        idx = len(placed)
+        ring = rings[idx]
+        cut = cuts[-1]
+        if cut == max(1, len(ring)):
+            cuts.pop()
+            reaches.pop()
+            if placed:
+                for a in placed.pop()[:-1]:
+                    adj[a].pop()
+            continue
+        cuts[-1] += 1
+        lin = ring[cut:] + ring[:cut]
+        if not _chain_keeps_acyclic(reaches[-1], lin):
+            continue
+        for a, b in zip(lin, lin[1:]):
+            adj[a].append(b)
+        if idx + 1 == n:
             emitted += 1
             yield dict(pos), tuple(_height_order(adj))
-            return
-        ring = rings[idx]
-        reach = _reach(adj) if idx and len(ring) > 1 else [0] * m  # disc 1 meets no constraint
-        for cut in range(max(1, len(ring))):
-            lin = ring[cut:] + ring[:cut]
-            if _chain_keeps_acyclic(reach, lin):
-                for a, b in zip(lin, lin[1:]):
-                    adj[a].append(b)
-                yield from search(idx + 1)
-                for a in lin[:-1]:
-                    adj[a].pop()
-
-    try:
-        yield from search(0)
-    finally:
-        del search  # the closure refers to itself; break the cycle
+            for a in lin[:-1]:
+                adj[a].pop()
+        else:
+            placed.append(lin)
+            cuts.append(0)
+            reaches.append(_reach(adj) if len(rings[idx + 1]) > 1 else [0] * m)
 
 
 # ---------------------------------------------------------------------------

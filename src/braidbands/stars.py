@@ -531,7 +531,9 @@ def _minimize_state(state: _State) -> bool:
     alike: so no earlier ray becomes loose again, and the retractions come
     in the order a rescan from the first ray would give.  Popping a
     slack-free ray's last step leaves it slack-free, and the last landing
-    was checked on the final state, so neither pass is repeated.
+    was checked on the final state, so neither pass is repeated.  A state
+    that lost only slack is checked here; one that nothing left is not, and
+    its caller checks it if it has not already.
     """
     changed = _remove_slack(state.rays)
     retracted = False
@@ -539,7 +541,7 @@ def _minimize_state(state: _State) -> bool:
         while (side := _ray_loose_removable(state, ray)) is not None:
             _remove_loose_once(state, k, side)
             retracted = True
-    if not retracted:
+    if changed and not retracted:
         _check_state(state)
     return changed or retracted
 
@@ -781,7 +783,9 @@ def _reduce_states(state: _State) -> Iterator[_State]:
     before and after each step, so every step sees the state that a round
     trip through frozen objects would give.  Re-spreading a spread state
     changes nothing, so the spread before a step is skipped when the
-    minimization after the last spread removed nothing.
+    minimization after the last spread removed nothing.  The input state
+    was checked when it was built; a re-spread state that minimization
+    leaves unchanged is checked here.
     """
     spread = not _minimize_state(state)
     budget = delta_b(state)
@@ -795,6 +799,8 @@ def _reduce_states(state: _State) -> Iterator[_State]:
         _reduce_state(state)
         _renormalize(state)
         spread = not _minimize_state(state)
+        if spread:
+            _check_state(state)
         yield state
 
 

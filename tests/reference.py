@@ -2,9 +2,12 @@
 
 These are the straightforward forms of the library's oracles: full reduced
 Burau matrices multiplied letter by letter, a dense Wirtinger matrix, and a
-fraction-free (Bareiss) determinant over Laurent polynomials, with the
-Laurent sum, product and exact division as plain functions here.  They are
-slow but share no arithmetic with the library's evaluation engine.  The braid
+fraction-free (Bareiss) determinant over Laurent polynomials.  The
+polynomials are this file's own ``Poly``, sparse (exponent, coefficient)
+pairs with the sum, product, exact division, shift and negation here, and
+only the normalized result becomes the library's ``Laurent``, which stores
+a coefficient tuple and does no arithmetic.  They are slow but share no
+arithmetic with the library's evaluation engine.  The braid
 permutation is kept in its O(L * n) form, rescanning every strand per letter,
 and handle reduction in its O(L) per step form, rescanning the whole word for
 the first handle and free-reducing all of it after every step.  A plumbing
@@ -47,6 +50,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -92,47 +96,114 @@ from braidbands.words import (
     closure_components,
 )
 
-Matrix = list[list[Laurent]]
-
 
 # ---------------------------------------------------------------------------
-# Laurent arithmetic for the references and the tests; the library only negates and shifts
+# Laurent arithmetic for the references and the tests, in this file's own type
 # ---------------------------------------------------------------------------
 
-def monomial(exponent: int = 1, coeff: int = 1) -> Laurent:
-    return Laurent({exponent: coeff})
+class Poly:
+    """A general integer Laurent polynomial, stored as sorted (exponent,
+    coefficient) pairs with no zero coefficient; the references' arithmetic
+    type, apart from the library's normalized ``Laurent``."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+        clean: dict[int, int] = {}
+        for k, c in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
+            clean[k] = clean.get(k, 0) + c
+        self.coeffs = tuple(sorted((k, c) for k, c in clean.items() if c))
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if isinstance(other, Poly) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Poly({dict(self.coeffs)!r})"
+
+    @staticmethod
+    def zero() -> "Poly":
+        return Poly()
+
+    @staticmethod
+    def one() -> "Poly":
+        return Poly({0: 1})
+
+    @staticmethod
+    def from_list(coeffs: Iterable[int], offset: int = 0) -> "Poly":
+        return Poly({offset + i: c for i, c in enumerate(coeffs)})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coefficient_list(self) -> tuple[list[int], int]:
+        """Dense coefficient list plus the exponent offset of its first entry."""
+        if not self.coeffs:
+            return [], 0
+        lo, hi = self.coeffs[0][0], self.coeffs[-1][0]
+        dense = [0] * (hi - lo + 1)
+        for k, c in self.coeffs:
+            dense[k - lo] = c
+        return dense, lo
+
+    def __neg__(self) -> "Poly":
+        return Poly({k: -c for k, c in self.coeffs})
+
+    def shift(self, exponent: int) -> "Poly":
+        """Multiply by t**exponent."""
+        return Poly({k + exponent: c for k, c in self.coeffs})
+
+    def normalized(self) -> "Poly":
+        """Canonical representative up to units: lowest exponent 0, positive lead."""
+        if self.is_zero():
+            return self
+        shifted = self.shift(-self.coeffs[0][0])
+        return -shifted if shifted.coeffs[-1][1] < 0 else shifted
 
 
-def add(a: Laurent, b: Laurent) -> Laurent:
-    d = dict(a.coeffs)
-    for k, c in b.coeffs:
-        d[k] = d.get(k, 0) + c
-    return Laurent(d)
+def normal_form(a: Poly) -> Laurent:
+    """The library's value of ``a`` up to units, normalized in this file's arithmetic."""
+    dense, _offset = a.normalized().coefficient_list()
+    return Laurent(tuple(dense))
 
 
-def sub(a: Laurent, b: Laurent) -> Laurent:
+def poly(a: Laurent) -> Poly:
+    """The library's normalized value as a general polynomial."""
+    return Poly.from_list(a.coeffs)
+
+
+Matrix = list[list[Poly]]
+
+
+def monomial(exponent: int = 1, coeff: int = 1) -> Poly:
+    return Poly({exponent: coeff})
+
+
+def add(a: Poly, b: Poly) -> Poly:
+    return Poly(a.coeffs + b.coeffs)
+
+
+def sub(a: Poly, b: Poly) -> Poly:
     return add(a, -b)
 
 
-def mul(a: Laurent, b: Laurent) -> Laurent:
-    d: dict[int, int] = {}
-    for k1, c1 in a.coeffs:
-        for k2, c2 in b.coeffs:
-            d[k1 + k2] = d.get(k1 + k2, 0) + c1 * c2
-    return Laurent(d)
+def mul(a: Poly, b: Poly) -> Poly:
+    return Poly([(k1 + k2, c1 * c2) for k1, c1 in a.coeffs for k2, c2 in b.coeffs])
 
 
-def substitute_inverse(a: Laurent) -> Laurent:
+def substitute_inverse(a: Poly) -> Poly:
     """The polynomial with t replaced by 1/t."""
-    return Laurent({-k: c for k, c in a.coeffs})
+    return Poly({-k: c for k, c in a.coeffs})
 
 
-def divide_exact(a: Laurent, divisor: Laurent) -> Laurent:
+def divide_exact(a: Poly, divisor: Poly) -> Poly:
     """Exact division; raises ValueError when the division leaves a remainder."""
     if divisor.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero():
-        return Laurent.zero()
+        return Poly.zero()
     # Shift both to ordinary polynomials, divide, shift back.
     num, num_off = a.coefficient_list()
     den, den_off = divisor.coefficient_list()
@@ -151,21 +222,21 @@ def divide_exact(a: Laurent, divisor: Laurent) -> Laurent:
                 rem[i + j] -= q * dc
     if any(rem):
         raise ValueError("non-exact Laurent division")
-    return Laurent.from_list(quot, num_off - den_off)
+    return Poly.from_list(quot, num_off - den_off)
 
 
 def _identity(n: int) -> Matrix:
-    return [[Laurent.one() if i == j else Laurent.zero() for j in range(n)] for i in range(n)]
+    return [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     m = len(b[0]) if b else 0
     k = len(b)
-    out = [[Laurent.zero() for _ in range(m)] for _ in range(n)]
+    out = [[Poly.zero() for _ in range(m)] for _ in range(n)]
     for i in range(n):
         for j in range(m):
-            acc = Laurent.zero()
+            acc = Poly.zero()
             for x in range(k):
                 if a[i][x].is_zero() or b[x][j].is_zero():
                     continue
@@ -174,7 +245,7 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def determinant(m: Matrix) -> Laurent:
+def determinant(m: Matrix) -> Poly:
     """Fraction-free (Bareiss) determinant over Laurent polynomials.
 
     Every division in the elimination is exact, so the computation stays in
@@ -182,21 +253,21 @@ def determinant(m: Matrix) -> Laurent:
     """
     n = len(m)
     if n == 0:
-        return Laurent.one()
+        return Poly.one()
     a = [row[:] for row in m]
     sign = 1
-    prev = Laurent.one()
+    prev = Poly.one()
     for k in range(n - 1):
         if a[k][k].is_zero():
             pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
             if pivot_row is None:
-                return Laurent.zero()
+                return Poly.zero()
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = divide_exact(sub(mul(a[k][k], a[i][j]), mul(a[i][k], a[k][j])), prev)
-            a[i][k] = Laurent.zero()
+            a[i][k] = Poly.zero()
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det
@@ -207,7 +278,7 @@ def _burau_generator(n: int, i: int, sign: int) -> Matrix:
     m = _identity(n - 1)
     t = monomial()
     tinv = monomial(-1)
-    one = Laurent.one()
+    one = Poly.one()
     if n == 2:
         m[0][0] = monomial(1, -1) if sign > 0 else monomial(-1, -1)
         return m
@@ -251,13 +322,13 @@ def alexander_from_braid(w: Word) -> Laurent:
     word = w if isinstance(w, ArtinWord) else bkl_to_artin(w)
     n = word.strands
     if n == 1:
-        return Laurent.one()
+        return Laurent((1,))
     b = burau_reduced(word)
     m = [[sub(x, y) for x, y in zip(rb, ri)] for rb, ri in zip(b, _identity(n - 1))]
     det = determinant(m)
     if det.is_zero():
-        return Laurent.zero()
-    return divide_exact(det, Laurent.from_list([1] * n)).normalized()
+        return Laurent(())
+    return normal_form(divide_exact(det, Poly.from_list([1] * n)))
 
 
 def wirtinger_matrix(d: Diagram) -> Matrix | None:
@@ -271,11 +342,11 @@ def wirtinger_matrix(d: Diagram) -> Matrix | None:
     c = len(d.crossings)
     if len(gens) != c:
         return None
-    t, one = monomial(), Laurent.one()
+    t, one = monomial(), Poly.one()
     rows = []
     for idx, (a, b, cc, _dd) in enumerate(d.crossings):
         over, src, dst = gen_index[uf.find(b)], gen_index[uf.find(a)], gen_index[uf.find(cc)]
-        row = [Laurent.zero() for _ in range(c)]
+        row = [Poly.zero() for _ in range(c)]
         if st.signs[idx] > 0:
             row[over] = add(row[over], sub(one, t))
             row[src] = add(row[src], t)
@@ -290,21 +361,21 @@ def wirtinger_matrix(d: Diagram) -> Matrix | None:
 
 def alexander_from_diagram_minor(d: Diagram, drop_row: int, drop_col: int) -> Laurent:
     if d.unknots:
-        return Laurent.zero()
+        return Laurent(())
     rows = wirtinger_matrix(d)
     if rows is None:
-        return Laurent.zero()
+        return Laurent(())
     minor = [
         [entry for j, entry in enumerate(row) if j != drop_col]
         for i, row in enumerate(rows)
         if i != drop_row
     ]
-    return determinant(minor).normalized()
+    return normal_form(determinant(minor))
 
 
 def alexander_from_diagram(d: Diagram) -> Laurent:
     if not d.crossings:
-        return Laurent.one() if d.unknots == 1 else Laurent.zero()
+        return Laurent((1,) if d.unknots == 1 else ())
     return alexander_from_diagram_minor(d, 0, 0)
 
 

@@ -9,7 +9,6 @@ from functools import reduce
 
 from braidbands.diagrams import Diagram, analyze, is_primitive_flat, link_components
 from braidbands.invariants import alexander_from_braid, alexander_from_diagram
-from braidbands.laurent import Laurent
 from braidbands.plumbing import ShufflePattern, deplumb, plumb
 from braidbands.pipeline import homogenize
 from braidbands.stars import Ray, Star, StarError, delta_b, minimize, reduce_to_disc
@@ -53,7 +52,7 @@ from corpus import (
     random_homogeneous_surface,
     valid_star_instances,
 )
-from reference import add, burau_reduced, mul, reduce_step
+from reference import Poly, add, burau_reduced, mul, reduce_step
 
 
 def _ok(name):
@@ -230,7 +229,7 @@ def test_criterion_8_oracle_self_consistency():
             lhs = burau_reduced(u.concat(v))
             rhs_u, rhs_v = burau_reduced(u), burau_reduced(v)
             prod = [
-                [reduce(add, (mul(rhs_u[i][k], rhs_v[k][j]) for k in range(n - 1)), Laurent.zero()) for j in range(n - 1)]
+                [reduce(add, (mul(rhs_u[i][k], rhs_v[k][j]) for k in range(n - 1)), Poly.zero()) for j in range(n - 1)]
                 for i in range(n - 1)
             ]
             assert lhs == prod

@@ -578,6 +578,28 @@ def test_malformed_input_is_exit_2(tmp_path, argv):
     assert code == 2
 
 
+FILE_COMMANDS = [
+    ["diagram", "seifert", "{dir}"],
+    ["diagram", "homogeneous", "{dir}"],
+    ["diagram", "primitive-flat", "{dir}"],
+    ["surface", "apply", "{dir}", "--move", "twirl"],
+    ["surface", "genus", "{dir}"],
+    ["star", "reduce", "{dir}", "{dir}"],
+    ["homogenize", "{dir}"],
+    ["invariant", "alexander", "--diagram", "{dir}"],
+    ["invariant", "components", "--diagram", "{dir}"],
+]
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS,
+                         ids=["-".join(a for a in argv[:2] if a != "{dir}") for argv in FILE_COMMANDS])
+def test_directory_path_is_exit_2(tmp_path, capsys, argv):
+    # A path that cannot be read as a file is invalid input, not an internal error.
+    assert run([arg.format(dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_failed_soundness_gate_is_exit_3(tmp_path, capsys, trefoil_file, monkeypatch):
     # A final comparison that rejects the finished word is an internal
     # failure, not bad input; a malformed diagram still is bad input.  Here

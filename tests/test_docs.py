@@ -29,7 +29,7 @@ def test_readme_library_tour():
     results = _tour_results()
     assert results["is_homogeneous(w)"] is True
     assert results["homogenize(trefoil)"] == parse_word("b(1,2)^3", strands=2)
-    assert results["alexander_from_diagram(trefoil)"] == Laurent.from_list([1, -1, 1])
+    assert results["alexander_from_diagram(trefoil)"] == Laurent((1, -1, 1))
     assert results["homogenize(two)"].strands == 5
 
 

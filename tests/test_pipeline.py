@@ -1068,6 +1068,20 @@ def test_homogenize_rings(monkeypatch, m):
     assert alexander_from_braid(w) == alexander_from_diagram(d)
 
 
+def test_a_search_1200_discs_deep_is_refused_by_its_budget(monkeypatch, tmp_path, capsys):
+    # R_1200's one candidate is cut 1,200 discs deep.  The search keeps its
+    # own stack, so the leaf is refused by REALIZATION_LIMIT (exit 2), not by
+    # the interpreter's recursion limit (an internal error, exit 3).
+    monkeypatch.setattr(pipeline, "REALIZATION_LIMIT", 1)
+    d = ring(1200)
+    with pytest.raises(PipelineError, match=r"\(1 candidates\)"):
+        homogenize(d)
+    path = tmp_path / "ring.json"
+    path.write_text(d.to_json())
+    assert run(["homogenize", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {pipeline.NO_MATCH.format(1)}\n"
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=PipelineError,
@@ -1112,7 +1126,7 @@ ALTERNATING_NINE = Diagram([
 )
 def test_homogenize_alternating_link_of_nine():
     d = ALTERNATING_NINE
-    delta = Laurent({0: -1, 1: 8, 2: -17, 3: 17, 4: -8, 5: 1})
+    delta = Laurent((-1, 8, -17, 17, -8, 1))
     assert is_homogeneous_diagram(d).homogeneous and link_components(d) == 2
     assert alexander_from_diagram(d) == delta
     w = homogenize(d)

@@ -788,20 +788,57 @@ def test_golden_star_costs_nothing_per_disc(discs):
 def _stepwise(s, star, minimize_state, reduce_state) -> list:
     """``_reduce_states`` run with these two functions: each minimization's
     ``changed`` flag and frozen pair, and each step's frozen pair, ending
-    with the message of the ``StarError`` that stopped it, if any."""
+    with the message of the ``StarError`` that stopped it, if any.  As in
+    ``_reduce_states``, the state is checked when it is built and after a
+    step whose minimization leaves it unchanged."""
     out: list = []
     try:
-        state = stars._materialize(s, star)
+        state = stars._checked(s, star)
         out.append((minimize_state(state), stars._freeze(state)))
         while delta_b(state):
             stars._renormalize(state)
             reduce_state(state)
             out.append(stars._freeze(state))
             stars._renormalize(state)
-            out.append((minimize_state(state), stars._freeze(state)))
+            changed = minimize_state(state)
+            if not changed:
+                stars._check_state(state)
+            out.append((changed, stars._freeze(state)))
     except StarError as exc:
         out.append(str(exc))
     return out
+
+
+def test_a_state_minimization_leaves_unchanged_is_checked_once(monkeypatch):
+    # The entry point checks the state it builds, so a first minimization
+    # that removes nothing checks it no more.  After a step, a re-spread state
+    # that minimization leaves unchanged is checked once, by the reducing loop.
+    events: list = []
+    check, minimize_state, reduce_state = stars._check_state, stars._minimize_state, stars._reduce_state
+
+    def minimized(state):
+        events.append("minimize")
+        changed = minimize_state(state)
+        events.append("changed" if changed else "unchanged")
+        return changed
+
+    monkeypatch.setattr(stars, "_check_state", lambda state: events.append("check") or check(state))
+    monkeypatch.setattr(stars, "_minimize_state", minimized)
+    monkeypatch.setattr(stars, "_reduce_state", lambda state: events.append("step") or reduce_state(state))
+    counts = {"first": 0, "after a step": 0}
+    for s, star in valid_star_instances(seed=2718, count=200):
+        events.clear()
+        try:
+            reduce_to_disc(s, star)
+        except StarError:
+            continue
+        assert events[:2] == ["check", "minimize"]
+        for k, event in enumerate(events):
+            if event == "unchanged":
+                after_step = "step" in events[:k]
+                assert events[k - 1] == "minimize" and (events[k + 1:k + 2] == ["check"]) == after_step
+                counts["after a step" if after_step else "first"] += 1
+    assert counts["first"] >= 20 and counts["after a step"] >= 20
 
 
 def _assert_matches_whole_state_passes(s, star) -> list:

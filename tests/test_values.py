@@ -42,7 +42,7 @@ FROZEN = [
     (lambda: is_homogeneous_diagram(Diagram(HOPF)),
      (True, (), blocks(analyze(Diagram(HOPF)).graph)),
      f"BlockReport(homogeneous=True, mixed_blocks=(), decomposition={HOPF_BLOCKS})"),
-    (lambda: Laurent({0: 1, 2: -1}), (((0, 1), (2, -1)),), "Laurent(coeffs=((0, 1), (2, -1)))"),
+    (lambda: Laurent((-1, 0, 1)), ((-1, 0, 1),), "Laurent(coeffs=(-1, 0, 1))"),
     (lambda: ShufflePattern((1, 2, 1)), ((1, 2, 1),), "ShufflePattern(marks=(1, 2, 1))"),
     (lambda: BraidedSurface(2, [(1, 2, -1)]), (2, ((1, 2, -1),)),
      "BraidedSurface(discs=2, bands=((1, 2, -1),))"),
